@@ -284,6 +284,26 @@ class TestKFunctionalUpper:
         assert ratios.min() >= 0.75 * mid
 
 
+class TestPinnedCandidateMinima:
+    # Values of both candidate-family minima at t = 0.3, r = 1, pinned so
+    # that a dropped or altered candidate family shows up; g = 0 does not win
+    # at this scale.
+    K_UPPER = {1: 0.4207858691504179, 2: 0.21748660500826855, math.inf: 0.4299640266320983}
+    R_CAND = {1: 0.44840543731116106, 2: 0.2210468484820821, math.inf: 0.4323963286247569}
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_k_functional_upper(self, gauss, p):
+        assert k_functional_upper(gauss, 0.3, 1.0, p, PARAMS) == pytest.approx(
+            self.K_UPPER[p], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_realization_candidate_min(self, gauss, p):
+        assert realization_candidate_min(gauss, 0.3, 1.0, p, PARAMS) == pytest.approx(
+            self.R_CAND[p], rel=1e-12
+        )
+
+
 class TestInverseBound:
     def test_zero_table(self):
         table = {j: 0.0 for j in range(5)}
