@@ -279,37 +279,6 @@ class RealizationResult(NamedTuple):
     sigma_used: float
 
 
-def _objective_terms(
-    f: RadialFunction,
-    g: Spectrum,
-    t: float,
-    r: float,
-    p: float,
-    lam: float,
-    approx_error: float | None = None,
-) -> RealizationResult:
-    """||f - g||_p + t^r ||(-Lap)^(r/2) g||_p for a bandlimited candidate g."""
-    mat = _kernel_matrix(lam, g.grid, g.grid)
-    gv = g.values
-    if approx_error is None:
-        if p == 2:
-            approx_error = _spectral_l2(hankel(f, lam).values - gv, g.grid, lam)
-        else:
-            diff = RadialFunction(grid=f.grid, values=f.values - mat @ gv)
-            approx_error = lp_norm(diff, p, lam)
-    if p == 2:
-        deriv = _spectral_l2(g.grid.nodes**r * gv, g.grid, lam)
-    else:
-        deriv = lp_norm(RadialFunction(grid=f.grid, values=mat @ (g.grid.nodes**r * gv)), p, lam)
-    term = t**r * deriv
-    return RealizationResult(
-        value=approx_error + term,
-        approx_error=approx_error,
-        derivative_term=term,
-        sigma_used=1.0 / t,
-    )
-
-
 def realization(
     f: RadialFunction,
     t: float,
@@ -337,11 +306,44 @@ def realization(
         approx = best_approx(f, 1.0 / t, p, params, fhat=fhat)
     elif approx.g_star.bandlimit is None or approx.g_star.bandlimit > 1.0 / t:
         raise ValueError(f"approximant is not of spherical type 1/t = {1.0 / t!r}")
-    return _objective_terms(f, approx.g_star, t, r, p, lam, approx_error=approx.value)
+    grid = approx.g_star.grid
+    dg = grid.nodes**r * approx.g_star.values
+    if p == 2:
+        deriv = _spectral_l2(dg, grid, lam)
+    else:
+        phys = _kernel_matrix(lam, grid, grid) @ dg
+        deriv = lp_norm(RadialFunction(grid=f.grid, values=phys), p, lam)
+    term = t**r * deriv
+    return RealizationResult(
+        value=approx.value + term,
+        approx_error=approx.value,
+        derivative_term=term,
+        sigma_used=1.0 / t,
+    )
 
 
-def _geom(lo: float, hi: float, points: int) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
+def _k_objectives(
+    f: RadialFunction, fhat: Spectrum, syms: np.ndarray, t: float, r: float, p: float
+) -> np.ndarray:
+    """K-objective ||f - g_j||_p + t^r ||(-Lap)^(r/2) g_j||_p of each candidate
+    g_j = invH(syms[:, j] * fhat), one value per column of ``syms``.
+
+    p = 2 measures both terms on the spectral side (Parseval); other p
+    measure them on the physical grid.
+    """
+    grid, lam = fhat.grid, fhat.lam
+    nodes = grid.nodes
+    if p == 2:
+        # (k, n) rows, so every candidate's sum runs along a contiguous row
+        gs = np.ascontiguousarray(syms.T) * fhat.values
+        w = nu_weights(grid, lam)
+        approx = np.sqrt(np.sum(w * np.abs(fhat.values - gs) ** 2, axis=1))
+        deriv = np.sqrt(np.sum(w * np.abs(nodes**r * gs) ** 2, axis=1))
+    else:
+        smooth = _inverse_batch(fhat, syms)
+        approx = _norms_of_columns(f.values[:, None] - smooth, grid, lam, p)
+        deriv = _norms_of_columns(_inverse_batch(fhat, syms * nodes[:, None] ** r), grid, lam, p)
+    return approx + t**r * deriv
 
 
 _ETA = make_eta()
@@ -350,6 +352,11 @@ _ETA = make_eta()
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Smoothing-cutoff symbols eta(r / sigma), one column per sigma."""
     return _ETA(nodes[:, None] / sigmas[None, :])
+
+
+def _sharp_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Sharp truncations 1_{r <= sigma}, one column per sigma."""
+    return (nodes[:, None] <= sigmas[None, :]).astype(float)
 
 
 def k_functional_upper(
@@ -370,33 +377,13 @@ def k_functional_upper(
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    lam = params.lambda_k
-    fhat = hankel(f, lam) if fhat is None else fhat
-    grid = fhat.grid
-    nodes = grid.nodes
-    sigmas = _geom(1.0 / (4.0 * t), 4.0 / t, points)
-    eta_syms = _eta_symbols(nodes, sigmas)
-    best = math.inf
+    fhat = hankel(f, params.lambda_k) if fhat is None else fhat
+    nodes = fhat.grid.nodes
+    sigmas = np.geomspace(1.0 / (4.0 * t), 4.0 / t, points)
+    syms = _eta_symbols(nodes, sigmas)
     if p == 2:
-        fv = fhat.values
-        w = nu_weights(grid, lam)
-        for j in range(sigmas.size):
-            gv = fv * eta_syms[:, j]
-            approx = math.sqrt(float(np.sum(w * np.abs(fv - gv) ** 2)))
-            deriv = math.sqrt(float(np.sum(w * np.abs(nodes**r * gv) ** 2)))
-            best = min(best, approx + t**r * deriv)
-            # sharp truncation candidate at the same scale
-            mask = (nodes <= sigmas[j]).astype(float)
-            gv2 = fv * mask
-            approx2 = math.sqrt(float(np.sum(w * np.abs(fv - gv2) ** 2)))
-            deriv2 = math.sqrt(float(np.sum(w * np.abs(nodes**r * gv2) ** 2)))
-            best = min(best, approx2 + t**r * deriv2)
-        return best
-    smooth_phys = _inverse_batch(fhat, eta_syms)
-    deriv_phys = _inverse_batch(fhat, eta_syms * nodes[:, None] ** r)
-    approx_norms = _norms_of_columns(f.values[:, None] - smooth_phys, grid, lam, p)
-    deriv_norms = _norms_of_columns(deriv_phys, grid, lam, p)
-    return float(np.min(approx_norms + t**r * deriv_norms))
+        syms = np.concatenate([syms, _sharp_symbols(nodes, sigmas)], axis=1)
+    return float(np.min(_k_objectives(f, fhat, syms, t, r, p)))
 
 
 def _plateau_symbols(nodes: np.ndarray, sigma_max: float, widths: Sequence[float]) -> np.ndarray:
@@ -436,39 +423,16 @@ def realization_candidate_min(
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    lam = params.lambda_k
-    fhat = hankel(f, lam) if fhat is None else fhat
-    grid = fhat.grid
-    nodes = grid.nodes
+    fhat = hankel(f, params.lambda_k) if fhat is None else fhat
+    nodes = fhat.grid.nodes
     best = realization(f, t, r, p, params, fhat=fhat, approx=approx).value
-    sigmas = _geom(1.0 / (8.0 * t), 1.0 / (2.0 * t), points)
-    syms = np.concatenate(
-        [
-            _eta_symbols(nodes, sigmas),
-            _plateau_symbols(nodes, 1.0 / t, (0.3, 0.5, 0.7, 0.9)),
-        ],
-        axis=1,
-    )
+    cols = [
+        _eta_symbols(nodes, np.geomspace(1.0 / (8.0 * t), 1.0 / (2.0 * t), points)),
+        _plateau_symbols(nodes, 1.0 / t, (0.3, 0.5, 0.7, 0.9)),
+    ]
     if p == 2:
-        fv = fhat.values
-        w = nu_weights(grid, lam)
-        for j in range(syms.shape[1]):
-            gv = fv * syms[:, j]
-            approx = math.sqrt(float(np.sum(w * np.abs(fv - gv) ** 2)))
-            deriv = math.sqrt(float(np.sum(w * np.abs(nodes**r * gv) ** 2)))
-            best = min(best, approx + t**r * deriv)
-        for sigma in _geom(1.0 / (2.0 * t), 1.0 / t, 5):
-            mask = (nodes <= sigma).astype(float)
-            gv = fv * mask
-            approx = math.sqrt(float(np.sum(w * np.abs(fv - gv) ** 2)))
-            deriv = math.sqrt(float(np.sum(w * np.abs(nodes**r * gv) ** 2)))
-            best = min(best, approx + t**r * deriv)
-        return best
-    smooth_phys = _inverse_batch(fhat, syms)
-    deriv_phys = _inverse_batch(fhat, syms * nodes[:, None] ** r)
-    approx_norms = _norms_of_columns(f.values[:, None] - smooth_phys, grid, lam, p)
-    deriv_norms = _norms_of_columns(deriv_phys, grid, lam, p)
-    return min(best, float(np.min(approx_norms + t**r * deriv_norms)))
+        cols.append(_sharp_symbols(nodes, np.geomspace(1.0 / (2.0 * t), 1.0 / t, 5)))
+    return min(best, float(np.min(_k_objectives(f, fhat, np.concatenate(cols, axis=1), t, r, p))))
 
 
 def inverse_bound(
