@@ -15,8 +15,10 @@ The true K-functional infimum over the whole Sobolev class is not computable;
 this module provides the two computable surrogates the harness certifies
 against each other: the realization (objective at a near-best bandlimited
 approximant of type 1/t) and a candidate-family upper bound (smoothing
-projections P_sigma over a geometric sigma grid, plus sharp spectral
-truncations at p = 2).
+projections P_sigma over a geometric sigma grid, sharp spectral truncations
+at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
+columns, and ``_k_objectives`` is the one place that evaluates the
+K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p on it.
 """
 
 from __future__ import annotations
@@ -371,18 +373,21 @@ def k_functional_upper(
     """Candidate-family upper bound on the K-functional K_r(t, f)_p.
 
     Minimizes the K-objective over smoothing projections P_sigma(f) with
-    sigma on a geometric grid spanning [1/(4t), 4/t] (and, at p = 2, sharp
-    spectral truncations at the same scales).  An upper bound on the true
-    infimum by construction.
+    sigma on a geometric grid spanning [1/(4t), 4/t], sharp spectral
+    truncations at the same scales (p = 2 only), and g = 0, so the value
+    never exceeds ||f||_p.  Every candidate is one symbol column of a single
+    ``_k_objectives`` call.  An upper bound on the true infimum by
+    construction.
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
     fhat = hankel(f, params.lambda_k) if fhat is None else fhat
     nodes = fhat.grid.nodes
     sigmas = np.geomspace(1.0 / (4.0 * t), 4.0 / t, points)
-    syms = _eta_symbols(nodes, sigmas)
+    cols = [_eta_symbols(nodes, sigmas), np.zeros((nodes.size, 1))]
     if p == 2:
-        syms = np.concatenate([syms, _sharp_symbols(nodes, sigmas)], axis=1)
+        cols.append(_sharp_symbols(nodes, sigmas))
+    syms = np.concatenate(cols, axis=1)
     return float(np.min(_k_objectives(f, fhat, syms, t, r, p)))
 
 

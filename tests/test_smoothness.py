@@ -263,6 +263,14 @@ class TestKFunctionalUpper:
                 cap = t**r * diff_norm(gauss, 0.0, 0.0, 2, PARAMS, r=r)
                 assert k_functional_upper(gauss, t, r, 2, PARAMS) <= 1.05 * cap
 
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_never_exceeds_zero_candidate(self, grid, gauss, p):
+        # g = 0 is admissible, so K_r(t, f)_p <= ||f||_p; at t = 1 the
+        # smoothing projections alone overshoot it at p = 1, r = 2.
+        norm = lp_norm(gauss, p, LAM)
+        for r in (0.5, 1.0, 2.0):
+            assert k_functional_upper(gauss, 1.0, r, p, PARAMS) <= norm * (1 + 1e-12)
+
     def test_within_equivalence_window_of_realization(self, grid, gauss):
         # Realization is the sanctioned equivalent; ratios must be modest.
         for t in (0.1, 0.3):
