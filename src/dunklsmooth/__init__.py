@@ -71,7 +71,6 @@ from .operators import (
     grm_symbol,
 )
 from .smoothness import (
-    SmoothnessQuery,
     ModulusResult,
     BestApprox,
     RealizationResult,

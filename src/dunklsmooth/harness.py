@@ -25,7 +25,6 @@ import numpy as np
 
 from .quad import GRID_KINDS, RadialFunction, RadialGrid, lp_norm, make_grid, nu_weights
 from .smoothness import (
-    SmoothnessQuery,
     best_approx,
     diff_norm,
     inverse_bound,
@@ -204,6 +203,13 @@ class ExperimentConfig:
         for p in self.p_values:
             if not (p == math.inf or p >= 1):
                 raise ConfigError(f"{self.name}: p must be >= 1 or inf, got {p}")
+        for m in self.m_values:
+            if not (m > 0):
+                raise ConfigError(f"{self.name}: m_values must be positive, got {m}")
+        if self.name in ("equivalence", "realization"):
+            for r in self.r_values:
+                if not (r > 0):
+                    raise ConfigError(f"{self.name}: r_values must be positive, got {r}")
         lo, hi = self.window
         if not (0 <= lo < hi):
             raise ConfigError(f"{self.name}: window must satisfy 0 <= lo < hi")
@@ -392,7 +398,6 @@ def verify_jackson(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
                         else:
                             df = f
                         for sigma in cfg.scale.values():
-                            SmoothnessQuery(f, params, p, m, max(r, 0.0), sigma)
                             lhs = best_approx(f, sigma, p, params).value
                             om = modulus(df, 1.0 / sigma, m, p, params).value
                             rhs = sigma ** (-r) * om

@@ -24,7 +24,6 @@ K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ from .transforms import (
 from .weights import WeightParams
 
 __all__ = [
-    "SmoothnessQuery",
     "ModulusResult",
     "BestApprox",
     "RealizationResult",
@@ -55,28 +53,6 @@ __all__ = [
     "inverse_bound",
     "marchaud_bound",
 ]
-
-
-@dataclass(frozen=True)
-class SmoothnessQuery:
-    """One validated smoothness evaluation point (used by the sweep harness)."""
-
-    f: RadialFunction
-    params: WeightParams
-    p: float
-    m: float
-    r: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if not (self.p == math.inf or self.p >= 1):
-            raise ValueError(f"p must be >= 1 or inf, got {self.p!r}")
-        if not (self.m > 0):
-            raise ValueError(f"difference order m must be positive, got {self.m!r}")
-        if self.r < 0:
-            raise ValueError(f"derivative half-power r must be >= 0, got {self.r!r}")
-        if not (self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
 
 
 # --------------------------------------------------------------------------

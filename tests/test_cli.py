@@ -69,3 +69,26 @@ def test_verify_command(tmp_path, capsys):
 
 def test_verify_unknown_experiment(capsys):
     assert main(["verify", "does-not-exist"]) == 2
+
+
+def test_verify_nonpositive_r_exits_before_any_report(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["verify", "equivalence", "--r", "0", "--output-dir", str(out)]) == 2
+    assert "r_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_bad_orders_before_any_report(tmp_path, capsys):
+    out = tmp_path / "reports"
+    spec = {
+        "output_dir": str(out),
+        "experiments": [
+            {"name": "bernstein", "r_values": [1.0]},
+            {"name": "realization", "r_values": [-1.0]},
+        ],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "realization: r_values must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -67,6 +67,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="r1 \\+ m1"):
             parse_config(spec)
 
+    def test_nonpositive_orders_fail_at_parse_time(self):
+        with pytest.raises(ConfigError, match="jackson: m_values must be positive"):
+            parse_config({"experiments": [{"name": "jackson", "m_values": [2.0, 0.0]}]})
+        for name in ("equivalence", "realization"):
+            with pytest.raises(ConfigError, match=f"{name}: r_values must be positive"):
+                parse_config({"experiments": [{"name": name, "r_values": [1.0, 0.0]}]})
+        # r = 0 is the plain-norm case of the Jackson sweep
+        parse_config({"experiments": [{"name": "jackson", "r_values": [0.0, 1.0]}]})
+
     def test_p_inf_parsing(self):
         hc = parse_config(
             {"experiments": [{"name": "equivalence", "p_values": ["inf", 2]}]}

@@ -7,7 +7,6 @@ from scipy.special import gammaincc
 from dunklsmooth.operators import vallee_poussin
 from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
 from dunklsmooth.smoothness import (
-    SmoothnessQuery,
     best_approx,
     diff_norm,
     inverse_bound,
@@ -33,19 +32,6 @@ def grid():
 @pytest.fixture(scope="module")
 def gauss(grid):
     return RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2), label="gaussian")
-
-
-class TestSmoothnessQuery:
-    def test_validation(self, gauss):
-        SmoothnessQuery(gauss, PARAMS, 2, 1.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            SmoothnessQuery(gauss, PARAMS, 0.5, 1.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            SmoothnessQuery(gauss, PARAMS, 2, 0.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            SmoothnessQuery(gauss, PARAMS, 2, 1.0, -1.0, 0.1)
-        with pytest.raises(ValueError):
-            SmoothnessQuery(gauss, PARAMS, 2, 1.0, 0.5, 0.0)
 
 
 class TestModulus:
