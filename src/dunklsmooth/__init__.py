@@ -56,19 +56,14 @@ from .transforms import (
     dunkl_inverse_1d,
 )
 from .operators import (
-    Multiplier,
-    CutoffEta,
-    make_eta,
-    apply_multiplier,
+    eta,
     translate_T,
     translate_tau_1d,
     frac_laplacian,
     frac_difference,
     SeriesDifference,
     frac_difference_series,
-    convolve,
     vallee_poussin,
-    grm_symbol,
 )
 from .smoothness import (
     ModulusResult,

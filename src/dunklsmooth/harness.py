@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .operators import eta
 from .quad import GRID_KINDS, RadialFunction, RadialGrid, lp_norm, make_grid, nu_weights
 from .smoothness import (
     best_approx,
@@ -120,9 +121,7 @@ def make_profile(name: str, grid: RadialGrid, lam: float) -> RadialFunction:
 
 def bandlimited_spectrum(grid: RadialGrid, lam: float, sigma: float) -> Spectrum:
     """Unit-L2 spectrum supported in [0, sigma]: smooth cutoff eta(2r/sigma)."""
-    from .operators import make_eta
-
-    vals = make_eta()(2.0 * grid.nodes / sigma)
+    vals = eta(2.0 * grid.nodes / sigma)
     norm = math.sqrt(float(np.sum(nu_weights(grid, lam) * vals**2)))
     return spectrum_from_values(grid, lam, vals / norm, bandlimit=sigma)
 

@@ -7,8 +7,7 @@ multiply by a radial symbol, (optionally) invert.  The symbols in play are
 * ``(1 - j_lam(t r))^(m/2)``  fractional difference Delta_t^m = (I - T^t)^(m/2),
 * ``r^s``                  fractional Laplacian power: symbol |y|^s realizes
                            the s/2 power of the (positive) weighted Laplacian,
-* ``eta(r / sigma)``       de la Vallee Poussin smoothing P_sigma,
-* ``r^-s (1 - j_lam(t r))^(m/2)``  the scaled difference/derivative kernel.
+* ``eta(r / sigma)``       de la Vallee Poussin smoothing P_sigma.
 
 Pointwise symbol products commute, so any two operators commute; the Spectrum
 pending-symbol mechanism makes that true to the bit under reordering.
@@ -17,89 +16,57 @@ pending-symbol mechanism makes that true to the bit under reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .quad import RadialFunction, lp_norm
 from .special import BesselEvaluator, binom_frac, binom_tail_bound, jm_multiplier
-from .transforms import LineFunction, DunklKernel1D, Spectrum, dunkl_inverse_1d, dunkl_transform_1d, hankel, inverse_hankel
+from .transforms import (
+    DunklKernel1D,
+    LineFunction,
+    Spectrum,
+    dunkl_inverse_1d,
+    dunkl_transform_1d,
+    hankel,
+    inverse_hankel,
+)
 
 __all__ = [
-    "Multiplier",
-    "CutoffEta",
-    "make_eta",
-    "apply_multiplier",
+    "eta",
     "translate_T",
     "translate_tau_1d",
     "frac_laplacian",
     "frac_difference",
     "SeriesDifference",
     "frac_difference_series",
-    "convolve",
     "vallee_poussin",
-    "grm_symbol",
 ]
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """A frequency-domain symbol m(r) with a label identifying its parameters.
+def eta(t):
+    """Smooth cutoff: 1 on [0, 1], 0 on [2, inf), and on (1, 2) the
+    exponential-bump bridge h(2-t) / (h(2-t) + h(t-1)), h(u) = exp(-1/u).
 
-    Labels are the canonical ordering key for deferred application, so they
-    must encode every parameter (repr round-trips floats exactly).  Symbols
-    flagged singular at zero are only ever evaluated on grids whose nodes are
-    strictly positive, which grid construction guarantees.
+    A scalar gives a float, an array an array of the same shape.
     """
+    arr = np.asarray(t, dtype=float)
+    u = np.atleast_1d(arr)
 
-    symbol: Callable[[np.ndarray], np.ndarray]
-    label: str
-    singular_at_zero: bool = False
-
-
-def apply_multiplier(s: Spectrum, mult: Multiplier, bandlimit=None) -> Spectrum:
-    """Multiply a spectrum pointwise by the symbol (deferred, order-stable)."""
-    return s.with_symbol(mult.label, np.asarray(mult.symbol(s.grid.nodes), dtype=float),
-                         bandlimit=bandlimit)
-
-
-@dataclass(frozen=True)
-class CutoffEta:
-    """Smooth cutoff profile: 1 on [0, 1], positive on [0, 2), 0 on [2, inf)."""
-
-    profile: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        out = self.profile(np.atleast_1d(arr))
-        return float(out[0]) if scalar else out
-
-
-def _exp_bump_profile(t: np.ndarray) -> np.ndarray:
-    # h(u) = exp(-1/u) for u > 0 else 0; eta = h(2-t) / (h(2-t) + h(t-1)).
-    def h(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
+    def h(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        pos = x > 0
+        out[pos] = np.exp(-1.0 / x[pos])
         return out
 
-    out = np.empty_like(t)
-    out[t <= 1.0] = 1.0
-    out[t >= 2.0] = 0.0
-    mid = (t > 1.0) & (t < 2.0)
-    a = h(2.0 - t[mid])
-    b = h(t[mid] - 1.0)
+    out = np.empty_like(u)
+    out[u <= 1.0] = 1.0
+    out[u >= 2.0] = 0.0
+    mid = (u > 1.0) & (u < 2.0)
+    a = h(2.0 - u[mid])
+    b = h(u[mid] - 1.0)
     out[mid] = a / (a + b)
-    return out
-
-
-def make_eta(transition: str = "exp-bump") -> CutoffEta:
-    """Standard smooth cutoff with an exponential-bump bridge on (1, 2)."""
-    if transition != "exp-bump":
-        raise ValueError(f"unknown transition {transition!r}")
-    return CutoffEta(profile=_exp_bump_profile)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -181,26 +148,7 @@ def frac_difference_series(
     return SeriesDifference(result=out, tail_bound=cert)
 
 
-def convolve(s_f: Spectrum, s_g: Spectrum) -> Spectrum:
-    """Weighted convolution, spectrally: pointwise product of the spectra."""
-    if s_f.grid.key != s_g.grid.key:
-        raise ValueError("spectra live on different grids")
-    if s_f.lam != s_g.lam:
-        raise ValueError("spectra carry different indices")
-    if s_f.bandlimit is not None and s_g.bandlimit is not None:
-        bl = min(s_f.bandlimit, s_g.bandlimit)
-    else:
-        bl = s_f.bandlimit if s_g.bandlimit is None else s_g.bandlimit
-    return Spectrum(
-        grid=s_f.grid,
-        lam=s_f.lam,
-        base=s_f.values * s_g.values,
-        bandlimit=bl,
-        truncated=s_f.truncated or s_g.truncated,
-    )
-
-
-def vallee_poussin(s: Spectrum, sigma: float, eta: CutoffEta | None = None) -> Spectrum:
+def vallee_poussin(s: Spectrum, sigma: float) -> Spectrum:
     """Smoothing projection P_sigma: symbol eta(r / sigma).
 
     Reproduces spectra bandlimited to sigma exactly at the nodes and outputs
@@ -210,33 +158,9 @@ def vallee_poussin(s: Spectrum, sigma: float, eta: CutoffEta | None = None) -> S
     sigma = float(sigma)
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    eta = make_eta() if eta is None else eta
     sym = eta(s.grid.nodes / sigma)
     new_bl = 2.0 * sigma if s.bandlimit is None else min(s.bandlimit, 2.0 * sigma)
     return s.with_symbol(f"P:sigma={sigma!r}", sym, bandlimit=new_bl)
-
-
-def grm_symbol(lam: float, m: float, r: float, t: float, freq):
-    """Scaled kernel symbol freq^(-r) * (1 - j_lam(t freq))^(m/2), m >= r.
-
-    Finite as freq -> 0 because the difference symbol vanishes like freq^m;
-    multiplied by freq^r it reconstructs the plain difference symbol, which
-    is how a fractional difference factors through a Laplacian half-power.
-    """
-    m = float(m)
-    r = float(r)
-    if not (m > 0):
-        raise ValueError(f"m must be positive, got {m!r}")
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r!r}")
-    if m < r:
-        raise ValueError(f"requires m >= r, got m={m!r} < r={r!r}")
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t!r}")
-    arr = np.asarray(freq, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("frequencies must be strictly positive")
-    return arr ** (-r) * jm_multiplier(lam, m, t * arr)
 
 
 def translate_tau_1d(f: LineFunction, y: float, k: float) -> LineFunction:

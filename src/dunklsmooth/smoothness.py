@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import make_eta, vallee_poussin
+from .operators import eta, vallee_poussin
 from .quad import RadialFunction, RadialGrid, lp_norm, nu_weights
 from .special import jm_multiplier
 from .transforms import (
@@ -324,12 +324,9 @@ def _k_objectives(
     return approx + t**r * deriv
 
 
-_ETA = make_eta()
-
-
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Smoothing-cutoff symbols eta(r / sigma), one column per sigma."""
-    return _ETA(nodes[:, None] / sigmas[None, :])
+    return eta(nodes[:, None] / sigmas[None, :])
 
 
 def _sharp_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -379,7 +376,7 @@ def _plateau_symbols(nodes: np.ndarray, sigma_max: float, widths: Sequence[float
     for w in widths:
         a = (1.0 - w) * sigma_max
         x = (nodes - a) / (sigma_max - a)
-        cols.append(_ETA(1.0 + np.clip(x, 0.0, 1.0)))
+        cols.append(eta(1.0 + np.clip(x, 0.0, 1.0)))
     return np.stack(cols, axis=1)
 
 

@@ -5,19 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunklsmooth.operators import (
-    Multiplier,
-    apply_multiplier,
-    convolve,
+    eta,
     frac_difference,
     frac_difference_series,
     frac_laplacian,
-    grm_symbol,
-    make_eta,
     translate_T,
     translate_tau_1d,
     vallee_poussin,
 )
-from dunklsmooth.quad import RadialFunction, integrate_nu, lp_norm, make_grid, nu_weights
+from dunklsmooth.quad import RadialFunction, integrate_nu, lp_norm, make_grid
 from dunklsmooth.special import (
     binom_abs_sum,
     binom_tail_bound,
@@ -47,24 +43,19 @@ def gauss_spec(grid):
 
 class TestEta:
     def test_plateau_and_support(self):
-        eta = make_eta()
         assert eta(0.5) == 1.0
         assert eta(1.0) == 1.0
         assert eta(3.0) == 0.0
         assert eta(2.0) == 0.0
 
     def test_midpoint_symmetry(self):
-        assert make_eta()(1.5) == 0.5
+        assert eta(1.5) == 0.5
 
     def test_monotone_transition(self):
         t = np.linspace(1.0, 2.0, 200)
-        vals = make_eta()(t)
+        vals = eta(t)
         assert np.all(np.diff(vals) <= 0)
         assert np.all((vals >= 0) & (vals <= 1))
-
-    def test_unknown_transition(self):
-        with pytest.raises(ValueError):
-            make_eta("linear")
 
 
 class TestTranslateT:
@@ -213,39 +204,6 @@ class TestFracDifferenceSeries:
         )
 
 
-class TestConvolve:
-    def test_with_zero(self, grid, gauss_spec):
-        zero = spectrum_from_values(grid, LAM, np.zeros(grid.n))
-        assert np.all(convolve(gauss_spec, zero).values == 0.0)
-
-    def test_commutative_bitwise(self, grid, gauss_spec):
-        other = spectrum_from_values(grid, LAM, np.exp(-grid.nodes))
-        assert np.array_equal(
-            convolve(gauss_spec, other).values, convolve(other, gauss_spec).values
-        )
-
-    def test_young_type_bound_at_p2(self, grid):
-        # ||f * g||_2 <= ||f||_2 sup|ghat| via Parseval, and sup|ghat| <= ||g||_1.
-        lam = LAM
-        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
-        g = RadialFunction(grid=grid, values=np.exp(-(grid.nodes**2)))
-        fhat, ghat = hankel(f, lam), hankel(g, lam)
-        conv_norm = math.sqrt(
-            float(np.sum(nu_weights(grid, lam) * np.abs(convolve(fhat, ghat).values) ** 2))
-        )
-        f2 = lp_norm(f, 2, lam)
-        gsup = float(np.max(np.abs(ghat.values)))
-        g1 = lp_norm(g, 1, lam)
-        assert conv_norm <= f2 * gsup * (1 + 1e-12)
-        assert gsup <= g1 * (1 + 1e-10)
-
-    def test_grid_mismatch_is_error(self, grid, gauss_spec):
-        other = make_grid(30.0, 256)
-        s2 = spectrum_from_values(other, LAM, np.zeros(other.n))
-        with pytest.raises(ValueError):
-            convolve(gauss_spec, s2)
-
-
 class TestValleePoussin:
     def test_reproduces_bandlimited(self, grid, gauss_spec):
         s = bandlimit_project(gauss_spec, 1.5)
@@ -274,43 +232,11 @@ class TestValleePoussin:
             for n in (1024, 2048):
                 g = make_grid(60.0, n)
                 phys = inverse_hankel(
-                    spectrum_from_values(g, lam, make_eta()(g.nodes))
+                    spectrum_from_values(g, lam, eta(g.nodes))
                 )
                 vals.append(lp_norm(phys, 1, lam))
             assert vals[0] == pytest.approx(vals[1], rel=1e-3)  # grid-stable
             assert vals[1] == pytest.approx(ref, rel=0.1)
-
-
-class TestGrmSymbol:
-    def test_r_zero_is_difference_symbol(self, grid):
-        freq = grid.nodes
-        np.testing.assert_allclose(
-            grm_symbol(LAM, 1.5, 0.0, 0.7, freq),
-            jm_multiplier(LAM, 1.5, 0.7 * freq),
-            rtol=1e-14,
-        )
-
-    def test_small_frequency_limits(self):
-        # m > r: vanishes; m == r: bounded with limit (t^2/(4(lam+1)))^(m/2).
-        freqs = np.geomspace(1e-8, 1e-3, 40)
-        vanishing = grm_symbol(0.25, 2.0, 1.0, 1.0, freqs)
-        assert np.all(np.diff(vanishing) > 0)
-        # series oracle: freq^-r (t freq)^2/(4(lam+1)) = t^2 freq / 5 here
-        assert vanishing[0] == pytest.approx(freqs[0] / 5.0, rel=1e-6)
-        balanced = grm_symbol(0.25, 1.0, 1.0, 1.0, freqs)
-        limit = (1.0 / (4.0 * 1.25)) ** 0.5
-        assert balanced[0] == pytest.approx(limit, rel=1e-6)
-
-    def test_factorization_identity(self):
-        # freq^r * grm = difference symbol, exact up to one rounding each way.
-        freq = np.geomspace(1e-3, 20.0, 100)
-        lhs = freq**1.0 * grm_symbol(0.25, 2.0, 1.0, 0.5, freq)
-        rhs = jm_multiplier(0.25, 2.0, 0.5 * freq)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
-
-    def test_rejects_m_below_r(self):
-        with pytest.raises(ValueError):
-            grm_symbol(0.25, 1.0, 2.0, 0.5, 1.0)
 
 
 class TestCommutationBitExact:
@@ -348,20 +274,6 @@ class TestCommutationBitExact:
         d = translate_T(frac_difference(s, 0.2, m), t)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(c.values, d.values)
-
-
-class TestApplyMultiplier:
-    def test_custom_symbol(self, grid, gauss_spec):
-        mult = Multiplier(symbol=lambda r: 1.0 / (1.0 + r * r), label="resolvent")
-        out = apply_multiplier(gauss_spec, mult)
-        np.testing.assert_allclose(
-            out.values, gauss_spec.values / (1.0 + grid.nodes**2), rtol=1e-15
-        )
-
-    def test_singular_symbol_finite_on_grid(self, grid, gauss_spec):
-        mult = Multiplier(symbol=lambda r: r**-0.5, label="inv-sqrt", singular_at_zero=True)
-        out = apply_multiplier(gauss_spec, mult)
-        assert np.all(np.isfinite(out.values))
 
 
 @pytest.fixture(scope="module")
