@@ -36,7 +36,7 @@ from .smoothness import (
     realization_candidate_min,
 )
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
-from .weights import WeightParams, params_from_lambda
+from .weights import params_from_lambda
 
 __all__ = [
     "ConfigError",
@@ -364,10 +364,6 @@ def write_report(report: SmoothnessReport, output_dir: str | Path) -> tuple[Path
 # --------------------------------------------------------------------------
 
 
-def _params(lam: float) -> WeightParams:
-    return params_from_lambda(lam)
-
-
 def _new_report(cfg: ExperimentConfig) -> SmoothnessReport:
     return SmoothnessReport(experiment=cfg.name, window=cfg.window, drift_max=cfg.drift_max)
 
@@ -384,7 +380,7 @@ def verify_jackson(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma."""
     report = _new_report(cfg)
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
             for p in cfg.p_values:
@@ -408,7 +404,7 @@ def verify_equivalence(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessRep
     """Three-way chain: K-upper, modulus, and single-difference norm at order r."""
     report = _new_report(cfg)
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
             for p in cfg.p_values:
@@ -431,7 +427,7 @@ def verify_realization(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessRep
     """Four-way chain: candidate-grid R, near-best R*, K-upper, and modulus."""
     report = _new_report(cfg)
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
             for p in cfg.p_values:
@@ -468,7 +464,7 @@ def verify_bernstein(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessRepor
     report = _new_report(cfg)
     nodes = grid.nodes
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         w = nu_weights(grid, lam)
         for p in cfg.p_values:
             for r in cfg.r_values:
@@ -527,7 +523,7 @@ def verify_nikolskii_stechkin(cfg: ExperimentConfig, grid: RadialGrid) -> Smooth
     """t^m-scaled difference norms control the m-th derivative norm."""
     report = _new_report(cfg)
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         shat = bandlimited_spectrum(grid, lam, cfg.sigma)
         f = inverse_hankel(shat)
         for p in cfg.p_values:
@@ -544,7 +540,7 @@ def verify_boas(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """Two-sided comparison of delta^-m and t^-m scaled difference norms."""
     report = _new_report(cfg)
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         shat = bandlimited_spectrum(grid, lam, cfg.sigma)
         f = inverse_hankel(shat)
         for p in cfg.p_values:
@@ -572,6 +568,15 @@ def _consistency_rows(report, general_rows, dedicated_rows, tag):
         )
 
 
+def _general_rows(report, cfg, grid):
+    """Append the general two-scale rows for every lambda and p; return them."""
+    for lam in cfg.lambda_values:
+        params = params_from_lambda(lam)
+        for p in cfg.p_values:
+            _two_scale_rows(report, cfg, grid, lam, params, p, "general", *cfg.general_orders)
+    return list(report.rows)
+
+
 def verify_general_entire(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """General two-scale inequality subsuming the dedicated special cases.
 
@@ -580,46 +585,29 @@ def verify_general_entire(cfg: ExperimentConfig, grid: RadialGrid) -> Smoothness
     general rows against the dedicated experiments row-for-row.
     """
     report = _new_report(cfg)
+    general = _general_rows(report, cfg, grid)
     r1, m1, r2, m2 = cfg.general_orders
-    for lam in cfg.lambda_values:
-        params = _params(lam)
-        for p in cfg.p_values:
-            _two_scale_rows(report, cfg, grid, lam, params, p, "general", r1, m1, r2, m2)
     if m1 == 0.0 and r2 == 0.0 and m2 > 0.0 and r1 == m2:
-        # derivative-norm specialization: rerun at theta = 1 for alignment
-        scratch = _new_report(cfg)
-        unit_cfg = replace(cfg, thetas=(1.0,))
-        for lam in cfg.lambda_values:
-            params = _params(lam)
-            for p in cfg.p_values:
-                _two_scale_rows(scratch, unit_cfg, grid, lam, params, p, "general",
-                                r1, m1, r2, m2)
-        dedicated = verify_nikolskii_stechkin(
-            replace(cfg, name="nikolskii_stechkin", m_values=(m2,)), grid
-        )
-        _consistency_rows(report, scratch.rows, dedicated.rows, "nikolskii_stechkin")
-    if r1 == 0.0 and r2 == 0.0 and m1 == m2 and m1 > 0.0:
-        scratch = _new_report(cfg)
-        for lam in cfg.lambda_values:
-            params = _params(lam)
-            for p in cfg.p_values:
-                _two_scale_rows(scratch, cfg, grid, lam, params, p, "general",
-                                r1, m1, r2, m2)
-        dedicated = verify_boas(replace(cfg, name="boas", m_values=(m1,)), grid)
-        _consistency_rows(report, scratch.rows, dedicated.rows, "boas")
+        # derivative-norm specialization, aligned with it at theta = 1
+        tag, dedicated, m, thetas = "nikolskii_stechkin", verify_nikolskii_stechkin, m2, (1.0,)
+    elif r1 == 0.0 and r2 == 0.0 and m1 == m2 and m1 > 0.0:
+        tag, dedicated, m, thetas = "boas", verify_boas, m1, cfg.thetas
+    else:
+        return report
+    if thetas != cfg.thetas:
+        general = _general_rows(_new_report(cfg), replace(cfg, thetas=thetas), grid)
+    ded = dedicated(replace(cfg, name=tag, m_values=(m,)), grid)
+    _consistency_rows(report, general, ded.rows, tag)
     return report
 
 
-def _best_approx_table(f, fhat, p, params, j_max, grid):
-    """E_j for j = 0..j_max; spectral tails at p = 2, near-best otherwise."""
-    lam = params.lambda_k
-    table = {}
-    for j in range(j_max + 1):
-        if p == 2:
-            table[j] = spectral_tail_l2(f, lam, float(j))
-        else:
-            table[j] = lp_norm(f, p, lam) if j == 0 else best_approx(f, float(j), p, params).value
-    return table
+def _best_approx_error(f, fhat, j, p, params):
+    """E_j(f)_p; E_0 is the norm of f (its spectral tail from 0 at p = 2)."""
+    if j > 0:
+        return best_approx(f, float(j), p, params, fhat=fhat).value
+    if p == 2:
+        return spectral_tail_l2(f, params.lambda_k, 0.0)
+    return lp_norm(f, p, params.lambda_k)
 
 
 def verify_inverse(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
@@ -627,14 +615,14 @@ def verify_inverse(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     report = _new_report(cfg)
     tail_cutoff = 1e-10
     j_cap = 64
+    n_max = max(cfg.n_values)
     for lam in cfg.lambda_values:
-        params = _params(lam)
+        params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
             for p in cfg.p_values:
+                table = {j: _best_approx_error(f, fhat, j, p, params) for j in range(n_max + 1)}
                 for m in cfg.m_values:
-                    n_max = max(cfg.n_values)
-                    table = _best_approx_table(f, fhat, p, params, n_max, grid)
                     for n in cfg.n_values:
                         lhs = modulus(f, 1.0 / n, m, p, params, fhat=fhat).value
                         rhs = inverse_bound(table, n, m)
@@ -651,17 +639,11 @@ def verify_inverse(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
                         )
                         # extend the table until E_j decays below the cutoff
                         j_hi = n_max
-                        while j_hi < j_cap and table.get(j_hi, 1.0) > tail_cutoff:
+                        while j_hi < j_cap and table[j_hi] > tail_cutoff:
                             j_hi += 1
                             if j_hi not in table:
-                                table[j_hi] = (
-                                    spectral_tail_l2(f, lam, float(j_hi))
-                                    if p == 2
-                                    else best_approx(f, float(j_hi), p, params).value
-                                )
+                                table[j_hi] = _best_approx_error(f, fhat, j_hi, p, params)
                         for n in cfg.n_values:
-                            if n > n_max:
-                                continue
                             lhs = modulus(df, 1.0 / n, m, p, params).value
                             head = sum(
                                 (j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1)
