@@ -320,7 +320,8 @@ def _k_objectives(
     else:
         smooth = _inverse_batch(fhat, syms)
         approx = _norms_of_columns(f.values[:, None] - smooth, grid, lam, p)
-        deriv = _norms_of_columns(_inverse_batch(fhat, syms * nodes[:, None] ** r), grid, lam, p)
+        deriv_phys = _inverse_batch(fhat, syms * nodes[:, None] ** r)
+        deriv = _norms_of_columns(deriv_phys, grid, lam, p)
     return approx + t**r * deriv
 
 
@@ -410,7 +411,8 @@ def realization_candidate_min(
     ]
     if p == 2:
         cols.append(_sharp_symbols(nodes, np.geomspace(1.0 / (2.0 * t), 1.0 / t, 5)))
-    return min(best, float(np.min(_k_objectives(f, fhat, np.concatenate(cols, axis=1), t, r, p))))
+    objectives = _k_objectives(f, fhat, np.concatenate(cols, axis=1), t, r, p)
+    return min(best, float(np.min(objectives)))
 
 
 def inverse_bound(
