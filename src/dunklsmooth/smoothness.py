@@ -312,7 +312,8 @@ def _k_objectives(
     grid, lam = fhat.grid, fhat.lam
     nodes = grid.nodes
     if p == 2:
-        # (k, n) rows, so every candidate's sum runs along a contiguous row
+        # (k, n) rows: each candidate is summed along a contiguous row, which
+        # reproduces a 1-D sum bit for bit (an axis-0 sum of (n, k) does not)
         gs = np.ascontiguousarray(syms.T) * fhat.values
         w = nu_weights(grid, lam)
         approx = np.sqrt(np.sum(w * np.abs(fhat.values - gs) ** 2, axis=1))
