@@ -105,7 +105,6 @@ def _cmd_verify(args) -> int:
         r_values=(args.r,),
         scale=ScaleGrid(lo, hi, args.points),
     )
-    cfg.validate()
     hc = HarnessConfig(output_dir=args.output_dir, experiments=(cfg,))
     report = run_config(hc)[0]
     for row in report.rows:

@@ -193,6 +193,9 @@ class ExperimentConfig:
     n_values: tuple[int, ...] = (2, 4, 8, 16, 32)
     delta_values: tuple[float, ...] = (0.1, 0.2, 0.4)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.name!r}; known: {sorted(EXPERIMENTS)}")
@@ -201,7 +204,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.name}: lambda must exceed -1/2, got {lam}")
         for p in self.p_values:
             if not (p == math.inf or p >= 1):
-                raise ConfigError(f"{self.name}: p must be >= 1 or inf, got {p}")
+                raise ConfigError(f"{self.name}: p_values must be >= 1 or inf, got {p}")
         for m in self.m_values:
             if not (m > 0):
                 raise ConfigError(f"{self.name}: m_values must be positive, got {m}")
@@ -403,16 +406,26 @@ def verify_jackson(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
 def verify_equivalence(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """Three-way chain: K-upper, modulus, and single-difference norm at order r."""
     report = _new_report(cfg)
+    scales = cfg.scale.values()
     for lam in cfg.lambda_values:
         params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
+            # p innermost, so each p-independent inverse batch is computed
+            # once and reused; the rows are emitted in p, r, scale order
+            values = {}
+            for delta in scales:
+                for r in cfg.r_values:
+                    for p in cfg.p_values:
+                        values[p, r, delta] = (
+                            modulus(f, delta, r, p, params, fhat=fhat).value,
+                            diff_norm(f, delta, r, p, params, fhat=fhat),
+                            k_functional_upper(f, delta, r, p, params, fhat=fhat),
+                        )
             for p in cfg.p_values:
                 for r in cfg.r_values:
-                    for delta in cfg.scale.values():
-                        om = modulus(f, delta, r, p, params, fhat=fhat).value
-                        dn = diff_norm(f, delta, r, p, params, fhat=fhat)
-                        ku = k_functional_upper(f, delta, r, p, params, fhat=fhat)
+                    for delta in scales:
+                        om, dn, ku = values[p, r, delta]
                         base = (lam, p, r, fname)
                         report.add("equivalence:K/omega", lam, p, r, r, delta, ku, om,
                                    group=base + ("K/omega",))
@@ -426,24 +439,36 @@ def verify_equivalence(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessRep
 def verify_realization(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """Four-way chain: candidate-grid R, near-best R*, K-upper, and modulus."""
     report = _new_report(cfg)
+    scales = cfg.scale.values()
     for lam in cfg.lambda_values:
         params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            for p in cfg.p_values:
-                # the type-1/t approximant depends on neither r nor the caller
-                scales = cfg.scale.values()
-                approxes = [best_approx(f, 1.0 / t, p, params, fhat=fhat) for t in scales]
+            # the type-1/t approximant depends on neither r nor the caller
+            approxes = {
+                (p, t): best_approx(f, 1.0 / t, p, params, fhat=fhat)
+                for p in cfg.p_values
+                for t in scales
+            }
+            # p innermost, as in verify_equivalence
+            quartets = {}
+            for t in scales:
                 for r in cfg.r_values:
-                    for t, ba in zip(scales, approxes):
-                        om = modulus(f, t, r, p, params, fhat=fhat).value
-                        rstar = realization(f, t, r, p, params, approx=ba).value
-                        rcand = realization_candidate_min(
-                            f, t, r, p, params, fhat=fhat, approx=ba
-                        )
-                        ku = k_functional_upper(f, t, r, p, params, fhat=fhat)
+                    for p in cfg.p_values:
+                        ba = approxes[p, t]
+                        quartets[p, r, t] = {
+                            "R": realization_candidate_min(
+                                f, t, r, p, params, fhat=fhat, approx=ba
+                            ),
+                            "Rstar": realization(f, t, r, p, params, approx=ba).value,
+                            "K": k_functional_upper(f, t, r, p, params, fhat=fhat),
+                            "omega": modulus(f, t, r, p, params, fhat=fhat).value,
+                        }
+            for p in cfg.p_values:
+                for r in cfg.r_values:
+                    for t in scales:
+                        quartet = quartets[p, r, t]
                         base = (lam, p, r, fname)
-                        quartet = {"R": rcand, "Rstar": rstar, "K": ku, "omega": om}
                         names = list(quartet)
                         for i, a in enumerate(names):
                             for b in names[i + 1 :]:
@@ -809,7 +834,6 @@ def parse_config(data: dict) -> HarnessConfig:
                 float(v) for v in _field(spec, "delta_values", ctx, default=[0.1, 0.2, 0.4])
             ),
         )
-        cfg.validate()
         experiments.append(cfg)
     return HarnessConfig(
         output_dir=str(_field(data, "output_dir", "config", default="reports")),

@@ -71,10 +71,32 @@ def _norms_of_columns(phys: np.ndarray, grid: RadialGrid, lam: float, p: float) 
     return np.sum(w[:, None] * np.abs(phys) ** p, axis=0) ** (1.0 / p)
 
 
+# The last few (spectrum, symbols, batch) triples of ``_inverse_batch``.  A
+# batch does not depend on p, and the chain sweeps ask for the same one at
+# every p; 8 entries hold one scale's batches for every r of a realization
+# sweep (2 smoothing batches that depend on t only, 3 per r).  Holding the
+# spectrum itself keeps its id from being reused while it is an entry.
+_BATCH_MEMO: list[tuple[Spectrum, np.ndarray, np.ndarray]] = []
+_BATCH_MEMO_MAX = 8
+
+
 def _inverse_batch(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
-    """Physical samples of invH(symbol_j * fhat), one column per symbol."""
+    """Physical samples of invH(symbol_j * fhat), one column per symbol.
+
+    A repeated call with the same spectrum object and an equal symbol matrix
+    returns the read-only array the first call computed.
+    """
+    for i, (held, syms, batch) in enumerate(_BATCH_MEMO):
+        if held is fhat and np.array_equal(syms, symbols):
+            _BATCH_MEMO.append(_BATCH_MEMO.pop(i))
+            return batch
     mat = _kernel_matrix(fhat.lam, fhat.grid, fhat.grid)
-    return mat @ (fhat.values[:, None] * symbols)
+    batch = mat @ (fhat.values[:, None] * symbols)
+    batch.flags.writeable = False
+    _BATCH_MEMO.append((fhat, np.array(symbols), batch))
+    if len(_BATCH_MEMO) > _BATCH_MEMO_MAX:
+        del _BATCH_MEMO[0]
+    return batch
 
 
 def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:

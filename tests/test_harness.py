@@ -92,6 +92,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="missing required field 'name'"):
             parse_config({"experiments": [{"lambda_values": [1.0]}]})
 
+    def test_experiment_config_validates_when_built(self):
+        # configs built in code get the checks parse_config applies
+        with pytest.raises(ConfigError, match="equivalence: r_values must be positive"):
+            ExperimentConfig(name="equivalence", r_values=(0.0,))
+        with pytest.raises(ConfigError, match="realization: p_values must be >= 1"):
+            ExperimentConfig(name="realization", p_values=(0.5,))
+
     def test_scale_grid_values(self):
         sg = ScaleGrid(0.1, 1.0, 3)
         np.testing.assert_allclose(sg.values(), [0.1, math.sqrt(0.1), 1.0], rtol=1e-12)
@@ -215,6 +222,20 @@ class TestExperiments:
         assert rep.verdict
         checks = {row.check for row in rep.rows}
         assert "realization:R/omega" in checks and "realization:Rstar/K" in checks
+
+    @pytest.mark.parametrize("name", ["equivalence", "realization"])
+    def test_chain_rows_do_not_depend_on_p_sweep(self, grid, name):
+        # one sweep over p (which reuses each p-independent inverse batch)
+        # gives the rows of three single-p sweeps, bit for bit and in order
+        shared = dict(name=name, r_values=(0.5, 2.0), scale=ScaleGrid(0.1, 0.8, 3))
+        ps = (1.0, 2.0, math.inf)
+        joint = EXPERIMENTS[name](ExperimentConfig(p_values=ps, **shared), grid)
+        single = [
+            row
+            for p in ps
+            for row in EXPERIMENTS[name](ExperimentConfig(p_values=(p,), **shared), grid).rows
+        ]
+        assert [repr(row) for row in joint.rows] == [repr(row) for row in single]
 
     def test_bernstein_exact_constant_and_sharpness(self, grid):
         cfg = ExperimentConfig(

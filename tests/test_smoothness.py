@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from dunklsmooth import smoothness
 from dunklsmooth.operators import vallee_poussin
 from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
 from dunklsmooth.smoothness import (
@@ -17,7 +18,7 @@ from dunklsmooth.smoothness import (
     realization_candidate_min,
 )
 from dunklsmooth.special import binom_abs_sum, jm_multiplier
-from dunklsmooth.transforms import hankel, inverse_hankel
+from dunklsmooth.transforms import _kernel_matrix, hankel, inverse_hankel
 from dunklsmooth.weights import params_from_lambda
 
 LAM = 0.25
@@ -344,3 +345,55 @@ class TestMarchaudBound:
     def test_rejects_delta_outside_unit_interval(self, grid, gauss):
         with pytest.raises(ValueError):
             marchaud_bound(gauss, 1.5, 1.0, 2, PARAMS)
+
+
+class TestInverseBatchMemo:
+    @staticmethod
+    def _symbols(grid, k, shift=0.0):
+        return np.exp(-np.multiply.outer(grid.nodes, np.arange(1.0, k + 1.0) + shift))
+
+    @staticmethod
+    def _fresh(fhat, syms):
+        return _kernel_matrix(fhat.lam, fhat.grid, fhat.grid) @ (fhat.values[:, None] * syms)
+
+    def test_repeat_returns_the_read_only_batch(self, grid, gauss):
+        fhat = hankel(gauss, LAM)
+        syms = self._symbols(grid, 3)
+        batch = smoothness._inverse_batch(fhat, syms)
+        assert not batch.flags.writeable
+        with pytest.raises(ValueError):
+            batch[0, 0] = 0.0
+        assert smoothness._inverse_batch(fhat, syms.copy()) is batch
+        assert np.array_equal(batch, self._fresh(fhat, syms))
+
+    def test_different_symbols_of_same_shape_miss(self, grid, gauss):
+        fhat = hankel(gauss, LAM)
+        syms = self._symbols(grid, 3)
+        other = syms.copy()
+        other[5, 1] *= 0.5
+        batch = smoothness._inverse_batch(fhat, syms)
+        miss = smoothness._inverse_batch(fhat, other)
+        assert miss is not batch
+        assert np.array_equal(miss, self._fresh(fhat, other))
+        assert not np.array_equal(miss, batch)
+
+    def test_equal_spectrum_object_misses(self, grid, gauss):
+        fhat, twin = hankel(gauss, LAM), hankel(gauss, LAM)
+        assert np.array_equal(fhat.values, twin.values)
+        syms = self._symbols(grid, 3)
+        batch = smoothness._inverse_batch(fhat, syms)
+        again = smoothness._inverse_batch(twin, syms)
+        assert again is not batch
+        assert np.array_equal(again, batch)
+
+    def test_memo_stays_within_its_bound(self, grid, gauss):
+        fhat = hankel(gauss, LAM)
+        bound = smoothness._BATCH_MEMO_MAX
+        batches = []
+        for j in range(2 * bound + 1):
+            batches.append(smoothness._inverse_batch(fhat, self._symbols(grid, 2, shift=j)))
+            assert len(smoothness._BATCH_MEMO) <= bound
+        # the most recent entry hits; the first has been evicted
+        last = self._symbols(grid, 2, shift=2 * bound)
+        assert smoothness._inverse_batch(fhat, last) is batches[-1]
+        assert smoothness._inverse_batch(fhat, self._symbols(grid, 2)) is not batches[0]

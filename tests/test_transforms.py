@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from scipy.integrate import quad as adaptive_quad
 from scipy.integrate import solve_ivp
 from scipy.special import gammaincc
 
+from dunklsmooth import transforms
 from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
-from dunklsmooth.special import bessel_norm
+from dunklsmooth.special import BesselEvaluator, bessel_norm
 from dunklsmooth.transforms import (
     LineFunction,
     SymmetricGrid,
@@ -90,6 +92,30 @@ class TestHankel:
         assert hankel(slow, 0.0).truncated
         fast = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
         assert not hankel(fast, 0.0).truncated
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("lam", [-0.25, 0.0, 1.7])
+    def test_self_dual_blocks_match_full_evaluation(self, lam):
+        # n = 100 leaves a last block of 4 rows
+        g = make_grid(30.0, 100)
+        transforms._KERNEL_CACHE.pop((lam, g.key, g.key), None)
+        mat = transforms._kernel_matrix(lam, g, g)
+        full = BesselEvaluator(lam)(np.multiply.outer(g.nodes, g.nodes))
+        assert np.array_equal(mat, full * nu_weights(g, lam)[None, :])
+
+    def test_self_dual_build_peak_memory(self):
+        lam = 0.8125  # used by no other test, so the build is fresh
+        g = make_grid(30.0, 1024)
+        transforms._KERNEL_CACHE.pop((lam, g.key, g.key), None)
+        nu_weights(g, lam)
+        tracemalloc.start()
+        try:
+            mat = transforms._kernel_matrix(lam, g, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * mat.nbytes
 
 
 class TestInverseHankel:
