@@ -24,7 +24,6 @@ from .special import (
     jm_multiplier,
     binom_frac,
     binom_tail_bound,
-    binom_abs_sum,
 )
 from .quad import (
     RadialGrid,

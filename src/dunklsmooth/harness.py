@@ -185,7 +185,7 @@ class ExperimentConfig:
     r_values: tuple[float, ...] = (1.0,)
     scale: ScaleGrid = ScaleGrid(0.05, 0.8, 5)
     test_functions: tuple[str, ...] = ("gaussian",)
-    window: tuple[float, float] = (0.05, 20.0)
+    window: tuple[float, float] | None = None  # None: DEFAULT_WINDOWS[name]
     drift_max: float = 4.0
     sigma: float = 4.0
     thetas: tuple[float, ...] = (1.0, 0.5, 0.25)
@@ -194,6 +194,8 @@ class ExperimentConfig:
     delta_values: tuple[float, ...] = (0.1, 0.2, 0.4)
 
     def __post_init__(self) -> None:
+        if self.window is None:
+            object.__setattr__(self, "window", DEFAULT_WINDOWS.get(self.name))
         self.validate()
 
     def validate(self) -> None:
@@ -791,11 +793,25 @@ def _parse_p(value) -> float:
     return float(value)
 
 
+def _check_keys(mapping, known, context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"{context}: unknown field {', '.join(map(repr, unknown))}; known: {sorted(known)}"
+        )
+
+
 def parse_config(data: dict) -> HarnessConfig:
-    """Build a validated HarnessConfig from a JSON-shaped dict."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+    """Build a validated HarnessConfig from a JSON-shaped dict.
+
+    A field no config block knows is an error, so a misspelled field never
+    silently runs with its default.
+    """
+    _check_keys(data, ("output_dir", "grid", "experiments"), "config")
     grid_spec = _field(data, "grid", "config", default={})
+    _check_keys(grid_spec, ("rmax", "n", "kind"), "config.grid")
     kind = _field(grid_spec, "kind", "config.grid", default="gauss-legendre-composite")
     if kind not in GRID_KINDS:
         raise ConfigError(f"config.grid.kind must be one of {GRID_KINDS}, got {kind!r}")
@@ -803,17 +819,22 @@ def parse_config(data: dict) -> HarnessConfig:
     seen = set()
     for idx, spec in enumerate(_field(data, "experiments", "config", default=[])):
         ctx = f"experiments[{idx}]"
+        _check_keys(spec, ExperimentConfig.__dataclass_fields__, ctx)
         name = _field(spec, "name", ctx, required=True)
         if name in seen:
             raise ConfigError(f"{ctx}: duplicate experiment name {name!r}")
         seen.add(name)
-        window = _field(spec, "window", ctx, default=DEFAULT_WINDOWS.get(name, (0.05, 20.0)))
+        window = _field(spec, "window", ctx, default=None)
         scale_spec = _field(spec, "scale", ctx, default=None)
-        scale = (
-            ScaleGrid(float(scale_spec["lo"]), float(scale_spec["hi"]), int(scale_spec["points"]))
-            if scale_spec
-            else ExperimentConfig.__dataclass_fields__["scale"].default
-        )
+        if scale_spec:
+            sctx = f"{ctx}.scale"
+            _check_keys(scale_spec, ("lo", "hi", "points"), sctx)
+            lo, hi, points = (
+                _field(scale_spec, k, sctx, required=True) for k in ("lo", "hi", "points")
+            )
+            scale = ScaleGrid(float(lo), float(hi), int(points))
+        else:
+            scale = ExperimentConfig.__dataclass_fields__["scale"].default
         cfg = ExperimentConfig(
             name=name,
             lambda_values=tuple(float(v) for v in _field(spec, "lambda_values", ctx, default=[0.25])),
@@ -822,7 +843,7 @@ def parse_config(data: dict) -> HarnessConfig:
             r_values=tuple(float(v) for v in _field(spec, "r_values", ctx, default=[1.0])),
             scale=scale,
             test_functions=tuple(_field(spec, "test_functions", ctx, default=["gaussian"])),
-            window=(float(window[0]), float(window[1])),
+            window=None if window is None else (float(window[0]), float(window[1])),
             drift_max=float(_field(spec, "drift_max", ctx, default=4.0)),
             sigma=float(_field(spec, "sigma", ctx, default=4.0)),
             thetas=tuple(float(v) for v in _field(spec, "thetas", ctx, default=[1.0, 0.5, 0.25])),

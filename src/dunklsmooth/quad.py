@@ -50,7 +50,9 @@ class RadialGrid:
 
     ``panel_edges`` records the composite-rule breakpoints (when known), so
     integrals over [sigma, rmax] can re-rule the one panel a cut at sigma
-    would otherwise split.
+    would otherwise split.  Grids are immutable (read-only arrays) and
+    compare and hash by ``key``, a digest of nodes, weights and rmax, so a
+    cache keyed by a grid hits for every equal rebuild.
     """
 
     nodes: np.ndarray
@@ -61,8 +63,9 @@ class RadialGrid:
     key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or weights.shape != nodes.shape:
@@ -73,6 +76,12 @@ class RadialGrid:
             raise ValueError("weights must be positive")
         digest = hashlib.sha1(nodes.tobytes() + weights.tobytes()).hexdigest()[:16]
         object.__setattr__(self, "key", f"{digest}:{nodes.size}:{self.rmax!r}")
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key if isinstance(other, RadialGrid) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     @property
     def n(self) -> int:
@@ -105,13 +114,6 @@ class NuIntegral(NamedTuple):
         return self.value
 
 
-@lru_cache(maxsize=64)
-def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
-
-
-@lru_cache(maxsize=64)
 def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     # Open Chebyshev (Fejer-1) rule on [-1, 1]: interior nodes only, positive
     # weights, interpolatory exactness of degree m-1.
@@ -127,11 +129,13 @@ def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x[order], w[order]
 
 
+@lru_cache(maxsize=16)
 def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> RadialGrid:
     """Composite quadrature grid on [0, rmax] with 2^-j panel refinement at 0.
 
     Node budget n is split as evenly as possible across the panels, with the
-    remainder going to the outermost (longest) ones.
+    remainder going to the outermost (longest) ones.  Repeated calls return
+    the same (immutable) grid.
     """
     rmax = float(rmax)
     if not (rmax > 0):
@@ -147,11 +151,14 @@ def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> Ra
     counts = [n // panels] * panels
     for i in range(n - sum(counts)):
         counts[panels - 1 - (i % panels)] += 1
-    rule = _gauss_rule if kind == "gauss-legendre-composite" else _fejer_rule
+    rule = np.polynomial.legendre.leggauss if kind == "gauss-legendre-composite" else _fejer_rule
+    # panels take at most two node counts; a Gauss rule of ~150 nodes costs
+    # tens of ms, so each count's rule is computed once
+    rules = {m: rule(m) for m in set(counts)}
     nodes_parts = []
     weights_parts = []
     for (a, b), m in zip(zip(edges[:-1], edges[1:]), counts):
-        x, w = rule(m)
+        x, w = rules[m]
         nodes_parts.append(0.5 * (b - a) * (x + 1.0) + a)
         weights_parts.append(0.5 * (b - a) * w)
     return RadialGrid(
@@ -163,30 +170,20 @@ def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> Ra
     )
 
 
-@lru_cache(maxsize=8)
-def _default_grid_cached(rmax: float, n: int, kind: str) -> RadialGrid:
-    return make_grid(rmax, n, kind)
-
-
 def default_grid() -> RadialGrid:
     """The desk-scale grid every stated tolerance refers to (rmax=30, n=2048)."""
-    return _default_grid_cached(DEFAULT_RMAX, DEFAULT_N, "gauss-legendre-composite")
+    return make_grid(DEFAULT_RMAX, DEFAULT_N)
 
 
-_NU_CACHE: dict[tuple[str, float], np.ndarray] = {}
-
-
+@lru_cache(maxsize=32)
 def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
-    """Quadrature weights of d nu_lam on the grid: b_lam * w_i * t_i^(2*lam+1)."""
+    """Quadrature weights of d nu_lam on the grid: b_lam * w_i * t_i^(2*lam+1)
+    (read-only)."""
     lam = float(lam)
-    cached = _NU_CACHE.get((grid.key, lam))
-    if cached is None:
-        b = measure_constants(lam).b_lambda
-        cached = b * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
-        if len(_NU_CACHE) > 32:
-            _NU_CACHE.clear()
-        _NU_CACHE[(grid.key, lam)] = cached
-    return cached
+    b = measure_constants(lam).b_lambda
+    weights = b * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
+    weights.flags.writeable = False
+    return weights
 
 
 def _tail_fraction(grid: RadialGrid, abs_contrib: np.ndarray) -> float:
@@ -241,14 +238,46 @@ def save_radial_csv(f: RadialFunction, path: str | Path, lam: float) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_header(line: str, expected: tuple[str, ...]) -> dict[str, str]:
-    if not line.startswith("#"):
-        raise ValueError("missing CSV header line")
-    fields = dict(tok.split("=", 1) for tok in line[1:].split())
+def _read_csv(
+    path: str | Path, expected: tuple[str, ...], columns: tuple[int, ...]
+) -> tuple[dict[str, str], np.ndarray]:
+    """Header fields and numeric rows of a CSV written by this package.
+
+    A file that is empty, lacks a header field, holds no data rows, or whose
+    rows do not all have the same column count from ``columns`` raises
+    ValueError naming the file.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    if not lines[0].startswith("#"):
+        raise ValueError(f"{path}: missing CSV header line")
+    fields = dict(tok.split("=", 1) for tok in lines[0][1:].split() if "=" in tok)
     for name in expected:
         if name not in fields:
-            raise ValueError(f"CSV header missing field {name!r}")
-    return fields
+            raise ValueError(f"{path}: CSV header missing field {name!r}")
+    rows = [ln for ln in lines[1:] if ln and not ln.startswith(("#", "node,"))]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        table = [[float(x) for x in ln.split(",")] for ln in rows]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    width = len(table[0])
+    if width not in columns or any(len(row) != width for row in table):
+        allowed = " or ".join(map(str, columns))
+        raise ValueError(f"{path}: every data row must have the same {allowed} columns")
+    return fields, np.array(table)
+
+
+def _match_grid(path: str | Path, nodes: np.ndarray, rmaxes: tuple[float, ...]) -> RadialGrid:
+    """The make_grid grid (any kind, any of ``rmaxes``) whose nodes are ``nodes``."""
+    for kind in GRID_KINDS:
+        for rmax in rmaxes:
+            grid = make_grid(rmax, nodes.size, kind)
+            if np.allclose(grid.nodes, nodes, rtol=0, atol=1e-12 * rmax):
+                return grid
+    raise ValueError(f"{path}: node set does not match any make_grid construction")
 
 
 def load_radial_csv(path: str | Path) -> tuple[RadialFunction, float]:
@@ -257,21 +286,9 @@ def load_radial_csv(path: str | Path) -> tuple[RadialFunction, float]:
     The grid is rebuilt from the header (rmax, n) via make_grid and checked
     against the stored nodes, so only grids this package produces round-trip.
     """
-    lines = Path(path).read_text().strip().splitlines()
-    fields = _parse_header(lines[0], ("lambda", "rmax", "n"))
-    lam = float(fields["lambda"])
-    rmax = float(fields["rmax"])
+    fields, data = _read_csv(path, ("lambda", "rmax", "n"), (2,))
     n = int(fields["n"])
-    rows = [ln for ln in lines[1:] if ln and not ln.startswith("#") and ln != "node,value"]
-    data = np.array([[float(x) for x in ln.split(",")] for ln in rows])
     if data.shape[0] != n:
-        raise ValueError(f"expected {n} rows, found {data.shape[0]}")
-    grid = None
-    for kind in GRID_KINDS:
-        cand = make_grid(rmax, n, kind)
-        if np.allclose(cand.nodes, data[:, 0], rtol=0, atol=1e-12 * rmax):
-            grid = cand
-            break
-    if grid is None:
-        raise ValueError("node set does not match any make_grid construction")
-    return RadialFunction(grid=grid, values=data[:, 1]), lam
+        raise ValueError(f"{path}: expected {n} rows, found {data.shape[0]}")
+    grid = _match_grid(path, data[:, 0], (float(fields["rmax"]),))
+    return RadialFunction(grid=grid, values=data[:, 1]), float(fields["lambda"])

@@ -24,6 +24,7 @@ K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p on it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,31 +72,26 @@ def _norms_of_columns(phys: np.ndarray, grid: RadialGrid, lam: float, p: float) 
     return np.sum(w[:, None] * np.abs(phys) ** p, axis=0) ** (1.0 / p)
 
 
-# The last few (spectrum, symbols, batch) triples of ``_inverse_batch``.  A
-# batch does not depend on p, and the chain sweeps ask for the same one at
-# every p; 8 entries hold one scale's batches for every r of a realization
-# sweep (2 smoothing batches that depend on t only, 3 per r).  Holding the
-# spectrum itself keeps its id from being reused while it is an entry.
-_BATCH_MEMO: list[tuple[Spectrum, np.ndarray, np.ndarray]] = []
-_BATCH_MEMO_MAX = 8
-
-
 def _inverse_batch(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
     """Physical samples of invH(symbol_j * fhat), one column per symbol.
 
     A repeated call with the same spectrum object and an equal symbol matrix
     returns the read-only array the first call computed.
     """
-    for i, (held, syms, batch) in enumerate(_BATCH_MEMO):
-        if held is fhat and np.array_equal(syms, symbols):
-            _BATCH_MEMO.append(_BATCH_MEMO.pop(i))
-            return batch
-    mat = _kernel_matrix(fhat.lam, fhat.grid, fhat.grid)
-    batch = mat @ (fhat.values[:, None] * symbols)
+    symbols = np.asarray(symbols, dtype=float)
+    return _inverse_batch_of(fhat, symbols.shape, symbols.tobytes())
+
+
+# A batch does not depend on p, and the chain sweeps ask for the same one at
+# every p; 8 entries hold one scale's batches for every r of a realization
+# sweep (2 smoothing batches that depend on t only, 3 per r).  A Spectrum
+# hashes by identity, and holding it keeps its id from being reused; the
+# symbol bytes are compared on every hit.
+@lru_cache(maxsize=8)
+def _inverse_batch_of(fhat: Spectrum, shape: tuple[int, ...], symbol_bytes: bytes) -> np.ndarray:
+    symbols = np.frombuffer(symbol_bytes).reshape(shape)
+    batch = _kernel_matrix(fhat.lam, fhat.grid) @ (fhat.values[:, None] * symbols)
     batch.flags.writeable = False
-    _BATCH_MEMO.append((fhat, np.array(symbols), batch))
-    if len(_BATCH_MEMO) > _BATCH_MEMO_MAX:
-        del _BATCH_MEMO[0]
     return batch
 
 
@@ -202,7 +198,7 @@ def _l1_fit_symbol(f: RadialFunction, fhat: Spectrum, sigma: float) -> np.ndarra
     hats = np.clip(1.0 - np.abs(nodes[:, None] - knots[None, :]) / knots[1], 0.0, None)
     hats[nodes > sigma] = 0.0
     live = int(np.searchsorted(nodes, sigma, side="right"))
-    mat = _kernel_matrix(lam, grid, grid)
+    mat = _kernel_matrix(lam, grid)
     cols = mat[:, :live] @ (fhat.values[:live, None] * hats[:live])
     w = nu_weights(grid, lam)
     starts = np.arange(0, nodes.size, max(1, nodes.size // _L1_LP_ROWS))
@@ -249,7 +245,7 @@ def best_approx(
     if p == 2:
         g = bandlimit_project(fhat, sigma)
         return BestApprox(value=spectral_tail_l2(f, lam, sigma), g_star=g, near_best=False)
-    mat = _kernel_matrix(lam, fhat.grid, fhat.grid)
+    mat = _kernel_matrix(lam, fhat.grid)
 
     def error(g: Spectrum) -> float:
         return lp_norm(RadialFunction(grid=f.grid, values=f.values - mat @ g.values), p, lam)
@@ -311,7 +307,7 @@ def realization(
     if p == 2:
         deriv = _spectral_l2(dg, grid, lam)
     else:
-        phys = _kernel_matrix(lam, grid, grid) @ dg
+        phys = _kernel_matrix(lam, grid) @ dg
         deriv = lp_norm(RadialFunction(grid=f.grid, values=phys), p, lam)
     term = t**r * deriv
     return RealizationResult(

@@ -27,7 +27,6 @@ __all__ = [
     "jm_multiplier",
     "binom_frac",
     "binom_tail_bound",
-    "binom_abs_sum",
 ]
 
 
@@ -199,8 +198,3 @@ def binom_tail_bound(alpha: float, N: int, max_terms: int = 200_000) -> float:
         if s > alpha + 1.0 and t_s < 1e-17 * (1.0 + total):
             break
     return total + t_s * (1.0 + s / alpha)
-
-
-def binom_abs_sum(alpha: float) -> float:
-    """c(alpha) = sum_{s >= 1} |C(alpha, s)| (finite for alpha > 0)."""
-    return binom_tail_bound(alpha, 0)

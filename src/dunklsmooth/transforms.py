@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .quad import (
     DEFAULT_RMAX,
-    GRID_KINDS,
     TAIL_WARN_FRACTION,
     RadialFunction,
     RadialGrid,
-    _parse_header,
-    make_grid,
+    _match_grid,
+    _read_csv,
     nu_weights,
 )
 from .special import BesselEvaluator
@@ -114,7 +114,7 @@ class Spectrum:
     def _binary(self, other: "Spectrum", op) -> "Spectrum":
         if not isinstance(other, Spectrum):
             return NotImplemented
-        if other.grid.key != self.grid.key or other.lam != self.lam:
+        if other.grid != self.grid or other.lam != self.lam:
             raise ValueError("spectra live on different grids or indices")
         if self.bandlimit is not None and other.bandlimit is not None:
             bl = max(self.bandlimit, other.bandlimit)
@@ -153,8 +153,6 @@ def spectrum_from_values(
 # Hankel transform
 # --------------------------------------------------------------------------
 
-_KERNEL_CACHE: dict[tuple[float, str, str], np.ndarray] = {}
-_KERNEL_CACHE_MAX = 12
 # rows per block of the self-dual kernel's upper triangle; 128-row blocks
 # evaluate a quarter more points at n = 512 and build more slowly there
 _KERNEL_BLOCK = 32
@@ -167,32 +165,24 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _kernel_matrix(lam: float, grid_in: RadialGrid, grid_out: RadialGrid) -> np.ndarray:
+@lru_cache(maxsize=12)
+def _kernel_matrix(lam: float, grid: RadialGrid) -> np.ndarray:
     """K[i, j] = j_lam(r_i t_j) * nu-weight_j; the transform is K @ values.
 
-    Cached keyed by (lam, input grid, output grid): harness sweeps apply the
-    same transform thousands of times.  For the common self-dual case the
-    argument matrix r_i t_j is symmetric, so only its upper triangle is
-    evaluated, in blocks of ``_KERNEL_BLOCK`` rows that keep the temporaries
-    small next to the kernel itself.
+    Cached per (lam, grid), read-only: harness sweeps apply the same
+    transform thousands of times.  The argument matrix r_i t_j is symmetric,
+    so only its upper triangle is evaluated, in blocks of ``_KERNEL_BLOCK``
+    rows that keep the temporaries small next to the kernel itself.
     """
-    key = (lam, grid_in.key, grid_out.key)
-    mat = _KERNEL_CACHE.get(key)
-    if mat is None:
-        evaluator = BesselEvaluator(lam)
-        if grid_in.key == grid_out.key:
-            nodes = grid_in.nodes
-            mat = np.empty((nodes.size, nodes.size))
-            for i in range(0, nodes.size, _KERNEL_BLOCK):
-                block = evaluator(np.multiply.outer(nodes[i : i + _KERNEL_BLOCK], nodes[i:]))
-                mat[i : i + _KERNEL_BLOCK, i:] = block
-                mat[i:, i : i + _KERNEL_BLOCK] = block.T
-        else:
-            mat = evaluator(np.multiply.outer(grid_out.nodes, grid_in.nodes))
-        mat *= nu_weights(grid_in, lam)[None, :]
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-        _KERNEL_CACHE[key] = mat
+    evaluator = BesselEvaluator(lam)
+    nodes = grid.nodes
+    mat = np.empty((nodes.size, nodes.size))
+    for i in range(0, nodes.size, _KERNEL_BLOCK):
+        block = evaluator(np.multiply.outer(nodes[i : i + _KERNEL_BLOCK], nodes[i:]))
+        mat[i : i + _KERNEL_BLOCK, i:] = block
+        mat[i:, i : i + _KERNEL_BLOCK] = block.T
+    mat *= nu_weights(grid, lam)[None, :]
+    mat.flags.writeable = False
     return mat
 
 
@@ -204,18 +194,17 @@ def _input_tail_fraction(grid: RadialGrid, values: np.ndarray, lam: float) -> fl
     return float(np.sum(abs_contrib[grid.nodes >= 0.9 * grid.rmax])) / mass
 
 
-def hankel(f: RadialFunction, lam: float, out_grid: RadialGrid | None = None) -> Spectrum:
-    """Hankel transform of a sampled radial profile.
+def hankel(f: RadialFunction, lam: float) -> Spectrum:
+    """Hankel transform of a sampled radial profile, on the profile's grid.
 
-    Deterministic given the grids; flags the output when the input's
+    Deterministic given the grid; flags the output when the input's
     nu-weighted mass is truncation-suspect near rmax.
     """
     lam = _check_lambda(lam)
-    out_grid = f.grid if out_grid is None else out_grid
-    mat = _kernel_matrix(lam, f.grid, out_grid)
+    mat = _kernel_matrix(lam, f.grid)
     tail = _input_tail_fraction(f.grid, f.values, lam)
     return Spectrum(
-        grid=out_grid,
+        grid=f.grid,
         lam=lam,
         base=mat @ f.values,
         truncated=tail > TAIL_WARN_FRACTION,
@@ -223,11 +212,10 @@ def hankel(f: RadialFunction, lam: float, out_grid: RadialGrid | None = None) ->
     )
 
 
-def inverse_hankel(s: Spectrum, out_grid: RadialGrid | None = None) -> RadialFunction:
+def inverse_hankel(s: Spectrum) -> RadialFunction:
     """Inverse transform; the Hankel transform is self-inverse."""
-    out_grid = s.grid if out_grid is None else out_grid
-    mat = _kernel_matrix(s.lam, s.grid, out_grid)
-    return RadialFunction(grid=out_grid, values=mat @ s.values, label=s.label)
+    mat = _kernel_matrix(s.lam, s.grid)
+    return RadialFunction(grid=s.grid, values=mat @ s.values, label=s.label)
 
 
 def spectral_tail_l2(f: RadialFunction, lam: float, sigma: float) -> float:
@@ -294,30 +282,13 @@ def save_spectrum_csv(s: Spectrum, path: str | Path) -> None:
 
 def load_spectrum_csv(path: str | Path, rmax: float | None = None) -> Spectrum:
     """Read a spectrum CSV written by :func:`save_spectrum_csv`."""
-    lines = Path(path).read_text().strip().splitlines()
-    fields = _parse_header(lines[0], ("lambda", "bandlimit"))
-    lam = float(fields["lambda"])
+    fields, data = _read_csv(path, ("lambda", "bandlimit"), (2, 3))
     bl = None if fields["bandlimit"] == "none" else float(fields["bandlimit"])
-    rows = [
-        ln for ln in lines[1:]
-        if ln and not ln.startswith("#") and not ln.startswith("node,")
-    ]
-    data = np.array([[float(x) for x in ln.split(",")] for ln in rows])
     nodes = data[:, 0]
     values = data[:, 1] if data.shape[1] == 2 else data[:, 1] + 1j * data[:, 2]
-    candidates = [float(rmax)] if rmax is not None else [DEFAULT_RMAX, float(nodes[-1])]
-    grid = None
-    for kind in GRID_KINDS:
-        for cand_rmax in candidates:
-            cand = make_grid(cand_rmax, nodes.size, kind)
-            if np.allclose(cand.nodes, nodes, rtol=0, atol=1e-12 * cand_rmax):
-                grid = cand
-                break
-        if grid is not None:
-            break
-    if grid is None:
-        raise ValueError("node set does not match any make_grid construction")
-    return spectrum_from_values(grid, lam, values, bandlimit=bl)
+    rmaxes = (float(rmax),) if rmax is not None else (DEFAULT_RMAX, float(nodes[-1]))
+    grid = _match_grid(path, nodes, rmaxes)
+    return spectrum_from_values(grid, float(fields["lambda"]), values, bandlimit=bl)
 
 
 # --------------------------------------------------------------------------

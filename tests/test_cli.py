@@ -27,6 +27,16 @@ def test_transform_missing_input(tmp_path):
     assert rc == 2
 
 
+def test_transform_malformed_input_exits_2(tmp_path, capsys):
+    src = tmp_path / "empty.csv"
+    src.write_text("")
+    rc = main(["transform", "--input", str(src), "--lambda", "0.5",
+               "--output", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert "empty.csv: empty file" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_run_with_config(tmp_path, capsys):
     spec = {
         "output_dir": str(tmp_path / "reports"),
@@ -67,6 +77,13 @@ def test_verify_command(tmp_path, capsys):
     assert (tmp_path / "rep" / "equivalence.csv").exists()
 
 
+def test_verify_uses_the_experiment_window(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["verify", "inverse", "--output-dir", str(out)]) == 0
+    header = (out / "inverse.csv").read_text().splitlines()[0]
+    assert "window_lo=0.0 window_hi=1.0" in header
+
+
 def test_verify_unknown_experiment(capsys):
     assert main(["verify", "does-not-exist"]) == 2
 
@@ -92,3 +109,11 @@ def test_run_rejects_bad_orders_before_any_report(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     assert "realization: r_values must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_rejects_unknown_config_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{"name": "jackson", "p_value": [1]}]}))
+    assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "rep")]) == 2
+    assert "'p_value'" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()

@@ -99,6 +99,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="realization: p_values must be >= 1"):
             ExperimentConfig(name="realization", p_values=(0.5,))
 
+    def test_window_defaults_to_the_experiment_window(self):
+        assert ExperimentConfig(name="inverse").window == (0.0, 1.0)
+        assert ExperimentConfig(name="jackson").window == (0.0, 20.0)
+        assert ExperimentConfig(name="inverse", window=(0.1, 2.0)).window == (0.1, 2.0)
+        parsed = parse_config({"experiments": [{"name": "inverse"}]})
+        assert parsed.experiments[0].window == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ({"experiment": []}, "config: unknown field 'experiment'"),
+            ({"grid": {"rmax": 30.0, "nodes": 64}}, "config.grid: unknown field 'nodes'"),
+            (
+                {"experiments": [{"name": "jackson", "p_value": [1]}]},
+                "experiments\\[0\\]: unknown field 'p_value'",
+            ),
+            (
+                {"experiments": [{"name": "jackson", "scale": {"lo": 2.0, "hi": 4.0}}]},
+                "experiments\\[0\\].scale: missing required field 'points'",
+            ),
+        ],
+    )
+    def test_unknown_or_missing_fields_are_named(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(spec)
+
     def test_scale_grid_values(self):
         sg = ScaleGrid(0.1, 1.0, 3)
         np.testing.assert_allclose(sg.values(), [0.1, math.sqrt(0.1), 1.0], rtol=1e-12)

@@ -15,7 +15,6 @@ from dunklsmooth.operators import (
 )
 from dunklsmooth.quad import RadialFunction, integrate_nu, lp_norm, make_grid
 from dunklsmooth.special import (
-    binom_abs_sum,
     binom_tail_bound,
     jm_multiplier,
 )
@@ -157,7 +156,7 @@ class TestFracDifference:
     def test_higher_order_modulus_domination(self, grid):
         # || Delta_t^(m+r) f ||_p <= (1 + c(r/2)) || Delta_t^m f ||_p.
         lam, m, r = LAM, 1.0, 0.5
-        c = 1.0 + binom_abs_sum(r / 2.0)
+        c = 1.0 + binom_tail_bound(r / 2.0, 0)
         f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
         fhat = hankel(f, lam)
         for p in (1, 2, math.inf):

@@ -8,10 +8,12 @@ from dunklsmooth.quad import (
     GRID_KINDS,
     NuIntegral,
     RadialFunction,
+    RadialGrid,
     integrate_nu,
     load_radial_csv,
     lp_norm,
     make_grid,
+    nu_weights,
     save_radial_csv,
 )
 
@@ -48,6 +50,28 @@ class TestMakeGrid:
         g = make_grid(30.0, 1024)
         val = float(np.sum(g.weights * np.exp(-g.nodes)))
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    def test_equal_builds_are_equal_grids(self):
+        cached = make_grid(5.0, 200)
+        fresh = make_grid.__wrapped__(5.0, 200)
+        assert fresh is not cached
+        assert fresh == cached and hash(fresh) == hash(cached)
+        assert make_grid(6.0, 200) != cached
+        assert make_grid(5.0, 200, kind="clenshaw-curtis") != cached
+
+    def test_grid_and_nu_weights_are_read_only(self):
+        nodes = make_grid(5.0, 200).nodes.copy()
+        g = RadialGrid(nodes=nodes, weights=make_grid(5.0, 200).weights, rmax=5.0)
+        nodes[0] = 1.0  # the grid holds its own copy
+        assert g.nodes[0] < 1.0
+        for arr in (g.nodes, g.weights, nu_weights(g, 0.5)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_nu_weights_shared_by_equal_grids(self):
+        g = make_grid(5.0, 200)
+        assert nu_weights(make_grid.__wrapped__(5.0, 200), 0.5) is nu_weights(g, 0.5)
 
     def test_fejer_exactness(self):
         g = make_grid(1.0, 64, kind="clenshaw-curtis")
@@ -165,3 +189,21 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="make_grid"):
             load_radial_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty file"),
+            ("# lambda=0.5 rmax=12.0 n=128\nnode,value\n", "no data rows"),
+            ("# lambda=0.5 rmax=12.0 n=128\nnode,value\n0.1,1.0,2.0\n", "columns"),
+            ("# lambda=0.5 rmax=12.0 n=128\n0.1,1.0\n0.2\n", "columns"),
+            ("# lambda=0.5 rmax=12.0\n0.1,1.0\n", "missing field 'n'"),
+            ("node,value\n0.1,1.0\n", "header"),
+        ],
+    )
+    def test_malformed_file_names_itself(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            load_radial_csv(path)
+        assert str(path) in str(info.value)

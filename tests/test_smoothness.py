@@ -17,7 +17,7 @@ from dunklsmooth.smoothness import (
     realization,
     realization_candidate_min,
 )
-from dunklsmooth.special import binom_abs_sum, jm_multiplier
+from dunklsmooth.special import binom_tail_bound, jm_multiplier
 from dunklsmooth.transforms import _kernel_matrix, hankel, inverse_hankel
 from dunklsmooth.weights import params_from_lambda
 
@@ -74,7 +74,7 @@ class TestModulus:
     def test_bounded_by_norm_constant(self, grid, gauss):
         # omega_m(delta, f) <= (1 + c(m/2)) ||f||_p.
         for m in (0.5, 1.0, 2.0):
-            cap = (1.0 + binom_abs_sum(m / 2.0)) * lp_norm(gauss, 2, LAM)
+            cap = (1.0 + binom_tail_bound(m / 2.0, 0)) * lp_norm(gauss, 2, LAM)
             assert modulus(gauss, 2.0, m, 2, PARAMS).value <= cap * (1 + 1e-9)
 
     def test_doubling_bound(self, grid, gauss):
@@ -88,7 +88,7 @@ class TestModulus:
     def test_higher_order_domination(self, grid, gauss):
         # omega_{m+r}(delta, f) <= (1 + c(r/2)) omega_m(delta, f).
         m, r, delta = 1.0, 0.5, 0.4
-        c = 1.0 + binom_abs_sum(r / 2.0)
+        c = 1.0 + binom_tail_bound(r / 2.0, 0)
         hi = modulus(gauss, delta, m + r, 2, PARAMS).value
         lo = modulus(gauss, delta, m, 2, PARAMS).value
         assert hi <= c * lo * (1 + 1e-9)
@@ -354,7 +354,7 @@ class TestInverseBatchMemo:
 
     @staticmethod
     def _fresh(fhat, syms):
-        return _kernel_matrix(fhat.lam, fhat.grid, fhat.grid) @ (fhat.values[:, None] * syms)
+        return _kernel_matrix(fhat.lam, fhat.grid) @ (fhat.values[:, None] * syms)
 
     def test_repeat_returns_the_read_only_batch(self, grid, gauss):
         fhat = hankel(gauss, LAM)
@@ -388,11 +388,11 @@ class TestInverseBatchMemo:
 
     def test_memo_stays_within_its_bound(self, grid, gauss):
         fhat = hankel(gauss, LAM)
-        bound = smoothness._BATCH_MEMO_MAX
+        bound = 8
         batches = []
         for j in range(2 * bound + 1):
             batches.append(smoothness._inverse_batch(fhat, self._symbols(grid, 2, shift=j)))
-            assert len(smoothness._BATCH_MEMO) <= bound
+            assert smoothness._inverse_batch_of.cache_info().currsize <= bound
         # the most recent entry hits; the first has been evicted
         last = self._symbols(grid, 2, shift=2 * bound)
         assert smoothness._inverse_batch(fhat, last) is batches[-1]

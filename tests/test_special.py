@@ -10,7 +10,6 @@ from dunklsmooth.special import (
     bessel_norm,
     bessel_norm_derivative,
     bessel_norm_one_minus,
-    binom_abs_sum,
     binom_frac,
     binom_tail_bound,
     jm_multiplier,
@@ -246,5 +245,5 @@ class TestBinomTailBound:
     def test_abs_sum_of_half(self):
         # c(1/2) = sum_{s>=1} |C(1/2, s)| = 1 exactly (telescoping of the
         # (1-x)^(1/2) expansion at x=1); generous tolerance for the bound.
-        c = binom_abs_sum(0.5)
+        c = binom_tail_bound(0.5, 0)
         assert 0.99 <= c <= 1.05

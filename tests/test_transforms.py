@@ -8,7 +8,14 @@ from scipy.integrate import solve_ivp
 from scipy.special import gammaincc
 
 from dunklsmooth import transforms
-from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
+from dunklsmooth.quad import (
+    RadialFunction,
+    load_radial_csv,
+    lp_norm,
+    make_grid,
+    nu_weights,
+    save_radial_csv,
+)
 from dunklsmooth.special import BesselEvaluator, bessel_norm
 from dunklsmooth.transforms import (
     LineFunction,
@@ -79,14 +86,6 @@ class TestHankel:
         with pytest.raises(ValueError):
             hankel(f, -0.5)
 
-    def test_distinct_output_grid(self, grid):
-        # frequency grid need not match the spatial one
-        out = make_grid(8.0, 256)
-        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
-        s = hankel(f, 1.0, out_grid=out)
-        assert s.grid is out
-        assert np.max(np.abs(s.values - np.exp(-0.5 * out.nodes**2))) < 1e-8
-
     def test_truncation_flag_propagates(self, grid):
         slow = RadialFunction(grid=grid, values=(1.0 + grid.nodes**2) ** -2.0)
         assert hankel(slow, 0.0).truncated
@@ -99,23 +98,47 @@ class TestKernelMatrix:
     def test_self_dual_blocks_match_full_evaluation(self, lam):
         # n = 100 leaves a last block of 4 rows
         g = make_grid(30.0, 100)
-        transforms._KERNEL_CACHE.pop((lam, g.key, g.key), None)
-        mat = transforms._kernel_matrix(lam, g, g)
+        mat = transforms._kernel_matrix.__wrapped__(lam, g)
         full = BesselEvaluator(lam)(np.multiply.outer(g.nodes, g.nodes))
         assert np.array_equal(mat, full * nu_weights(g, lam)[None, :])
 
     def test_self_dual_build_peak_memory(self):
-        lam = 0.8125  # used by no other test, so the build is fresh
+        lam = 0.8125
         g = make_grid(30.0, 1024)
-        transforms._KERNEL_CACHE.pop((lam, g.key, g.key), None)
         nu_weights(g, lam)
         tracemalloc.start()
         try:
-            mat = transforms._kernel_matrix(lam, g, g)
+            mat = transforms._kernel_matrix.__wrapped__(lam, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * mat.nbytes
+
+    def test_cached_kernel_is_read_only(self, grid):
+        mat = transforms._kernel_matrix(0.25, grid)
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+
+    def test_cache_stays_within_its_bound(self):
+        g = make_grid(4.0, 16)
+        for j in range(20):
+            transforms._kernel_matrix(0.1 + 0.01 * j, g)
+            assert transforms._kernel_matrix.cache_info().currsize <= 12
+
+    def test_reloaded_profile_reuses_the_kernel(self, grid, tmp_path):
+        # a grid rebuilt from a CSV header is equal to the original, so the
+        # transform of the re-loaded profile hits the cached kernel
+        lam = 0.75
+        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+        first = hankel(f, lam)
+        save_radial_csv(f, tmp_path / "f.csv", lam)
+        g, _ = load_radial_csv(tmp_path / "f.csv")
+        assert g.grid is not grid and g.grid == grid
+        misses = transforms._kernel_matrix.cache_info().misses
+        again = hankel(g, lam)
+        assert transforms._kernel_matrix.cache_info().misses == misses
+        assert np.array_equal(again.values, first.values)
 
 
 class TestInverseHankel:
@@ -230,6 +253,23 @@ class TestSpectrumCsv:
         save_spectrum_csv(s, path)
         loaded = load_spectrum_csv(path)
         assert np.array_equal(loaded.values, s.values)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty file"),
+            ("# lambda=0.5 bandlimit=none\nnode,value\n", "no data rows"),
+            ("# lambda=0.5 bandlimit=none\n0.1,1.0,2.0,3.0\n", "columns"),
+            ("# lambda=0.5 bandlimit=none\n0.1,1.0\n0.2,1.0,0.0\n", "columns"),
+            ("# lambda=0.5\n0.1,1.0\n", "missing field 'bandlimit'"),
+        ],
+    )
+    def test_malformed_file_names_itself(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            load_spectrum_csv(path)
+        assert str(path) in str(info.value)
 
 
 # --------------------------------------------------------------------------
