@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -27,14 +29,14 @@ from .operators import eta
 from .quad import GRID_KINDS, RadialFunction, RadialGrid, lp_norm, make_grid, nu_weights
 from .smoothness import (
     best_approx,
+    chain_at_scale,
     diff_norm,
     inverse_bound,
     k_functional_upper,
     marchaud_bound,
     modulus,
-    realization,
-    realization_candidate_min,
 )
+from .special import BESSEL_ARG_MAX
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
 from .weights import params_from_lambda
 
@@ -253,6 +255,16 @@ class HarnessConfig:
     grid_kind: str = "gauss-legendre-composite"
     experiments: tuple[ExperimentConfig, ...] = ()
 
+    def __post_init__(self) -> None:
+        # kernel arguments r_i t_j reach rmax^2, which must stay inside the
+        # range where the Bessel evaluation keeps its accuracy
+        if not (0 < self.grid_rmax and self.grid_rmax**2 <= BESSEL_ARG_MAX):
+            raise ConfigError(
+                f"config.grid.rmax must lie in (0, {math.sqrt(BESSEL_ARG_MAX):.4g}], got"
+                f" {self.grid_rmax!r}: kernel arguments reach rmax^2, and the Bessel"
+                f" evaluation is accurate on [0, {BESSEL_ARG_MAX:g}] only"
+            )
+
     def grid(self) -> RadialGrid:
         return make_grid(self.grid_rmax, self.grid_n, self.grid_kind)
 
@@ -398,87 +410,58 @@ def verify_jackson(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
                         else:
                             df = f
                         for sigma in cfg.scale.values():
-                            lhs = best_approx(f, sigma, p, params).value
+                            lhs = best_approx(f, sigma, p, params, fhat=fhat).value
                             om = modulus(df, 1.0 / sigma, m, p, params).value
                             rhs = sigma ** (-r) * om
                             report.add("jackson", lam, p, m, r, sigma, lhs, rhs)
     return report
 
 
+def _chain_rows(report, cfg, lam, fname, chains, pairs):
+    """Rows of one profile's chain sweep in p, r, scale order: one row per
+    (a, b) pair of functionals, grouped for the drift check."""
+    for p in cfg.p_values:
+        for r in cfg.r_values:
+            for t, chain in zip(cfg.scale.values(), chains):
+                values = chain[p, r]
+                for a, b in pairs:
+                    report.add(f"{cfg.name}:{a}/{b}", lam, p, r, r, t, values[a], values[b],
+                               group=(lam, p, r, fname, f"{a}/{b}"))
+
+
 def verify_equivalence(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """Three-way chain: K-upper, modulus, and single-difference norm at order r."""
     report = _new_report(cfg)
-    scales = cfg.scale.values()
     for lam in cfg.lambda_values:
         params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            # p innermost, so each p-independent inverse batch is computed
-            # once and reused; the rows are emitted in p, r, scale order
-            values = {}
-            for delta in scales:
-                for r in cfg.r_values:
-                    for p in cfg.p_values:
-                        values[p, r, delta] = (
-                            modulus(f, delta, r, p, params, fhat=fhat).value,
-                            diff_norm(f, delta, r, p, params, fhat=fhat),
-                            k_functional_upper(f, delta, r, p, params, fhat=fhat),
-                        )
-            for p in cfg.p_values:
-                for r in cfg.r_values:
-                    for delta in scales:
-                        om, dn, ku = values[p, r, delta]
-                        base = (lam, p, r, fname)
-                        report.add("equivalence:K/omega", lam, p, r, r, delta, ku, om,
-                                   group=base + ("K/omega",))
-                        report.add("equivalence:omega/diff", lam, p, r, r, delta, om, dn,
-                                   group=base + ("omega/diff",))
-                        report.add("equivalence:K/diff", lam, p, r, r, delta, ku, dn,
-                                   group=base + ("K/diff",))
+            chains = [
+                chain_at_scale(f, delta, cfg.r_values, cfg.p_values, params, fhat=fhat)
+                for delta in cfg.scale.values()
+            ]
+            _chain_rows(report, cfg, lam, fname, chains,
+                        (("K", "omega"), ("omega", "diff"), ("K", "diff")))
     return report
 
 
 def verify_realization(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
     """Four-way chain: candidate-grid R, near-best R*, K-upper, and modulus."""
     report = _new_report(cfg)
-    scales = cfg.scale.values()
     for lam in cfg.lambda_values:
         params = params_from_lambda(lam)
         for fname in cfg.test_functions:
             f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            # the type-1/t approximant depends on neither r nor the caller
-            approxes = {
-                (p, t): best_approx(f, 1.0 / t, p, params, fhat=fhat)
-                for p in cfg.p_values
-                for t in scales
-            }
-            # p innermost, as in verify_equivalence
-            quartets = {}
-            for t in scales:
-                for r in cfg.r_values:
-                    for p in cfg.p_values:
-                        ba = approxes[p, t]
-                        quartets[p, r, t] = {
-                            "R": realization_candidate_min(
-                                f, t, r, p, params, fhat=fhat, approx=ba
-                            ),
-                            "Rstar": realization(f, t, r, p, params, approx=ba).value,
-                            "K": k_functional_upper(f, t, r, p, params, fhat=fhat),
-                            "omega": modulus(f, t, r, p, params, fhat=fhat).value,
-                        }
-            for p in cfg.p_values:
-                for r in cfg.r_values:
-                    for t in scales:
-                        quartet = quartets[p, r, t]
-                        base = (lam, p, r, fname)
-                        names = list(quartet)
-                        for i, a in enumerate(names):
-                            for b in names[i + 1 :]:
-                                report.add(
-                                    f"realization:{a}/{b}", lam, p, r, r, t,
-                                    quartet[a], quartet[b],
-                                    group=base + (f"{a}/{b}",),
-                                )
+            chains = []
+            for t in cfg.scale.values():
+                # the type-1/t approximant depends on neither r nor the functional
+                approxes = {p: best_approx(f, 1.0 / t, p, params, fhat=fhat) for p in cfg.p_values}
+                chains.append(
+                    chain_at_scale(f, t, cfg.r_values, cfg.p_values, params, fhat=fhat,
+                                   approxes=approxes)
+                )
+            _chain_rows(report, cfg, lam, fname, chains,
+                        list(combinations(("R", "Rstar", "K", "omega"), 2)))
     return report
 
 
@@ -528,20 +511,29 @@ def verify_bernstein(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessRepor
     return report
 
 
-def _two_scale_rows(report, cfg, grid, lam, params, p, check, r1, m1, r2, m2):
-    """Rows of the general two-scale comparison for bandlimited input."""
+def _two_scale_rows(report, cfg, lam, params, f, shat, p, check, r1, m1, r2, m2):
+    """Rows of the general two-scale comparison for the bandlimited input f.
+
+    Each distinct difference norm is computed once per step: the right-hand
+    norm does not depend on theta, and at theta = 1 with equal orders the
+    left-hand norm is the same one.
+    """
     sigma = cfg.sigma
-    shat = bandlimited_spectrum(grid, lam, sigma)
-    f = inverse_hankel(shat)
     rho = r1 + m1 - r2 - m2
+    norms = {}
+
+    def norm(step, m, r):
+        # ||Delta_step^m (-Lap)^(r/2) f||_p; m = 0 drops the step
+        key = (step if m > 0 else 0.0, m, r)
+        if key not in norms:
+            norms[key] = diff_norm(f, key[0], m, p, params, r=r, fhat=shat)
+        return norms[key]
+
     for t in cfg.scale.values():
         for theta in cfg.thetas:
             delta = theta * t
-            lhs = delta ** (-m1) * diff_norm(f, delta, m1, p, params, r=r1, fhat=shat) \
-                if m1 > 0 else diff_norm(f, 0.0, 0.0, p, params, r=r1, fhat=shat)
-            rhs_norm = diff_norm(f, t, m2, p, params, r=r2, fhat=shat) \
-                if m2 > 0 else diff_norm(f, 0.0, 0.0, p, params, r=r2, fhat=shat)
-            rhs = sigma**rho * t ** (-m2) * rhs_norm
+            lhs = delta ** (-m1) * norm(delta, m1, r1) if m1 > 0 else norm(delta, m1, r1)
+            rhs = sigma**rho * t ** (-m2) * norm(t, m2, r2)
             report.add(f"{check}:theta={theta!r}", lam, p, m1 if m1 > 0 else m2, r1,
                        t, lhs, rhs)
 
@@ -564,7 +556,8 @@ def verify_nikolskii_stechkin(cfg: ExperimentConfig, grid: RadialGrid) -> Smooth
 
 
 def verify_boas(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """Two-sided comparison of delta^-m and t^-m scaled difference norms."""
+    """Two-sided comparison of delta^-m and t^-m scaled difference norms: the
+    two-scale comparison at orders (0, m, 0, m)."""
     report = _new_report(cfg)
     for lam in cfg.lambda_values:
         params = params_from_lambda(lam)
@@ -572,12 +565,7 @@ def verify_boas(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
         f = inverse_hankel(shat)
         for p in cfg.p_values:
             for m in cfg.m_values:
-                for t in cfg.scale.values():
-                    for theta in cfg.thetas:
-                        delta = theta * t
-                        lhs = delta ** (-m) * diff_norm(f, delta, m, p, params, fhat=shat)
-                        rhs = t ** (-m) * diff_norm(f, t, m, p, params, fhat=shat)
-                        report.add(f"boas:theta={theta!r}", lam, p, m, 0.0, t, lhs, rhs)
+                _two_scale_rows(report, cfg, lam, params, f, shat, p, "boas", 0.0, m, 0.0, m)
     return report
 
 
@@ -599,8 +587,10 @@ def _general_rows(report, cfg, grid):
     """Append the general two-scale rows for every lambda and p; return them."""
     for lam in cfg.lambda_values:
         params = params_from_lambda(lam)
+        shat = bandlimited_spectrum(grid, lam, cfg.sigma)
+        f = inverse_hankel(shat)
         for p in cfg.p_values:
-            _two_scale_rows(report, cfg, grid, lam, params, p, "general", *cfg.general_orders)
+            _two_scale_rows(report, cfg, lam, params, f, shat, p, "general", *cfg.general_orders)
     return list(report.rows)
 
 
@@ -633,7 +623,7 @@ def _best_approx_error(f, fhat, j, p, params):
     if j > 0:
         return best_approx(f, float(j), p, params, fhat=fhat).value
     if p == 2:
-        return spectral_tail_l2(f, params.lambda_k, 0.0)
+        return spectral_tail_l2(f, params.lambda_k, 0.0, fhat=fhat)
     return lp_norm(f, p, params.lambda_k)
 
 
@@ -656,7 +646,7 @@ def verify_inverse(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
                         report.add("inverse", lam, p, m, 0.0, float(n), lhs, rhs)
                     for delta in cfg.delta_values:
                         lhs = k_functional_upper(f, delta, m, p, params, fhat=fhat)
-                        rhs = marchaud_bound(f, delta, m, p, params)
+                        rhs = marchaud_bound(f, delta, m, p, params, fhat=fhat)
                         report.add("marchaud", lam, p, m, 0.0, delta, lhs, rhs)
                     for r in cfg.r_values:
                         if r <= 0:
@@ -785,12 +775,44 @@ def _field(mapping: dict, key: str, context: str, default=None, required=False):
     return default
 
 
-def _parse_p(value) -> float:
+def _json(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _number(value, context: str, integer: bool = False):
+    """A finite JSON number (integral with ``integer``); anything else,
+    booleans included, is an error naming the field."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the comparison also rejects NaN and ints beyond the float range
+    if not (number and abs(value) <= sys.float_info.max) or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{context} must be {kind}, got {_json(value)}")
+    return int(value) if integer else float(value)
+
+
+def _list(value, context: str, parse, length: int | None = None) -> tuple:
+    """A JSON list parsed element by element; errors name the element."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list, got {_json(value)}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{context} must have {length} entries, got {len(value)}")
+    return tuple(parse(v, f"{context}[{i}]") for i, v in enumerate(value))
+
+
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a string, got {_json(value)}")
+    return value
+
+
+def _parse_p(value, context: str) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
-        raise ConfigError(f"cannot parse p value {value!r}")
-    return float(value)
+        raise ConfigError(f"{context}: cannot parse p value {value!r}")
+    if value == math.inf and not isinstance(value, bool):
+        return math.inf
+    return _number(value, context)
 
 
 def _check_keys(mapping, known, context: str) -> None:
@@ -817,51 +839,66 @@ def parse_config(data: dict) -> HarnessConfig:
         raise ConfigError(f"config.grid.kind must be one of {GRID_KINDS}, got {kind!r}")
     experiments = []
     seen = set()
-    for idx, spec in enumerate(_field(data, "experiments", "config", default=[])):
-        ctx = f"experiments[{idx}]"
-        _check_keys(spec, ExperimentConfig.__dataclass_fields__, ctx)
-        name = _field(spec, "name", ctx, required=True)
-        if name in seen:
-            raise ConfigError(f"{ctx}: duplicate experiment name {name!r}")
-        seen.add(name)
-        window = _field(spec, "window", ctx, default=None)
-        scale_spec = _field(spec, "scale", ctx, default=None)
-        if scale_spec:
-            sctx = f"{ctx}.scale"
-            _check_keys(scale_spec, ("lo", "hi", "points"), sctx)
-            lo, hi, points = (
-                _field(scale_spec, k, sctx, required=True) for k in ("lo", "hi", "points")
-            )
-            scale = ScaleGrid(float(lo), float(hi), int(points))
-        else:
-            scale = ExperimentConfig.__dataclass_fields__["scale"].default
-        cfg = ExperimentConfig(
-            name=name,
-            lambda_values=tuple(float(v) for v in _field(spec, "lambda_values", ctx, default=[0.25])),
-            p_values=tuple(_parse_p(v) for v in _field(spec, "p_values", ctx, default=[2])),
-            m_values=tuple(float(v) for v in _field(spec, "m_values", ctx, default=[1.0])),
-            r_values=tuple(float(v) for v in _field(spec, "r_values", ctx, default=[1.0])),
-            scale=scale,
-            test_functions=tuple(_field(spec, "test_functions", ctx, default=["gaussian"])),
-            window=None if window is None else (float(window[0]), float(window[1])),
-            drift_max=float(_field(spec, "drift_max", ctx, default=4.0)),
-            sigma=float(_field(spec, "sigma", ctx, default=4.0)),
-            thetas=tuple(float(v) for v in _field(spec, "thetas", ctx, default=[1.0, 0.5, 0.25])),
-            general_orders=tuple(
-                float(v) for v in _field(spec, "general_orders", ctx, default=[1.0, 1.0, 0.0, 2.0])
-            ),
-            n_values=tuple(int(v) for v in _field(spec, "n_values", ctx, default=[2, 4, 8, 16, 32])),
-            delta_values=tuple(
-                float(v) for v in _field(spec, "delta_values", ctx, default=[0.1, 0.2, 0.4])
-            ),
-        )
+    specs = _field(data, "experiments", "config", default=[])
+    if not isinstance(specs, list):
+        raise ConfigError(f"config.experiments must be a list, got {_json(specs)}")
+    for idx, spec in enumerate(specs):
+        cfg = _parse_experiment(spec, f"experiments[{idx}]")
+        if cfg.name in seen:
+            raise ConfigError(f"experiments[{idx}]: duplicate experiment name {cfg.name!r}")
+        seen.add(cfg.name)
         experiments.append(cfg)
+    output_dir = _field(data, "output_dir", "config", default="reports")
+    rmax = _field(grid_spec, "rmax", "config.grid", default=30.0)
+    n = _field(grid_spec, "n", "config.grid", default=2048)
     return HarnessConfig(
-        output_dir=str(_field(data, "output_dir", "config", default="reports")),
-        grid_rmax=float(_field(grid_spec, "rmax", "config.grid", default=30.0)),
-        grid_n=int(_field(grid_spec, "n", "config.grid", default=2048)),
+        output_dir=_string(output_dir, "config.output_dir"),
+        grid_rmax=_number(rmax, "config.grid.rmax"),
+        grid_n=_number(n, "config.grid.n", integer=True),
         grid_kind=kind,
         experiments=tuple(experiments),
+    )
+
+
+def _parse_experiment(spec, ctx: str) -> ExperimentConfig:
+    """One experiment block; an absent field takes the ExperimentConfig
+    default, and a present one must have the field's JSON type."""
+    fields = ExperimentConfig.__dataclass_fields__
+    _check_keys(spec, fields, ctx)
+    name = _string(_field(spec, "name", ctx, required=True), f"{ctx}.name")
+
+    def get(key, parse):
+        return parse(spec[key], f"{ctx}.{key}") if key in spec else fields[key].default
+
+    def numbers(key, integer=False, length=None):
+        return get(key, lambda v, c: _list(v, c, lambda x, cx: _number(x, cx, integer), length))
+
+    return ExperimentConfig(
+        name=name,
+        lambda_values=numbers("lambda_values"),
+        p_values=get("p_values", lambda v, c: _list(v, c, _parse_p)),
+        m_values=numbers("m_values"),
+        r_values=numbers("r_values"),
+        scale=get("scale", _parse_scale),
+        test_functions=get("test_functions", lambda v, c: _list(v, c, _string)),
+        # null, like an absent window, means the experiment's default
+        window=None if spec.get("window") is None else numbers("window", length=2),
+        drift_max=get("drift_max", _number),
+        sigma=get("sigma", _number),
+        thetas=numbers("thetas"),
+        general_orders=numbers("general_orders", length=4),
+        n_values=numbers("n_values", integer=True),
+        delta_values=numbers("delta_values"),
+    )
+
+
+def _parse_scale(spec, context: str) -> ScaleGrid:
+    _check_keys(spec, ("lo", "hi", "points"), context)
+    lo, hi, points = (_field(spec, k, context, required=True) for k in ("lo", "hi", "points"))
+    return ScaleGrid(
+        _number(lo, f"{context}.lo"),
+        _number(hi, f"{context}.hi"),
+        _number(points, f"{context}.points", integer=True),
     )
 
 

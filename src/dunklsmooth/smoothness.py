@@ -17,21 +17,25 @@ against each other: the realization (objective at a near-best bandlimited
 approximant of type 1/t) and a candidate-family upper bound (smoothing
 projections P_sigma over a geometric sigma grid, sharp spectral truncations
 at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
-columns, and ``_k_objectives`` is the one place that evaluates the
-K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p on it.
+columns; ``_l2_objectives`` (p = 2) and ``_physical_objectives`` (other p)
+evaluate the K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p on it.
+
+Every public functional is built from the same symbol builders and per-p
+reducers; ``chain_at_scale`` applies them to a whole (p, r) sweep at one
+scale, from two wide inverse products instead of one product per
+(functional, p, r).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .operators import eta, vallee_poussin
 from .quad import RadialFunction, RadialGrid, lp_norm, nu_weights
-from .special import jm_multiplier
+from .special import BesselEvaluator
 from .transforms import (
     Spectrum,
     _kernel_matrix,
@@ -51,13 +55,21 @@ __all__ = [
     "realization",
     "realization_candidate_min",
     "k_functional_upper",
+    "chain_at_scale",
     "inverse_bound",
     "marchaud_bound",
 ]
 
 
+class ModulusResult(NamedTuple):
+    """Modulus value and the step attaining the discretized sup."""
+
+    value: float
+    t_max: float
+
+
 # --------------------------------------------------------------------------
-# batched physical norms
+# inverse products, symbol builders and per-p reducers
 # --------------------------------------------------------------------------
 
 
@@ -72,31 +84,151 @@ def _norms_of_columns(phys: np.ndarray, grid: RadialGrid, lam: float, p: float) 
     return np.sum(w[:, None] * np.abs(phys) ** p, axis=0) ** (1.0 / p)
 
 
-def _inverse_batch(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
-    """Physical samples of invH(symbol_j * fhat), one column per symbol.
+def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
+    """Physical samples of invH(symbols[:, j] * fhat), one column per symbol.
 
-    A repeated call with the same spectrum object and an equal symbol matrix
-    returns the read-only array the first call computed.
+    Every modulus, difference norm and candidate family goes through it.
+    ``symbols`` is scaled by the spectrum in place, so callers pass an
+    array they own and do not reuse.
     """
-    symbols = np.asarray(symbols, dtype=float)
-    return _inverse_batch_of(fhat, symbols.shape, symbols.tobytes())
-
-
-# A batch does not depend on p, and the chain sweeps ask for the same one at
-# every p; 8 entries hold one scale's batches for every r of a realization
-# sweep (2 smoothing batches that depend on t only, 3 per r).  A Spectrum
-# hashes by identity, and holding it keeps its id from being reused; the
-# symbol bytes are compared on every hit.
-@lru_cache(maxsize=8)
-def _inverse_batch_of(fhat: Spectrum, shape: tuple[int, ...], symbol_bytes: bytes) -> np.ndarray:
-    symbols = np.frombuffer(symbol_bytes).reshape(shape)
-    batch = _kernel_matrix(fhat.lam, fhat.grid) @ (fhat.values[:, None] * symbols)
-    batch.flags.writeable = False
-    return batch
+    symbols *= fhat.values[:, None]
+    return _kernel_matrix(fhat.lam, fhat.grid) @ symbols
 
 
 def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
     return float(np.sqrt(np.sum(nu_weights(grid, lam) * np.abs(values) ** 2)))
+
+
+_MODULUS_SAMPLES = 24  # quarter-octave steps below delta in the modulus sup
+_K_UPPER_POINTS = 9  # smoothing scales of the K-upper candidate family
+_R_CANDIDATE_POINTS = 7  # smoothing scales of the restricted R candidate family
+
+
+def _modulus_steps(delta: float, samples: int) -> np.ndarray:
+    """delta * 2^(-j/4), j = 0..samples: the steps of the modulus sup."""
+    return delta * 2.0 ** (-np.arange(samples + 1) / 4.0)
+
+
+def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """max(1 - j_lam(nu * t_j), 0), one column per step t_j.
+
+    Its (m/2)-th power is the order-m difference symbol ``jm_multiplier``,
+    so one Bessel evaluation serves every order.
+    """
+    return np.maximum(BesselEvaluator(lam).one_minus(np.multiply.outer(nodes, steps)), 0.0)
+
+
+def _modulus_of(phys: np.ndarray, steps: np.ndarray, grid: RadialGrid, lam: float,
+                p: float) -> ModulusResult:
+    """Discretized sup over the steps of the difference norms in ``phys``."""
+    norms = _norms_of_columns(phys, grid, lam, p)
+    idx = int(np.argmax(norms))
+    return ModulusResult(value=float(norms[idx]), t_max=float(steps[idx]))
+
+
+def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Smoothing-cutoff symbols eta(r / sigma), one column per sigma."""
+    return eta(nodes[:, None] / sigmas[None, :])
+
+
+def _sharp_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Sharp truncations 1_{r <= sigma}, one column per sigma."""
+    return (nodes[:, None] <= sigmas[None, :]).astype(float)
+
+
+def _plateau_symbols(nodes: np.ndarray, sigma_max: float, widths: Sequence[float]) -> np.ndarray:
+    """Smooth cutoffs that are 1 up to (1-w) sigma_max and 0 beyond sigma_max.
+
+    The usual eta(r/sigma) family fixes the transition at [sigma, 2 sigma];
+    for restricted-bandlimit candidates the transition placement is a free
+    tradeoff (wide transition = small kernel norm, late transition = small
+    approximation error), so several widths are offered as candidates.
+    """
+    cols = []
+    for w in widths:
+        a = (1.0 - w) * sigma_max
+        x = (nodes - a) / (sigma_max - a)
+        cols.append(eta(1.0 + np.clip(x, 0.0, 1.0)))
+    return np.stack(cols, axis=1)
+
+
+def _k_upper_symbols(nodes: np.ndarray, t: float, sharp: bool,
+                     points: int = _K_UPPER_POINTS) -> np.ndarray:
+    """K-upper candidates: P_sigma for sigma in [1/(4t), 4/t], g = 0, and
+    with ``sharp`` (p = 2) the sharp truncations at the same scales."""
+    sigmas = np.geomspace(1.0 / (4.0 * t), 4.0 / t, points)
+    cols = [_eta_symbols(nodes, sigmas), np.zeros((nodes.size, 1))]
+    if sharp:
+        cols.append(_sharp_symbols(nodes, sigmas))
+    return np.concatenate(cols, axis=1)
+
+
+def _r_candidate_symbols(nodes: np.ndarray, t: float, sharp: bool,
+                         points: int = _R_CANDIDATE_POINTS) -> np.ndarray:
+    """Restricted candidates of type 1/t: P_sigma for sigma in [1/(8t), 1/(2t)],
+    plateau cutoffs vanishing at 1/t, and with ``sharp`` (p = 2) sharp
+    truncations up to 1/t."""
+    cols = [
+        _eta_symbols(nodes, np.geomspace(1.0 / (8.0 * t), 1.0 / (2.0 * t), points)),
+        _plateau_symbols(nodes, 1.0 / t, (0.3, 0.5, 0.7, 0.9)),
+    ]
+    if sharp:
+        cols.append(_sharp_symbols(nodes, np.geomspace(1.0 / (2.0 * t), 1.0 / t, 5)))
+    return np.concatenate(cols, axis=1)
+
+
+def _with_derivatives(syms: np.ndarray, nodes: np.ndarray, r_values: Sequence[float]) -> np.ndarray:
+    """[S | S nu^r_1 | S nu^r_2 | ...]: a candidate family, then its order-r
+    derivative block for each r."""
+    return np.concatenate([syms] + [syms * nodes[:, None] ** r for r in r_values], axis=1)
+
+
+def _l2_objectives(fhat: Spectrum, syms: np.ndarray, t: float, r: float) -> np.ndarray:
+    """K-objective at p = 2 of each candidate column, on the spectral side
+    (Parseval); no inverse product."""
+    grid, lam = fhat.grid, fhat.lam
+    # (k, n) rows: each candidate is summed along a contiguous row, which
+    # reproduces a 1-D sum bit for bit (an axis-0 sum of (n, k) does not)
+    gs = np.ascontiguousarray(syms.T) * fhat.values
+    w = nu_weights(grid, lam)
+    approx = np.sqrt(np.sum(w * np.abs(fhat.values - gs) ** 2, axis=1))
+    deriv = np.sqrt(np.sum(w * np.abs(grid.nodes**r * gs) ** 2, axis=1))
+    return approx + t**r * deriv
+
+
+def _physical_objectives(f: RadialFunction, lam: float, phys: np.ndarray, k: int, t: float,
+                         r_values: Sequence[float], p: float) -> list[np.ndarray]:
+    """K-objectives off p = 2 of k candidates, one array per r.
+
+    ``phys`` holds the physical samples of ``_with_derivatives`` of the
+    family: the k candidates g_j, then their order-r derivative blocks.
+    """
+    approx = _norms_of_columns(f.values[:, None] - phys[:, :k], f.grid, lam, p)
+    return [
+        approx + t**r * _norms_of_columns(phys[:, (i + 1) * k : (i + 2) * k], f.grid, lam, p)
+        for i, r in enumerate(r_values)
+    ]
+
+
+def _k_objectives(
+    f: RadialFunction, fhat: Spectrum, syms: np.ndarray, t: float, r: float, p: float
+) -> np.ndarray:
+    """K-objective ||f - g_j||_p + t^r ||(-Lap)^(r/2) g_j||_p of each candidate
+    g_j = invH(syms[:, j] * fhat), one value per column of ``syms``.
+
+    p = 2 measures both terms on the spectral side; other p measure them on
+    the physical grid, from one product of the candidates and their
+    derivatives.
+    """
+    if p == 2:
+        return _l2_objectives(fhat, syms, t, r)
+    phys = _inverse_products(fhat, _with_derivatives(syms, fhat.grid.nodes, (r,)))
+    return _physical_objectives(f, fhat.lam, phys, syms.shape[1], t, (r,), p)[0]
+
+
+# --------------------------------------------------------------------------
+# smoothness functionals
+# --------------------------------------------------------------------------
 
 
 def diff_norm(
@@ -115,22 +247,16 @@ def diff_norm(
     """
     lam = params.lambda_k
     fhat = hankel(f, lam) if fhat is None else fhat
-    sym = np.ones_like(fhat.grid.nodes)
+    nodes = fhat.grid.nodes
+    sym = np.ones_like(nodes)
     if r > 0:
-        sym = sym * fhat.grid.nodes**r
+        sym = sym * nodes**r
     if m > 0:
         if not (t > 0):
             raise ValueError("difference step must be positive when m > 0")
-        sym = sym * jm_multiplier(lam, m, t * fhat.grid.nodes)
-    phys = _inverse_batch(fhat, sym[:, None])
+        sym = sym * _bessel_base(lam, nodes, np.array([t]))[:, 0] ** (0.5 * m)
+    phys = _inverse_products(fhat, sym[:, None])
     return float(_norms_of_columns(phys, fhat.grid, lam, p)[0])
-
-
-class ModulusResult(NamedTuple):
-    """Modulus value and the step attaining the discretized sup."""
-
-    value: float
-    t_max: float
 
 
 def modulus(
@@ -139,7 +265,7 @@ def modulus(
     m: float,
     p: float,
     params: WeightParams,
-    samples: int = 24,
+    samples: int = _MODULUS_SAMPLES,
     fhat: Spectrum | None = None,
 ) -> ModulusResult:
     """Fractional modulus of smoothness sup_{0 < t <= delta} ||Delta_t^m f||_p.
@@ -155,12 +281,9 @@ def modulus(
         raise ValueError(f"order m must be positive, got {m!r}")
     lam = params.lambda_k
     fhat = hankel(f, lam) if fhat is None else fhat
-    t_grid = delta * 2.0 ** (-np.arange(samples + 1) / 4.0)
-    syms = jm_multiplier(lam, m, np.multiply.outer(fhat.grid.nodes, t_grid))
-    phys = _inverse_batch(fhat, syms)
-    norms = _norms_of_columns(phys, fhat.grid, lam, p)
-    idx = int(np.argmax(norms))
-    return ModulusResult(value=float(norms[idx]), t_max=float(t_grid[idx]))
+    steps = _modulus_steps(delta, samples)
+    phys = _inverse_products(fhat, _bessel_base(lam, fhat.grid.nodes, steps) ** (0.5 * m))
+    return _modulus_of(phys, steps, fhat.grid, lam, p)
 
 
 class BestApprox(NamedTuple):
@@ -244,7 +367,8 @@ def best_approx(
     fhat = hankel(f, lam) if fhat is None else fhat
     if p == 2:
         g = bandlimit_project(fhat, sigma)
-        return BestApprox(value=spectral_tail_l2(f, lam, sigma), g_star=g, near_best=False)
+        value = spectral_tail_l2(f, lam, sigma, fhat=fhat)
+        return BestApprox(value=value, g_star=g, near_best=False)
     mat = _kernel_matrix(lam, fhat.grid)
 
     def error(g: Spectrum) -> float:
@@ -318,49 +442,13 @@ def realization(
     )
 
 
-def _k_objectives(
-    f: RadialFunction, fhat: Spectrum, syms: np.ndarray, t: float, r: float, p: float
-) -> np.ndarray:
-    """K-objective ||f - g_j||_p + t^r ||(-Lap)^(r/2) g_j||_p of each candidate
-    g_j = invH(syms[:, j] * fhat), one value per column of ``syms``.
-
-    p = 2 measures both terms on the spectral side (Parseval); other p
-    measure them on the physical grid.
-    """
-    grid, lam = fhat.grid, fhat.lam
-    nodes = grid.nodes
-    if p == 2:
-        # (k, n) rows: each candidate is summed along a contiguous row, which
-        # reproduces a 1-D sum bit for bit (an axis-0 sum of (n, k) does not)
-        gs = np.ascontiguousarray(syms.T) * fhat.values
-        w = nu_weights(grid, lam)
-        approx = np.sqrt(np.sum(w * np.abs(fhat.values - gs) ** 2, axis=1))
-        deriv = np.sqrt(np.sum(w * np.abs(nodes**r * gs) ** 2, axis=1))
-    else:
-        smooth = _inverse_batch(fhat, syms)
-        approx = _norms_of_columns(f.values[:, None] - smooth, grid, lam, p)
-        deriv_phys = _inverse_batch(fhat, syms * nodes[:, None] ** r)
-        deriv = _norms_of_columns(deriv_phys, grid, lam, p)
-    return approx + t**r * deriv
-
-
-def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Smoothing-cutoff symbols eta(r / sigma), one column per sigma."""
-    return eta(nodes[:, None] / sigmas[None, :])
-
-
-def _sharp_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Sharp truncations 1_{r <= sigma}, one column per sigma."""
-    return (nodes[:, None] <= sigmas[None, :]).astype(float)
-
-
 def k_functional_upper(
     f: RadialFunction,
     t: float,
     r: float,
     p: float,
     params: WeightParams,
-    points: int = 9,
+    points: int = _K_UPPER_POINTS,
     fhat: Spectrum | None = None,
 ) -> float:
     """Candidate-family upper bound on the K-functional K_r(t, f)_p.
@@ -375,29 +463,8 @@ def k_functional_upper(
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
     fhat = hankel(f, params.lambda_k) if fhat is None else fhat
-    nodes = fhat.grid.nodes
-    sigmas = np.geomspace(1.0 / (4.0 * t), 4.0 / t, points)
-    cols = [_eta_symbols(nodes, sigmas), np.zeros((nodes.size, 1))]
-    if p == 2:
-        cols.append(_sharp_symbols(nodes, sigmas))
-    syms = np.concatenate(cols, axis=1)
+    syms = _k_upper_symbols(fhat.grid.nodes, t, p == 2, points)
     return float(np.min(_k_objectives(f, fhat, syms, t, r, p)))
-
-
-def _plateau_symbols(nodes: np.ndarray, sigma_max: float, widths: Sequence[float]) -> np.ndarray:
-    """Smooth cutoffs that are 1 up to (1-w) sigma_max and 0 beyond sigma_max.
-
-    The usual eta(r/sigma) family fixes the transition at [sigma, 2 sigma];
-    for restricted-bandlimit candidates the transition placement is a free
-    tradeoff (wide transition = small kernel norm, late transition = small
-    approximation error), so several widths are offered as candidates.
-    """
-    cols = []
-    for w in widths:
-        a = (1.0 - w) * sigma_max
-        x = (nodes - a) / (sigma_max - a)
-        cols.append(eta(1.0 + np.clip(x, 0.0, 1.0)))
-    return np.stack(cols, axis=1)
 
 
 def realization_candidate_min(
@@ -406,7 +473,7 @@ def realization_candidate_min(
     r: float,
     p: float,
     params: WeightParams,
-    points: int = 7,
+    points: int = _R_CANDIDATE_POINTS,
     fhat: Spectrum | None = None,
     approx: BestApprox | None = None,
 ) -> float:
@@ -422,16 +489,97 @@ def realization_candidate_min(
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
     fhat = hankel(f, params.lambda_k) if fhat is None else fhat
-    nodes = fhat.grid.nodes
     best = realization(f, t, r, p, params, fhat=fhat, approx=approx).value
-    cols = [
-        _eta_symbols(nodes, np.geomspace(1.0 / (8.0 * t), 1.0 / (2.0 * t), points)),
-        _plateau_symbols(nodes, 1.0 / t, (0.3, 0.5, 0.7, 0.9)),
-    ]
-    if p == 2:
-        cols.append(_sharp_symbols(nodes, np.geomspace(1.0 / (2.0 * t), 1.0 / t, 5)))
-    objectives = _k_objectives(f, fhat, np.concatenate(cols, axis=1), t, r, p)
-    return min(best, float(np.min(objectives)))
+    syms = _r_candidate_symbols(fhat.grid.nodes, t, p == 2, points)
+    return min(best, float(np.min(_k_objectives(f, fhat, syms, t, r, p))))
+
+
+def chain_at_scale(
+    f: RadialFunction,
+    t: float,
+    r_values: Sequence[float],
+    p_values: Sequence[float],
+    params: WeightParams,
+    fhat: Spectrum | None = None,
+    approxes: dict[float, BestApprox] | None = None,
+) -> dict[tuple[float, float], dict[str, float]]:
+    """Every chain functional at one scale t, for each (p, r) of a sweep.
+
+    Returns ``{(p, r): {name: value}}``.  Every entry holds the modulus
+    ``"omega"`` at delta = t and order r and the K-upper bound ``"K"``.
+    Without ``approxes`` it also holds the difference norm ``"diff"`` at step
+    t and order r; with ``approxes`` (p -> ``best_approx(f, 1/t, p)``) it
+    holds the realization ``"Rstar"`` and the candidate minimum ``"R"``.
+    Each value equals the single call (``modulus``, ``diff_norm``,
+    ``k_functional_upper``, ``realization``, ``realization_candidate_min``)
+    at the same (p, r, t).
+
+    The Bessel base is evaluated once.  One inverse product holds the
+    modulus symbols of every r; once it is reduced at every p it is
+    released, and one more product holds every candidate family off p = 2
+    with its derivative blocks for every r.  Neither layout depends on which
+    p are swept, so a sweep's values do not either.  The difference norms
+    stay single-column products: a one-column slice of a wide product is not
+    bit-equal to the matrix-vector product ``diff_norm`` makes.
+    """
+    if not (t > 0) or min(r_values) <= 0:
+        raise ValueError("t and r must be positive")
+    lam = params.lambda_k
+    fhat = hankel(f, lam) if fhat is None else fhat
+    grid, nodes = fhat.grid, fhat.grid.nodes
+    values: dict[tuple[float, float], dict[str, float]] = {
+        (p, r): {} for p in p_values for r in r_values
+    }
+
+    steps = _modulus_steps(t, _MODULUS_SAMPLES)
+    base = _bessel_base(lam, nodes, steps)
+    k = steps.size
+    phys = _inverse_products(fhat, np.concatenate([base ** (0.5 * r) for r in r_values], axis=1))
+    for i, r in enumerate(r_values):
+        block = phys[:, i * k : (i + 1) * k]
+        for p in p_values:
+            values[p, r]["omega"] = _modulus_of(block, steps, grid, lam, p).value
+    del phys
+
+    builders = {"K": _k_upper_symbols}
+    if approxes is None:
+        # column 0 of the base is the step t itself
+        column = np.ascontiguousarray(base[:, 0])
+        for r in r_values:
+            phys = _inverse_products(fhat, (column ** (0.5 * r))[:, None])
+            for p in p_values:
+                values[p, r]["diff"] = float(_norms_of_columns(phys, grid, lam, p)[0])
+    else:
+        builders["R"] = _r_candidate_symbols
+        for (p, r), entry in values.items():
+            entry["Rstar"] = realization(f, t, r, p, params, approx=approxes[p]).value
+
+    def record(name: str, p: float, r: float, objectives: np.ndarray) -> None:
+        low = float(np.min(objectives))
+        values[p, r][name] = low if name == "K" else min(values[p, r]["Rstar"], low)
+
+    for p in p_values:
+        if p == 2:
+            for name, build in builders.items():
+                syms = build(nodes, t, True)
+                for r in r_values:
+                    record(name, p, r, _l2_objectives(fhat, syms, t, r))
+    off_2 = [p for p in p_values if p != 2]
+    if off_2:
+        families = {name: build(nodes, t, False) for name, build in builders.items()}
+        phys = _inverse_products(fhat, np.concatenate(
+            [_with_derivatives(syms, nodes, r_values) for syms in families.values()], axis=1
+        ))
+        col = 0
+        for name, syms in families.items():
+            k = syms.shape[1]
+            block = phys[:, col : col + k * (len(r_values) + 1)]
+            for p in off_2:
+                objectives = _physical_objectives(f, lam, block, k, t, r_values, p)
+                for r, per_r in zip(r_values, objectives):
+                    record(name, p, r, per_r)
+            col += block.shape[1]
+    return values
 
 
 def inverse_bound(
@@ -460,11 +608,13 @@ def marchaud_bound(
     p: float,
     params: WeightParams,
     t_grid: np.ndarray | None = None,
+    fhat: Spectrum | None = None,
 ) -> float:
     """Marchaud-type right-hand side delta^m (||f||_p + int_delta^1 t^-m K dt/t).
 
     K at order m+1 is replaced by realization values on a log grid; the
-    integral is a trapezoid rule in log t.
+    integral is a trapezoid rule in log t.  ``fhat`` is the precomputed
+    transform of f.
     """
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
@@ -474,7 +624,7 @@ def marchaud_bound(
     if t_grid is None:
         t_grid = np.geomspace(delta, 1.0, 17)
     t_grid = np.asarray(t_grid, dtype=float)
-    fhat = hankel(f, lam)
+    fhat = hankel(f, lam) if fhat is None else fhat
     kvals = np.array([realization(f, t, m + 1.0, p, params, fhat=fhat).value for t in t_grid])
     integrand = t_grid ** (-m) * kvals
     integral = float(np.trapezoid(integrand, x=np.log(t_grid)))

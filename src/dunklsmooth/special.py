@@ -20,6 +20,7 @@ from scipy import special as _sps
 from .weights import LAMBDA_MIN
 
 __all__ = [
+    "BESSEL_ARG_MAX",
     "BesselEvaluator",
     "bessel_norm",
     "bessel_norm_one_minus",
@@ -28,6 +29,11 @@ __all__ = [
     "binom_frac",
     "binom_tail_bound",
 ]
+
+
+# j_lam meets its 1e-12 absolute-accuracy contract for arguments in
+# [0, BESSEL_ARG_MAX]; a kernel on [0, rmax] evaluates up to rmax^2
+BESSEL_ARG_MAX = 1e3
 
 
 def _check_order(lam: float) -> float:

@@ -218,13 +218,16 @@ def inverse_hankel(s: Spectrum) -> RadialFunction:
     return RadialFunction(grid=s.grid, values=mat @ s.values, label=s.label)
 
 
-def spectral_tail_l2(f: RadialFunction, lam: float, sigma: float) -> float:
+def spectral_tail_l2(
+    f: RadialFunction, lam: float, sigma: float, fhat: Spectrum | None = None
+) -> float:
     """sqrt of integral_{r > sigma} |H_lam(f)(r)|^2 d nu_lam(r).
 
     By Parseval this is the L^2 distance from f to its best bandlimited
     approximation of type sigma.  Node masking alone would split one
     quadrature panel at sigma and lose ~1e-4 accuracy, so the cut panel gets
     a dedicated Gauss rule with the spectrum evaluated directly there.
+    ``fhat`` is the precomputed ``hankel(f, lam)``.
     """
     lam = _check_lambda(lam)
     sigma = float(sigma)
@@ -233,7 +236,7 @@ def spectral_tail_l2(f: RadialFunction, lam: float, sigma: float) -> float:
     grid = f.grid
     if sigma >= grid.rmax:
         return 0.0
-    fhat = hankel(f, lam)
+    fhat = hankel(f, lam) if fhat is None else fhat
     nuw = nu_weights(grid, lam)
     edges = grid.panel_edges if grid.panel_edges else (0.0, grid.rmax)
     cut_edge = min(e for e in edges if e >= sigma)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dunklsmooth.cli import main
 from dunklsmooth.quad import RadialFunction, make_grid, save_radial_csv
@@ -116,4 +117,23 @@ def test_run_rejects_unknown_config_field(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiments": [{"name": "jackson", "p_value": [1]}]}))
     assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "rep")]) == 2
     assert "'p_value'" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"experiments": [{"name": "jackson", "lambda_values": 1}]},
+         "experiments[0].lambda_values"),
+        ({"experiments": [{"name": "jackson", "window": [1]}]}, "experiments[0].window"),
+        ({"experiments": [{"name": "jackson", "lambda_values": ["x"]}]},
+         "experiments[0].lambda_values[0]"),
+        ({"grid": {"rmax": 50.0, "n": 2048}}, "config.grid.rmax"),
+    ],
+)
+def test_run_names_a_wrongly_typed_or_out_of_range_field(tmp_path, capsys, spec, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "rep")]) == 2
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from dunklsmooth import harness, smoothness
 from dunklsmooth.harness import (
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
+    HarnessConfig,
     ScaleGrid,
     SmoothnessReport,
     bandlimited_spectrum,
@@ -20,6 +22,7 @@ from dunklsmooth.harness import (
     write_report,
 )
 from dunklsmooth.quad import make_grid
+from dunklsmooth.special import BesselEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +108,8 @@ class TestConfig:
         assert ExperimentConfig(name="inverse", window=(0.1, 2.0)).window == (0.1, 2.0)
         parsed = parse_config({"experiments": [{"name": "inverse"}]})
         assert parsed.experiments[0].window == (0.0, 1.0)
+        parsed = parse_config({"experiments": [{"name": "inverse", "window": None}]})
+        assert parsed.experiments[0].window == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "spec, match",
@@ -124,6 +129,59 @@ class TestConfig:
     def test_unknown_or_missing_fields_are_named(self, spec, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(spec)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("lambda_values", 1, "experiments\\[0\\].lambda_values must be a list, got 1"),
+            ("lambda_values", "0.25", "experiments\\[0\\].lambda_values must be a list"),
+            ("lambda_values", None, "experiments\\[0\\].lambda_values must be a list, got null"),
+            ("lambda_values", ["x"], "experiments\\[0\\].lambda_values\\[0\\] must be a finite"),
+            ("lambda_values", [True], "experiments\\[0\\].lambda_values\\[0\\] must be a finite"),
+            ("lambda_values", [[0.25]], "experiments\\[0\\].lambda_values\\[0\\] must be a finite"),
+            ("window", [1], "experiments\\[0\\].window must have 2 entries, got 1"),
+            ("window", [0, "20"], "experiments\\[0\\].window\\[1\\] must be a finite"),
+            ("p_values", ["two"], "experiments\\[0\\].p_values\\[0\\]: cannot parse"),
+            ("p_values", [False], "experiments\\[0\\].p_values\\[0\\] must be a finite"),
+            ("n_values", [2.5], "experiments\\[0\\].n_values\\[0\\] must be an integer"),
+            ("test_functions", "gaussian", "experiments\\[0\\].test_functions must be a list"),
+            ("test_functions", [1], "experiments\\[0\\].test_functions\\[0\\] must be a string"),
+            ("sigma", "4", "experiments\\[0\\].sigma must be a finite number"),
+            ("drift_max", None, "experiments\\[0\\].drift_max must be a finite number, got null"),
+            ("drift_max", True, "experiments\\[0\\].drift_max must be a finite number, got true"),
+            ("general_orders", [1, 1, 0], "experiments\\[0\\].general_orders must have 4"),
+            ("scale", [0.1, 1.0, 3], "experiments\\[0\\].scale must be a JSON object"),
+            ("scale", {"lo": 0.1, "hi": 1.0, "points": 2.5},
+             "experiments\\[0\\].scale.points must be an integer"),
+            ("name", ["jackson"], "experiments\\[0\\].name must be a string"),
+        ],
+    )
+    def test_wrongly_typed_fields_are_named(self, field, value, match):
+        spec = {"name": "jackson", field: value}
+        with pytest.raises(ConfigError, match=match):
+            parse_config({"experiments": [spec]})
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"experiments": {"name": "jackson"}}, "config.experiments must be a list"),
+            ({"grid": {"rmax": "30"}}, "config.grid.rmax must be a finite number"),
+            ({"grid": {"n": 512.5}}, "config.grid.n must be an integer"),
+            ({"grid": None}, "config.grid must be a JSON object"),
+            ({"output_dir": 3}, "config.output_dir must be a string"),
+        ],
+    )
+    def test_wrongly_typed_top_level_fields_are_named(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(data)
+
+    def test_grid_beyond_the_bessel_range_is_rejected(self):
+        with pytest.raises(ConfigError, match="config.grid.rmax"):
+            parse_config({"grid": {"rmax": 50.0, "n": 2048}})
+        with pytest.raises(ConfigError, match="config.grid.rmax"):
+            HarnessConfig(grid_rmax=50.0)
+        assert HarnessConfig().grid_rmax == 30.0
+        assert parse_config({"grid": {"rmax": 31.6}}).grid_rmax == 31.6
 
     def test_scale_grid_values(self):
         sg = ScaleGrid(0.1, 1.0, 3)
@@ -262,6 +320,60 @@ class TestExperiments:
             for row in EXPERIMENTS[name](ExperimentConfig(p_values=(p,), **shared), grid).rows
         ]
         assert [repr(row) for row in joint.rows] == [repr(row) for row in single]
+
+    @pytest.mark.parametrize("name", ["equivalence", "realization"])
+    def test_chain_sweep_product_and_bessel_counts(self, grid, name, monkeypatch):
+        # per (lambda, scale): at most two wide products and one Bessel base;
+        # the difference norms add one single-column product per r
+        widths, bases, realizations = [], [], []
+        products = smoothness._inverse_products
+        one_minus = BesselEvaluator.one_minus
+        realization = smoothness.realization
+
+        def counted_products(fhat, symbols):
+            widths.append(symbols.shape[1])
+            return products(fhat, symbols)
+
+        def counted_one_minus(self, t):
+            bases.append(np.shape(t))
+            return one_minus(self, t)
+
+        def counted_realization(*args, **kwargs):
+            realizations.append(args[1:4])
+            return realization(*args, **kwargs)
+
+        monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
+        monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
+        monkeypatch.setattr(smoothness, "realization", counted_realization)
+        lams, ps, rs, scales = (0.25, 1.0), (1.0, 2.0, math.inf), (0.5, 1.0, 2.0), 3
+        cfg = ExperimentConfig(name=name, lambda_values=lams, p_values=ps, r_values=rs,
+                               scale=ScaleGrid(0.05, 0.8, scales))
+        EXPERIMENTS[name](cfg, grid)
+        per_scale = len(lams) * scales
+        wide = [w for w in widths if w > 1]
+        assert len(wide) <= 2 * per_scale
+        singles = len(widths) - len(wide)
+        assert singles == (per_scale * len(rs) if name == "equivalence" else 0)
+        assert len(bases) == per_scale
+        if name == "realization":
+            assert len(realizations) == per_scale * len(rs) * len(ps)
+            assert len(set(realizations)) == len(realizations) // len(lams)
+
+    def test_two_scale_norms_are_computed_once_per_step(self, grid, monkeypatch):
+        calls = []
+        diff_norm = harness.diff_norm
+
+        def counted(f, t, m, *args, **kwargs):
+            calls.append((t, m))
+            return diff_norm(f, t, m, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "diff_norm", counted)
+        cfg = ExperimentConfig(name="boas", m_values=(1.0,), scale=ScaleGrid(0.01, 0.125, 4),
+                               thetas=(1.0, 0.5, 0.25))
+        rep = EXPERIMENTS["boas"](cfg, grid)
+        # theta = 1 reuses the right-hand norm: 3 distinct steps per t, not 6
+        assert len(rep.rows) == 12
+        assert len(calls) == len(set(calls)) == 12
 
     def test_bernstein_exact_constant_and_sharpness(self, grid):
         cfg = ExperimentConfig(

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from dunklsmooth import smoothness
 from dunklsmooth.operators import vallee_poussin
 from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
 from dunklsmooth.smoothness import (
     best_approx,
+    chain_at_scale,
     diff_norm,
     inverse_bound,
     k_functional_upper,
@@ -18,7 +18,7 @@ from dunklsmooth.smoothness import (
     realization_candidate_min,
 )
 from dunklsmooth.special import binom_tail_bound, jm_multiplier
-from dunklsmooth.transforms import _kernel_matrix, hankel, inverse_hankel
+from dunklsmooth.transforms import hankel, inverse_hankel, spectral_tail_l2
 from dunklsmooth.weights import params_from_lambda
 
 LAM = 0.25
@@ -347,53 +347,55 @@ class TestMarchaudBound:
             marchaud_bound(gauss, 1.5, 1.0, 2, PARAMS)
 
 
-class TestInverseBatchMemo:
-    @staticmethod
-    def _symbols(grid, k, shift=0.0):
-        return np.exp(-np.multiply.outer(grid.nodes, np.arange(1.0, k + 1.0) + shift))
+class TestChainAtScale:
+    P_VALUES = (1.0, 2.0, math.inf)
+    R_VALUES = (0.5, 1.0, 2.0)
 
-    @staticmethod
-    def _fresh(fhat, syms):
-        return _kernel_matrix(fhat.lam, fhat.grid) @ (fhat.values[:, None] * syms)
-
-    def test_repeat_returns_the_read_only_batch(self, grid, gauss):
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_equivalence_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        syms = self._symbols(grid, 3)
-        batch = smoothness._inverse_batch(fhat, syms)
-        assert not batch.flags.writeable
+        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, fhat=fhat)
+        assert set(chain) == {(p, r) for p in self.P_VALUES for r in self.R_VALUES}
+        for (p, r), values in chain.items():
+            assert values == {
+                "omega": modulus(gauss, t, r, p, PARAMS, fhat=fhat).value,
+                "diff": diff_norm(gauss, t, r, p, PARAMS, fhat=fhat),
+                "K": k_functional_upper(gauss, t, r, p, PARAMS, fhat=fhat),
+            }
+
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_realization_values_equal_single_calls(self, gauss, t):
+        fhat = hankel(gauss, LAM)
+        approxes = {p: best_approx(gauss, 1.0 / t, p, PARAMS, fhat=fhat) for p in self.P_VALUES}
+        chain = chain_at_scale(
+            gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, fhat=fhat, approxes=approxes
+        )
+        for (p, r), values in chain.items():
+            ba = approxes[p]
+            assert values == {
+                "omega": modulus(gauss, t, r, p, PARAMS, fhat=fhat).value,
+                "K": k_functional_upper(gauss, t, r, p, PARAMS, fhat=fhat),
+                "Rstar": realization(gauss, t, r, p, PARAMS, approx=ba).value,
+                "R": realization_candidate_min(gauss, t, r, p, PARAMS, fhat=fhat, approx=ba),
+            }
+
+    def test_rejects_nonpositive_scale_or_order(self, gauss):
         with pytest.raises(ValueError):
-            batch[0, 0] = 0.0
-        assert smoothness._inverse_batch(fhat, syms.copy()) is batch
-        assert np.array_equal(batch, self._fresh(fhat, syms))
+            chain_at_scale(gauss, 0.0, (1.0,), (2.0,), PARAMS)
+        with pytest.raises(ValueError):
+            chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), PARAMS)
 
-    def test_different_symbols_of_same_shape_miss(self, grid, gauss):
+
+class TestSpectrumPassThrough:
+    def test_spectral_tail_takes_the_spectrum(self, gauss):
         fhat = hankel(gauss, LAM)
-        syms = self._symbols(grid, 3)
-        other = syms.copy()
-        other[5, 1] *= 0.5
-        batch = smoothness._inverse_batch(fhat, syms)
-        miss = smoothness._inverse_batch(fhat, other)
-        assert miss is not batch
-        assert np.array_equal(miss, self._fresh(fhat, other))
-        assert not np.array_equal(miss, batch)
+        for sigma in (0.0, 1.3, 4.0):
+            assert spectral_tail_l2(gauss, LAM, sigma, fhat=fhat) == spectral_tail_l2(
+                gauss, LAM, sigma
+            )
 
-    def test_equal_spectrum_object_misses(self, grid, gauss):
-        fhat, twin = hankel(gauss, LAM), hankel(gauss, LAM)
-        assert np.array_equal(fhat.values, twin.values)
-        syms = self._symbols(grid, 3)
-        batch = smoothness._inverse_batch(fhat, syms)
-        again = smoothness._inverse_batch(twin, syms)
-        assert again is not batch
-        assert np.array_equal(again, batch)
-
-    def test_memo_stays_within_its_bound(self, grid, gauss):
+    def test_marchaud_takes_the_spectrum(self, gauss):
         fhat = hankel(gauss, LAM)
-        bound = 8
-        batches = []
-        for j in range(2 * bound + 1):
-            batches.append(smoothness._inverse_batch(fhat, self._symbols(grid, 2, shift=j)))
-            assert smoothness._inverse_batch_of.cache_info().currsize <= bound
-        # the most recent entry hits; the first has been evicted
-        last = self._symbols(grid, 2, shift=2 * bound)
-        assert smoothness._inverse_batch(fhat, last) is batches[-1]
-        assert smoothness._inverse_batch(fhat, self._symbols(grid, 2)) is not batches[0]
+        assert marchaud_bound(gauss, 0.2, 1.0, 2, PARAMS, fhat=fhat) == marchaud_bound(
+            gauss, 0.2, 1.0, 2, PARAMS
+        )
