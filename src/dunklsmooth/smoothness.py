@@ -522,8 +522,10 @@ def chain_at_scale(
     stay single-column products: a one-column slice of a wide product is not
     bit-equal to the matrix-vector product ``diff_norm`` makes.
     """
-    if not (t > 0) or min(r_values) <= 0:
+    if not (t > 0) or any(r <= 0 for r in r_values):
         raise ValueError("t and r must be positive")
+    if not r_values:
+        return {}
     lam = params.lambda_k
     fhat = hankel(f, lam) if fhat is None else fhat
     grid, nodes = fhat.grid, fhat.grid.nodes

@@ -385,6 +385,10 @@ class TestChainAtScale:
         with pytest.raises(ValueError):
             chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), PARAMS)
 
+    def test_empty_sweep_axes_give_no_values(self, gauss):
+        assert chain_at_scale(gauss, 0.1, (), (2.0,), PARAMS) == {}
+        assert chain_at_scale(gauss, 0.1, (1.0,), (), PARAMS) == {}
+
 
 class TestSpectrumPassThrough:
     def test_spectral_tail_takes_the_spectrum(self, gauss):
