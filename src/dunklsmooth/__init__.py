@@ -19,8 +19,6 @@ from .weights import (
 from .special import (
     BesselEvaluator,
     bessel_norm,
-    bessel_norm_one_minus,
-    bessel_norm_derivative,
     jm_multiplier,
     binom_frac,
     binom_tail_bound,

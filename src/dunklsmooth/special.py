@@ -23,8 +23,6 @@ __all__ = [
     "BESSEL_ARG_MAX",
     "BesselEvaluator",
     "bessel_norm",
-    "bessel_norm_one_minus",
-    "bessel_norm_derivative",
     "jm_multiplier",
     "binom_frac",
     "binom_tail_bound",
@@ -118,18 +116,6 @@ class BesselEvaluator:
 def bessel_norm(lam: float, t):
     """Normalized Bessel function j_lam(t); accepts scalars or arrays."""
     return BesselEvaluator(lam)(t)
-
-
-def bessel_norm_one_minus(lam: float, t):
-    """1 - j_lam(t) without small-argument cancellation."""
-    return BesselEvaluator(lam).one_minus(t)
-
-
-def bessel_norm_derivative(lam: float, t):
-    """d/dt j_lam(t) = -t/(2(lam+1)) * j_(lam+1)(t)."""
-    _check_order(lam)
-    arr = np.asarray(t, dtype=float)
-    return -(arr / (2.0 * (lam + 1.0))) * BesselEvaluator(lam + 1.0)(arr)
 
 
 def jm_multiplier(lam: float, m: float, t):

@@ -22,7 +22,7 @@ either order; a fixed canonical order removes the association ambiguity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -153,10 +153,6 @@ def spectrum_from_values(
 # Hankel transform
 # --------------------------------------------------------------------------
 
-# rows per block of the self-dual kernel's upper triangle; 128-row blocks
-# evaluate a quarter more points at n = 512 and build more slowly there
-_KERNEL_BLOCK = 32
-
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
@@ -165,22 +161,71 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _panel_slices(grid: RadialGrid) -> list[tuple[slice, int, int]]:
+    """(slice, base panel, exponent) per nonempty panel of the grid.
+
+    A panel's base is the first earlier base panel whose nodes, scaled by
+    2^e, are bit-equal to its own (checked, not assumed); a panel without
+    one is its own base with e = 0.  A grid without panel edges is one
+    panel.
+    """
+    nodes = grid.nodes
+    cuts = np.searchsorted(nodes, grid.panel_edges[1:-1]) if grid.panel_edges else []
+    bounds = [0, *(int(c) for c in cuts), nodes.size]
+    panels: list[tuple[slice, int, int]] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi == lo:
+            continue
+        own = nodes[lo:hi]
+        base, exp = len(panels), 0
+        for index, (sl, b, _) in enumerate(panels):
+            other = nodes[sl]
+            if b != index or other.size != own.size:
+                continue
+            e = int(np.frexp(own[0])[1] - np.frexp(other[0])[1])
+            if np.array_equal(np.ldexp(other, e), own):
+                base, exp = index, e
+                break
+        panels.append((slice(lo, hi), base, exp))
+    return panels
+
+
+def _bessel_outer(evaluator: BesselEvaluator, grid: RadialGrid) -> np.ndarray:
+    """evaluator(outer(nodes, nodes)), evaluating each distinct panel block once.
+
+    Nodes of panels p and q with bases bp, bq and exponents ep, eq give the
+    block outer(nodes_p, nodes_q) = 2^(ep+eq) outer(base_bp, base_bq), and
+    power-of-two scaling is exact in floating point: blocks with the same
+    base pair and exponent sum hold bit-equal arguments, hence bit-equal
+    values.  Each such block is evaluated once; its other occurrences and
+    the lower triangle are copied from the output already written, so no
+    block outlives its copy.
+    """
+    panels = _panel_slices(grid)
+    mat = np.empty((grid.n, grid.n))
+    written: dict[tuple[int, int, int], tuple[slice, slice]] = {}
+    for p, (rows, bp, ep) in enumerate(panels):
+        for cols, bq, eq in panels[p:]:
+            key = (bp, bq, ep + eq)
+            if key in written:
+                mat[rows, cols] = mat[written[key]]
+            else:
+                mat[rows, cols] = evaluator(np.multiply.outer(grid.nodes[rows], grid.nodes[cols]))
+                written[key] = (rows, cols)
+            if rows != cols:
+                mat[cols, rows] = mat[rows, cols].T
+    return mat
+
+
 @lru_cache(maxsize=12)
 def _kernel_matrix(lam: float, grid: RadialGrid) -> np.ndarray:
     """K[i, j] = j_lam(r_i t_j) * nu-weight_j; the transform is K @ values.
 
     Cached per (lam, grid), read-only: harness sweeps apply the same
-    transform thousands of times.  The argument matrix r_i t_j is symmetric,
-    so only its upper triangle is evaluated, in blocks of ``_KERNEL_BLOCK``
-    rows that keep the temporaries small next to the kernel itself.
+    transform thousands of times.  The Bessel part is built from its
+    distinct panel blocks (see ``_bessel_outer``).
     """
-    evaluator = BesselEvaluator(lam)
-    nodes = grid.nodes
-    mat = np.empty((nodes.size, nodes.size))
-    for i in range(0, nodes.size, _KERNEL_BLOCK):
-        block = evaluator(np.multiply.outer(nodes[i : i + _KERNEL_BLOCK], nodes[i:]))
-        mat[i : i + _KERNEL_BLOCK, i:] = block
-        mat[i:, i : i + _KERNEL_BLOCK] = block.T
+    mat = _bessel_outer(BesselEvaluator(lam), grid)
     mat *= nu_weights(grid, lam)[None, :]
     mat.flags.writeable = False
     return mat
@@ -218,6 +263,11 @@ def inverse_hankel(s: Spectrum) -> RadialFunction:
     return RadialFunction(grid=s.grid, values=mat @ s.values, label=s.label)
 
 
+# 32-node Gauss-Legendre rule on [-1, 1] for the panel a cut at sigma splits
+_CUT_NODES, _CUT_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_CUT_NODES.flags.writeable = _CUT_WEIGHTS.flags.writeable = False
+
+
 def spectral_tail_l2(
     f: RadialFunction, lam: float, sigma: float, fhat: Spectrum | None = None
 ) -> float:
@@ -243,9 +293,8 @@ def spectral_tail_l2(
     whole = float(np.sum(nuw[grid.nodes > cut_edge] * np.abs(fhat.values[grid.nodes > cut_edge]) ** 2))
     partial = 0.0
     if cut_edge > sigma:
-        x, w = np.polynomial.legendre.leggauss(32)
-        r = 0.5 * (cut_edge - sigma) * (x + 1.0) + sigma
-        wr = 0.5 * (cut_edge - sigma) * w
+        r = 0.5 * (cut_edge - sigma) * (_CUT_NODES + 1.0) + sigma
+        wr = 0.5 * (cut_edge - sigma) * _CUT_WEIGHTS
         kernel = BesselEvaluator(lam)(np.multiply.outer(r, grid.nodes))
         fhat_r = kernel @ (nuw * f.values)
         b = measure_constants(lam).b_lambda
@@ -333,9 +382,12 @@ class DunklKernel1D:
         else:
             u = np.abs(prod)
             even = BesselEvaluator(self.k - 0.5)(u)
-            odd = prod / (2.0 * self.k + 1.0) * BesselEvaluator(self.k + 0.5)(u)
-            out = even + 1j * odd
+            out = self._assemble(prod, even, BesselEvaluator(self.k + 0.5)(u))
         return complex(out) if scalar else out
+
+    def _assemble(self, prod, even, odd):
+        """e_k from x*y and j_(k-1/2), j_(k+1/2) at |x*y| (k > 0)."""
+        return even + 1j * (prod / (2.0 * self.k + 1.0) * odd)
 
 
 def dunkl_kernel_1d(k: float, x: float, y: float) -> complex:
@@ -345,19 +397,31 @@ def dunkl_kernel_1d(k: float, x: float, y: float) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricGrid:
-    """Mirror image of a RadialGrid: quadrature on [-rmax, rmax] minus {0}."""
+    """Mirror image of a RadialGrid: quadrature on [-rmax, rmax] minus {0}.
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    rmax: float
+    Nodes, weights and rmax derive from ``radial``; node i < n is the
+    negated radial node n-1-i, node n+i the radial node i.
+    """
+
+    radial: RadialGrid
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        radial = self.radial
+        nodes = np.concatenate([-radial.nodes[::-1], radial.nodes])
+        weights = np.concatenate([radial.weights[::-1], radial.weights])
+        nodes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_radial(cls, grid: RadialGrid) -> "SymmetricGrid":
-        return cls(
-            nodes=np.concatenate([-grid.nodes[::-1], grid.nodes]),
-            weights=np.concatenate([grid.weights[::-1], grid.weights]),
-            rmax=grid.rmax,
-        )
+        return cls(grid)
+
+    @property
+    def rmax(self) -> float:
+        return self.radial.rmax
 
     @property
     def n(self) -> int:
@@ -394,7 +458,18 @@ def _mu_weights(k: float, grid: SymmetricGrid) -> np.ndarray:
 
 def _dunkl_apply(f: LineFunction, k: float, conjugate: bool) -> LineFunction:
     mu = _mu_weights(k, f.grid)
-    kernel = DunklKernel1D(k)(f.grid.nodes[None, :], f.grid.nodes[:, None])
+    x = f.grid.nodes
+    if k == 0.0:
+        kernel = DunklKernel1D(k)(x[None, :], x[:, None])
+    else:
+        # |x_i x_j| is a radial product r_a r_b exactly, so both Bessel parts
+        # are radial matrices mirrored by index reversal
+        radial = f.grid.radial
+        order = np.concatenate([np.arange(radial.n - 1, -1, -1), np.arange(radial.n)])
+        mirror = np.ix_(order, order)
+        even = _bessel_outer(BesselEvaluator(k - 0.5), radial)[mirror]
+        odd = _bessel_outer(BesselEvaluator(k + 0.5), radial)[mirror]
+        kernel = DunklKernel1D(k)._assemble(x[None, :] * x[:, None], even, odd)
     if conjugate:
         kernel = np.conj(kernel)
     vals = (kernel * mu[None, :]) @ f.values

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunklsmooth.special import (
+    BesselEvaluator,
     bessel_norm,
-    bessel_norm_derivative,
-    bessel_norm_one_minus,
     binom_frac,
     binom_tail_bound,
     jm_multiplier,
@@ -92,28 +91,6 @@ class TestBesselNorm:
         assert abs(bessel_norm(lam, t)) <= 1.0 + 1e-12
 
 
-class TestBesselDerivative:
-    def test_zero_at_origin(self):
-        assert bessel_norm_derivative(0.7, 0.0) == 0.0
-
-    def test_identity_value(self):
-        # j'_{1/2}(1) = -(1/3) j_{3/2}(1); oracle evaluates the series.
-        expected = -(1.0 / 3.0) * series_oracle(1.5, 1.0)
-        assert bessel_norm_derivative(0.5, 1.0) == pytest.approx(expected, abs=1e-13)
-
-    def test_central_difference_single_point(self):
-        h = 1e-5
-        fd = (bessel_norm(1.0, 2.0 + h) - bessel_norm(1.0, 2.0 - h)) / (2 * h)
-        assert bessel_norm_derivative(1.0, 2.0) == pytest.approx(fd, abs=1e-6)
-
-    @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 2.5])
-    def test_central_difference_sweep(self, lam):
-        t = np.linspace(0.1, 50.0, 120)
-        h = 1e-6
-        fd = (bessel_norm(lam, t + h) - bessel_norm(lam, t - h)) / (2 * h)
-        assert np.max(np.abs(bessel_norm_derivative(lam, t) - fd)) < 1e-8
-
-
 def one_minus_oracle(lam: float, t: float, terms: int = 400) -> float:
     """High-precision 1 - j_lam(t): the k >= 1 series terms, negated."""
     with mpmath.workdps(60 + int(0.5 * t)):
@@ -135,14 +112,14 @@ class TestOneMinus:
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.09, 0.11, 1.0, 10.0])
     def test_matches_oracle(self, lam, t):
         expected = one_minus_oracle(lam, t)
-        got = bessel_norm_one_minus(lam, t)
+        got = BesselEvaluator(lam).one_minus(t)
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-25)
 
     def test_small_argument_relative_accuracy(self):
         # The naive 1 - j loses ~10 digits here; the series branch must not.
         lam, t = 1.0, 1e-6
         lead = t * t / (4.0 * (lam + 1.0))
-        got = bessel_norm_one_minus(lam, t)
+        got = BesselEvaluator(lam).one_minus(t)
         assert got == pytest.approx(lead, rel=1e-6)
 
 

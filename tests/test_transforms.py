@@ -9,7 +9,9 @@ from scipy.special import gammaincc
 
 from dunklsmooth import transforms
 from dunklsmooth.quad import (
+    GRID_KINDS,
     RadialFunction,
+    RadialGrid,
     load_radial_csv,
     lp_norm,
     make_grid,
@@ -18,6 +20,7 @@ from dunklsmooth.quad import (
 )
 from dunklsmooth.special import BesselEvaluator, bessel_norm
 from dunklsmooth.transforms import (
+    DunklKernel1D,
     LineFunction,
     SymmetricGrid,
     bandlimit_project,
@@ -93,14 +96,57 @@ class TestHankel:
         assert not hankel(fast, 0.0).truncated
 
 
+def full_kernel(lam, g):
+    """The kernel evaluated point by point, without any block sharing."""
+    return BesselEvaluator(lam)(np.multiply.outer(g.nodes, g.nodes)) * nu_weights(g, lam)[None, :]
+
+
+def count_bessel_points(monkeypatch):
+    """Counter of the arguments passed to BesselEvaluator.__call__."""
+    points = [0]
+    original = BesselEvaluator.__call__
+
+    def counting(self, t):
+        points[0] += np.size(t)
+        return original(self, t)
+
+    monkeypatch.setattr(BesselEvaluator, "__call__", counting)
+    return points
+
+
 class TestKernelMatrix:
     @pytest.mark.parametrize("lam", [-0.25, 0.0, 1.7])
     def test_self_dual_blocks_match_full_evaluation(self, lam):
-        # n = 100 leaves a last block of 4 rows
+        for kind in GRID_KINDS:
+            for rmax, n in ((30.0, 100), (12.0, 256), (7.0, 777)):
+                g = make_grid(rmax, n, kind)
+                mat = transforms._kernel_matrix.__wrapped__(lam, g)
+                assert np.array_equal(mat, full_kernel(lam, g)), (kind, rmax, n)
+
+    @pytest.mark.parametrize("lam", [-0.25, 1.7])
+    def test_grid_without_panel_edges_is_one_block(self, lam):
+        g = make_grid(12.0, 256)
+        bare = RadialGrid(nodes=g.nodes, weights=g.weights, rmax=g.rmax)
+        assert np.array_equal(transforms._kernel_matrix.__wrapped__(lam, bare), full_kernel(lam, g))
+
+    def test_panel_scaling_is_checked(self):
+        # one panel's nodes are nudged off the exact 2^e image of its base
+        # panel, so its blocks may not be copied from the base's
         g = make_grid(30.0, 100)
-        mat = transforms._kernel_matrix.__wrapped__(lam, g)
-        full = BesselEvaluator(lam)(np.multiply.outer(g.nodes, g.nodes))
-        assert np.array_equal(mat, full * nu_weights(g, lam)[None, :])
+        nodes = g.nodes.copy()
+        lo, hi = np.searchsorted(nodes, g.panel_edges[5:7])
+        nodes[lo:hi] *= 1.0 + 2.0**-40
+        nudged = RadialGrid(nodes=nodes, weights=g.weights, rmax=g.rmax, panel_edges=g.panel_edges)
+        mat = transforms._kernel_matrix.__wrapped__(0.25, nudged)
+        assert np.array_equal(mat, full_kernel(0.25, nudged))
+        assert not np.array_equal(mat, transforms._kernel_matrix.__wrapped__(0.25, g))
+
+    def test_build_evaluates_distinct_blocks_only(self, monkeypatch):
+        n = 512
+        g = make_grid(30.0, n)
+        points = count_bessel_points(monkeypatch)
+        transforms._kernel_matrix.__wrapped__(0.8125, g)
+        assert 0 < points[0] <= 0.6 * n * (n + 1) / 2
 
     def test_self_dual_build_peak_memory(self):
         lam = 0.8125
@@ -407,6 +453,31 @@ class TestDunklTransform1D:
         assert dunkl_transform_1d(slow, 0.75).truncated
         fast = LineFunction(grid=sym_grid, values=np.exp(-0.5 * sym_grid.nodes**2))
         assert not dunkl_transform_1d(fast, 0.75).truncated
+
+    def test_grid_mirrors_its_radial_grid(self, sym_grid):
+        radial = sym_grid.radial
+        assert np.array_equal(sym_grid.nodes, np.concatenate([-radial.nodes[::-1], radial.nodes]))
+        weights = np.concatenate([radial.weights[::-1], radial.weights])
+        assert np.array_equal(sym_grid.weights, weights)
+        assert sym_grid.rmax == radial.rmax and sym_grid.n == 2 * radial.n
+
+    @pytest.mark.parametrize("k", [0.0, 0.25, 0.75, 2.4])
+    def test_transforms_equal_direct_kernel_evaluation(self, sym_grid, k):
+        x = sym_grid.nodes
+        kernel = DunklKernel1D(k)(x[None, :], x[:, None])
+        mu = transforms._mu_weights(k, sym_grid)
+        f = LineFunction(grid=sym_grid, values=np.exp(-0.5 * x * x) * (1.0 + 0.3 * x))
+        g = dunkl_transform_1d(f, k)
+        assert np.array_equal(g.values, (np.conj(kernel) * mu[None, :]) @ f.values)
+        back = dunkl_inverse_1d(g, k)
+        assert np.array_equal(back.values, (kernel * mu[None, :]) @ g.values)
+
+    def test_transform_reuses_the_radial_evaluation(self, sym_grid, monkeypatch):
+        f = LineFunction(grid=sym_grid, values=np.exp(-0.5 * sym_grid.nodes**2))
+        points = count_bessel_points(monkeypatch)
+        dunkl_transform_1d(f, 1.1)
+        # the pointwise kernel evaluates both Bessel parts at all (2n)^2 points
+        assert 0 < points[0] <= 2 * sym_grid.n**2 / 8
 
 
 class TestBoundaryIndex:
