@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 from .harness import (
     ConfigError,
@@ -33,7 +34,9 @@ from .transforms import hankel, save_spectrum_csv
 __all__ = ["main"]
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one tree serves every call
     parser = argparse.ArgumentParser(
         prog="dunklsmooth",
         description="Weighted radial transforms and smoothness-inequality certification.",

@@ -259,15 +259,17 @@ def _read_csv(
     rows = [ln for ln in lines[1:] if ln and not ln.startswith(("#", "node,"))]
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    # one float() per field over a single split; the comma counts give the
+    # row widths, so fields are converted (and rejected) exactly as per row
     try:
-        table = [[float(x) for x in ln.split(",")] for ln in rows]
+        table = np.fromiter(map(float, ",".join(rows).split(",")), float)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    width = len(table[0])
-    if width not in columns or any(len(row) != width for row in table):
+    width = rows[0].count(",") + 1
+    if width not in columns or any(ln.count(",") != width - 1 for ln in rows):
         allowed = " or ".join(map(str, columns))
         raise ValueError(f"{path}: every data row must have the same {allowed} columns")
-    return fields, np.array(table)
+    return fields, table.reshape(len(rows), width)
 
 
 def _match_grid(path: str | Path, nodes: np.ndarray, rmaxes: tuple[float, ...]) -> RadialGrid:

@@ -22,6 +22,7 @@ either order; a fixed canonical order removes the association ambiguity).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -190,30 +191,123 @@ def _panel_slices(grid: RadialGrid) -> list[tuple[slice, int, int]]:
     return panels
 
 
+# Most Bessel points one evaluator call takes in _bessel_outer: large enough
+# to spread the call's fixed cost, small enough that a batch's temporaries
+# stay a few percent of an n >= 1024 kernel
+_BESSEL_BATCH = 1 << 13
+
+
+def _batches(blocks) -> Iterator[list[tuple[slice, slice, np.ndarray | None]]]:
+    """The points of (rows, cols, symmetric) blocks in batches of at most
+    _BESSEL_BATCH points.
+
+    A batch is a list of (rows, cols, upper) rectangles: runs of whole block
+    rows, or segments of one row wider than a batch.  A symmetric block
+    contributes only its upper triangle, the points ``upper`` masks in the
+    rectangle (None: every point).
+    """
+    cap = _BESSEL_BATCH
+    batch: list[tuple[slice, slice, np.ndarray | None]] = []
+    size = 0
+
+    def piece(rows, cols, symmetric, i, k, lo, hi):
+        upper = np.arange(lo, hi)[None, :] >= np.arange(i, k)[:, None] if symmetric else None
+        return slice(rows.start + i, rows.start + k), slice(cols.start + lo, cols.start + hi), upper
+
+    for rows, cols, symmetric in blocks:
+        height, width = rows.stop - rows.start, cols.stop - cols.start
+        whole = height * (height + 1) // 2 if symmetric else height * width
+        if size + whole <= cap:
+            batch.append(piece(rows, cols, symmetric, 0, height, 0, width))
+            size += whole
+            continue
+        # points in rows 0..i-1 of the block, for each i
+        ends = np.zeros(height + 1, dtype=np.int64)
+        np.cumsum(width - np.arange(height) if symmetric else np.full(height, width), out=ends[1:])
+        i = 0
+        while i < height:
+            lo = i if symmetric else 0
+            if width - lo > cap:
+                for seg in range(lo, width, cap):
+                    if batch:
+                        yield batch
+                    hi = min(seg + cap, width)
+                    batch, size = [piece(rows, cols, symmetric, i, i + 1, seg, hi)], hi - seg
+                i += 1
+                continue
+            k = int(np.searchsorted(ends, ends[i] + cap - size, side="right")) - 1
+            if k == i:
+                yield batch
+                batch, size = [], 0
+                continue
+            batch.append(piece(rows, cols, symmetric, i, k, lo, width))
+            size += int(ends[k] - ends[i])
+            i = k
+    if batch:
+        yield batch
+
+
+def _mirror_upper(block: np.ndarray) -> None:
+    """Copy a square block's upper triangle onto its lower triangle, in bands
+    of rows whose temporaries hold at most _BESSEL_BATCH values."""
+    m = block.shape[0]
+    band = max(1, _BESSEL_BATCH // m)
+    for a in range(0, m, band):
+        b = min(a + band, m)
+        lower = np.arange(b)[None, :] < np.arange(a, b)[:, None]
+        np.copyto(block[a:b, :b], block[:b, a:b].T, where=lower)
+
+
 def _bessel_outer(evaluator: BesselEvaluator, grid: RadialGrid) -> np.ndarray:
-    """evaluator(outer(nodes, nodes)), evaluating each distinct panel block once.
+    """evaluator(outer(nodes, nodes)), evaluating each distinct argument once.
 
     Nodes of panels p and q with bases bp, bq and exponents ep, eq give the
     block outer(nodes_p, nodes_q) = 2^(ep+eq) outer(base_bp, base_bq), and
     power-of-two scaling is exact in floating point: blocks with the same
-    base pair and exponent sum hold bit-equal arguments, hence bit-equal
-    values.  Each such block is evaluated once; its other occurrences and
-    the lower triangle are copied from the output already written, so no
-    block outlives its copy.
+    key (bp, bq, ep+eq) hold bit-equal arguments, hence bit-equal values,
+    and the block keyed (bq, bp, ep+eq) holds their transpose.  A block with
+    bp == bq is moreover symmetric, since base_i base_j = base_j base_i.
+
+    The first block of each key in the upper block triangle is evaluated,
+    only its upper triangle when symmetric, in batches of at most
+    _BESSEL_BATCH points; j_lam acts elementwise, so batching changes no
+    value.  Every other block is then copied from the first of its key, or
+    transposed from the first of the transposed key.
     """
     panels = _panel_slices(grid)
+    nodes = grid.nodes
     mat = np.empty((grid.n, grid.n))
-    written: dict[tuple[int, int, int], tuple[slice, slice]] = {}
+    first: dict[tuple[int, int, int], tuple[slice, slice, bool]] = {}
     for p, (rows, bp, ep) in enumerate(panels):
         for cols, bq, eq in panels[p:]:
-            key = (bp, bq, ep + eq)
-            if key in written:
-                mat[rows, cols] = mat[written[key]]
+            first.setdefault((bp, bq, ep + eq), (rows, cols, bp == bq))
+    for batch in _batches(first.values()):
+        args = []
+        for rows, cols, upper in batch:
+            outer = np.multiply.outer(nodes[rows], nodes[cols])
+            args.append(outer.ravel() if upper is None else outer[upper])
+        values = evaluator(np.concatenate(args))
+        at = 0
+        for (rows, cols, upper), part in zip(batch, args):
+            vals = values[at:at + part.size]
+            at += part.size
+            if upper is None:
+                mat[rows, cols] = vals.reshape(rows.stop - rows.start, -1)
             else:
-                mat[rows, cols] = evaluator(np.multiply.outer(grid.nodes[rows], grid.nodes[cols]))
+                mat[rows, cols][upper] = vals
+    written = {}
+    for key, (rows, cols, symmetric) in first.items():
+        if symmetric:
+            _mirror_upper(mat[rows, cols])
+        written[key] = (rows, cols)
+    for rows, bp, ep in panels:
+        for cols, bq, eq in panels:
+            key = (bp, bq, ep + eq)
+            if key not in written:
+                mat[rows, cols] = mat[written[bq, bp, ep + eq]].T
                 written[key] = (rows, cols)
-            if rows != cols:
-                mat[cols, rows] = mat[rows, cols].T
+            elif written[key] != (rows, cols):
+                mat[rows, cols] = mat[written[key]]
     return mat
 
 

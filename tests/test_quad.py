@@ -9,6 +9,7 @@ from dunklsmooth.quad import (
     NuIntegral,
     RadialFunction,
     RadialGrid,
+    _read_csv,
     integrate_nu,
     load_radial_csv,
     lp_norm,
@@ -207,3 +208,62 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=match) as info:
             load_radial_csv(path)
         assert str(path) in str(info.value)
+
+
+# CSV fields: float spellings (subnormals, signed zeros, infinities and nan
+# included), and junk that float() may or may not accept
+_FLOAT_FIELD = st.floats().map(repr) | st.sampled_from(
+    ["-0", "+0.0", "5e-324", "-2.2250738585072e-310", "1e309", "-inf", "Infinity", "nan",
+     " 2.5 ", "1_0"]
+)
+_FIELD = (
+    _FLOAT_FIELD
+    | st.sampled_from(["", " ", "x", "1.0.0", "--1", "1e", "0x1p3", "nan(1)"])
+    | st.text(alphabet="0123456789.eE+-_xnaif ", max_size=6)
+)
+# equal widths, mixed widths, and junk fields
+_CSV_ROWS = st.one_of(
+    st.integers(2, 3).flatmap(
+        lambda w: st.lists(st.lists(_FLOAT_FIELD, min_size=w, max_size=w), min_size=1, max_size=8)
+    ),
+    st.lists(st.lists(_FLOAT_FIELD, min_size=1, max_size=4), min_size=1, max_size=8),
+    st.lists(st.lists(_FIELD, min_size=1, max_size=4), min_size=1, max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "rows.csv"
+
+
+def read_rows_per_field(path, text, columns):
+    """The data rows of ``text`` converted one row and one float() at a time:
+    the array, or the ValueError message, a reader of the file must give."""
+    lines = text.strip().splitlines()
+    rows = [ln for ln in lines[1:] if ln and not ln.startswith(("#", "node,"))]
+    if not rows:
+        return f"{path}: no data rows"
+    try:
+        table = [[float(x) for x in ln.split(",")] for ln in rows]
+    except ValueError as exc:
+        return f"{path}: {exc}"
+    width = len(table[0])
+    if width not in columns or any(len(row) != width for row in table):
+        return f"{path}: every data row must have the same {' or '.join(map(str, columns))} columns"
+    return np.array(table)
+
+
+class TestCsvReaderProperty:
+    @given(rows=_CSV_ROWS)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_field_float(self, csv_path, rows):
+        text = "# lambda=0.5\n" + "\n".join(",".join(row) for row in rows) + "\n"
+        csv_path.write_text(text)
+        expected = read_rows_per_field(csv_path, text, (2, 3))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                _read_csv(csv_path, ("lambda",), (2, 3))
+            assert str(info.value) == expected
+        else:
+            _, data = _read_csv(csv_path, ("lambda",), (2, 3))
+            assert data.shape == expected.shape and data.tobytes() == expected.tobytes()

@@ -101,17 +101,23 @@ def full_kernel(lam, g):
     return BesselEvaluator(lam)(np.multiply.outer(g.nodes, g.nodes)) * nu_weights(g, lam)[None, :]
 
 
-def count_bessel_points(monkeypatch):
-    """Counter of the arguments passed to BesselEvaluator.__call__."""
-    points = [0]
+def record_bessel_calls(monkeypatch):
+    """Argument count of each call to BesselEvaluator.__call__, in call order."""
+    sizes: list[int] = []
     original = BesselEvaluator.__call__
 
-    def counting(self, t):
-        points[0] += np.size(t)
+    def recording(self, t):
+        sizes.append(np.size(t))
         return original(self, t)
 
-    monkeypatch.setattr(BesselEvaluator, "__call__", counting)
-    return points
+    monkeypatch.setattr(BesselEvaluator, "__call__", recording)
+    return sizes
+
+
+def distinct_products(g):
+    """Number of distinct arguments r_i r_j, i <= j, of the grid's kernel."""
+    i, j = np.triu_indices(g.n)
+    return np.unique(g.nodes[i] * g.nodes[j]).size
 
 
 class TestKernelMatrix:
@@ -142,15 +148,32 @@ class TestKernelMatrix:
         assert not np.array_equal(mat, transforms._kernel_matrix.__wrapped__(0.25, g))
 
     def test_build_evaluates_distinct_blocks_only(self, monkeypatch):
-        n = 512
-        g = make_grid(30.0, n)
-        points = count_bessel_points(monkeypatch)
+        g = make_grid(30.0, 512)
+        sizes = record_bessel_calls(monkeypatch)
         transforms._kernel_matrix.__wrapped__(0.8125, g)
-        assert 0 < points[0] <= 0.6 * n * (n + 1) / 2
+        assert sum(sizes) == distinct_products(g)
 
-    def test_self_dual_build_peak_memory(self):
+    @pytest.mark.parametrize("cap", [transforms._BESSEL_BATCH, 100])
+    @pytest.mark.parametrize("bare", [False, True], ids=["panels", "bare"])
+    def test_evaluator_calls_stay_within_the_batch_cap(self, monkeypatch, cap, bare):
+        # at cap 100 the bare grid's rows are wider than a batch and are split
+        g = make_grid(12.0, 256)
+        if bare:
+            g = RadialGrid(nodes=g.nodes, weights=g.weights, rmax=g.rmax)
+        monkeypatch.setattr(transforms, "_BESSEL_BATCH", cap)
+        sizes = record_bessel_calls(monkeypatch)
+        mat = transforms._kernel_matrix.__wrapped__(1.7, g)
+        assert 0 < max(sizes) <= cap
+        # a bare grid has no panels to share, only its symmetry
+        assert sum(sizes) == (g.n * (g.n + 1) // 2 if bare else distinct_products(g))
+        assert np.array_equal(mat, full_kernel(1.7, g))
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["panels", "bare"])
+    def test_self_dual_build_peak_memory(self, bare):
         lam = 0.8125
         g = make_grid(30.0, 1024)
+        if bare:
+            g = RadialGrid(nodes=g.nodes, weights=g.weights, rmax=g.rmax)
         nu_weights(g, lam)
         tracemalloc.start()
         try:
@@ -474,10 +497,11 @@ class TestDunklTransform1D:
 
     def test_transform_reuses_the_radial_evaluation(self, sym_grid, monkeypatch):
         f = LineFunction(grid=sym_grid, values=np.exp(-0.5 * sym_grid.nodes**2))
-        points = count_bessel_points(monkeypatch)
+        sizes = record_bessel_calls(monkeypatch)
         dunkl_transform_1d(f, 1.1)
-        # the pointwise kernel evaluates both Bessel parts at all (2n)^2 points
-        assert 0 < points[0] <= 2 * sym_grid.n**2 / 8
+        # each Bessel part is evaluated once per distinct radial product, where
+        # the pointwise kernel would take all (2n)^2 points
+        assert sum(sizes) == 2 * distinct_products(sym_grid.radial)
 
 
 class TestBoundaryIndex:
