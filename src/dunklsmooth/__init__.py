@@ -26,12 +26,10 @@ from .special import (
 from .quad import (
     RadialGrid,
     RadialFunction,
-    NuIntegral,
     DEFAULT_RMAX,
     DEFAULT_N,
     make_grid,
     default_grid,
-    integrate_nu,
     lp_norm,
     save_radial_csv,
     load_radial_csv,
@@ -55,7 +53,6 @@ from .transforms import (
 from .operators import (
     eta,
     translate_T,
-    translate_tau_1d,
     frac_laplacian,
     frac_difference,
     SeriesDifference,

@@ -34,6 +34,16 @@ from .transforms import hankel, save_spectrum_csv
 __all__ = ["main"]
 
 
+def _p_flag(text: str) -> float:
+    """A --p value: a number, or inf."""
+    if text.lower() in ("inf", "infinity"):
+        return math.inf
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or inf, got {text!r}") from None
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     # parse_args leaves the parser unchanged, so one tree serves every call
@@ -50,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", help="run one experiment from flags")
     ver_p.add_argument("experiment", help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
     ver_p.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    ver_p.add_argument("--p", default="2")
+    ver_p.add_argument("--p", type=_p_flag, default="2")
     ver_p.add_argument("--m", type=float, default=1.0)
     ver_p.add_argument("--r", type=float, default=1.0)
     ver_p.add_argument("--scale-min", type=float, default=None)
@@ -63,18 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--lambda", dest="lam", type=float, required=True)
     tr_p.add_argument("--output", required=True)
     return parser
-
-
-_VERIFY_SCALE_DEFAULTS = {
-    "jackson": (2.0, 16.0),
-    "bernstein": (1.0, 8.0),
-    "nikolskii_stechkin": (0.01, 0.125),
-    "boas": (0.01, 0.125),
-    "general_entire": (0.01, 0.125),
-    "equivalence": (0.05, 0.8),
-    "realization": (0.05, 0.8),
-    "inverse": (0.05, 0.8),
-}
 
 
 def _cmd_run(args) -> int:
@@ -96,14 +94,14 @@ def _cmd_verify(args) -> int:
         print(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}",
               file=sys.stderr)
         return 2
-    lo, hi = _VERIFY_SCALE_DEFAULTS[name]
-    lo = args.scale_min if args.scale_min is not None else lo
-    hi = args.scale_max if args.scale_max is not None else hi
-    p = math.inf if str(args.p).lower() in ("inf", "infinity") else float(args.p)
+    scale = next(cfg.scale for cfg in parse_config(default_config()).experiments
+                 if cfg.name == name)
+    lo = args.scale_min if args.scale_min is not None else scale.lo
+    hi = args.scale_max if args.scale_max is not None else scale.hi
     cfg = ExperimentConfig(
         name=name,
         lambda_values=(args.lam,),
-        p_values=(p,),
+        p_values=(args.p,),
         m_values=(args.m,),
         r_values=(args.r,),
         scale=ScaleGrid(lo, hi, args.points),

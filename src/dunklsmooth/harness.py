@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .smoothness import (
 )
 from .special import BESSEL_ARG_MAX
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
-from .weights import params_from_lambda
+from .weights import WeightParams, params_from_lambda
 
 __all__ = [
     "ConfigError",
@@ -161,21 +161,6 @@ class ScaleGrid:
         return np.geomspace(self.lo, self.hi, self.points)
 
 
-DEFAULT_WINDOWS = {
-    "jackson": (0.0, 20.0),
-    "equivalence": (0.05, 20.0),
-    "bernstein": (0.0, 20.0),
-    "nikolskii_stechkin": (0.0, 20.0),
-    "boas": (0.05, 20.0),
-    "general_entire": (0.0, 20.0),
-    "realization": (0.05, 20.0),
-    "inverse": (0.0, 1.0),
-}
-
-_TWO_SIDED = {"equivalence", "boas", "realization"}
-_DRIFT_CHECKED = {"equivalence", "realization"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep parameters for one experiment."""
@@ -187,7 +172,7 @@ class ExperimentConfig:
     r_values: tuple[float, ...] = (1.0,)
     scale: ScaleGrid = ScaleGrid(0.05, 0.8, 5)
     test_functions: tuple[str, ...] = ("gaussian",)
-    window: tuple[float, float] | None = None  # None: DEFAULT_WINDOWS[name]
+    window: tuple[float, float] | None = None  # None: the experiment's default
     drift_max: float = 4.0
     sigma: float = 4.0
     thetas: tuple[float, ...] = (1.0, 0.5, 0.25)
@@ -196,13 +181,16 @@ class ExperimentConfig:
     delta_values: tuple[float, ...] = (0.1, 0.2, 0.4)
 
     def __post_init__(self) -> None:
-        if self.window is None:
-            object.__setattr__(self, "window", DEFAULT_WINDOWS.get(self.name))
+        if self.window is None and self.name in _SPECS:
+            object.__setattr__(self, "window", _SPECS[self.name].window)
         self.validate()
 
     def validate(self) -> None:
-        if self.name not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.name!r}; known: {sorted(EXPERIMENTS)}")
+        if self.name not in _SPECS:
+            raise ConfigError(f"unknown experiment {self.name!r}; known: {sorted(_SPECS)}")
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), tuple) and not getattr(self, f.name):
+                raise ConfigError(f"{self.name}: {f.name} must not be empty")
         for lam in self.lambda_values:
             if lam <= -0.5:
                 raise ConfigError(f"{self.name}: lambda must exceed -1/2, got {lam}")
@@ -212,17 +200,27 @@ class ExperimentConfig:
         for m in self.m_values:
             if not (m > 0):
                 raise ConfigError(f"{self.name}: m_values must be positive, got {m}")
-        if self.name in ("equivalence", "realization"):
-            for r in self.r_values:
-                if not (r > 0):
-                    raise ConfigError(f"{self.name}: r_values must be positive, got {r}")
+        # the chain experiments take r as a smoothness order; elsewhere r = 0
+        # is the plain norm
+        chain = self.name in ("equivalence", "realization")
+        for r in self.r_values:
+            if not (r > 0 if chain else r >= 0):
+                raise ConfigError(
+                    f"{self.name}: r_values must be {'positive' if chain else 'nonnegative'},"
+                    f" got {r}"
+                )
+        for theta in self.thetas:
+            if not (theta > 0):
+                raise ConfigError(f"{self.name}: thetas must be positive, got {theta}")
         lo, hi = self.window
         if not (0 <= lo < hi):
             raise ConfigError(f"{self.name}: window must satisfy 0 <= lo < hi")
         for fn in self.test_functions:
             if fn not in PROFILES:
                 raise ConfigError(f"{self.name}: unknown test function {fn!r}")
-        if self.name in ("nikolskii_stechkin", "boas", "general_entire"):
+        if not (self.sigma > 0):
+            raise ConfigError(f"{self.name}: sigma must be positive, got {self.sigma}")
+        if _SPECS[self.name].inputs == "bandlimited":
             # two-scale comparisons require steps below half the bandwidth
             if self.scale.hi > 1.0 / (2.0 * self.sigma) + 1e-12:
                 raise ConfigError(
@@ -297,8 +295,7 @@ class SmoothnessReport:
     drift_groups: dict[tuple, list[float]] = field(default_factory=dict)
     truncation_warnings: int = 0
 
-    def add(self, check, lam, p, m, r, scale, lhs, rhs, *, two_sided: bool | None = None,
-            group: tuple | None = None) -> ReportRow:
+    def add(self, check, lam, p, m, r, scale, lhs, rhs, *, group: tuple | None = None) -> ReportRow:
         lo, hi = self.window
         if rhs == 0.0 and lhs == 0.0:
             ratio = 0.0
@@ -308,9 +305,7 @@ class SmoothnessReport:
             passed = False
         else:
             ratio = lhs / rhs
-            if two_sided is None:
-                two_sided = self.experiment in _TWO_SIDED
-            passed = (ratio <= hi) and (not two_sided or ratio >= lo)
+            passed = (ratio <= hi) and (not _SPECS[self.experiment].two_sided or ratio >= lo)
         row = ReportRow(check, lam, p, m, r, scale, lhs, rhs, ratio, passed)
         self.rows.append(row)
         if group is not None and ratio > 0 and math.isfinite(ratio):
@@ -328,7 +323,7 @@ class SmoothnessReport:
     @property
     def verdict(self) -> bool:
         ok = all(row.passed for row in self.rows)
-        if self.experiment in _DRIFT_CHECKED:
+        if _SPECS[self.experiment].drift_checked:
             ok = ok and self.drift < self.drift_max
         return ok
 
@@ -381,241 +376,163 @@ def write_report(report: SmoothnessReport, output_dir: str | Path) -> tuple[Path
 # --------------------------------------------------------------------------
 
 
-def _new_report(cfg: ExperimentConfig) -> SmoothnessReport:
-    return SmoothnessReport(experiment=cfg.name, window=cfg.window, drift_max=cfg.drift_max)
+class _Input(NamedTuple):
+    """One input of a sweep: the weight index and, for experiments that sweep
+    profiles or the bandlimited input, the function with its spectrum."""
+
+    grid: RadialGrid
+    lam: float
+    params: WeightParams
+    profile: str = ""
+    f: RadialFunction | None = None
+    fhat: Spectrum | None = None
 
 
-def _profile_with_spectrum(grid, lam, name, report):
-    f = make_profile(name, grid, lam)
-    fhat = hankel(f, lam)
-    if fhat.truncated:
-        report.truncation_warnings += 1
-    return f, fhat
+def _inputs(kind: str, cfg: ExperimentConfig, grid: RadialGrid, report: SmoothnessReport):
+    """The inputs of a sweep, lambda outermost: each test function with its
+    transform ("profiles"; a truncation-suspect transform counts a warning),
+    the bandlimited input of type cfg.sigma ("bandlimited"), or lambda alone."""
+    for lam in cfg.lambda_values:
+        params = params_from_lambda(lam)
+        if kind == "profiles":
+            for name in cfg.test_functions:
+                f = make_profile(name, grid, lam)
+                fhat = hankel(f, lam)
+                report.truncation_warnings += fhat.truncated
+                yield _Input(grid, lam, params, name, f, fhat)
+        elif kind == "bandlimited":
+            shat = bandlimited_spectrum(grid, lam, cfg.sigma)
+            yield _Input(grid, lam, params, "", inverse_hankel(shat), shat)
+        else:
+            yield _Input(grid, lam, params)
 
 
-def verify_jackson(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
+def _derivative(fhat: Spectrum, r: float) -> RadialFunction:
+    """(-Lap)^(r/2) f, the inverse transform of nodes^r * fhat."""
+    nodes = fhat.grid.nodes
+    return inverse_hankel(spectrum_from_values(fhat.grid, fhat.lam, fhat.values * nodes**r))
+
+
+def _jackson_rows(report, cfg, inp):
     """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma."""
-    report = _new_report(cfg)
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        for fname in cfg.test_functions:
-            f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            for p in cfg.p_values:
-                for m in cfg.m_values:
-                    for r in cfg.r_values:
-                        if r > 0:
-                            df = inverse_hankel(
-                                spectrum_from_values(grid, lam, fhat.values * grid.nodes**r)
-                            )
-                        else:
-                            df = f
-                        for sigma in cfg.scale.values():
-                            lhs = best_approx(f, sigma, p, params, fhat=fhat).value
-                            om = modulus(df, 1.0 / sigma, m, p, params).value
-                            rhs = sigma ** (-r) * om
-                            report.add("jackson", lam, p, m, r, sigma, lhs, rhs)
-    return report
-
-
-def _chain_rows(report, cfg, lam, fname, chains, pairs):
-    """Rows of one profile's chain sweep in p, r, scale order: one row per
-    (a, b) pair of functionals, grouped for the drift check."""
     for p in cfg.p_values:
-        for r in cfg.r_values:
-            for t, chain in zip(cfg.scale.values(), chains):
-                values = chain[p, r]
-                for a, b in pairs:
-                    report.add(f"{cfg.name}:{a}/{b}", lam, p, r, r, t, values[a], values[b],
-                               group=(lam, p, r, fname, f"{a}/{b}"))
+        for m in cfg.m_values:
+            for r in cfg.r_values:
+                df = _derivative(inp.fhat, r) if r > 0 else inp.f
+                for sigma in cfg.scale.values():
+                    lhs = best_approx(inp.f, sigma, p, inp.params, fhat=inp.fhat).value
+                    om = modulus(df, 1.0 / sigma, m, p, inp.params).value
+                    report.add("jackson", inp.lam, p, m, r, sigma, lhs, sigma ** (-r) * om)
 
 
-def verify_equivalence(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """Three-way chain: K-upper, modulus, and single-difference norm at order r."""
-    report = _new_report(cfg)
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        for fname in cfg.test_functions:
-            f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            chains = [
-                chain_at_scale(f, delta, cfg.r_values, cfg.p_values, params, fhat=fhat)
-                for delta in cfg.scale.values()
-            ]
-            _chain_rows(report, cfg, lam, fname, chains,
-                        (("K", "omega"), ("omega", "diff"), ("K", "diff")))
-    return report
+def _chain_rows(pairs, approximants: bool = False):
+    """Rows of one profile's chain sweep in p, r, scale order: one row per
+    (a, b) pair of functionals, grouped for the drift check.  With
+    ``approximants`` the chain holds the realizations, whose type-1/t
+    approximant depends on neither r nor the functional."""
 
-
-def verify_realization(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """Four-way chain: candidate-grid R, near-best R*, K-upper, and modulus."""
-    report = _new_report(cfg)
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        for fname in cfg.test_functions:
-            f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            chains = []
-            for t in cfg.scale.values():
-                # the type-1/t approximant depends on neither r nor the functional
+    def rows(report, cfg, inp):
+        f, fhat, params = inp.f, inp.fhat, inp.params
+        chains = []
+        for t in cfg.scale.values():
+            approxes = None
+            if approximants:
                 approxes = {p: best_approx(f, 1.0 / t, p, params, fhat=fhat) for p in cfg.p_values}
-                chains.append(
-                    chain_at_scale(f, t, cfg.r_values, cfg.p_values, params, fhat=fhat,
-                                   approxes=approxes)
-                )
-            _chain_rows(report, cfg, lam, fname, chains,
-                        list(combinations(("R", "Rstar", "K", "omega"), 2)))
-    return report
+            chains.append(
+                chain_at_scale(f, t, cfg.r_values, cfg.p_values, params, fhat=fhat,
+                               approxes=approxes)
+            )
+        for p in cfg.p_values:
+            for r in cfg.r_values:
+                for t, chain in zip(cfg.scale.values(), chains):
+                    values = chain[p, r]
+                    for a, b in pairs:
+                        report.add(f"{cfg.name}:{a}/{b}", inp.lam, p, r, r, t, values[a],
+                                   values[b], group=(inp.lam, p, r, inp.profile, f"{a}/{b}"))
+
+    return rows
 
 
-def verify_bernstein(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
+def _spectral_bernstein(w, nodes, shat, sigma, r):
+    """||(-Lap)^(r/2) f||_2, sigma^r ||f||_2 and their ratio, in spectral
+    closed form."""
+    num = math.sqrt(float(np.sum(w * (nodes**r * shat.values) ** 2)))
+    den = sigma**r * math.sqrt(float(np.sum(w * shat.values**2)))
+    return num, den, num / den
+
+
+def _bernstein_rows(report, cfg, inp):
     """Derivative norms of bandlimited inputs against sigma^r times their norm.
 
     At p = 2 the ratio admits the exact constant 1 (checked to 1e-8); a
     shell-concentrated spectrum witnesses sharpness from below at r = 1.
     """
-    report = _new_report(cfg)
-    nodes = grid.nodes
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        w = nu_weights(grid, lam)
-        for p in cfg.p_values:
-            for r in cfg.r_values:
-                for sigma in cfg.scale.values():
-                    shat = bandlimited_spectrum(grid, lam, sigma)
-                    if p == 2:
-                        # spectral closed form; the exact constant is 1 here
-                        num = math.sqrt(float(np.sum(w * (nodes**r * shat.values) ** 2)))
-                        den = sigma**r * math.sqrt(float(np.sum(w * shat.values**2)))
-                        ratio = num / den
-                        report.rows.append(
-                            ReportRow("bernstein", lam, p, 0.0, r, sigma, num, den, ratio,
-                                      ratio <= 1.0 + 1e-8)
-                        )
-                    else:
-                        fphys = inverse_hankel(shat)
-                        dphys = inverse_hankel(
-                            spectrum_from_values(grid, lam, shat.values * nodes**r)
-                        )
-                        lhs = lp_norm(dphys, p, lam)
-                        rhs = sigma**r * lp_norm(fphys, p, lam)
-                        report.add("bernstein", lam, p, 0.0, r, sigma, lhs, rhs)
-        # sharpness witness at p = 2, r = 1
-        for sigma in cfg.scale.values():
-            shat = concentrated_spectrum(grid, lam, sigma)
-            w = nu_weights(grid, lam)
-            num = math.sqrt(float(np.sum(w * (nodes * shat.values) ** 2)))
-            den = sigma * math.sqrt(float(np.sum(w * shat.values**2)))
-            ratio = num / den
-            report.rows.append(
-                ReportRow("bernstein:sharpness", lam, 2.0, 0.0, 1.0, sigma, num, den,
-                          ratio, 0.8 <= ratio <= 1.0 + 1e-8)
-            )
-    return report
+    grid, lam = inp.grid, inp.lam
+    w = nu_weights(grid, lam)
+    for p in cfg.p_values:
+        for r in cfg.r_values:
+            for sigma in cfg.scale.values():
+                shat = bandlimited_spectrum(grid, lam, sigma)
+                if p == 2:
+                    num, den, ratio = _spectral_bernstein(w, grid.nodes, shat, sigma, r)
+                    report.rows.append(ReportRow("bernstein", lam, p, 0.0, r, sigma, num, den,
+                                                 ratio, ratio <= 1.0 + 1e-8))
+                else:
+                    lhs = lp_norm(_derivative(shat, r), p, lam)
+                    rhs = sigma**r * lp_norm(inverse_hankel(shat), p, lam)
+                    report.add("bernstein", lam, p, 0.0, r, sigma, lhs, rhs)
+    # sharpness witness at p = 2, r = 1
+    for sigma in cfg.scale.values():
+        shat = concentrated_spectrum(grid, lam, sigma)
+        num, den, ratio = _spectral_bernstein(w, grid.nodes, shat, sigma, 1.0)
+        report.rows.append(ReportRow("bernstein:sharpness", lam, 2.0, 0.0, 1.0, sigma, num, den,
+                                     ratio, 0.8 <= ratio <= 1.0 + 1e-8))
 
 
-def _two_scale_rows(report, cfg, lam, params, f, shat, p, check, r1, m1, r2, m2):
-    """Rows of the general two-scale comparison for the bandlimited input f.
+def _nikolskii_rows(report, cfg, inp):
+    """t^m-scaled difference norms control the m-th derivative norm."""
+    for p in cfg.p_values:
+        for m in cfg.m_values:
+            lhs_const = diff_norm(inp.f, 0.0, 0.0, p, inp.params, r=m, fhat=inp.fhat)
+            for t in cfg.scale.values():
+                rhs = diff_norm(inp.f, t, m, p, inp.params, fhat=inp.fhat)
+                report.add("nikolskii-stechkin", inp.lam, p, m, m, t, lhs_const * t**m, rhs)
+
+
+def _two_scale_rows(check, orders):
+    """Rows of the general two-scale comparison of the bandlimited input, for
+    each p and each (r1, m1, r2, m2) in ``orders(cfg)``.
 
     Each distinct difference norm is computed once per step: the right-hand
     norm does not depend on theta, and at theta = 1 with equal orders the
     left-hand norm is the same one.
     """
-    sigma = cfg.sigma
-    rho = r1 + m1 - r2 - m2
-    norms = {}
 
-    def norm(step, m, r):
-        # ||Delta_step^m (-Lap)^(r/2) f||_p; m = 0 drops the step
-        key = (step if m > 0 else 0.0, m, r)
-        if key not in norms:
-            norms[key] = diff_norm(f, key[0], m, p, params, r=r, fhat=shat)
-        return norms[key]
-
-    for t in cfg.scale.values():
-        for theta in cfg.thetas:
-            delta = theta * t
-            lhs = delta ** (-m1) * norm(delta, m1, r1) if m1 > 0 else norm(delta, m1, r1)
-            rhs = sigma**rho * t ** (-m2) * norm(t, m2, r2)
-            report.add(f"{check}:theta={theta!r}", lam, p, m1 if m1 > 0 else m2, r1,
-                       t, lhs, rhs)
-
-
-def verify_nikolskii_stechkin(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """t^m-scaled difference norms control the m-th derivative norm."""
-    report = _new_report(cfg)
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        shat = bandlimited_spectrum(grid, lam, cfg.sigma)
-        f = inverse_hankel(shat)
+    def rows(report, cfg, inp):
+        sigma = cfg.sigma
         for p in cfg.p_values:
-            for m in cfg.m_values:
-                lhs_const = diff_norm(f, 0.0, 0.0, p, params, r=m, fhat=shat)
+            for r1, m1, r2, m2 in orders(cfg):
+                rho = r1 + m1 - r2 - m2
+                norms = {}
+
+                def norm(step, m, r):
+                    # ||Delta_step^m (-Lap)^(r/2) f||_p; m = 0 drops the step
+                    key = (step if m > 0 else 0.0, m, r)
+                    if key not in norms:
+                        norms[key] = diff_norm(inp.f, key[0], m, p, inp.params, r=r, fhat=inp.fhat)
+                    return norms[key]
+
                 for t in cfg.scale.values():
-                    rhs = diff_norm(f, t, m, p, params, fhat=shat)
-                    report.add("nikolskii-stechkin", lam, p, m, m, t,
-                               lhs_const * t**m, rhs)
-    return report
+                    for theta in cfg.thetas:
+                        delta = theta * t
+                        lhs = norm(delta, m1, r1)
+                        if m1 > 0:
+                            lhs = delta ** (-m1) * lhs
+                        rhs = sigma**rho * t ** (-m2) * norm(t, m2, r2)
+                        report.add(f"{check}:theta={theta!r}", inp.lam, p, m1 if m1 > 0 else m2,
+                                   r1, t, lhs, rhs)
 
-
-def verify_boas(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """Two-sided comparison of delta^-m and t^-m scaled difference norms: the
-    two-scale comparison at orders (0, m, 0, m)."""
-    report = _new_report(cfg)
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        shat = bandlimited_spectrum(grid, lam, cfg.sigma)
-        f = inverse_hankel(shat)
-        for p in cfg.p_values:
-            for m in cfg.m_values:
-                _two_scale_rows(report, cfg, lam, params, f, shat, p, "boas", 0.0, m, 0.0, m)
-    return report
-
-
-def _consistency_rows(report, general_rows, dedicated_rows, tag):
-    """Cross-check rows: general ratios against the dedicated experiment's.
-
-    Appended when the configured orders specialize to a dedicated
-    inequality; agreement is demanded at 1e-12 relative per row.
-    """
-    for g, d in zip(general_rows, dedicated_rows):
-        ok = abs(g.ratio - d.ratio) <= 1e-12 * max(1.0, abs(d.ratio))
-        report.rows.append(
-            ReportRow(f"general:consistency:{tag}", g.lam, g.p, g.m, g.r, g.scale,
-                      g.ratio, d.ratio, g.ratio / d.ratio if d.ratio else math.inf, ok)
-        )
-
-
-def _general_rows(report, cfg, grid):
-    """Append the general two-scale rows for every lambda and p; return them."""
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        shat = bandlimited_spectrum(grid, lam, cfg.sigma)
-        f = inverse_hankel(shat)
-        for p in cfg.p_values:
-            _two_scale_rows(report, cfg, lam, params, f, shat, p, "general", *cfg.general_orders)
-    return list(report.rows)
-
-
-def verify_general_entire(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """General two-scale inequality subsuming the dedicated special cases.
-
-    When the configured orders reduce to the dedicated derivative-vs-
-    difference or two-step comparisons, the report also cross-checks the
-    general rows against the dedicated experiments row-for-row.
-    """
-    report = _new_report(cfg)
-    general = _general_rows(report, cfg, grid)
-    r1, m1, r2, m2 = cfg.general_orders
-    if m1 == 0.0 and r2 == 0.0 and m2 > 0.0 and r1 == m2:
-        # derivative-norm specialization, aligned with it at theta = 1
-        tag, dedicated, m, thetas = "nikolskii_stechkin", verify_nikolskii_stechkin, m2, (1.0,)
-    elif r1 == 0.0 and r2 == 0.0 and m1 == m2 and m1 > 0.0:
-        tag, dedicated, m, thetas = "boas", verify_boas, m1, cfg.thetas
-    else:
-        return report
-    if thetas != cfg.thetas:
-        general = _general_rows(_new_report(cfg), replace(cfg, thetas=thetas), grid)
-    ded = dedicated(replace(cfg, name=tag, m_values=(m,)), grid)
-    _consistency_rows(report, general, ded.rows, tag)
-    return report
+    return rows
 
 
 def _best_approx_error(f, fhat, j, p, params):
@@ -627,62 +544,120 @@ def _best_approx_error(f, fhat, j, p, params):
     return lp_norm(f, p, params.lambda_k)
 
 
-def verify_inverse(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
+def _inverse_rows(report, cfg, inp):
     """Inverse-direction bounds: cumulative sums, Marchaud, derivative variant."""
-    report = _new_report(cfg)
+    f, fhat, params, lam = inp.f, inp.fhat, inp.params, inp.lam
     tail_cutoff = 1e-10
     j_cap = 64
     n_max = max(cfg.n_values)
-    for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
-        for fname in cfg.test_functions:
-            f, fhat = _profile_with_spectrum(grid, lam, fname, report)
-            for p in cfg.p_values:
-                table = {j: _best_approx_error(f, fhat, j, p, params) for j in range(n_max + 1)}
-                for m in cfg.m_values:
-                    for n in cfg.n_values:
-                        lhs = modulus(f, 1.0 / n, m, p, params, fhat=fhat).value
-                        rhs = inverse_bound(table, n, m)
-                        report.add("inverse", lam, p, m, 0.0, float(n), lhs, rhs)
-                    for delta in cfg.delta_values:
-                        lhs = k_functional_upper(f, delta, m, p, params, fhat=fhat)
-                        rhs = marchaud_bound(f, delta, m, p, params, fhat=fhat)
-                        report.add("marchaud", lam, p, m, 0.0, delta, lhs, rhs)
-                    for r in cfg.r_values:
-                        if r <= 0:
-                            continue
-                        df = inverse_hankel(
-                            spectrum_from_values(grid, lam, fhat.values * grid.nodes**r)
-                        )
-                        # extend the table until E_j decays below the cutoff
-                        j_hi = n_max
-                        while j_hi < j_cap and table[j_hi] > tail_cutoff:
-                            j_hi += 1
-                            if j_hi not in table:
-                                table[j_hi] = _best_approx_error(f, fhat, j_hi, p, params)
-                        for n in cfg.n_values:
-                            lhs = modulus(df, 1.0 / n, m, p, params).value
-                            head = sum(
-                                (j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1)
-                            )
-                            tail = sum(
-                                float(j) ** (r - 1.0) * table[j]
-                                for j in range(n + 1, j_hi + 1)
-                            )
-                            rhs = n ** (-r) * head + tail
-                            report.add("inverse-derivative", lam, p, m, r, float(n), lhs, rhs)
+    for p in cfg.p_values:
+        table = {j: _best_approx_error(f, fhat, j, p, params) for j in range(n_max + 1)}
+        for m in cfg.m_values:
+            for n in cfg.n_values:
+                lhs = modulus(f, 1.0 / n, m, p, params, fhat=fhat).value
+                report.add("inverse", lam, p, m, 0.0, float(n), lhs, inverse_bound(table, n, m))
+            for delta in cfg.delta_values:
+                lhs = k_functional_upper(f, delta, m, p, params, fhat=fhat)
+                rhs = marchaud_bound(f, delta, m, p, params, fhat=fhat)
+                report.add("marchaud", lam, p, m, 0.0, delta, lhs, rhs)
+            for r in cfg.r_values:
+                if r <= 0:
+                    continue
+                df = _derivative(fhat, r)
+                # extend the table until E_j decays below the cutoff
+                j_hi = n_max
+                while j_hi < j_cap and table[j_hi] > tail_cutoff:
+                    j_hi += 1
+                    if j_hi not in table:
+                        table[j_hi] = _best_approx_error(f, fhat, j_hi, p, params)
+                for n in cfg.n_values:
+                    lhs = modulus(df, 1.0 / n, m, p, params).value
+                    head = sum((j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1))
+                    tail = sum(float(j) ** (r - 1.0) * table[j] for j in range(n + 1, j_hi + 1))
+                    rhs = n ** (-r) * head + tail
+                    report.add("inverse-derivative", lam, p, m, r, float(n), lhs, rhs)
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One experiment: the inputs it sweeps ("profiles", "bandlimited" or
+    "lambda", see ``_inputs``), the rows it adds for one input, its default
+    window, and whether the window is two-sided and the drift checked."""
+
+    inputs: str
+    rows: Callable[[SmoothnessReport, ExperimentConfig, _Input], None]
+    window: tuple[float, float]
+    two_sided: bool = False
+    drift_checked: bool = False
+
+
+_SPECS: dict[str, _Spec] = {
+    "jackson": _Spec("profiles", _jackson_rows, (0.0, 20.0)),
+    "equivalence": _Spec(
+        "profiles", _chain_rows((("K", "omega"), ("omega", "diff"), ("K", "diff"))),
+        (0.05, 20.0), two_sided=True, drift_checked=True,
+    ),
+    "realization": _Spec(
+        "profiles",
+        _chain_rows(list(combinations(("R", "Rstar", "K", "omega"), 2)), approximants=True),
+        (0.05, 20.0), two_sided=True, drift_checked=True,
+    ),
+    "bernstein": _Spec("lambda", _bernstein_rows, (0.0, 20.0)),
+    "nikolskii_stechkin": _Spec("bandlimited", _nikolskii_rows, (0.0, 20.0)),
+    "boas": _Spec(
+        "bandlimited",
+        _two_scale_rows("boas", lambda cfg: [(0.0, m, 0.0, m) for m in cfg.m_values]),
+        (0.05, 20.0), two_sided=True,
+    ),
+    "general_entire": _Spec(
+        "bandlimited", _two_scale_rows("general", lambda cfg: [cfg.general_orders]), (0.0, 20.0)
+    ),
+    "inverse": _Spec("profiles", _inverse_rows, (0.0, 1.0)),
+}
+
+
+def _sweep(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
+    """The report of one experiment: its rows for every input it sweeps."""
+    spec = _SPECS[cfg.name]
+    report = SmoothnessReport(experiment=cfg.name, window=cfg.window, drift_max=cfg.drift_max)
+    for inp in _inputs(spec.inputs, cfg, grid, report):
+        spec.rows(report, cfg, inp)
+    return report
+
+
+def _general_entire(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
+    """General two-scale inequality subsuming the dedicated special cases.
+
+    When the configured orders reduce to the dedicated derivative-vs-
+    difference or two-step comparisons, the report also cross-checks the
+    general rows against the dedicated experiment's row for row, demanding
+    agreement at 1e-12 relative.
+    """
+    report = _sweep(cfg, grid)
+    r1, m1, r2, m2 = cfg.general_orders
+    if m1 == 0.0 and r2 == 0.0 and m2 > 0.0 and r1 == m2:
+        # derivative-norm specialization, aligned with it at theta = 1
+        tag, m, thetas = "nikolskii_stechkin", m2, (1.0,)
+    elif r1 == 0.0 and r2 == 0.0 and m1 == m2 and m1 > 0.0:
+        tag, m, thetas = "boas", m1, cfg.thetas
+    else:
+        return report
+    if thetas == cfg.thetas:
+        general = list(report.rows)
+    else:
+        general = _sweep(replace(cfg, thetas=thetas), grid).rows
+    dedicated = _sweep(replace(cfg, name=tag, m_values=(m,)), grid).rows
+    for g, d in zip(general, dedicated):
+        ok = abs(g.ratio - d.ratio) <= 1e-12 * max(1.0, abs(d.ratio))
+        report.rows.append(
+            ReportRow(f"general:consistency:{tag}", g.lam, g.p, g.m, g.r, g.scale,
+                      g.ratio, d.ratio, g.ratio / d.ratio if d.ratio else math.inf, ok)
+        )
     return report
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig, RadialGrid], SmoothnessReport]] = {
-    "jackson": verify_jackson,
-    "equivalence": verify_equivalence,
-    "realization": verify_realization,
-    "bernstein": verify_bernstein,
-    "nikolskii_stechkin": verify_nikolskii_stechkin,
-    "boas": verify_boas,
-    "general_entire": verify_general_entire,
-    "inverse": verify_inverse,
+    name: _general_entire if name == "general_entire" else _sweep for name in _SPECS
 }
 
 

@@ -22,20 +22,11 @@ import numpy as np
 
 from .quad import RadialFunction, lp_norm
 from .special import BesselEvaluator, binom_frac, binom_tail_bound, jm_multiplier
-from .transforms import (
-    DunklKernel1D,
-    LineFunction,
-    Spectrum,
-    dunkl_inverse_1d,
-    dunkl_transform_1d,
-    hankel,
-    inverse_hankel,
-)
+from .transforms import Spectrum, hankel, inverse_hankel
 
 __all__ = [
     "eta",
     "translate_T",
-    "translate_tau_1d",
     "frac_laplacian",
     "frac_difference",
     "SeriesDifference",
@@ -162,15 +153,3 @@ def vallee_poussin(s: Spectrum, sigma: float) -> Spectrum:
     new_bl = 2.0 * sigma if s.bandlimit is None else min(s.bandlimit, 2.0 * sigma)
     return s.with_symbol(f"P:sigma={sigma!r}", sym, bandlimit=new_bl)
 
-
-def translate_tau_1d(f: LineFunction, y: float, k: float) -> LineFunction:
-    """Rank-one generalized translation: multiply the transform by e_k(y, .).
-
-    At k = 0 this is the classical shift f -> f(. + y); averaging over
-    y = +(-)t recovers the radial translation T^t on even inputs.
-    """
-    g = dunkl_transform_1d(f, k)
-    mult = DunklKernel1D(k)(y, g.grid.nodes)
-    shifted = LineFunction(grid=g.grid, values=g.values * mult, label=f.label,
-                           truncated=g.truncated)
-    return dunkl_inverse_1d(shifted, k)

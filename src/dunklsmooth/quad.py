@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +21,12 @@ from .weights import measure_constants
 __all__ = [
     "RadialGrid",
     "RadialFunction",
-    "NuIntegral",
     "GRID_KINDS",
     "DEFAULT_RMAX",
     "DEFAULT_N",
     "make_grid",
     "default_grid",
     "nu_weights",
-    "integrate_nu",
     "lp_norm",
     "save_radial_csv",
     "load_radial_csv",
@@ -38,11 +35,6 @@ __all__ = [
 GRID_KINDS = ("gauss-legendre-composite", "clenshaw-curtis")
 DEFAULT_RMAX = 30.0
 DEFAULT_N = 2048
-
-# Fraction of the |integrand| nu-mass allowed in the outermost tenth
-# [0.9*rmax, rmax] before an integral is flagged truncation-suspect.
-TAIL_WARN_FRACTION = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
@@ -101,17 +93,6 @@ class RadialFunction:
         if values.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid node count")
         object.__setattr__(self, "values", values)
-
-
-class NuIntegral(NamedTuple):
-    """Value of a nu_lam integral plus a truncation-suspicion flag."""
-
-    value: float
-    tail_fraction: float
-    truncated: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,33 +165,6 @@ def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
     weights = b * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
     weights.flags.writeable = False
     return weights
-
-
-def _tail_fraction(grid: RadialGrid, abs_contrib: np.ndarray) -> float:
-    mass = float(np.sum(abs_contrib))
-    if mass <= 0.0:
-        return 0.0
-    boundary = float(np.sum(abs_contrib[grid.nodes >= 0.9 * grid.rmax]))
-    return boundary / mass
-
-
-def integrate_nu(f: RadialFunction, lam: float) -> NuIntegral:
-    """Integral of a real profile against d nu_lam, truncated to [0, rmax].
-
-    The result is flagged when the outermost tenth of the interval carries
-    more than 1e-8 of the total |integrand| mass (truncation suspicion).
-    """
-    if np.iscomplexobj(f.values):
-        raise TypeError("nu-integration expects a real profile")
-    w = nu_weights(f.grid, lam)
-    contrib = w * f.values
-    abs_contrib = np.abs(contrib)
-    tail = _tail_fraction(f.grid, abs_contrib)
-    return NuIntegral(
-        value=float(np.sum(contrib)),
-        tail_fraction=tail,
-        truncated=tail > TAIL_WARN_FRACTION,
-    )
 
 
 def lp_norm(f: RadialFunction, p: float, lam: float) -> float:

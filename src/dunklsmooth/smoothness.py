@@ -102,11 +102,12 @@ def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
 _MODULUS_SAMPLES = 24  # quarter-octave steps below delta in the modulus sup
 _K_UPPER_POINTS = 9  # smoothing scales of the K-upper candidate family
 _R_CANDIDATE_POINTS = 7  # smoothing scales of the restricted R candidate family
+_MARCHAUD_SCALES = 17  # log-grid points of the Marchaud integral over [delta, 1]
 
 
-def _modulus_steps(delta: float, samples: int) -> np.ndarray:
-    """delta * 2^(-j/4), j = 0..samples: the steps of the modulus sup."""
-    return delta * 2.0 ** (-np.arange(samples + 1) / 4.0)
+def _modulus_steps(delta: float) -> np.ndarray:
+    """delta * 2^(-j/4), j = 0.._MODULUS_SAMPLES: the steps of the modulus sup."""
+    return delta * 2.0 ** (-np.arange(_MODULUS_SAMPLES + 1) / 4.0)
 
 
 def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -152,24 +153,22 @@ def _plateau_symbols(nodes: np.ndarray, sigma_max: float, widths: Sequence[float
     return np.stack(cols, axis=1)
 
 
-def _k_upper_symbols(nodes: np.ndarray, t: float, sharp: bool,
-                     points: int = _K_UPPER_POINTS) -> np.ndarray:
+def _k_upper_symbols(nodes: np.ndarray, t: float, sharp: bool) -> np.ndarray:
     """K-upper candidates: P_sigma for sigma in [1/(4t), 4/t], g = 0, and
     with ``sharp`` (p = 2) the sharp truncations at the same scales."""
-    sigmas = np.geomspace(1.0 / (4.0 * t), 4.0 / t, points)
+    sigmas = np.geomspace(1.0 / (4.0 * t), 4.0 / t, _K_UPPER_POINTS)
     cols = [_eta_symbols(nodes, sigmas), np.zeros((nodes.size, 1))]
     if sharp:
         cols.append(_sharp_symbols(nodes, sigmas))
     return np.concatenate(cols, axis=1)
 
 
-def _r_candidate_symbols(nodes: np.ndarray, t: float, sharp: bool,
-                         points: int = _R_CANDIDATE_POINTS) -> np.ndarray:
+def _r_candidate_symbols(nodes: np.ndarray, t: float, sharp: bool) -> np.ndarray:
     """Restricted candidates of type 1/t: P_sigma for sigma in [1/(8t), 1/(2t)],
     plateau cutoffs vanishing at 1/t, and with ``sharp`` (p = 2) sharp
     truncations up to 1/t."""
     cols = [
-        _eta_symbols(nodes, np.geomspace(1.0 / (8.0 * t), 1.0 / (2.0 * t), points)),
+        _eta_symbols(nodes, np.geomspace(1.0 / (8.0 * t), 1.0 / (2.0 * t), _R_CANDIDATE_POINTS)),
         _plateau_symbols(nodes, 1.0 / t, (0.3, 0.5, 0.7, 0.9)),
     ]
     if sharp:
@@ -265,15 +264,14 @@ def modulus(
     m: float,
     p: float,
     params: WeightParams,
-    samples: int = _MODULUS_SAMPLES,
     fhat: Spectrum | None = None,
 ) -> ModulusResult:
     """Fractional modulus of smoothness sup_{0 < t <= delta} ||Delta_t^m f||_p.
 
     The sup is discretized on the quarter-octave grid delta * 2^(-j/4),
-    j = 0..samples; nested delta values share sample points, which keeps the
-    modulus exactly nondecreasing in delta along such sweeps.  The value is
-    a lower bound of the true sup within grid slack.
+    j = 0.._MODULUS_SAMPLES; nested delta values share sample points, which
+    keeps the modulus exactly nondecreasing in delta along such sweeps.  The
+    value is a lower bound of the true sup within grid slack.
     """
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta!r}")
@@ -281,7 +279,7 @@ def modulus(
         raise ValueError(f"order m must be positive, got {m!r}")
     lam = params.lambda_k
     fhat = hankel(f, lam) if fhat is None else fhat
-    steps = _modulus_steps(delta, samples)
+    steps = _modulus_steps(delta)
     phys = _inverse_products(fhat, _bessel_base(lam, fhat.grid.nodes, steps) ** (0.5 * m))
     return _modulus_of(phys, steps, fhat.grid, lam, p)
 
@@ -448,7 +446,6 @@ def k_functional_upper(
     r: float,
     p: float,
     params: WeightParams,
-    points: int = _K_UPPER_POINTS,
     fhat: Spectrum | None = None,
 ) -> float:
     """Candidate-family upper bound on the K-functional K_r(t, f)_p.
@@ -463,7 +460,7 @@ def k_functional_upper(
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
     fhat = hankel(f, params.lambda_k) if fhat is None else fhat
-    syms = _k_upper_symbols(fhat.grid.nodes, t, p == 2, points)
+    syms = _k_upper_symbols(fhat.grid.nodes, t, p == 2)
     return float(np.min(_k_objectives(f, fhat, syms, t, r, p)))
 
 
@@ -473,7 +470,6 @@ def realization_candidate_min(
     r: float,
     p: float,
     params: WeightParams,
-    points: int = _R_CANDIDATE_POINTS,
     fhat: Spectrum | None = None,
     approx: BestApprox | None = None,
 ) -> float:
@@ -490,7 +486,7 @@ def realization_candidate_min(
         raise ValueError("t and r must be positive")
     fhat = hankel(f, params.lambda_k) if fhat is None else fhat
     best = realization(f, t, r, p, params, fhat=fhat, approx=approx).value
-    syms = _r_candidate_symbols(fhat.grid.nodes, t, p == 2, points)
+    syms = _r_candidate_symbols(fhat.grid.nodes, t, p == 2)
     return min(best, float(np.min(_k_objectives(f, fhat, syms, t, r, p))))
 
 
@@ -533,7 +529,7 @@ def chain_at_scale(
         (p, r): {} for p in p_values for r in r_values
     }
 
-    steps = _modulus_steps(t, _MODULUS_SAMPLES)
+    steps = _modulus_steps(t)
     base = _bessel_base(lam, nodes, steps)
     k = steps.size
     phys = _inverse_products(fhat, np.concatenate([base ** (0.5 * r) for r in r_values], axis=1))
@@ -609,7 +605,6 @@ def marchaud_bound(
     m: float,
     p: float,
     params: WeightParams,
-    t_grid: np.ndarray | None = None,
     fhat: Spectrum | None = None,
 ) -> float:
     """Marchaud-type right-hand side delta^m (||f||_p + int_delta^1 t^-m K dt/t).
@@ -623,9 +618,7 @@ def marchaud_bound(
     if not (m > 0):
         raise ValueError(f"m must be positive, got {m!r}")
     lam = params.lambda_k
-    if t_grid is None:
-        t_grid = np.geomspace(delta, 1.0, 17)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.geomspace(delta, 1.0, _MARCHAUD_SCALES)
     fhat = hankel(f, lam) if fhat is None else fhat
     kvals = np.array([realization(f, t, m + 1.0, p, params, fhat=fhat).value for t in t_grid])
     integrand = t_grid ** (-m) * kvals

@@ -41,9 +41,15 @@ def _check_order(lam: float) -> float:
     return lam
 
 
+# j_lam is summed as its power series, _SERIES_TERMS terms, at arguments up to
+# _SERIES_CUTOFF
+_SERIES_CUTOFF = 0.5
+_SERIES_TERMS = 18
+
+
 @dataclass(frozen=True)
 class BesselEvaluator:
-    """Evaluator for j_lam with a power series below ``series_cutoff`` and
+    """Evaluator for j_lam with a power series up to _SERIES_CUTOFF and
     library Bessel-J above it.
 
     The split keeps t = 0 exact (empty product = 1) and avoids the 0 * inf
@@ -52,8 +58,6 @@ class BesselEvaluator:
     """
 
     lam: float
-    series_cutoff: float = 0.5
-    series_terms: int = 18
 
     def __post_init__(self) -> None:
         _check_order(self.lam)
@@ -64,7 +68,7 @@ class BesselEvaluator:
         x = -0.25 * t * t
         term = np.ones_like(t)
         acc = np.ones_like(t)
-        for k in range(1, self.series_terms):
+        for k in range(1, _SERIES_TERMS):
             term = term * x / (k * (k + self.lam))
             acc = acc + term
         return acc
@@ -76,7 +80,7 @@ class BesselEvaluator:
         if np.any(arr < 0):
             raise ValueError("argument must be nonnegative")
         out = np.empty_like(arr)
-        small = arr <= self.series_cutoff
+        small = arr <= _SERIES_CUTOFF
         if small.any():
             out[small] = self._series(arr[small])
         big = ~small
@@ -161,11 +165,14 @@ def binom_frac(alpha: float, s: int) -> float:
     return (-1.0) ** (s + 1) * _sinpi(alpha) / math.pi * mag
 
 
-def binom_tail_bound(alpha: float, N: int, max_terms: int = 200_000) -> float:
+_TAIL_MAX_TERMS = 200_000  # most series terms binom_tail_bound sums
+
+
+def binom_tail_bound(alpha: float, N: int) -> float:
     """Rigorous upper bound on sum_{s > N} |C(alpha, s)|.
 
     Sums terms by the exact ratio |C(a,s+1)| = |C(a,s)| * |a-s|/(s+1) until
-    they drop below machine precision (or ``max_terms``), then bounds the
+    they drop below machine precision (or _TAIL_MAX_TERMS), then bounds the
     remainder: u_s = t_s * s^(alpha+1) is decreasing for s > alpha, so
     sum_{s >= M} t_s <= t_M * (1 + M/alpha), an integral-comparison bound of
     the C / N^alpha shape.
@@ -181,7 +188,7 @@ def binom_tail_bound(alpha: float, N: int, max_terms: int = 200_000) -> float:
     s = N + 1
     t_s = abs(binom_frac(alpha, s))
     total = 0.0
-    for _ in range(max_terms):
+    for _ in range(_TAIL_MAX_TERMS):
         total += t_s
         t_s = t_s * abs(alpha - s) / (s + 1.0)
         s += 1

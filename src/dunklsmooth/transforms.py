@@ -31,7 +31,6 @@ import numpy as np
 
 from .quad import (
     DEFAULT_RMAX,
-    TAIL_WARN_FRACTION,
     RadialFunction,
     RadialGrid,
     _match_grid,
@@ -108,9 +107,6 @@ class Spectrum:
             pending=self.pending + ((label, symbol_values),),
             bandlimit=self.bandlimit if bandlimit is None else bandlimit,
         )
-
-    def materialized(self) -> "Spectrum":
-        return replace(self, base=self.values, pending=())
 
     def _binary(self, other: "Spectrum", op) -> "Spectrum":
         if not isinstance(other, Spectrum):
@@ -325,12 +321,21 @@ def _kernel_matrix(lam: float, grid: RadialGrid) -> np.ndarray:
     return mat
 
 
-def _input_tail_fraction(grid: RadialGrid, values: np.ndarray, lam: float) -> float:
-    abs_contrib = nu_weights(grid, lam) * np.abs(values)
-    mass = float(np.sum(abs_contrib))
+# Fraction of an input's weighted |f| mass allowed in the outermost tenth
+# [0.9*rmax, rmax] of the grid before its transform is flagged
+# truncation-suspect.
+TAIL_WARN_FRACTION = 1e-8
+
+
+def _tail_suspect(weights: np.ndarray, values: np.ndarray, nodes: np.ndarray,
+                  rmax: float) -> bool:
+    """Whether nodes with |x| >= 0.9 rmax carry more than TAIL_WARN_FRACTION
+    of the input mass sum(weights * |values|)."""
+    contrib = weights * np.abs(values)
+    mass = float(np.sum(contrib))
     if mass <= 0.0:
-        return 0.0
-    return float(np.sum(abs_contrib[grid.nodes >= 0.9 * grid.rmax])) / mass
+        return False
+    return float(np.sum(contrib[np.abs(nodes) >= 0.9 * rmax])) / mass > TAIL_WARN_FRACTION
 
 
 def hankel(f: RadialFunction, lam: float) -> Spectrum:
@@ -340,13 +345,12 @@ def hankel(f: RadialFunction, lam: float) -> Spectrum:
     nu-weighted mass is truncation-suspect near rmax.
     """
     lam = _check_lambda(lam)
-    mat = _kernel_matrix(lam, f.grid)
-    tail = _input_tail_fraction(f.grid, f.values, lam)
+    grid = f.grid
     return Spectrum(
-        grid=f.grid,
+        grid=grid,
         lam=lam,
-        base=mat @ f.values,
-        truncated=tail > TAIL_WARN_FRACTION,
+        base=_kernel_matrix(lam, grid) @ f.values,
+        truncated=_tail_suspect(nu_weights(grid, lam), f.values, grid.nodes, grid.rmax),
         label=f.label,
     )
 
@@ -567,11 +571,7 @@ def _dunkl_apply(f: LineFunction, k: float, conjugate: bool) -> LineFunction:
     if conjugate:
         kernel = np.conj(kernel)
     vals = (kernel * mu[None, :]) @ f.values
-    # truncation suspicion: weighted input mass in the outermost tenths
-    contrib = mu * np.abs(f.values)
-    mass = float(np.sum(contrib))
-    boundary = float(np.sum(contrib[np.abs(f.grid.nodes) >= 0.9 * f.grid.rmax]))
-    truncated = f.truncated or (mass > 0 and boundary / mass > TAIL_WARN_FRACTION)
+    truncated = f.truncated or _tail_suspect(mu, f.values, x, f.grid.rmax)
     return LineFunction(grid=f.grid, values=vals, label=f.label, truncated=truncated)
 
 

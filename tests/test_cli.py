@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dunklsmooth.cli import main
+from dunklsmooth.cli import _build_parser, main
 from dunklsmooth.quad import RadialFunction, make_grid, save_radial_csv
 from dunklsmooth.transforms import load_spectrum_csv
 
@@ -85,6 +86,15 @@ def test_verify_uses_the_experiment_window(tmp_path, capsys):
     assert "window_lo=0.0 window_hi=1.0" in header
 
 
+def test_verify_names_a_bad_p_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "jackson", "--p", "abc"])
+    assert exc.value.code == 2
+    assert "argument --p: expected a number or inf, got 'abc'" in capsys.readouterr().err
+    assert _build_parser().parse_args(["verify", "jackson", "--p", "Infinity"]).p == math.inf
+    assert _build_parser().parse_args(["verify", "jackson"]).p == 2.0
+
+
 def test_verify_unknown_experiment(capsys):
     assert main(["verify", "does-not-exist"]) == 2
 
@@ -129,6 +139,19 @@ def test_run_rejects_unknown_config_field(tmp_path, capsys):
         ({"experiments": [{"name": "jackson", "lambda_values": ["x"]}]},
          "experiments[0].lambda_values[0]"),
         ({"grid": {"rmax": 50.0, "n": 2048}}, "config.grid.rmax"),
+        # a sweep that asks for nothing
+        ({"experiments": [{"name": "jackson", "lambda_values": []}]}, "jackson: lambda_values"),
+        ({"experiments": [{"name": "jackson", "p_values": []}]}, "jackson: p_values"),
+        ({"experiments": [{"name": "jackson", "r_values": []}]}, "jackson: r_values"),
+        ({"experiments": [{"name": "equivalence", "test_functions": []}]},
+         "equivalence: test_functions"),
+        ({"experiments": [{"name": "boas", "thetas": []}]}, "boas: thetas"),
+        ({"experiments": [{"name": "inverse", "n_values": []}]}, "inverse: n_values"),
+        # out-of-range values, caught before any experiment runs
+        ({"experiments": [{"name": "boas", "sigma": 0}]}, "boas: sigma"),
+        ({"experiments": [{"name": "bernstein", "scale": {"lo": 1.0, "hi": 1.0, "points": 1}},
+                          {"name": "boas", "thetas": [0]}]}, "boas: thetas"),
+        ({"experiments": [{"name": "jackson", "r_values": [-1]}]}, "jackson: r_values"),
     ],
 )
 def test_run_names_a_wrongly_typed_or_out_of_range_field(tmp_path, capsys, spec, field):

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dunklsmooth.quad import (
     GRID_KINDS,
-    NuIntegral,
     RadialFunction,
     RadialGrid,
     _read_csv,
-    integrate_nu,
     load_radial_csv,
     lp_norm,
     make_grid,
@@ -89,40 +87,26 @@ class TestMakeGrid:
 
 
 class TestIntegrateNu:
+    """Integrals against d nu_lam as sums of the nu_weights quadrature."""
+
     def test_gaussian_normalization(self):
         g = make_grid(30.0, 2048)
-        f = RadialFunction(grid=g, values=np.exp(-0.5 * g.nodes**2))
-        res = integrate_nu(f, 1.0)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
-        assert not res.truncated
-
-    def test_zero_function(self):
-        g = make_grid(10.0, 64)
-        res = integrate_nu(RadialFunction(grid=g, values=np.zeros(64)), 0.5)
-        assert res.value == 0.0
-        assert not res.truncated
+        assert np.sum(nu_weights(g, 1.0) * np.exp(-0.5 * g.nodes**2)) == pytest.approx(
+            1.0, abs=1e-10
+        )
 
     def test_squared_gaussian_closed_form(self):
         # integral exp(-t^2) d nu_lam = 2^-(lam+1) by substitution u = t sqrt(2).
         g = make_grid(30.0, 2048)
-        f = RadialFunction(grid=g, values=np.exp(-(g.nodes**2)))
-        assert integrate_nu(f, 0.25).value == pytest.approx(2.0**-1.25, abs=1e-10)
-
-    def test_truncation_flag_fires_on_slow_decay(self):
-        g = make_grid(30.0, 512)
-        f = RadialFunction(grid=g, values=(1.0 + g.nodes**2) ** -2.0)
-        assert integrate_nu(f, 0.0).truncated
+        value = np.sum(nu_weights(g, 0.25) * np.exp(-(g.nodes**2)))
+        assert value == pytest.approx(2.0**-1.25, abs=1e-10)
 
     def test_refinement_stability(self):
         vals = []
         for n in (1024, 2048):
             g = make_grid(30.0, n)
-            f = RadialFunction(grid=g, values=np.exp(-0.5 * g.nodes**2))
-            vals.append(integrate_nu(f, 0.25).value)
+            vals.append(np.sum(nu_weights(g, 0.25) * np.exp(-0.5 * g.nodes**2)))
         assert abs(vals[0] - vals[1]) <= 1e-12
-
-    def test_float_conversion(self):
-        assert float(NuIntegral(2.5, 0.0, False)) == 2.5
 
 
 class TestLpNorm:
