@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -26,7 +26,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .operators import eta
-from .quad import GRID_KINDS, RadialFunction, RadialGrid, lp_norm, make_grid, nu_weights
+from .quad import (
+    DEFAULT_N,
+    DEFAULT_RMAX,
+    GRID_KINDS,
+    RadialFunction,
+    RadialGrid,
+    lp_norm,
+    make_grid,
+    nu_weights,
+)
 from .smoothness import (
     best_approx,
     chain_at_scale,
@@ -36,9 +45,9 @@ from .smoothness import (
     marchaud_bound,
     modulus,
 )
-from .special import BESSEL_ARG_MAX
+from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
-from .weights import WeightParams, params_from_lambda
+from .weights import LAMBDA_MIN, WeightParams, params_from_lambda
 
 __all__ = [
     "ConfigError",
@@ -139,129 +148,243 @@ def concentrated_spectrum(grid: RadialGrid, lam: float, sigma: float) -> Spectru
 # --------------------------------------------------------------------------
 # configuration
 # --------------------------------------------------------------------------
+#
+# Each config field is declared once, with ``_cfg``: its JSON kind, default
+# and range.  ``_read`` builds a block from JSON with that table, and every
+# block's ``__post_init__`` applies it through ``_check_fields``, so a config
+# built in code gets the checks a parsed one gets.  A kind is a reader
+# ``(value, context) -> value`` that accepts a JSON value or the value a
+# config built in code holds, and raises a ConfigError naming the context.
+
+
+def _json(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _number(value, context: str, integer: bool = False):
+    """A finite number (integral with ``integer``); anything else, booleans
+    included, is an error naming the field."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the comparison also rejects NaN and ints beyond the float range
+    if not (number and abs(value) <= sys.float_info.max) or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{context} must be {kind}, got {_json(value)}")
+    return int(value) if integer else float(value)
+
+
+def _integer(value, context: str) -> int:
+    return _number(value, context, integer=True)
+
+
+def _p(value, context: str) -> float:
+    """A finite number or inf, which JSON spells "inf" or "infinity"."""
+    if isinstance(value, str):
+        if value.lower() in ("inf", "infinity"):
+            return math.inf
+        raise ConfigError(f"{context}: cannot parse p value {value!r}")
+    if value == math.inf and not isinstance(value, bool):
+        return math.inf
+    return _number(value, context)
+
+
+def _string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a string, got {_json(value)}")
+    return value
+
+
+def _list(parse, length: int | None = None):
+    """The kind "list of ``parse``", of ``length`` entries when given: a JSON
+    list, or a tuple in a config built in code.  Errors name the entry."""
+
+    def read(value, context: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{context} must be a list, got {_json(value)}")
+        if length is not None and len(value) != length:
+            raise ConfigError(f"{context} must have {length} entries, got {len(value)}")
+        return tuple(parse(v, f"{context}[{i}]") for i, v in enumerate(value))
+
+    return read
+
+
+def _optional(parse):
+    """``parse``, or None (JSON null), which means the default."""
+    return lambda value, context: None if value is None else parse(value, context)
+
+
+def _block(cls):
+    """The kind "config block": a JSON object read by ``_read``, or a built
+    block, which checked itself."""
+    return lambda value, context: value if isinstance(value, cls) else _read(cls, value, context)
+
+
+_NUMBERS = _list(_number)
+
+
+# a range: a test each value (each entry, for a list) must pass, and its text
+_Range = tuple[Callable[[object], bool], str]
+_POSITIVE: _Range = (lambda x: x > 0, "positive")
+_NONNEGATIVE: _Range = (lambda x: x >= 0, "nonnegative")
+
+
+def _cfg(kind, default=MISSING, range: _Range | None = None, key: str | None = None):
+    """Declare a config field: its kind, its default (none: required), its
+    range, and its JSON key when that is not the field name (a dotted key is
+    a field of a nested object)."""
+    return field(default=default, metadata={"kind": kind, "range": range, "key": key})
+
+
+def _check_fields(block, prefix: str, ranges: dict[str, _Range] | None = None) -> None:
+    """Apply the field table to a built block: each value has its kind and
+    lies in its range, or in the one ``ranges`` gives in its place.  Errors
+    name the field, after ``prefix``."""
+    for f in fields(block):
+        value, meta = getattr(block, f.name), f.metadata
+        name = prefix + (meta["key"] or f.name)
+        meta["kind"](value, name)
+        ok, text = (ranges or {}).get(f.name, meta["range"]) or (None, "")
+        for x in value if isinstance(value, tuple) else (value,):
+            if ok is not None and not ok(x):
+                raise ConfigError(f"{name} must be {text}, got {x!r}")
+
+
+def _check_keys(mapping, known, context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"{context}: unknown field {', '.join(map(repr, unknown))}; known: {sorted(known)}"
+        )
+
+
+def _read(cls, data, context: str):
+    """A config block from its JSON object, by the field table: an absent
+    field takes its default, and a present one is read by its kind.  A key no
+    field declares is an error, so a misspelled field never silently runs
+    with its default."""
+    table = {f.metadata["key"] or f.name: f for f in fields(cls)}
+    _check_keys(data, {key.partition(".")[0] for key in table}, context)
+    values = {}
+    for key, f in table.items():
+        outer, _, leaf = key.rpartition(".")
+        block = data
+        if outer:
+            block = data.get(outer, {})
+            inner = [k.rpartition(".")[2] for k in table if k.startswith(outer + ".")]
+            _check_keys(block, inner, f"{context}.{outer}")
+        if leaf in block:
+            values[f.name] = f.metadata["kind"](block[leaf], f"{context}.{key}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{context}: missing required field {leaf!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
 class ScaleGrid:
     """Geometric scale sweep (sigma, delta, or t depending on experiment)."""
 
-    lo: float
-    hi: float
-    points: int
+    lo: float = _cfg(_number, range=_POSITIVE)
+    hi: float = _cfg(_number)
+    points: int = _cfg(_integer, range=_POSITIVE)
 
     def __post_init__(self) -> None:
-        if not (0 < self.lo <= self.hi):
-            raise ConfigError(f"scale grid needs 0 < lo <= hi, got [{self.lo}, {self.hi}]")
-        if self.points < 1:
-            raise ConfigError("scale grid needs at least one point")
+        _check_fields(self, "scale.")
+        if not self.lo <= self.hi:
+            raise ConfigError(f"scale grid needs lo <= hi, got [{self.lo}, {self.hi}]")
 
     def values(self) -> np.ndarray:
         if self.points == 1:
             return np.array([self.lo])
-        return np.geomspace(self.lo, self.hi, self.points)
+        return np.geomspace(self.lo, self.hi, int(self.points))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep parameters for one experiment."""
+    """Sweep parameters for one experiment.  Every list must be non-empty,
+    whether or not the experiment reads it: a sweep that asks for nothing is
+    an error, not a pass with no rows."""
 
-    name: str
-    lambda_values: tuple[float, ...] = (0.25,)
-    p_values: tuple[float, ...] = (2.0,)
-    m_values: tuple[float, ...] = (1.0,)
-    r_values: tuple[float, ...] = (1.0,)
-    scale: ScaleGrid = ScaleGrid(0.05, 0.8, 5)
-    test_functions: tuple[str, ...] = ("gaussian",)
-    window: tuple[float, float] | None = None  # None: the experiment's default
-    drift_max: float = 4.0
-    sigma: float = 4.0
-    thetas: tuple[float, ...] = (1.0, 0.5, 0.25)
-    general_orders: tuple[float, float, float, float] = (1.0, 1.0, 0.0, 2.0)
-    n_values: tuple[int, ...] = (2, 4, 8, 16, 32)
-    delta_values: tuple[float, ...] = (0.1, 0.2, 0.4)
+    name: str = _cfg(_string)
+    lambda_values: tuple[float, ...] = _cfg(_NUMBERS, (0.25,), (
+        lambda lam: LAMBDA_MIN < lam <= BESSEL_LAMBDA_MAX,
+        f"in (-1/2, {BESSEL_LAMBDA_MAX:g}], where the Bessel evaluation is accurate",
+    ))
+    p_values: tuple[float, ...] = _cfg(_list(_p), (2.0,), (lambda p: p >= 1, ">= 1 or inf"))
+    m_values: tuple[float, ...] = _cfg(_NUMBERS, (1.0,), _POSITIVE)
+    # r = 0 is the plain norm; the chain experiments take r > 0 (see _SPECS)
+    r_values: tuple[float, ...] = _cfg(_NUMBERS, (1.0,), _NONNEGATIVE)
+    scale: ScaleGrid = _cfg(_block(ScaleGrid), ScaleGrid(0.05, 0.8, 5))
+    test_functions: tuple[str, ...] = _cfg(
+        _list(_string), ("gaussian",), (lambda fn: fn in PROFILES, f"one of {sorted(PROFILES)}")
+    )
+    # None (JSON null or absent): the experiment's default
+    window: tuple[float, float] | None = _cfg(_optional(_list(_number, 2)), None, _NONNEGATIVE)
+    # drift is a max/min ratio, so at least 1, and the verdict needs drift < drift_max
+    drift_max: float = _cfg(_number, 4.0, (lambda d: d > 1, "> 1"))
+    sigma: float = _cfg(_number, 4.0, _POSITIVE)
+    thetas: tuple[float, ...] = _cfg(_NUMBERS, (1.0, 0.5, 0.25), _POSITIVE)
+    general_orders: tuple[float, float, float, float] = _cfg(
+        _list(_number, 4), (1.0, 1.0, 0.0, 2.0), _NONNEGATIVE
+    )
+    n_values: tuple[int, ...] = _cfg(_list(_integer), (2, 4, 8, 16, 32), _POSITIVE)
+    delta_values: tuple[float, ...] = _cfg(
+        _NUMBERS, (0.1, 0.2, 0.4), (lambda d: 0 < d < 1, "in (0, 1)")
+    )
 
     def __post_init__(self) -> None:
-        if self.window is None and self.name in _SPECS:
-            object.__setattr__(self, "window", _SPECS[self.name].window)
-        self.validate()
-
-    def validate(self) -> None:
-        if self.name not in _SPECS:
+        if not (isinstance(self.name, str) and self.name in _SPECS):
             raise ConfigError(f"unknown experiment {self.name!r}; known: {sorted(_SPECS)}")
+        if self.window is None:
+            object.__setattr__(self, "window", _SPECS[self.name].window)
+        _check_fields(self, f"{self.name}: ", _SPECS[self.name].ranges)
         for f in fields(self):
-            if isinstance(getattr(self, f.name), tuple) and not getattr(self, f.name):
+            if getattr(self, f.name) == ():
                 raise ConfigError(f"{self.name}: {f.name} must not be empty")
-        for lam in self.lambda_values:
-            if lam <= -0.5:
-                raise ConfigError(f"{self.name}: lambda must exceed -1/2, got {lam}")
-        for p in self.p_values:
-            if not (p == math.inf or p >= 1):
-                raise ConfigError(f"{self.name}: p_values must be >= 1 or inf, got {p}")
-        for m in self.m_values:
-            if not (m > 0):
-                raise ConfigError(f"{self.name}: m_values must be positive, got {m}")
-        # the chain experiments take r as a smoothness order; elsewhere r = 0
-        # is the plain norm
-        chain = self.name in ("equivalence", "realization")
-        for r in self.r_values:
-            if not (r > 0 if chain else r >= 0):
-                raise ConfigError(
-                    f"{self.name}: r_values must be {'positive' if chain else 'nonnegative'},"
-                    f" got {r}"
-                )
-        for theta in self.thetas:
-            if not (theta > 0):
-                raise ConfigError(f"{self.name}: thetas must be positive, got {theta}")
-        lo, hi = self.window
-        if not (0 <= lo < hi):
-            raise ConfigError(f"{self.name}: window must satisfy 0 <= lo < hi")
-        for fn in self.test_functions:
-            if fn not in PROFILES:
-                raise ConfigError(f"{self.name}: unknown test function {fn!r}")
-        if not (self.sigma > 0):
-            raise ConfigError(f"{self.name}: sigma must be positive, got {self.sigma}")
-        if _SPECS[self.name].inputs == "bandlimited":
-            # two-scale comparisons require steps below half the bandwidth
-            if self.scale.hi > 1.0 / (2.0 * self.sigma) + 1e-12:
-                raise ConfigError(
-                    f"{self.name}: scale.hi={self.scale.hi} violates t <= 1/(2*sigma)"
-                    f" for sigma={self.sigma}"
-                )
-        if self.name == "general_entire":
-            r1, m1, r2, m2 = self.general_orders
-            if min(r1, m1, r2, m2) < 0:
-                raise ConfigError("general_entire: orders must be nonnegative")
-            if r1 + m1 - r2 - m2 < 0:
-                raise ConfigError(
-                    "general_entire: requires r1 + m1 - r2 - m2 >= 0, got "
-                    f"{r1 + m1 - r2 - m2}"
-                )
-        if self.name == "inverse":
-            for n in self.n_values:
-                if int(n) != n or n < 1:
-                    raise ConfigError(f"inverse: n values must be positive integers, got {n}")
-            for d in self.delta_values:
-                if not (0 < d < 1):
-                    raise ConfigError(f"inverse: delta values must lie in (0,1), got {d}")
+        if not self.window[0] < self.window[1]:
+            raise ConfigError(f"{self.name}: window must satisfy lo < hi, got {self.window}")
+        for check in _SPECS[self.name].checks:
+            check(self)
+
+
+# the largest double's logarithm: t^(2 lam + 1) overflows past it
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    output_dir: str = "reports"
-    grid_rmax: float = 30.0
-    grid_n: int = 2048
-    grid_kind: str = "gauss-legendre-composite"
-    experiments: tuple[ExperimentConfig, ...] = ()
+    output_dir: str = _cfg(_string, "reports")
+    # kernel arguments r_i t_j reach rmax^2, which must stay inside the range
+    # where the Bessel evaluation keeps its accuracy
+    grid_rmax: float = _cfg(_number, DEFAULT_RMAX, (
+        lambda rmax: 0 < rmax <= math.sqrt(BESSEL_ARG_MAX),
+        f"in (0, {math.sqrt(BESSEL_ARG_MAX):.4g}] (kernel arguments reach rmax^2, and the"
+        f" Bessel evaluation is accurate on [0, {BESSEL_ARG_MAX:g}] only)",
+    ), key="grid.rmax")
+    grid_n: int = _cfg(_integer, DEFAULT_N, (lambda n: n >= 16, ">= 16"), key="grid.n")
+    grid_kind: str = _cfg(
+        _string, GRID_KINDS[0], (lambda kind: kind in GRID_KINDS, f"one of {GRID_KINDS}"),
+        key="grid.kind",
+    )
+    experiments: tuple[ExperimentConfig, ...] = _cfg(_list(_block(ExperimentConfig)), ())
 
     def __post_init__(self) -> None:
-        # kernel arguments r_i t_j reach rmax^2, which must stay inside the
-        # range where the Bessel evaluation keeps its accuracy
-        if not (0 < self.grid_rmax and self.grid_rmax**2 <= BESSEL_ARG_MAX):
-            raise ConfigError(
-                f"config.grid.rmax must lie in (0, {math.sqrt(BESSEL_ARG_MAX):.4g}], got"
-                f" {self.grid_rmax!r}: kernel arguments reach rmax^2, and the Bessel"
-                f" evaluation is accurate on [0, {BESSEL_ARG_MAX:g}] only"
-            )
+        _check_fields(self, "config.")
+        names = [cfg.name for cfg in self.experiments]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"config.experiments: duplicate experiment name {name!r}")
+        # the weights nu_weights holds reach b_lam * rmax^(2 lam + 1), and
+        # rmax^(2 lam + 1) is formed first: it must stay a double
+        log_rmax = math.log(self.grid_rmax)
+        for cfg in self.experiments:
+            for lam in cfg.lambda_values:
+                if (2.0 * lam + 1.0) * log_rmax > _LOG_DOUBLE_MAX:
+                    raise ConfigError(
+                        f"{cfg.name}: lambda_values must be <="
+                        f" {(_LOG_DOUBLE_MAX / log_rmax - 1.0) / 2.0:.4g} on a grid of rmax"
+                        f" {self.grid_rmax!r}, whose weights hold rmax^(2*lambda+1), got {lam!r}"
+                    )
 
     def grid(self) -> RadialGrid:
         return make_grid(self.grid_rmax, self.grid_n, self.grid_kind)
@@ -578,39 +701,65 @@ def _inverse_rows(report, cfg, inp):
                     report.add("inverse-derivative", lam, p, m, r, float(n), lhs, rhs)
 
 
+def _steps_below_half_bandwidth(cfg: ExperimentConfig) -> None:
+    """Two-scale comparisons of the type-sigma input need steps t <= 1/(2 sigma)."""
+    if cfg.scale.hi > 1.0 / (2.0 * cfg.sigma) + 1e-12:
+        raise ConfigError(
+            f"{cfg.name}: scale.hi={cfg.scale.hi} violates t <= 1/(2*sigma) for sigma={cfg.sigma}"
+        )
+
+
+def _nonnegative_order_gap(cfg: ExperimentConfig) -> None:
+    r1, m1, r2, m2 = cfg.general_orders
+    if r1 + m1 - r2 - m2 < 0:
+        raise ConfigError(
+            f"{cfg.name}: requires r1 + m1 - r2 - m2 >= 0, got {r1 + m1 - r2 - m2}"
+        )
+
+
 @dataclass(frozen=True)
 class _Spec:
     """One experiment: the inputs it sweeps ("profiles", "bandlimited" or
     "lambda", see ``_inputs``), the rows it adds for one input, its default
-    window, and whether the window is two-sided and the drift checked."""
+    window, whether the window is two-sided and the drift checked, and the
+    hypotheses its config must meet beyond the field table: ``ranges`` in
+    place of a field's range, and ``checks`` across fields."""
 
     inputs: str
     rows: Callable[[SmoothnessReport, ExperimentConfig, _Input], None]
     window: tuple[float, float]
     two_sided: bool = False
     drift_checked: bool = False
+    ranges: dict[str, _Range] = field(default_factory=dict)
+    checks: tuple[Callable[[ExperimentConfig], None], ...] = ()
 
+
+# the chain experiments take r as a smoothness order
+_SMOOTHNESS_ORDERS = {"r_values": _POSITIVE}
 
 _SPECS: dict[str, _Spec] = {
     "jackson": _Spec("profiles", _jackson_rows, (0.0, 20.0)),
     "equivalence": _Spec(
         "profiles", _chain_rows((("K", "omega"), ("omega", "diff"), ("K", "diff"))),
-        (0.05, 20.0), two_sided=True, drift_checked=True,
+        (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS,
     ),
     "realization": _Spec(
         "profiles",
         _chain_rows(list(combinations(("R", "Rstar", "K", "omega"), 2)), approximants=True),
-        (0.05, 20.0), two_sided=True, drift_checked=True,
+        (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS,
     ),
     "bernstein": _Spec("lambda", _bernstein_rows, (0.0, 20.0)),
-    "nikolskii_stechkin": _Spec("bandlimited", _nikolskii_rows, (0.0, 20.0)),
+    "nikolskii_stechkin": _Spec(
+        "bandlimited", _nikolskii_rows, (0.0, 20.0), checks=(_steps_below_half_bandwidth,)
+    ),
     "boas": _Spec(
         "bandlimited",
         _two_scale_rows("boas", lambda cfg: [(0.0, m, 0.0, m) for m in cfg.m_values]),
-        (0.05, 20.0), two_sided=True,
+        (0.05, 20.0), two_sided=True, checks=(_steps_below_half_bandwidth,),
     ),
     "general_entire": _Spec(
-        "bandlimited", _two_scale_rows("general", lambda cfg: [cfg.general_orders]), (0.0, 20.0)
+        "bandlimited", _two_scale_rows("general", lambda cfg: [cfg.general_orders]), (0.0, 20.0),
+        checks=(_steps_below_half_bandwidth, _nonnegative_order_gap),
     ),
     "inverse": _Spec("profiles", _inverse_rows, (0.0, 1.0)),
 }
@@ -667,214 +816,39 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig, RadialGrid], SmoothnessReport
 
 
 def default_config() -> dict:
-    """The built-in sweep exercised by `run` when no config file is given."""
+    """The built-in sweep exercised by `run` when no config file is given;
+    a field it leaves out takes its default."""
     return {
-        "output_dir": "reports",
-        "grid": {"rmax": 30.0, "n": 2048, "kind": "gauss-legendre-composite"},
         "experiments": [
             {
                 "name": "jackson",
-                "lambda_values": [0.25],
-                "p_values": [2],
                 "m_values": [2.0],
                 "r_values": [0.0, 1.0],
                 "scale": {"lo": 2.0, "hi": 16.0, "points": 4},
-                "test_functions": ["gaussian"],
             },
-            {
-                "name": "equivalence",
-                "lambda_values": [0.25, 1.0],
-                "p_values": [2],
-                "r_values": [1.0],
-                "scale": {"lo": 0.05, "hi": 0.8, "points": 5},
-                "test_functions": ["gaussian"],
-            },
-            {
-                "name": "realization",
-                "lambda_values": [0.25],
-                "p_values": [2],
-                "r_values": [1.0],
-                "scale": {"lo": 0.05, "hi": 0.8, "points": 5},
-                "test_functions": ["gaussian"],
-            },
+            {"name": "equivalence", "lambda_values": [0.25, 1.0]},
+            {"name": "realization"},
             {
                 "name": "bernstein",
                 "lambda_values": [0.25, 1.0],
-                "p_values": [2],
                 "r_values": [1.0, 2.0],
                 "scale": {"lo": 1.0, "hi": 8.0, "points": 4},
             },
             {
                 "name": "nikolskii_stechkin",
-                "lambda_values": [0.25],
-                "p_values": [2],
                 "m_values": [1.0, 2.0],
-                "sigma": 4.0,
                 "scale": {"lo": 0.01, "hi": 0.125, "points": 4},
             },
-            {
-                "name": "boas",
-                "lambda_values": [0.25],
-                "p_values": [2],
-                "m_values": [1.0],
-                "sigma": 4.0,
-                "scale": {"lo": 0.01, "hi": 0.125, "points": 4},
-            },
-            {
-                "name": "general_entire",
-                "lambda_values": [0.25],
-                "p_values": [2],
-                "general_orders": [1.0, 1.0, 0.0, 2.0],
-                "sigma": 4.0,
-                "scale": {"lo": 0.01, "hi": 0.125, "points": 4},
-            },
-            {
-                "name": "inverse",
-                "lambda_values": [0.25],
-                "p_values": [2],
-                "m_values": [2.0],
-                "r_values": [1.0],
-                "n_values": [2, 4, 8, 16, 32],
-                "delta_values": [0.1, 0.2, 0.4],
-                "test_functions": ["gaussian"],
-            },
+            {"name": "boas", "scale": {"lo": 0.01, "hi": 0.125, "points": 4}},
+            {"name": "general_entire", "scale": {"lo": 0.01, "hi": 0.125, "points": 4}},
+            {"name": "inverse", "m_values": [2.0]},
         ],
     }
 
 
-def _field(mapping: dict, key: str, context: str, default=None, required=False):
-    if key in mapping:
-        return mapping[key]
-    if required:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return default
-
-
-def _json(value) -> str:
-    return json.dumps(value, default=repr)
-
-
-def _number(value, context: str, integer: bool = False):
-    """A finite JSON number (integral with ``integer``); anything else,
-    booleans included, is an error naming the field."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # the comparison also rejects NaN and ints beyond the float range
-    if not (number and abs(value) <= sys.float_info.max) or (integer and value != int(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{context} must be {kind}, got {_json(value)}")
-    return int(value) if integer else float(value)
-
-
-def _list(value, context: str, parse, length: int | None = None) -> tuple:
-    """A JSON list parsed element by element; errors name the element."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{context} must be a list, got {_json(value)}")
-    if length is not None and len(value) != length:
-        raise ConfigError(f"{context} must have {length} entries, got {len(value)}")
-    return tuple(parse(v, f"{context}[{i}]") for i, v in enumerate(value))
-
-
-def _string(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{context} must be a string, got {_json(value)}")
-    return value
-
-
-def _parse_p(value, context: str) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"{context}: cannot parse p value {value!r}")
-    if value == math.inf and not isinstance(value, bool):
-        return math.inf
-    return _number(value, context)
-
-
-def _check_keys(mapping, known, context: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = sorted(set(mapping) - set(known))
-    if unknown:
-        raise ConfigError(
-            f"{context}: unknown field {', '.join(map(repr, unknown))}; known: {sorted(known)}"
-        )
-
-
 def parse_config(data: dict) -> HarnessConfig:
-    """Build a validated HarnessConfig from a JSON-shaped dict.
-
-    A field no config block knows is an error, so a misspelled field never
-    silently runs with its default.
-    """
-    _check_keys(data, ("output_dir", "grid", "experiments"), "config")
-    grid_spec = _field(data, "grid", "config", default={})
-    _check_keys(grid_spec, ("rmax", "n", "kind"), "config.grid")
-    kind = _field(grid_spec, "kind", "config.grid", default="gauss-legendre-composite")
-    if kind not in GRID_KINDS:
-        raise ConfigError(f"config.grid.kind must be one of {GRID_KINDS}, got {kind!r}")
-    experiments = []
-    seen = set()
-    specs = _field(data, "experiments", "config", default=[])
-    if not isinstance(specs, list):
-        raise ConfigError(f"config.experiments must be a list, got {_json(specs)}")
-    for idx, spec in enumerate(specs):
-        cfg = _parse_experiment(spec, f"experiments[{idx}]")
-        if cfg.name in seen:
-            raise ConfigError(f"experiments[{idx}]: duplicate experiment name {cfg.name!r}")
-        seen.add(cfg.name)
-        experiments.append(cfg)
-    output_dir = _field(data, "output_dir", "config", default="reports")
-    rmax = _field(grid_spec, "rmax", "config.grid", default=30.0)
-    n = _field(grid_spec, "n", "config.grid", default=2048)
-    return HarnessConfig(
-        output_dir=_string(output_dir, "config.output_dir"),
-        grid_rmax=_number(rmax, "config.grid.rmax"),
-        grid_n=_number(n, "config.grid.n", integer=True),
-        grid_kind=kind,
-        experiments=tuple(experiments),
-    )
-
-
-def _parse_experiment(spec, ctx: str) -> ExperimentConfig:
-    """One experiment block; an absent field takes the ExperimentConfig
-    default, and a present one must have the field's JSON type."""
-    fields = ExperimentConfig.__dataclass_fields__
-    _check_keys(spec, fields, ctx)
-    name = _string(_field(spec, "name", ctx, required=True), f"{ctx}.name")
-
-    def get(key, parse):
-        return parse(spec[key], f"{ctx}.{key}") if key in spec else fields[key].default
-
-    def numbers(key, integer=False, length=None):
-        return get(key, lambda v, c: _list(v, c, lambda x, cx: _number(x, cx, integer), length))
-
-    return ExperimentConfig(
-        name=name,
-        lambda_values=numbers("lambda_values"),
-        p_values=get("p_values", lambda v, c: _list(v, c, _parse_p)),
-        m_values=numbers("m_values"),
-        r_values=numbers("r_values"),
-        scale=get("scale", _parse_scale),
-        test_functions=get("test_functions", lambda v, c: _list(v, c, _string)),
-        # null, like an absent window, means the experiment's default
-        window=None if spec.get("window") is None else numbers("window", length=2),
-        drift_max=get("drift_max", _number),
-        sigma=get("sigma", _number),
-        thetas=numbers("thetas"),
-        general_orders=numbers("general_orders", length=4),
-        n_values=numbers("n_values", integer=True),
-        delta_values=numbers("delta_values"),
-    )
-
-
-def _parse_scale(spec, context: str) -> ScaleGrid:
-    _check_keys(spec, ("lo", "hi", "points"), context)
-    lo, hi, points = (_field(spec, k, context, required=True) for k in ("lo", "hi", "points"))
-    return ScaleGrid(
-        _number(lo, f"{context}.lo"),
-        _number(hi, f"{context}.hi"),
-        _number(points, f"{context}.points", integer=True),
-    )
+    """Build a validated HarnessConfig from a JSON-shaped dict."""
+    return _read(HarnessConfig, data, "config")
 
 
 def load_config(path: str | Path) -> HarnessConfig:

@@ -318,9 +318,9 @@ def _l1_fit_symbol(f: RadialFunction, fhat: Spectrum, sigma: float) -> np.ndarra
     knots = np.linspace(0.0, sigma, _L1_HATS)
     hats = np.clip(1.0 - np.abs(nodes[:, None] - knots[None, :]) / knots[1], 0.0, None)
     hats[nodes > sigma] = 0.0
-    live = int(np.searchsorted(nodes, sigma, side="right"))
-    mat = _kernel_matrix(lam, grid)
-    cols = mat[:, :live] @ (fhat.values[:live, None] * hats[:live])
+    # the full-square product: a product sliced at sigma gives bits that
+    # depend on the BLAS thread count; hats is copied as it is scaled in place
+    cols = _inverse_products(fhat, hats.copy())
     w = nu_weights(grid, lam)
     starts = np.arange(0, nodes.size, max(1, nodes.size // _L1_LP_ROWS))
     rows = np.add.reduceat(w[:, None] * cols, starts, axis=0)

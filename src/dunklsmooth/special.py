@@ -21,6 +21,7 @@ from .weights import LAMBDA_MIN
 
 __all__ = [
     "BESSEL_ARG_MAX",
+    "BESSEL_LAMBDA_MAX",
     "BesselEvaluator",
     "bessel_norm",
     "jm_multiplier",
@@ -30,8 +31,11 @@ __all__ = [
 
 
 # j_lam meets its 1e-12 absolute-accuracy contract for arguments in
-# [0, BESSEL_ARG_MAX]; a kernel on [0, rmax] evaluates up to rmax^2
+# [0, BESSEL_ARG_MAX] and orders up to BESSEL_LAMBDA_MAX (at 130 the library
+# branch gives 0 for j_lam(0.51), near 1); a kernel on [0, rmax] evaluates up
+# to rmax^2
 BESSEL_ARG_MAX = 1e3
+BESSEL_LAMBDA_MAX = 120.0
 
 
 def _check_order(lam: float) -> float:

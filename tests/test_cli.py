@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +164,50 @@ def test_run_names_a_wrongly_typed_or_out_of_range_field(tmp_path, capsys, spec,
     assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "rep")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--lambda", "150"], "bernstein: lambda_values must be in (-1/2, 120]"),
+        (["--lambda", "400"], "bernstein: lambda_values must be in (-1/2, 120]"),
+        (["--lambda", "inf"], "bernstein: lambda_values[0] must be a finite number"),
+        (["--lambda", "nan"], "bernstein: lambda_values[0] must be a finite number"),
+        # the weights on the default grid hold 30^(2*lambda+1)
+        (["--lambda", "110"], "bernstein: lambda_values must be <= 103.8"),
+        (["--scale-max", "inf"], "scale.hi must be a finite number"),
+    ],
+)
+def test_verify_refuses_flags_outside_the_field_ranges(tmp_path, capsys, flags, field):
+    out = tmp_path / "rep"
+    assert main(["verify", "bernstein", *flags, "--output-dir", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_p1_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # p = 1 rows go through HiGHS after one kernel product; a product whose
+    # bits depend on the BLAS thread count would move them
+    spec = {
+        "grid": {"rmax": 30.0, "n": 512},
+        "experiments": [{
+            "name": "jackson", "p_values": [1], "m_values": [2.0], "r_values": [0.0, 1.0],
+            "scale": {"lo": 2.0, "hi": 16.0, "points": 4},
+        }],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklsmooth.cli", "run", "--config", str(cfg),
+             "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        reports.append((out / "jackson.csv").read_bytes())
+    assert reports[0] == reports[1]

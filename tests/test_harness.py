@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dunklsmooth import harness, smoothness
 from dunklsmooth.harness import (
@@ -21,8 +23,8 @@ from dunklsmooth.harness import (
     run_all,
     write_report,
 )
-from dunklsmooth.quad import make_grid
-from dunklsmooth.special import BesselEvaluator
+from dunklsmooth.quad import GRID_KINDS, make_grid, nu_weights
+from dunklsmooth.special import BESSEL_LAMBDA_MAX, BesselEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,157 @@ class TestConfig:
         sg = ScaleGrid(0.1, 1.0, 3)
         np.testing.assert_allclose(sg.values(), [0.1, math.sqrt(0.1), 1.0], rtol=1e-12)
         assert ScaleGrid(0.5, 0.5, 1).values().tolist() == [0.5]
+        # an integral float passes the integer kind, as 3.0 does in JSON
+        assert ScaleGrid(0.1, 1.0, 3.0).values().tolist() == sg.values().tolist()
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: ExperimentConfig(name="jackson", lambda_values=(math.nan,)),
+             "jackson: lambda_values\\[0\\] must be a finite number, got NaN"),
+            (lambda: ExperimentConfig(name="jackson", drift_max=math.nan),
+             "jackson: drift_max must be a finite number"),
+            (lambda: ScaleGrid(0.05, math.inf, 5), "scale.hi must be a finite number"),
+            (lambda: ExperimentConfig(name="jackson", sigma=math.inf),
+             "jackson: sigma must be a finite number"),
+            (lambda: HarnessConfig(grid_kind="bogus"), "config.grid.kind must be one of"),
+            (lambda: HarnessConfig(grid_n=3), "config.grid.n must be >= 16, got 3"),
+            (lambda: parse_config({"grid": {"n": 8}}), "config.grid.n must be >= 16, got 8"),
+            (lambda: HarnessConfig(grid_n=16.5), "config.grid.n must be an integer"),
+            (lambda: ExperimentConfig(name="jackson", drift_max=1.0),
+             "jackson: drift_max must be > 1, got 1.0"),
+            (lambda: ExperimentConfig(name="jackson", lambda_values=(150.0,)),
+             "jackson: lambda_values must be in \\(-1/2, 120\\]"),
+            (lambda: ExperimentConfig(name="inverse", delta_values=(0.5, 1.0)),
+             "inverse: delta_values must be in \\(0, 1\\), got 1.0"),
+            (lambda: ExperimentConfig(name="inverse", n_values=(2, 0)),
+             "inverse: n_values must be positive, got 0"),
+            (lambda: ExperimentConfig(name="jackson", window=(2.0, 1.0)),
+             "jackson: window must satisfy lo < hi"),
+            (lambda: ExperimentConfig(name=["jackson"]), "unknown experiment \\['jackson'\\]"),
+        ],
+    )
+    def test_configs_built_in_code_get_the_parse_time_checks(self, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("drift_max", 0.5, "jackson: drift_max must be > 1, got 0.5"),
+            ("drift_max", 1.0, "jackson: drift_max must be > 1, got 1.0"),
+            ("drift_max", 1e400, "experiments\\[0\\].drift_max must be a finite number"),
+            ("lambda_values", [0.25, -0.5], "jackson: lambda_values must be in \\(-1/2, 120\\]"),
+            ("test_functions", ["sinc"], "jackson: test_functions must be one of"),
+            ("scale", {"lo": 0.0, "hi": 1.0, "points": 2}, "scale.lo must be positive, got 0.0"),
+        ],
+    )
+    def test_out_of_range_fields_are_named(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config({"experiments": [{"name": "jackson", field: value}]})
+
+    def test_lambda_is_bounded_where_the_weights_stay_doubles(self):
+        # nu_weights forms t^(2 lam + 1) for nodes t < rmax: at rmax = 30 that
+        # overflows past lam = 103.8, short of the Bessel limit of 120
+        def config(lam, rmax=30.0):
+            return HarnessConfig(grid_rmax=rmax, experiments=(
+                ExperimentConfig(name="bernstein", lambda_values=(0.25, lam)),))
+
+        assert config(103.8).experiments[0].lambda_values == (0.25, 103.8)
+        assert np.all(np.isfinite(nu_weights(make_grid(30.0, 2048), 103.8)))
+        with pytest.raises(ConfigError, match="bernstein: lambda_values must be <= 103.8"):
+            config(103.9)
+        # a smaller grid reaches the Bessel limit first
+        assert config(BESSEL_LAMBDA_MAX, rmax=15.0).experiments[0].lambda_values[1] == 120.0
+        assert np.all(np.isfinite(nu_weights(make_grid(15.0, 512), BESSEL_LAMBDA_MAX)))
+
+
+# JSON values for the config property tests: each field's kind, read off its
+# type, with numbers in, at and beyond every range; and junk of every type
+_NEAR = st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 30.0, 104.0, 120.0])
+_NUMBER = _NEAR | st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-3, max_value=40),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e200, 1e308, -1e308]),
+    st.integers(300, 400).map(lambda k: (-1) ** k * 10**k),  # beyond the float range
+)
+_STRING = st.sampled_from(["gaussian", "bandlimited", *GRID_KINDS, "inf", "Infinity", "x", ""])
+_JSON = st.recursive(
+    st.one_of(_NUMBER, _STRING, st.none(), st.booleans(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["lo", "hi", "points", "name", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _of_kind(annotation: str, number=_NEAR):
+    """A strategy for a field of this type annotation: lists of its entry
+    kind, of the fixed length when the type has one."""
+    integer = number | st.integers(min_value=-2, max_value=40)
+    if annotation.startswith("tuple"):
+        entry = _STRING if "str" in annotation else integer if "int" in annotation else number
+        if "..." in annotation:
+            return st.lists(entry, min_size=1, max_size=3)
+        size = annotation.count("float")
+        return st.lists(entry, min_size=size, max_size=size)
+    if annotation == "ScaleGrid":
+        return st.fixed_dictionaries({"lo": number, "hi": number, "points": integer})
+    return {"str": _STRING, "int": integer}.get(annotation, number)
+
+
+def _config(value):
+    """Configs whose field values (beyond the name) are drawn by ``value``."""
+    experiment = st.fixed_dictionaries(
+        {"name": st.sampled_from(sorted(EXPERIMENTS))},
+        optional={f.name: value(f.type) for f in fields(ExperimentConfig)[1:]},
+    )
+    grid = st.fixed_dictionaries({}, optional={"rmax": value("float"), "n": value("int"),
+                                               "kind": value("str")})
+    return st.fixed_dictionaries({}, optional={
+        "output_dir": value("str"), "grid": grid, "experiments": st.lists(experiment, max_size=3),
+    })
+
+
+_CONFIG = st.one_of(
+    _config(_of_kind),
+    _config(lambda t: _of_kind(t, _NUMBER)),
+    _config(lambda t: _of_kind(t, _NUMBER) | _JSON),
+    _JSON,
+)
+
+
+class TestConfigBoundary:
+    """Whatever arrives, the config boundary gives a config or a ConfigError:
+    no other exception, no run, no kernel."""
+
+    @given(data=_CONFIG)
+    # rmax**2 once overflowed here
+    @example(data={"grid": {"rmax": 1e300}})
+    @settings(max_examples=200, deadline=None)
+    def test_parse_config_gives_a_config_or_a_config_error(self, data):
+        try:
+            hc = parse_config(data)
+        except ConfigError:
+            return
+        assert isinstance(hc, HarnessConfig)
+
+    @given(
+        name=st.sampled_from(sorted(EXPERIMENTS)),
+        values=st.lists(_NEAR | st.floats(allow_nan=True, allow_infinity=True),
+                        min_size=16, max_size=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_configs_built_from_floats_are_built_or_refused(self, name, values):
+        lam, p, m, r, lo, hi, drift, sigma, theta, delta, w0, w1, o1, o2, rmax, n = values
+        try:
+            cfg = ExperimentConfig(
+                name=name, lambda_values=(lam,), p_values=(p,), m_values=(m,), r_values=(r,),
+                scale=ScaleGrid(lo, hi, 3), window=(w0, w1), drift_max=drift, sigma=sigma,
+                thetas=(theta,), delta_values=(delta,), general_orders=(o1, o2, 0.0, 0.0),
+            )
+            HarnessConfig(grid_rmax=rmax, grid_n=n, experiments=(cfg,))
+        except ConfigError:
+            pass
 
 
 class TestReportMechanics:
@@ -324,11 +477,13 @@ class TestExperiments:
     @pytest.mark.parametrize("name", ["equivalence", "realization"])
     def test_chain_sweep_product_and_bessel_counts(self, grid, name, monkeypatch):
         # per (lambda, scale): at most two wide products and one Bessel base;
-        # the difference norms add one single-column product per r
-        widths, bases, realizations = [], [], []
+        # the difference norms add one single-column product per r, and the
+        # p = 1 approximant's LP fit one product of its hat columns
+        widths, bases, realizations, fits = [], [], [], []
         products = smoothness._inverse_products
         one_minus = BesselEvaluator.one_minus
         realization = smoothness.realization
+        l1_fit = smoothness._l1_fit_symbol
 
         def counted_products(fhat, symbols):
             widths.append(symbols.shape[1])
@@ -342,7 +497,12 @@ class TestExperiments:
             realizations.append(args[1:4])
             return realization(*args, **kwargs)
 
+        def counted_l1_fit(*args):
+            fits.append(args[2])
+            return l1_fit(*args)
+
         monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
+        monkeypatch.setattr(smoothness, "_l1_fit_symbol", counted_l1_fit)
         monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
         monkeypatch.setattr(smoothness, "realization", counted_realization)
         lams, ps, rs, scales = (0.25, 1.0), (1.0, 2.0, math.inf), (0.5, 1.0, 2.0), 3
@@ -351,7 +511,8 @@ class TestExperiments:
         EXPERIMENTS[name](cfg, grid)
         per_scale = len(lams) * scales
         wide = [w for w in widths if w > 1]
-        assert len(wide) <= 2 * per_scale
+        assert len(fits) == (per_scale if name == "realization" else 0)
+        assert len(wide) <= 2 * per_scale + len(fits)
         singles = len(widths) - len(wide)
         assert singles == (per_scale * len(rs) if name == "equivalence" else 0)
         assert len(bases) == per_scale

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunklsmooth.special import (
+    BESSEL_ARG_MAX,
+    BESSEL_LAMBDA_MAX,
     BesselEvaluator,
     bessel_norm,
     binom_frac,
@@ -105,6 +107,24 @@ def one_minus_oracle(lam: float, t: float, terms: int = 400) -> float:
                 / (mpmath.factorial(k) * mpmath.gamma(k + lamm + 1))
             )
         return float(-acc)
+
+
+def bessel_oracle(lam: float, t: float) -> float:
+    """j_lam(t) = Gamma(lam+1) (2/t)^lam J_lam(t), by mpmath."""
+    if t == 0.0:
+        return 1.0
+    with mpmath.workdps(40):
+        return float(mpmath.gamma(lam + 1) * (2 / mpmath.mpf(t)) ** lam * mpmath.besselj(lam, t))
+
+
+def test_bessel_contract_holds_up_to_the_largest_order_configs_accept():
+    # configs accept lambda <= BESSEL_LAMBDA_MAX; at 130 the library branch
+    # already returns 0 in place of j_lam just above the series cutoff
+    lam = BESSEL_LAMBDA_MAX
+    t = np.concatenate([np.geomspace(1e-3, BESSEL_ARG_MAX, 300), [0.0, 0.5, 0.5001, 0.51]])
+    ref = np.array([bessel_oracle(lam, x) for x in t])
+    assert np.max(np.abs(BesselEvaluator(lam)(t) - ref)) < 1e-12
+    assert abs(BesselEvaluator(130.0)(np.array([0.51]))[0] - bessel_oracle(130.0, 0.51)) > 0.5
 
 
 class TestOneMinus:
