@@ -59,14 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", help="run one experiment from flags")
     ver_p.add_argument("experiment", help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
-    ver_p.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    ver_p.add_argument("--p", type=_p_flag, default="2")
-    ver_p.add_argument("--m", type=float, default=1.0)
-    ver_p.add_argument("--r", type=float, default=1.0)
-    ver_p.add_argument("--scale-min", type=float, default=None)
-    ver_p.add_argument("--scale-max", type=float, default=None)
+    # an absent flag takes the ExperimentConfig / HarnessConfig field default
+    ver_p.add_argument("--lambda", dest="lam", type=float)
+    ver_p.add_argument("--p", type=_p_flag)
+    ver_p.add_argument("--m", type=float)
+    ver_p.add_argument("--r", type=float)
+    ver_p.add_argument("--scale-min", type=float)
+    ver_p.add_argument("--scale-max", type=float)
     ver_p.add_argument("--points", type=int, default=5)
-    ver_p.add_argument("--output-dir", default="reports")
+    ver_p.add_argument("--output-dir")
 
     tr_p = sub.add_parser("transform", help="Hankel-transform a radial CSV")
     tr_p.add_argument("--input", required=True)
@@ -98,15 +99,12 @@ def _cmd_verify(args) -> int:
                  if cfg.name == name)
     lo = args.scale_min if args.scale_min is not None else scale.lo
     hi = args.scale_max if args.scale_max is not None else scale.hi
-    cfg = ExperimentConfig(
-        name=name,
-        lambda_values=(args.lam,),
-        p_values=(args.p,),
-        m_values=(args.m,),
-        r_values=(args.r,),
-        scale=ScaleGrid(lo, hi, args.points),
-    )
-    hc = HarnessConfig(output_dir=args.output_dir, experiments=(cfg,))
+    flags = {"lambda_values": args.lam, "p_values": args.p, "m_values": args.m,
+             "r_values": args.r}
+    cfg = ExperimentConfig(name=name, scale=ScaleGrid(lo, hi, args.points),
+                           **{field: (v,) for field, v in flags.items() if v is not None})
+    out = {} if args.output_dir is None else {"output_dir": args.output_dir}
+    hc = HarnessConfig(experiments=(cfg,), **out)
     report = run_config(hc)[0]
     for row in report.rows:
         print(

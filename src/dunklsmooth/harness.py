@@ -45,9 +45,9 @@ from .smoothness import (
     marchaud_bound,
     modulus,
 )
-from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX
+from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX, LAMBDA_MIN
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
-from .weights import LAMBDA_MIN, WeightParams, params_from_lambda
+from .weights import WeightParams, params_from_lambda
 
 __all__ = [
     "ConfigError",
@@ -538,36 +538,30 @@ def _derivative(fhat: Spectrum, r: float) -> RadialFunction:
 
 def _jackson_rows(report, cfg, inp):
     """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma."""
+    derivatives = {r: _derivative(inp.fhat, r) if r > 0 else inp.f for r in cfg.r_values}
     for p in cfg.p_values:
+        errors = [(sigma, best_approx(inp.f, sigma, p, inp.params, fhat=inp.fhat).value)
+                  for sigma in cfg.scale.values()]
         for m in cfg.m_values:
             for r in cfg.r_values:
-                df = _derivative(inp.fhat, r) if r > 0 else inp.f
-                for sigma in cfg.scale.values():
-                    lhs = best_approx(inp.f, sigma, p, inp.params, fhat=inp.fhat).value
-                    om = modulus(df, 1.0 / sigma, m, p, inp.params).value
+                for sigma, lhs in errors:
+                    om = modulus(derivatives[r], 1.0 / sigma, m, p, inp.params).value
                     report.add("jackson", inp.lam, p, m, r, sigma, lhs, sigma ** (-r) * om)
 
 
-def _chain_rows(pairs, approximants: bool = False):
+def _chain_rows(pairs):
     """Rows of one profile's chain sweep in p, r, scale order: one row per
-    (a, b) pair of functionals, grouped for the drift check.  With
-    ``approximants`` the chain holds the realizations, whose type-1/t
-    approximant depends on neither r nor the functional."""
+    (a, b) pair of functionals, grouped for the drift check.  The chain
+    computes only the functionals the pairs name."""
+    names = {name for pair in pairs for name in pair}
 
     def rows(report, cfg, inp):
-        f, fhat, params = inp.f, inp.fhat, inp.params
-        chains = []
-        for t in cfg.scale.values():
-            approxes = None
-            if approximants:
-                approxes = {p: best_approx(f, 1.0 / t, p, params, fhat=fhat) for p in cfg.p_values}
-            chains.append(
-                chain_at_scale(f, t, cfg.r_values, cfg.p_values, params, fhat=fhat,
-                               approxes=approxes)
-            )
+        scales = cfg.scale.values()
+        chains = [chain_at_scale(inp.f, t, cfg.r_values, cfg.p_values, inp.params, names,
+                                 fhat=inp.fhat) for t in scales]
         for p in cfg.p_values:
             for r in cfg.r_values:
-                for t, chain in zip(cfg.scale.values(), chains):
+                for t, chain in zip(scales, chains):
                     values = chain[p, r]
                     for a, b in pairs:
                         report.add(f"{cfg.name}:{a}/{b}", inp.lam, p, r, r, t, values[a],
@@ -745,7 +739,7 @@ _SPECS: dict[str, _Spec] = {
     ),
     "realization": _Spec(
         "profiles",
-        _chain_rows(list(combinations(("R", "Rstar", "K", "omega"), 2)), approximants=True),
+        _chain_rows(list(combinations(("R", "Rstar", "K", "omega"), 2))),
         (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS,
     ),
     "bernstein": _Spec("lambda", _bernstein_rows, (0.0, 20.0)),

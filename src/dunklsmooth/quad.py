@@ -174,13 +174,18 @@ def lp_norm(f: RadialFunction, p: float, lam: float) -> float:
     For a radial function on R^d this radial norm equals the full weighted
     Lp norm, which is the contract callers rely on.
     """
+    return float(_lp_norms(f.values[:, None], f.grid, lam, p)[0])
+
+
+def _lp_norms(values: np.ndarray, grid: RadialGrid, lam: float, p: float) -> np.ndarray:
+    """``lp_norm`` of each column of an (n, k) matrix of samples on the grid."""
     if p == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
+        return np.max(np.abs(values), axis=0)
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
-    w = nu_weights(f.grid, lam)
-    return float(np.sum(w * np.abs(f.values) ** p) ** (1.0 / p))
+    w = nu_weights(grid, lam)
+    return np.sum(w[:, None] * np.abs(values) ** p, axis=0) ** (1.0 / p)
 
 
 def save_radial_csv(f: RadialFunction, path: str | Path, lam: float) -> None:

@@ -17,30 +17,30 @@ against each other: the realization (objective at a near-best bandlimited
 approximant of type 1/t) and a candidate-family upper bound (smoothing
 projections P_sigma over a geometric sigma grid, sharp spectral truncations
 at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
-columns; ``_l2_objectives`` (p = 2) and ``_physical_objectives`` (other p)
-evaluate the K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p on it.
+columns.
 
-Every public functional is built from the same symbol builders and per-p
-reducers; ``chain_at_scale`` applies them to a whole (p, r) sweep at one
-scale, from two wide inverse products instead of one product per
-(functional, p, r).
+Each chain functional has one evaluator over a whole (orders, p) sweep at
+one scale: ``_moduli`` for the modulus and ``_candidate_minima`` for the
+candidate families.  ``modulus``, ``k_functional_upper`` and
+``realization_candidate_min`` are their one-(p, r) case, and
+``chain_at_scale`` composes them, so a sweep takes two wide inverse
+products per scale instead of one product per (functional, p, r).
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
 from .operators import eta, vallee_poussin
-from .quad import RadialFunction, RadialGrid, lp_norm, nu_weights
+from .quad import RadialFunction, RadialGrid, _lp_norms, lp_norm, nu_weights
 from .special import BesselEvaluator
 from .transforms import (
     Spectrum,
     _kernel_matrix,
+    _spectrum_of,
     bandlimit_project,
-    hankel,
     spectral_tail_l2,
 )
 from .weights import WeightParams
@@ -69,19 +69,8 @@ class ModulusResult(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# inverse products, symbol builders and per-p reducers
+# inverse products, symbol builders and the batched evaluators
 # --------------------------------------------------------------------------
-
-
-def _norms_of_columns(phys: np.ndarray, grid: RadialGrid, lam: float, p: float) -> np.ndarray:
-    """Lp(nu_lam) norm of each column of an (n, k) physical-sample matrix."""
-    if p == math.inf:
-        return np.max(np.abs(phys), axis=0)
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p!r}")
-    w = nu_weights(grid, lam)
-    return np.sum(w[:, None] * np.abs(phys) ** p, axis=0) ** (1.0 / p)
 
 
 def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
@@ -119,12 +108,23 @@ def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray
     return np.maximum(BesselEvaluator(lam).one_minus(np.multiply.outer(nodes, steps)), 0.0)
 
 
-def _modulus_of(phys: np.ndarray, steps: np.ndarray, grid: RadialGrid, lam: float,
-                p: float) -> ModulusResult:
-    """Discretized sup over the steps of the difference norms in ``phys``."""
-    norms = _norms_of_columns(phys, grid, lam, p)
-    idx = int(np.argmax(norms))
-    return ModulusResult(value=float(norms[idx]), t_max=float(steps[idx]))
+def _moduli(fhat: Spectrum, base: np.ndarray, steps: np.ndarray, orders: Sequence[float],
+            p_values: Sequence[float]) -> dict[tuple[float, float], ModulusResult]:
+    """Modulus of every order m at every p, ``{(p, m): ModulusResult}``: the
+    sup over ``steps`` of ||Delta_t^m f||_p, with ``base`` the
+    ``_bessel_base`` at those steps.
+
+    One inverse product holds the symbols base^(m/2) of every order.
+    """
+    k = steps.size
+    phys = _inverse_products(fhat, np.concatenate([base ** (0.5 * m) for m in orders], axis=1))
+    moduli = {}
+    for i, m in enumerate(orders):
+        for p in p_values:
+            norms = _lp_norms(phys[:, i * k : (i + 1) * k], fhat.grid, fhat.lam, p)
+            idx = int(np.argmax(norms))
+            moduli[p, m] = ModulusResult(value=float(norms[idx]), t_max=float(steps[idx]))
+    return moduli
 
 
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -195,34 +195,52 @@ def _l2_objectives(fhat: Spectrum, syms: np.ndarray, t: float, r: float) -> np.n
     return approx + t**r * deriv
 
 
-def _physical_objectives(f: RadialFunction, lam: float, phys: np.ndarray, k: int, t: float,
-                         r_values: Sequence[float], p: float) -> list[np.ndarray]:
-    """K-objectives off p = 2 of k candidates, one array per r.
+_FAMILIES = {"K": _k_upper_symbols, "R": _r_candidate_symbols}
 
-    ``phys`` holds the physical samples of ``_with_derivatives`` of the
-    family: the k candidates g_j, then their order-r derivative blocks.
+
+def _candidate_minima(
+    f: RadialFunction,
+    fhat: Spectrum,
+    t: float,
+    families: Sequence[str],
+    r_values: Sequence[float],
+    p_values: Sequence[float],
+) -> dict[tuple[str, float, float], float]:
+    """Least K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p over each
+    named candidate family at scale t, ``{(name, p, r): value}``.
+
+    ``families`` names entries of ``_FAMILIES``, whose symbol columns give
+    the candidates g = invH(S_j fhat).  p = 2 measures both terms on the
+    spectral side, with the sharp truncations added to each family.  The
+    other p share one inverse product holding every family with its
+    derivative blocks for every r; its layout does not depend on which p
+    are swept.
     """
-    approx = _norms_of_columns(f.values[:, None] - phys[:, :k], f.grid, lam, p)
-    return [
-        approx + t**r * _norms_of_columns(phys[:, (i + 1) * k : (i + 2) * k], f.grid, lam, p)
-        for i, r in enumerate(r_values)
-    ]
-
-
-def _k_objectives(
-    f: RadialFunction, fhat: Spectrum, syms: np.ndarray, t: float, r: float, p: float
-) -> np.ndarray:
-    """K-objective ||f - g_j||_p + t^r ||(-Lap)^(r/2) g_j||_p of each candidate
-    g_j = invH(syms[:, j] * fhat), one value per column of ``syms``.
-
-    p = 2 measures both terms on the spectral side; other p measure them on
-    the physical grid, from one product of the candidates and their
-    derivatives.
-    """
-    if p == 2:
-        return _l2_objectives(fhat, syms, t, r)
-    phys = _inverse_products(fhat, _with_derivatives(syms, fhat.grid.nodes, (r,)))
-    return _physical_objectives(f, fhat.lam, phys, syms.shape[1], t, (r,), p)[0]
+    grid, nodes, lam = fhat.grid, fhat.grid.nodes, fhat.lam
+    minima = {}
+    for p in p_values:
+        if p == 2:
+            for name in families:
+                syms = _FAMILIES[name](nodes, t, True)
+                for r in r_values:
+                    minima[name, p, r] = float(np.min(_l2_objectives(fhat, syms, t, r)))
+    off_2 = [p for p in p_values if p != 2]
+    if not (off_2 and families):
+        return minima
+    syms = {name: _FAMILIES[name](nodes, t, False) for name in families}
+    phys = _inverse_products(fhat, np.concatenate(
+        [_with_derivatives(block, nodes, r_values) for block in syms.values()], axis=1
+    ))
+    col = 0
+    for name, block in syms.items():
+        k = block.shape[1]
+        for p in off_2:
+            approx = _lp_norms(f.values[:, None] - phys[:, col : col + k], grid, lam, p)
+            for i, r in enumerate(r_values):
+                deriv = _lp_norms(phys[:, col + (i + 1) * k : col + (i + 2) * k], grid, lam, p)
+                minima[name, p, r] = float(np.min(approx + t**r * deriv))
+        col += k * (len(r_values) + 1)
+    return minima
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +263,7 @@ def diff_norm(
     measure the norm on the physical grid.
     """
     lam = params.lambda_k
-    fhat = hankel(f, lam) if fhat is None else fhat
+    fhat = _spectrum_of(f, lam, fhat)
     nodes = fhat.grid.nodes
     sym = np.ones_like(nodes)
     if r > 0:
@@ -255,7 +273,7 @@ def diff_norm(
             raise ValueError("difference step must be positive when m > 0")
         sym = sym * _bessel_base(lam, nodes, np.array([t]))[:, 0] ** (0.5 * m)
     phys = _inverse_products(fhat, sym[:, None])
-    return float(_norms_of_columns(phys, fhat.grid, lam, p)[0])
+    return float(_lp_norms(phys, fhat.grid, lam, p)[0])
 
 
 def modulus(
@@ -278,10 +296,9 @@ def modulus(
     if not (m > 0):
         raise ValueError(f"order m must be positive, got {m!r}")
     lam = params.lambda_k
-    fhat = hankel(f, lam) if fhat is None else fhat
+    fhat = _spectrum_of(f, lam, fhat)
     steps = _modulus_steps(delta)
-    phys = _inverse_products(fhat, _bessel_base(lam, fhat.grid.nodes, steps) ** (0.5 * m))
-    return _modulus_of(phys, steps, fhat.grid, lam, p)
+    return _moduli(fhat, _bessel_base(lam, fhat.grid.nodes, steps), steps, (m,), (p,))[p, m]
 
 
 class BestApprox(NamedTuple):
@@ -362,7 +379,7 @@ def best_approx(
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     lam = params.lambda_k
-    fhat = hankel(f, lam) if fhat is None else fhat
+    fhat = _spectrum_of(f, lam, fhat)
     if p == 2:
         g = bandlimit_project(fhat, sigma)
         value = spectral_tail_l2(f, lam, sigma, fhat=fhat)
@@ -453,15 +470,13 @@ def k_functional_upper(
     Minimizes the K-objective over smoothing projections P_sigma(f) with
     sigma on a geometric grid spanning [1/(4t), 4/t], sharp spectral
     truncations at the same scales (p = 2 only), and g = 0, so the value
-    never exceeds ||f||_p.  Every candidate is one symbol column of a single
-    ``_k_objectives`` call.  An upper bound on the true infimum by
-    construction.
+    never exceeds ||f||_p.  The one-(p, r) case of ``_candidate_minima``.
+    An upper bound on the true infimum by construction.
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    fhat = hankel(f, params.lambda_k) if fhat is None else fhat
-    syms = _k_upper_symbols(fhat.grid.nodes, t, p == 2)
-    return float(np.min(_k_objectives(f, fhat, syms, t, r, p)))
+    fhat = _spectrum_of(f, params.lambda_k, fhat)
+    return _candidate_minima(f, fhat, t, ("K",), (r,), (p,))["K", p, r]
 
 
 def realization_candidate_min(
@@ -480,14 +495,18 @@ def realization_candidate_min(
     bandlimited to 2*sigma <= 1/t), variable-width plateau cutoffs vanishing
     at 1/t, sharp truncations up to 1/t at p = 2, and the realization
     approximant itself (the weighted-L1 fit at p = 1).  ``fhat`` and
-    ``approx`` are passed on to ``realization``.
+    ``approx`` are passed on to ``realization``.  The family is the
+    one-(p, r) case of ``_candidate_minima``.
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    fhat = hankel(f, params.lambda_k) if fhat is None else fhat
+    fhat = _spectrum_of(f, params.lambda_k, fhat)
     best = realization(f, t, r, p, params, fhat=fhat, approx=approx).value
-    syms = _r_candidate_symbols(fhat.grid.nodes, t, p == 2)
-    return min(best, float(np.min(_k_objectives(f, fhat, syms, t, r, p))))
+    low = _candidate_minima(f, fhat, t, ("R",), (r,), (p,))["R", p, r]
+    return min(best, low)
+
+
+_CHAIN_FUNCTIONALS = ("omega", "diff", "K", "Rstar", "R")
 
 
 def chain_at_scale(
@@ -496,87 +515,62 @@ def chain_at_scale(
     r_values: Sequence[float],
     p_values: Sequence[float],
     params: WeightParams,
+    names: Collection[str],
     fhat: Spectrum | None = None,
-    approxes: dict[float, BestApprox] | None = None,
 ) -> dict[tuple[float, float], dict[str, float]]:
-    """Every chain functional at one scale t, for each (p, r) of a sweep.
+    """The named chain functionals at one scale t, for each (p, r) of a sweep.
 
-    Returns ``{(p, r): {name: value}}``.  Every entry holds the modulus
-    ``"omega"`` at delta = t and order r and the K-upper bound ``"K"``.
-    Without ``approxes`` it also holds the difference norm ``"diff"`` at step
-    t and order r; with ``approxes`` (p -> ``best_approx(f, 1/t, p)``) it
-    holds the realization ``"Rstar"`` and the candidate minimum ``"R"``.
+    Returns ``{(p, r): {name: value}}`` for the ``names`` asked, drawn from
+    ``_CHAIN_FUNCTIONALS``: the modulus ``"omega"`` at delta = t and order r,
+    the difference norm ``"diff"`` at step t and order r, the K-upper bound
+    ``"K"``, the realization ``"Rstar"`` and the candidate minimum ``"R"``,
+    the least of Rstar and its candidate family (so "R" brings "Rstar").
     Each value equals the single call (``modulus``, ``diff_norm``,
     ``k_functional_upper``, ``realization``, ``realization_candidate_min``)
     at the same (p, r, t).
 
-    The Bessel base is evaluated once.  One inverse product holds the
-    modulus symbols of every r; once it is reduced at every p it is
-    released, and one more product holds every candidate family off p = 2
-    with its derivative blocks for every r.  Neither layout depends on which
-    p are swept, so a sweep's values do not either.  The difference norms
-    stay single-column products: a one-column slice of a wide product is not
-    bit-equal to the matrix-vector product ``diff_norm`` makes.
+    The Bessel base is evaluated once for the moduli and the difference
+    norms.  ``_moduli`` makes one inverse product for every r and releases
+    it before ``_candidate_minima`` makes one for every candidate family off
+    p = 2.  "R" and "Rstar" take each p's approximant of type 1/t, computed
+    once for every r.  The difference norms stay single-column products: a
+    one-column slice of a wide product is not bit-equal to the
+    matrix-vector product ``diff_norm`` makes.
     """
+    if not set(names) <= set(_CHAIN_FUNCTIONALS):
+        raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")
     if not (t > 0) or any(r <= 0 for r in r_values):
         raise ValueError("t and r must be positive")
-    if not r_values:
-        return {}
+    values = {(p, r): {} for p in p_values for r in r_values}
+    if not values:
+        return values
     lam = params.lambda_k
-    fhat = hankel(f, lam) if fhat is None else fhat
-    grid, nodes = fhat.grid, fhat.grid.nodes
-    values: dict[tuple[float, float], dict[str, float]] = {
-        (p, r): {} for p in p_values for r in r_values
-    }
+    fhat = _spectrum_of(f, lam, fhat)
+    grid = fhat.grid
 
-    steps = _modulus_steps(t)
-    base = _bessel_base(lam, nodes, steps)
-    k = steps.size
-    phys = _inverse_products(fhat, np.concatenate([base ** (0.5 * r) for r in r_values], axis=1))
-    for i, r in enumerate(r_values):
-        block = phys[:, i * k : (i + 1) * k]
-        for p in p_values:
-            values[p, r]["omega"] = _modulus_of(block, steps, grid, lam, p).value
-    del phys
-
-    builders = {"K": _k_upper_symbols}
-    if approxes is None:
+    if "omega" in names or "diff" in names:
+        steps = _modulus_steps(t)
+        base = _bessel_base(lam, grid.nodes, steps)
+    if "omega" in names:
+        for key, result in _moduli(fhat, base, steps, r_values, p_values).items():
+            values[key]["omega"] = result.value
+    if "diff" in names:
         # column 0 of the base is the step t itself
         column = np.ascontiguousarray(base[:, 0])
         for r in r_values:
             phys = _inverse_products(fhat, (column ** (0.5 * r))[:, None])
             for p in p_values:
-                values[p, r]["diff"] = float(_norms_of_columns(phys, grid, lam, p)[0])
-    else:
-        builders["R"] = _r_candidate_symbols
-        for (p, r), entry in values.items():
-            entry["Rstar"] = realization(f, t, r, p, params, approx=approxes[p]).value
+                values[p, r]["diff"] = float(_lp_norms(phys, grid, lam, p)[0])
 
-    def record(name: str, p: float, r: float, objectives: np.ndarray) -> None:
-        low = float(np.min(objectives))
+    if "R" in names or "Rstar" in names:
+        for p in p_values:
+            approx = best_approx(f, 1.0 / t, p, params, fhat=fhat)
+            for r in r_values:
+                values[p, r]["Rstar"] = realization(f, t, r, p, params, approx=approx).value
+
+    families = [name for name in _FAMILIES if name in names]
+    for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values, p_values).items():
         values[p, r][name] = low if name == "K" else min(values[p, r]["Rstar"], low)
-
-    for p in p_values:
-        if p == 2:
-            for name, build in builders.items():
-                syms = build(nodes, t, True)
-                for r in r_values:
-                    record(name, p, r, _l2_objectives(fhat, syms, t, r))
-    off_2 = [p for p in p_values if p != 2]
-    if off_2:
-        families = {name: build(nodes, t, False) for name, build in builders.items()}
-        phys = _inverse_products(fhat, np.concatenate(
-            [_with_derivatives(syms, nodes, r_values) for syms in families.values()], axis=1
-        ))
-        col = 0
-        for name, syms in families.items():
-            k = syms.shape[1]
-            block = phys[:, col : col + k * (len(r_values) + 1)]
-            for p in off_2:
-                objectives = _physical_objectives(f, lam, block, k, t, r_values, p)
-                for r, per_r in zip(r_values, objectives):
-                    record(name, p, r, per_r)
-            col += block.shape[1]
     return values
 
 
@@ -619,7 +613,7 @@ def marchaud_bound(
         raise ValueError(f"m must be positive, got {m!r}")
     lam = params.lambda_k
     t_grid = np.geomspace(delta, 1.0, _MARCHAUD_SCALES)
-    fhat = hankel(f, lam) if fhat is None else fhat
+    fhat = _spectrum_of(f, lam, fhat)
     kvals = np.array([realization(f, t, m + 1.0, p, params, fhat=fhat).value for t in t_grid])
     integrand = t_grid ** (-m) * kvals
     integral = float(np.trapezoid(integrand, x=np.log(t_grid)))

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sps
 
-from .weights import LAMBDA_MIN
-
 __all__ = [
     "BESSEL_ARG_MAX",
     "BESSEL_LAMBDA_MAX",
@@ -30,18 +28,23 @@ __all__ = [
 ]
 
 
-# j_lam meets its 1e-12 absolute-accuracy contract for arguments in
-# [0, BESSEL_ARG_MAX] and orders up to BESSEL_LAMBDA_MAX (at 130 the library
-# branch gives 0 for j_lam(0.51), near 1); a kernel on [0, rmax] evaluates up
-# to rmax^2
+# j_lam is bounded by 1 for orders above LAMBDA_MIN, and meets its 1e-12
+# absolute-accuracy contract for arguments in [0, BESSEL_ARG_MAX] and orders
+# up to BESSEL_LAMBDA_MAX (at 130 the library branch gives 0 for j_lam(0.51),
+# near 1); a kernel on [0, rmax] evaluates up to rmax^2
+LAMBDA_MIN = -0.5
 BESSEL_ARG_MAX = 1e3
 BESSEL_LAMBDA_MAX = 120.0
 
 
-def _check_order(lam: float) -> float:
+def _check_lambda(lam: float) -> float:
+    """``lam`` as a float; refused unless it lies in (LAMBDA_MIN, BESSEL_LAMBDA_MAX]."""
     lam = float(lam)
-    if not math.isfinite(lam) or lam <= LAMBDA_MIN:
-        raise ValueError(f"order must be a finite real > -1/2, got {lam!r}")
+    if not (LAMBDA_MIN < lam <= BESSEL_LAMBDA_MAX):
+        raise ValueError(
+            f"lambda must lie in (-1/2, {BESSEL_LAMBDA_MAX:g}], where the Bessel evaluation"
+            f" is accurate, got {lam!r}"
+        )
     return lam
 
 
@@ -64,7 +67,7 @@ class BesselEvaluator:
     lam: float
 
     def __post_init__(self) -> None:
-        _check_order(self.lam)
+        _check_lambda(self.lam)
 
     def _series(self, t: np.ndarray) -> np.ndarray:
         # j_lam(t) = sum_k (-1)^k Gamma(lam+1) (t/2)^(2k) / (k! Gamma(k+lam+1));
@@ -131,7 +134,7 @@ def jm_multiplier(lam: float, m: float, t):
 
     Nonnegative since j_lam <= 1; vanishes like t^m at the origin.
     """
-    _check_order(lam)
+    _check_lambda(lam)
     if not (m > 0):
         raise ValueError(f"order m must be positive, got {m!r}")
     base = np.maximum(BesselEvaluator(lam).one_minus(t), 0.0)

@@ -37,8 +37,8 @@ from .quad import (
     _read_csv,
     nu_weights,
 )
-from .special import BesselEvaluator
-from .weights import LAMBDA_MIN, measure_constants
+from .special import BesselEvaluator, _check_lambda
+from .weights import measure_constants
 
 __all__ = [
     "Spectrum",
@@ -149,13 +149,6 @@ def spectrum_from_values(
 # --------------------------------------------------------------------------
 # Hankel transform
 # --------------------------------------------------------------------------
-
-
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= LAMBDA_MIN:
-        raise ValueError(f"lambda must be a finite real > -1/2, got {lam!r}")
-    return lam
 
 
 def _panel_slices(grid: RadialGrid) -> list[tuple[slice, int, int]]:
@@ -355,6 +348,17 @@ def hankel(f: RadialFunction, lam: float) -> Spectrum:
     )
 
 
+def _spectrum_of(f: RadialFunction, lam: float, fhat: Spectrum | None) -> Spectrum:
+    """``hankel(f, lam)``, or the caller's precomputed ``fhat`` once it is
+    checked to be a transform of f's grid at index lam."""
+    if fhat is None:
+        return hankel(f, lam)
+    if fhat.lam != lam or fhat.grid != f.grid:
+        raise ValueError(f"spectrum at lambda={fhat.lam!r} on grid {fhat.grid.key} does not"
+                         f" match its input at lambda={lam!r} on grid {f.grid.key}")
+    return fhat
+
+
 def inverse_hankel(s: Spectrum) -> RadialFunction:
     """Inverse transform; the Hankel transform is self-inverse."""
     mat = _kernel_matrix(s.lam, s.grid)
@@ -384,7 +388,7 @@ def spectral_tail_l2(
     grid = f.grid
     if sigma >= grid.rmax:
         return 0.0
-    fhat = hankel(f, lam) if fhat is None else fhat
+    fhat = _spectrum_of(f, lam, fhat)
     nuw = nu_weights(grid, lam)
     edges = grid.panel_edges if grid.panel_edges else (0.0, grid.rmax)
     cut_edge = min(e for e in edges if e >= sigma)

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .special import _check_lambda
+
 __all__ = [
     "WeightParams",
     "MeasureConstants",
@@ -28,8 +30,6 @@ __all__ = [
     "weight_z2d",
     "measure_constants",
 ]
-
-LAMBDA_MIN = -0.5
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def make_params(d: int, multiplicities: Sequence[float]) -> WeightParams:
 
     Rejects negative multiplicities and any combination with
     ``lambda_k <= -1/2`` (only the unweighted line reaches the boundary,
-    and the radial calculus needs d_k > 1).
+    and the radial calculus needs d_k > 1) or above the Bessel range.
     """
     if int(d) != d or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
@@ -69,9 +69,7 @@ def make_params(d: int, multiplicities: Sequence[float]) -> WeightParams:
         raise ValueError(f"expected {d} multiplicities, got {len(ks)}")
     if any(k < 0 or not math.isfinite(k) for k in ks):
         raise ValueError("multiplicities must be finite and nonnegative")
-    lam = d / 2.0 - 1.0 + math.fsum(ks)
-    if lam <= LAMBDA_MIN:
-        raise ValueError(f"lambda_k = {lam} must exceed -1/2")
+    lam = _check_lambda(d / 2.0 - 1.0 + math.fsum(ks))
     return WeightParams(d=int(d), multiplicities=ks, lambda_k=lam, d_k=2.0 * (lam + 1.0))
 
 
@@ -81,9 +79,7 @@ def params_from_lambda(lam: float, d: int = 1) -> WeightParams:
     The radial theory sees only ``lam``; this constructor serves purely
     radial experiments that sweep the index.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= LAMBDA_MIN:
-        raise ValueError(f"lambda must be a finite real > -1/2, got {lam!r}")
+    lam = _check_lambda(lam)
     return WeightParams(d=int(d), multiplicities=None, lambda_k=lam, d_k=2.0 * (lam + 1.0))
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dunklsmooth import cli
 from dunklsmooth.cli import _build_parser, main
+from dunklsmooth.harness import ConfigError, ExperimentConfig, HarnessConfig
 from dunklsmooth.quad import RadialFunction, make_grid, save_radial_csv
 from dunklsmooth.transforms import load_spectrum_csv
 
@@ -90,13 +92,47 @@ def test_verify_uses_the_experiment_window(tmp_path, capsys):
     assert "window_lo=0.0 window_hi=1.0" in header
 
 
-def test_verify_names_a_bad_p_flag(capsys):
+def test_verify_names_a_bad_p_flag(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "jackson", "--p", "abc"])
     assert exc.value.code == 2
     assert "argument --p: expected a number or inf, got 'abc'" in capsys.readouterr().err
     assert _build_parser().parse_args(["verify", "jackson", "--p", "Infinity"]).p == math.inf
-    assert _build_parser().parse_args(["verify", "jackson"]).p == 2.0
+    # without --p, verify runs the field default of p_values
+    runs = _captured_verify_runs(monkeypatch, ["verify", "jackson"])
+    assert runs[0].experiments[0].p_values == ExperimentConfig(name="jackson").p_values
+
+
+def _captured_verify_runs(monkeypatch, argv):
+    """The HarnessConfig each ``run_config`` call of ``main(argv)`` receives;
+    the run itself is skipped."""
+    runs = []
+
+    def capture(hc):
+        runs.append(hc)
+        raise ConfigError("run skipped")
+
+    monkeypatch.setattr(cli, "run_config", capture)
+    assert main(argv) == 2
+    return runs
+
+
+def test_verify_flags_default_to_the_field_table(monkeypatch):
+    (hc,) = _captured_verify_runs(monkeypatch, ["verify", "bernstein"])
+    (cfg,) = hc.experiments
+    default = ExperimentConfig(name="bernstein")
+    for field in ("lambda_values", "p_values", "m_values", "r_values"):
+        assert getattr(cfg, field) == getattr(default, field)
+    assert hc.output_dir == HarnessConfig(experiments=(default,)).output_dir
+    (hc,) = _captured_verify_runs(monkeypatch, [
+        "verify", "bernstein", "--lambda", "1", "--p", "inf", "--m", "2", "--r", "0.5",
+        "--output-dir", "elsewhere",
+    ])
+    (cfg,) = hc.experiments
+    assert (cfg.lambda_values, cfg.p_values, cfg.m_values, cfg.r_values) == (
+        (1.0,), (math.inf,), (2.0,), (0.5,)
+    )
+    assert hc.output_dir == "elsewhere"
 
 
 def test_verify_unknown_experiment(capsys):
@@ -190,10 +226,13 @@ def test_p1_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # bits depend on the BLAS thread count would move them
     spec = {
         "grid": {"rmax": 30.0, "n": 512},
-        "experiments": [{
-            "name": "jackson", "p_values": [1], "m_values": [2.0], "r_values": [0.0, 1.0],
-            "scale": {"lo": 2.0, "hi": 16.0, "points": 4},
-        }],
+        "experiments": [
+            {"name": "jackson", "p_values": [1], "m_values": [2.0], "r_values": [0.0, 1.0],
+             "scale": {"lo": 2.0, "hi": 16.0, "points": 4}},
+            # the chain's wide products and the realization's LP fit
+            {"name": "realization", "p_values": [1], "r_values": [0.5, 1.0],
+             "scale": {"lo": 0.1, "hi": 0.4, "points": 2}},
+        ],
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(spec))
@@ -209,5 +248,5 @@ def test_p1_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode in (0, 1), proc.stderr
-        reports.append((out / "jackson.csv").read_bytes())
+        reports.append([(out / f"{name}.csv").read_bytes() for name in ("jackson", "realization")])
     assert reports[0] == reports[1]

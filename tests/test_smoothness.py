@@ -350,11 +350,14 @@ class TestMarchaudBound:
 class TestChainAtScale:
     P_VALUES = (1.0, 2.0, math.inf)
     R_VALUES = (0.5, 1.0, 2.0)
+    EQUIVALENCE = ("omega", "diff", "K")
+    REALIZATION = ("omega", "K", "Rstar", "R")
 
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_equivalence_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, fhat=fhat)
+        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, self.EQUIVALENCE,
+                               fhat=fhat)
         assert set(chain) == {(p, r) for p in self.P_VALUES for r in self.R_VALUES}
         for (p, r), values in chain.items():
             assert values == {
@@ -366,12 +369,10 @@ class TestChainAtScale:
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_realization_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        approxes = {p: best_approx(gauss, 1.0 / t, p, PARAMS, fhat=fhat) for p in self.P_VALUES}
-        chain = chain_at_scale(
-            gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, fhat=fhat, approxes=approxes
-        )
+        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, self.REALIZATION,
+                               fhat=fhat)
         for (p, r), values in chain.items():
-            ba = approxes[p]
+            ba = best_approx(gauss, 1.0 / t, p, PARAMS, fhat=fhat)
             assert values == {
                 "omega": modulus(gauss, t, r, p, PARAMS, fhat=fhat).value,
                 "K": k_functional_upper(gauss, t, r, p, PARAMS, fhat=fhat),
@@ -379,15 +380,30 @@ class TestChainAtScale:
                 "R": realization_candidate_min(gauss, t, r, p, PARAMS, fhat=fhat, approx=ba),
             }
 
+    @pytest.mark.parametrize("names", [("omega",), ("diff",), ("K",), ("Rstar",), ("R",),
+                                       ("R", "omega")])
+    def test_computes_only_the_named_functionals(self, gauss, names):
+        fhat = hankel(gauss, LAM)
+        full = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), PARAMS,
+                              self.EQUIVALENCE + self.REALIZATION, fhat=fhat)
+        chain = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), PARAMS, names, fhat=fhat)
+        # R is the least of Rstar and its candidate family, so it brings Rstar
+        kept = set(names) | ({"Rstar"} if "R" in names else set())
+        assert chain == {key: {name: full[key][name] for name in kept} for key in full}
+
     def test_rejects_nonpositive_scale_or_order(self, gauss):
         with pytest.raises(ValueError):
-            chain_at_scale(gauss, 0.0, (1.0,), (2.0,), PARAMS)
+            chain_at_scale(gauss, 0.0, (1.0,), (2.0,), PARAMS, ("K",))
         with pytest.raises(ValueError):
-            chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), PARAMS)
+            chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), PARAMS, ("K",))
+
+    def test_rejects_unknown_functional(self, gauss):
+        with pytest.raises(ValueError, match="'E'"):
+            chain_at_scale(gauss, 0.1, (1.0,), (2.0,), PARAMS, ("K", "E"))
 
     def test_empty_sweep_axes_give_no_values(self, gauss):
-        assert chain_at_scale(gauss, 0.1, (), (2.0,), PARAMS) == {}
-        assert chain_at_scale(gauss, 0.1, (1.0,), (), PARAMS) == {}
+        assert chain_at_scale(gauss, 0.1, (), (2.0,), PARAMS, ("K",)) == {}
+        assert chain_at_scale(gauss, 0.1, (1.0,), (), PARAMS, ("K",)) == {}
 
 
 class TestSpectrumPassThrough:
@@ -403,3 +419,22 @@ class TestSpectrumPassThrough:
         assert marchaud_bound(gauss, 0.2, 1.0, 2, PARAMS, fhat=fhat) == marchaud_bound(
             gauss, 0.2, 1.0, 2, PARAMS
         )
+
+    def test_spectrum_at_another_lambda_is_refused(self, gauss):
+        # the spectrum's own lambda with the caller's weights matched neither
+        wrong = hankel(gauss, LAM)
+        params = params_from_lambda(1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            modulus(gauss, 0.3, 1.0, 2, params, fhat=wrong)
+        assert modulus(gauss, 0.3, 1.0, 2, params, fhat=hankel(gauss, 1.0)) == modulus(
+            gauss, 0.3, 1.0, 2, params
+        )
+
+    def test_spectrum_on_another_grid_is_refused(self):
+        small, large = make_grid(20.0, 512), make_grid(30.0, 512)
+        f = RadialFunction(grid=small, values=np.exp(-0.5 * small.nodes**2))
+        wrong = hankel(RadialFunction(grid=large, values=np.exp(-0.5 * large.nodes**2)), LAM)
+        with pytest.raises(ValueError, match="does not match"):
+            k_functional_upper(f, 0.3, 1.0, 2, PARAMS, fhat=wrong)
+        with pytest.raises(ValueError, match="does not match"):
+            spectral_tail_l2(f, LAM, 1.0, fhat=wrong)

@@ -15,6 +15,9 @@ from dunklsmooth.special import (
     binom_tail_bound,
     jm_multiplier,
 )
+from dunklsmooth.quad import RadialFunction, make_grid
+from dunklsmooth.transforms import hankel, spectral_tail_l2
+from dunklsmooth.weights import params_from_lambda
 
 
 def series_oracle(lam: float, t: float, terms: int = 200) -> float:
@@ -118,13 +121,31 @@ def bessel_oracle(lam: float, t: float) -> float:
 
 
 def test_bessel_contract_holds_up_to_the_largest_order_configs_accept():
-    # configs accept lambda <= BESSEL_LAMBDA_MAX; at 130 the library branch
-    # already returns 0 in place of j_lam just above the series cutoff
+    # configs and the library accept lambda <= BESSEL_LAMBDA_MAX; at 130 the
+    # library branch would return 0 in place of j_lam just above the series
+    # cutoff, so that order is refused
     lam = BESSEL_LAMBDA_MAX
     t = np.concatenate([np.geomspace(1e-3, BESSEL_ARG_MAX, 300), [0.0, 0.5, 0.5001, 0.51]])
     ref = np.array([bessel_oracle(lam, x) for x in t])
     assert np.max(np.abs(BesselEvaluator(lam)(t) - ref)) < 1e-12
-    assert abs(BesselEvaluator(130.0)(np.array([0.51]))[0] - bessel_oracle(130.0, 0.51)) > 0.5
+    assert bessel_oracle(130.0, 0.51) > 0.99
+    with pytest.raises(ValueError, match="120"):
+        BesselEvaluator(130.0)
+
+
+@pytest.mark.parametrize("lam", [130.0, math.nextafter(BESSEL_LAMBDA_MAX, math.inf)])
+def test_every_entry_point_refuses_orders_outside_the_bessel_range(lam):
+    grid = make_grid(10.0, 64)
+    f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+    for call in (
+        lambda: BesselEvaluator(lam),
+        lambda: jm_multiplier(lam, 1.0, 0.5),
+        lambda: params_from_lambda(lam),
+        lambda: hankel(f, lam),
+        lambda: spectral_tail_l2(f, lam, 1.0),
+    ):
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            call()
 
 
 class TestOneMinus:
