@@ -10,11 +10,9 @@ relating them as bounded-ratio experiments.
 
 from .weights import (
     WeightParams,
-    MeasureConstants,
     make_params,
-    params_from_lambda,
     weight_z2d,
-    measure_constants,
+    b_lambda,
 )
 from .special import (
     BesselEvaluator,

@@ -47,7 +47,6 @@ from .smoothness import (
 )
 from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX, LAMBDA_MIN
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
-from .weights import WeightParams, params_from_lambda
 
 __all__ = [
     "ConfigError",
@@ -127,7 +126,7 @@ def make_profile(name: str, grid: RadialGrid, lam: float) -> RadialFunction:
     """Materialize a named test profile on a grid at weight index lam."""
     if name not in PROFILES:
         raise ConfigError(f"unknown test function {name!r}; known: {sorted(PROFILES)}")
-    return RadialFunction(grid=grid, values=PROFILES[name](grid, lam), label=name)
+    return RadialFunction(grid=grid, values=PROFILES[name](grid, lam))
 
 
 def bandlimited_spectrum(grid: RadialGrid, lam: float, sigma: float) -> Spectrum:
@@ -505,7 +504,6 @@ class _Input(NamedTuple):
 
     grid: RadialGrid
     lam: float
-    params: WeightParams
     profile: str = ""
     f: RadialFunction | None = None
     fhat: Spectrum | None = None
@@ -516,18 +514,17 @@ def _inputs(kind: str, cfg: ExperimentConfig, grid: RadialGrid, report: Smoothne
     transform ("profiles"; a truncation-suspect transform counts a warning),
     the bandlimited input of type cfg.sigma ("bandlimited"), or lambda alone."""
     for lam in cfg.lambda_values:
-        params = params_from_lambda(lam)
         if kind == "profiles":
             for name in cfg.test_functions:
                 f = make_profile(name, grid, lam)
                 fhat = hankel(f, lam)
                 report.truncation_warnings += fhat.truncated
-                yield _Input(grid, lam, params, name, f, fhat)
+                yield _Input(grid, lam, name, f, fhat)
         elif kind == "bandlimited":
             shat = bandlimited_spectrum(grid, lam, cfg.sigma)
-            yield _Input(grid, lam, params, "", inverse_hankel(shat), shat)
+            yield _Input(grid, lam, "", inverse_hankel(shat), shat)
         else:
-            yield _Input(grid, lam, params)
+            yield _Input(grid, lam)
 
 
 def _derivative(fhat: Spectrum, r: float) -> RadialFunction:
@@ -536,16 +533,30 @@ def _derivative(fhat: Spectrum, r: float) -> RadialFunction:
     return inverse_hankel(spectrum_from_values(fhat.grid, fhat.lam, fhat.values * nodes**r))
 
 
+def _derivatives(inp: _Input, r_values) -> dict[float, tuple[RadialFunction, Spectrum]]:
+    """(-Lap)^(r/2) f with its transform for each r, transformed once; at
+    r = 0 that is f and its spectrum."""
+    out = {}
+    for r in r_values:
+        if r > 0:
+            df = _derivative(inp.fhat, r)
+            out[r] = df, hankel(df, inp.lam)
+        else:
+            out[r] = inp.f, inp.fhat
+    return out
+
+
 def _jackson_rows(report, cfg, inp):
     """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma."""
-    derivatives = {r: _derivative(inp.fhat, r) if r > 0 else inp.f for r in cfg.r_values}
+    derivatives = _derivatives(inp, cfg.r_values)
     for p in cfg.p_values:
-        errors = [(sigma, best_approx(inp.f, sigma, p, inp.params, fhat=inp.fhat).value)
+        errors = [(sigma, best_approx(inp.f, sigma, p, inp.lam, fhat=inp.fhat).value)
                   for sigma in cfg.scale.values()]
         for m in cfg.m_values:
             for r in cfg.r_values:
+                df, dfhat = derivatives[r]
                 for sigma, lhs in errors:
-                    om = modulus(derivatives[r], 1.0 / sigma, m, p, inp.params).value
+                    om = modulus(df, 1.0 / sigma, m, p, inp.lam, fhat=dfhat).value
                     report.add("jackson", inp.lam, p, m, r, sigma, lhs, sigma ** (-r) * om)
 
 
@@ -557,7 +568,7 @@ def _chain_rows(pairs):
 
     def rows(report, cfg, inp):
         scales = cfg.scale.values()
-        chains = [chain_at_scale(inp.f, t, cfg.r_values, cfg.p_values, inp.params, names,
+        chains = [chain_at_scale(inp.f, t, cfg.r_values, cfg.p_values, inp.lam, names,
                                  fhat=inp.fhat) for t in scales]
         for p in cfg.p_values:
             for r in cfg.r_values:
@@ -610,9 +621,9 @@ def _nikolskii_rows(report, cfg, inp):
     """t^m-scaled difference norms control the m-th derivative norm."""
     for p in cfg.p_values:
         for m in cfg.m_values:
-            lhs_const = diff_norm(inp.f, 0.0, 0.0, p, inp.params, r=m, fhat=inp.fhat)
+            lhs_const = diff_norm(inp.f, 0.0, 0.0, p, inp.lam, r=m, fhat=inp.fhat)
             for t in cfg.scale.values():
-                rhs = diff_norm(inp.f, t, m, p, inp.params, fhat=inp.fhat)
+                rhs = diff_norm(inp.f, t, m, p, inp.lam, fhat=inp.fhat)
                 report.add("nikolskii-stechkin", inp.lam, p, m, m, t, lhs_const * t**m, rhs)
 
 
@@ -636,7 +647,7 @@ def _two_scale_rows(check, orders):
                     # ||Delta_step^m (-Lap)^(r/2) f||_p; m = 0 drops the step
                     key = (step if m > 0 else 0.0, m, r)
                     if key not in norms:
-                        norms[key] = diff_norm(inp.f, key[0], m, p, inp.params, r=r, fhat=inp.fhat)
+                        norms[key] = diff_norm(inp.f, key[0], m, p, inp.lam, r=r, fhat=inp.fhat)
                     return norms[key]
 
                 for t in cfg.scale.values():
@@ -652,43 +663,44 @@ def _two_scale_rows(check, orders):
     return rows
 
 
-def _best_approx_error(f, fhat, j, p, params):
+def _best_approx_error(f, fhat, j, p, lam):
     """E_j(f)_p; E_0 is the norm of f (its spectral tail from 0 at p = 2)."""
     if j > 0:
-        return best_approx(f, float(j), p, params, fhat=fhat).value
+        return best_approx(f, float(j), p, lam, fhat=fhat).value
     if p == 2:
-        return spectral_tail_l2(f, params.lambda_k, 0.0, fhat=fhat)
-    return lp_norm(f, p, params.lambda_k)
+        return spectral_tail_l2(f, lam, 0.0, fhat=fhat)
+    return lp_norm(f, p, lam)
 
 
 def _inverse_rows(report, cfg, inp):
     """Inverse-direction bounds: cumulative sums, Marchaud, derivative variant."""
-    f, fhat, params, lam = inp.f, inp.fhat, inp.params, inp.lam
+    f, fhat, lam = inp.f, inp.fhat, inp.lam
     tail_cutoff = 1e-10
     j_cap = 64
     n_max = max(cfg.n_values)
+    derivatives = _derivatives(inp, cfg.r_values)
     for p in cfg.p_values:
-        table = {j: _best_approx_error(f, fhat, j, p, params) for j in range(n_max + 1)}
+        table = {j: _best_approx_error(f, fhat, j, p, lam) for j in range(n_max + 1)}
         for m in cfg.m_values:
             for n in cfg.n_values:
-                lhs = modulus(f, 1.0 / n, m, p, params, fhat=fhat).value
+                lhs = modulus(f, 1.0 / n, m, p, lam, fhat=fhat).value
                 report.add("inverse", lam, p, m, 0.0, float(n), lhs, inverse_bound(table, n, m))
             for delta in cfg.delta_values:
-                lhs = k_functional_upper(f, delta, m, p, params, fhat=fhat)
-                rhs = marchaud_bound(f, delta, m, p, params, fhat=fhat)
+                lhs = k_functional_upper(f, delta, m, p, lam, fhat=fhat)
+                rhs = marchaud_bound(f, delta, m, p, lam, fhat=fhat)
                 report.add("marchaud", lam, p, m, 0.0, delta, lhs, rhs)
             for r in cfg.r_values:
                 if r <= 0:
                     continue
-                df = _derivative(fhat, r)
+                df, dfhat = derivatives[r]
                 # extend the table until E_j decays below the cutoff
                 j_hi = n_max
                 while j_hi < j_cap and table[j_hi] > tail_cutoff:
                     j_hi += 1
                     if j_hi not in table:
-                        table[j_hi] = _best_approx_error(f, fhat, j_hi, p, params)
+                        table[j_hi] = _best_approx_error(f, fhat, j_hi, p, lam)
                 for n in cfg.n_values:
-                    lhs = modulus(df, 1.0 / n, m, p, params).value
+                    lhs = modulus(df, 1.0 / n, m, p, lam, fhat=dfhat).value
                     head = sum((j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1))
                     tail = sum(float(j) ** (r - 1.0) * table[j] for j in range(n + 1, j_hi + 1))
                     rhs = n ** (-r) * head + tail

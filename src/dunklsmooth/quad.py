@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import measure_constants
+from .weights import b_lambda
 
 __all__ = [
     "RadialGrid",
@@ -86,7 +86,6 @@ class RadialFunction:
 
     grid: RadialGrid
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
@@ -161,8 +160,7 @@ def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
     """Quadrature weights of d nu_lam on the grid: b_lam * w_i * t_i^(2*lam+1)
     (read-only)."""
     lam = float(lam)
-    b = measure_constants(lam).b_lambda
-    weights = b * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
+    weights = b_lambda(lam) * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
     weights.flags.writeable = False
     return weights
 
@@ -182,7 +180,7 @@ def _lp_norms(values: np.ndarray, grid: RadialGrid, lam: float, p: float) -> np.
     if p == math.inf:
         return np.max(np.abs(values), axis=0)
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     w = nu_weights(grid, lam)
     return np.sum(w[:, None] * np.abs(values) ** p, axis=0) ** (1.0 / p)

@@ -43,7 +43,6 @@ from .transforms import (
     bandlimit_project,
     spectral_tail_l2,
 )
-from .weights import WeightParams
 
 __all__ = [
     "ModulusResult",
@@ -253,7 +252,7 @@ def diff_norm(
     t: float,
     m: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     r: float = 0.0,
     fhat: Spectrum | None = None,
 ) -> float:
@@ -262,7 +261,6 @@ def diff_norm(
     One code path for every p: invert the symbol-multiplied spectrum, then
     measure the norm on the physical grid.
     """
-    lam = params.lambda_k
     fhat = _spectrum_of(f, lam, fhat)
     nodes = fhat.grid.nodes
     sym = np.ones_like(nodes)
@@ -281,7 +279,7 @@ def modulus(
     delta: float,
     m: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     fhat: Spectrum | None = None,
 ) -> ModulusResult:
     """Fractional modulus of smoothness sup_{0 < t <= delta} ||Delta_t^m f||_p.
@@ -295,7 +293,6 @@ def modulus(
         raise ValueError(f"delta must be positive, got {delta!r}")
     if not (m > 0):
         raise ValueError(f"order m must be positive, got {m!r}")
-    lam = params.lambda_k
     fhat = _spectrum_of(f, lam, fhat)
     steps = _modulus_steps(delta)
     return _moduli(fhat, _bessel_base(lam, fhat.grid.nodes, steps), steps, (m,), (p,))[p, m]
@@ -361,7 +358,7 @@ def best_approx(
     f: RadialFunction,
     sigma: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     fhat: Spectrum | None = None,
 ) -> BestApprox:
     """Distance from f to the bandlimited class of spherical type sigma.
@@ -378,7 +375,6 @@ def best_approx(
     """
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    lam = params.lambda_k
     fhat = _spectrum_of(f, lam, fhat)
     if p == 2:
         g = bandlimit_project(fhat, sigma)
@@ -419,7 +415,7 @@ def realization(
     t: float,
     r: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     fhat: Spectrum | None = None,
     approx: BestApprox | None = None,
 ) -> RealizationResult:
@@ -430,17 +426,18 @@ def realization(
     weighted-L1 fit at p = 1, the smoothing projection at other p != 2);
     bandlimited functions lie in every Sobolev class, so the derivative term
     is always finite.  ``approx`` is a precomputed
-    ``best_approx(f, 1/t, p, params)``, so that a sweep over r computes it
-    once; ``fhat`` is the precomputed transform of f, used when ``approx`` is
-    not given.
+    ``best_approx(f, 1/t, p, lam)``, so that a sweep over r computes it
+    once; its approximant must live on f's grid at index lam.  ``fhat`` is
+    the precomputed transform of f, used when ``approx`` is not given.
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    lam = params.lambda_k
     if approx is None:
-        approx = best_approx(f, 1.0 / t, p, params, fhat=fhat)
-    elif approx.g_star.bandlimit is None or approx.g_star.bandlimit > 1.0 / t:
-        raise ValueError(f"approximant is not of spherical type 1/t = {1.0 / t!r}")
+        approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
+    else:
+        g = _spectrum_of(f, lam, approx.g_star)
+        if g.bandlimit is None or g.bandlimit > 1.0 / t:
+            raise ValueError(f"approximant is not of spherical type 1/t = {1.0 / t!r}")
     grid = approx.g_star.grid
     dg = grid.nodes**r * approx.g_star.values
     if p == 2:
@@ -462,7 +459,7 @@ def k_functional_upper(
     t: float,
     r: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     fhat: Spectrum | None = None,
 ) -> float:
     """Candidate-family upper bound on the K-functional K_r(t, f)_p.
@@ -475,7 +472,7 @@ def k_functional_upper(
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    fhat = _spectrum_of(f, params.lambda_k, fhat)
+    fhat = _spectrum_of(f, lam, fhat)
     return _candidate_minima(f, fhat, t, ("K",), (r,), (p,))["K", p, r]
 
 
@@ -484,7 +481,7 @@ def realization_candidate_min(
     t: float,
     r: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     fhat: Spectrum | None = None,
     approx: BestApprox | None = None,
 ) -> float:
@@ -500,8 +497,8 @@ def realization_candidate_min(
     """
     if not (t > 0 and r > 0):
         raise ValueError("t and r must be positive")
-    fhat = _spectrum_of(f, params.lambda_k, fhat)
-    best = realization(f, t, r, p, params, fhat=fhat, approx=approx).value
+    fhat = _spectrum_of(f, lam, fhat)
+    best = realization(f, t, r, p, lam, fhat=fhat, approx=approx).value
     low = _candidate_minima(f, fhat, t, ("R",), (r,), (p,))["R", p, r]
     return min(best, low)
 
@@ -514,7 +511,7 @@ def chain_at_scale(
     t: float,
     r_values: Sequence[float],
     p_values: Sequence[float],
-    params: WeightParams,
+    lam: float,
     names: Collection[str],
     fhat: Spectrum | None = None,
 ) -> dict[tuple[float, float], dict[str, float]]:
@@ -544,7 +541,6 @@ def chain_at_scale(
     values = {(p, r): {} for p in p_values for r in r_values}
     if not values:
         return values
-    lam = params.lambda_k
     fhat = _spectrum_of(f, lam, fhat)
     grid = fhat.grid
 
@@ -564,9 +560,9 @@ def chain_at_scale(
 
     if "R" in names or "Rstar" in names:
         for p in p_values:
-            approx = best_approx(f, 1.0 / t, p, params, fhat=fhat)
+            approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
             for r in r_values:
-                values[p, r]["Rstar"] = realization(f, t, r, p, params, approx=approx).value
+                values[p, r]["Rstar"] = realization(f, t, r, p, lam, approx=approx).value
 
     families = [name for name in _FAMILIES if name in names]
     for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values, p_values).items():
@@ -598,7 +594,7 @@ def marchaud_bound(
     delta: float,
     m: float,
     p: float,
-    params: WeightParams,
+    lam: float,
     fhat: Spectrum | None = None,
 ) -> float:
     """Marchaud-type right-hand side delta^m (||f||_p + int_delta^1 t^-m K dt/t).
@@ -611,10 +607,9 @@ def marchaud_bound(
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if not (m > 0):
         raise ValueError(f"m must be positive, got {m!r}")
-    lam = params.lambda_k
     t_grid = np.geomspace(delta, 1.0, _MARCHAUD_SCALES)
     fhat = _spectrum_of(f, lam, fhat)
-    kvals = np.array([realization(f, t, m + 1.0, p, params, fhat=fhat).value for t in t_grid])
+    kvals = np.array([realization(f, t, m + 1.0, p, lam, fhat=fhat).value for t in t_grid])
     integrand = t_grid ** (-m) * kvals
     integral = float(np.trapezoid(integrand, x=np.log(t_grid)))
     return delta**m * (lp_norm(f, p, lam) + integral)

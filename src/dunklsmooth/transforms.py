@@ -38,7 +38,7 @@ from .quad import (
     nu_weights,
 )
 from .special import BesselEvaluator, _check_lambda
-from .weights import measure_constants
+from .weights import b_lambda
 
 __all__ = [
     "Spectrum",
@@ -79,7 +79,6 @@ class Spectrum:
     pending: tuple[tuple[str, np.ndarray], ...] = ()
     bandlimit: float | None = None
     truncated: bool = False
-    label: str = ""
 
     def __post_init__(self) -> None:
         base = np.asarray(self.base)
@@ -138,11 +137,10 @@ def spectrum_from_values(
     values: np.ndarray,
     bandlimit: float | None = None,
     truncated: bool = False,
-    label: str = "",
 ) -> Spectrum:
     return Spectrum(
         grid=grid, lam=float(lam), base=np.asarray(values),
-        bandlimit=bandlimit, truncated=truncated, label=label,
+        bandlimit=bandlimit, truncated=truncated,
     )
 
 
@@ -344,13 +342,16 @@ def hankel(f: RadialFunction, lam: float) -> Spectrum:
         lam=lam,
         base=_kernel_matrix(lam, grid) @ f.values,
         truncated=_tail_suspect(nu_weights(grid, lam), f.values, grid.nodes, grid.rmax),
-        label=f.label,
     )
 
 
 def _spectrum_of(f: RadialFunction, lam: float, fhat: Spectrum | None) -> Spectrum:
     """``hankel(f, lam)``, or the caller's precomputed ``fhat`` once it is
-    checked to be a transform of f's grid at index lam."""
+    checked to be a transform of f's grid at index lam.
+
+    Every smoothness functional starts here, so ``lam`` is checked against
+    the Bessel range even when ``fhat`` spares the transform."""
+    lam = _check_lambda(lam)
     if fhat is None:
         return hankel(f, lam)
     if fhat.lam != lam or fhat.grid != f.grid:
@@ -362,7 +363,7 @@ def _spectrum_of(f: RadialFunction, lam: float, fhat: Spectrum | None) -> Spectr
 def inverse_hankel(s: Spectrum) -> RadialFunction:
     """Inverse transform; the Hankel transform is self-inverse."""
     mat = _kernel_matrix(s.lam, s.grid)
-    return RadialFunction(grid=s.grid, values=mat @ s.values, label=s.label)
+    return RadialFunction(grid=s.grid, values=mat @ s.values)
 
 
 # 32-node Gauss-Legendre rule on [-1, 1] for the panel a cut at sigma splits
@@ -399,8 +400,7 @@ def spectral_tail_l2(
         wr = 0.5 * (cut_edge - sigma) * _CUT_WEIGHTS
         kernel = BesselEvaluator(lam)(np.multiply.outer(r, grid.nodes))
         fhat_r = kernel @ (nuw * f.values)
-        b = measure_constants(lam).b_lambda
-        partial = float(np.sum(wr * b * r ** (2.0 * lam + 1.0) * np.abs(fhat_r) ** 2))
+        partial = float(np.sum(wr * b_lambda(lam) * r ** (2.0 * lam + 1.0) * np.abs(fhat_r) ** 2))
     return math.sqrt(whole + partial)
 
 
@@ -536,7 +536,6 @@ class LineFunction:
 
     grid: SymmetricGrid
     values: np.ndarray
-    label: str = ""
     truncated: bool = False
 
     def __post_init__(self) -> None:
@@ -576,7 +575,7 @@ def _dunkl_apply(f: LineFunction, k: float, conjugate: bool) -> LineFunction:
         kernel = np.conj(kernel)
     vals = (kernel * mu[None, :]) @ f.values
     truncated = f.truncated or _tail_suspect(mu, f.values, x, f.grid.rmax)
-    return LineFunction(grid=f.grid, values=vals, label=f.label, truncated=truncated)
+    return LineFunction(grid=f.grid, values=vals, truncated=truncated)
 
 
 def dunkl_transform_1d(f: LineFunction, k: float) -> LineFunction:

@@ -24,35 +24,20 @@ from .special import _check_lambda
 
 __all__ = [
     "WeightParams",
-    "MeasureConstants",
     "make_params",
-    "params_from_lambda",
     "weight_z2d",
-    "measure_constants",
+    "b_lambda",
 ]
 
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Ambient dimension, multiplicities, and the derived radial index.
-
-    ``multiplicities`` is None when the index was set directly through
-    :func:`params_from_lambda`; such parameters cannot evaluate the
-    coordinate weight (see :func:`weight_z2d`).
-    """
+    """Ambient dimension, multiplicities, and the derived radial index."""
 
     d: int
-    multiplicities: tuple[float, ...] | None
+    multiplicities: tuple[float, ...]
     lambda_k: float
     d_k: float
-
-
-@dataclass(frozen=True)
-class MeasureConstants:
-    """Normalizer of the radial measure: b_lam = 1/(2^lam Gamma(lam+1))."""
-
-    lam: float
-    b_lambda: float
 
 
 def make_params(d: int, multiplicities: Sequence[float]) -> WeightParams:
@@ -73,24 +58,12 @@ def make_params(d: int, multiplicities: Sequence[float]) -> WeightParams:
     return WeightParams(d=int(d), multiplicities=ks, lambda_k=lam, d_k=2.0 * (lam + 1.0))
 
 
-def params_from_lambda(lam: float, d: int = 1) -> WeightParams:
-    """Target a radial index directly, without choosing multiplicities.
-
-    The radial theory sees only ``lam``; this constructor serves purely
-    radial experiments that sweep the index.
-    """
-    lam = _check_lambda(lam)
-    return WeightParams(d=int(d), multiplicities=None, lambda_k=lam, d_k=2.0 * (lam + 1.0))
-
-
 def weight_z2d(x: Sequence[float], params: WeightParams) -> float:
     """Product weight prod_j |x_j|^(2*k_j) on R^d.
 
     Equals 1 when every multiplicity vanishes and 0 on any reflection
     hyperplane x_j = 0 carrying k_j > 0.
     """
-    if params.multiplicities is None:
-        raise ValueError("params built from a direct lambda override carry no multiplicities")
     xa = np.asarray(x, dtype=float)
     if xa.shape != (params.d,):
         raise ValueError(f"point must have {params.d} coordinates, got shape {xa.shape}")
@@ -98,9 +71,10 @@ def weight_z2d(x: Sequence[float], params: WeightParams) -> float:
     return float(np.prod(np.abs(xa) ** (2.0 * ks)))
 
 
-def measure_constants(lam: float) -> MeasureConstants:
-    """Normalizer of d nu_lam; requires lam > -1 for integrability at 0."""
+def b_lambda(lam: float) -> float:
+    """Normalizer b_lam = 1/(2^lam Gamma(lam+1)) of d nu_lam; requires
+    lam > -1 for integrability at 0."""
     lam = float(lam)
     if not math.isfinite(lam) or lam <= -1.0:
         raise ValueError(f"lambda must exceed -1, got {lam!r}")
-    return MeasureConstants(lam=lam, b_lambda=1.0 / (2.0**lam * math.gamma(lam + 1.0)))
+    return 1.0 / (2.0**lam * math.gamma(lam + 1.0))

@@ -39,7 +39,6 @@ from dunklsmooth.transforms import (
     spectral_tail_l2,
     spectrum_from_values,
 )
-from dunklsmooth.weights import params_from_lambda
 
 LAMBDAS = (0.0, 0.25, 1.0, 2.5)
 UNITARITY_SET = ("gaussian", "gaussian_t2", "gaussian_wide", "gaussian_narrow")
@@ -159,10 +158,9 @@ def test_criterion_4_small_scale_law(grid, acceptance_log):
     crit = _Criterion("criterion 4: small-step difference law within 2%", acceptance_log)
     worst = 0.0
     for lam in (0.25, 1.0):
-        params = params_from_lambda(lam)
         f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
         for m in (1.0, 2.0):
-            measured = diff_norm(f, 1e-2, m, 2, params) / (1e-2) ** m
+            measured = diff_norm(f, 1e-2, m, 2, lam) / (1e-2) ** m
             predicted = (4.0 * (lam + 1.0)) ** (-m / 2.0) * math.sqrt(
                 math.gamma(m + lam + 1.0) / (2.0 ** (lam + 1.0) * math.gamma(lam + 1.0))
             )
@@ -258,7 +256,6 @@ def test_criterion_6_equivalence_chains(grid, acceptance_log):
 def test_criterion_7_jackson_inverse_closure(grid, acceptance_log):
     crit = _Criterion("criterion 7: Jackson bounded + inverse bound dominates", acceptance_log)
     lam = 0.25
-    params = params_from_lambda(lam)
     f = make_profile("gaussian", grid, lam)
     fhat = hankel(f, lam)
     m = 2.0
@@ -270,14 +267,14 @@ def test_criterion_7_jackson_inverse_closure(grid, acceptance_log):
             df = f
         for sigma in (2.0, 4.0, 8.0, 16.0, 32.0):
             e_val = spectral_tail_l2(f, lam, sigma)
-            om = modulus(df, 1.0 / sigma, m, 2, params).value
+            om = modulus(df, 1.0 / sigma, m, 2, lam).value
             ratio = e_val / (sigma ** (-r) * om)
             jackson_ok = jackson_ok and ratio <= 20.0
     table = {j: spectral_tail_l2(f, lam, float(j)) for j in range(33)}
     inverse_ok = True
     worst = 0.0
     for n in (2, 4, 8, 16, 32):
-        om = modulus(f, 1.0 / n, m, 2, params).value
+        om = modulus(f, 1.0 / n, m, 2, lam).value
         bound = inverse_bound(table, n, m)
         worst = max(worst, om / bound)
         inverse_ok = inverse_ok and om <= bound
@@ -291,20 +288,19 @@ def test_criterion_7_jackson_inverse_closure(grid, acceptance_log):
 def test_criterion_8_marchaud_and_derivative_tail(grid, acceptance_log):
     crit = _Criterion("criterion 8: Marchaud and derivative-tail bounds dominate", acceptance_log)
     lam = 0.25
-    params = params_from_lambda(lam)
     m, r = 1.0, 1.0
     worst = 0.0
     for name in ("gaussian", "gaussian_t2", "rational"):
         f = make_profile(name, grid, lam)
         fhat = hankel(f, lam)
         for delta in (0.1, 0.2, 0.4):
-            lhs = k_functional_upper(f, delta, m, 2, params)
-            rhs = marchaud_bound(f, delta, m, 2, params)
+            lhs = k_functional_upper(f, delta, m, 2, lam)
+            rhs = marchaud_bound(f, delta, m, 2, lam)
             worst = max(worst, lhs / rhs)
         table = {j: spectral_tail_l2(f, lam, float(j)) for j in range(33)}
         df = inverse_hankel(spectrum_from_values(grid, lam, fhat.values * grid.nodes**r))
         for n in (4, 8, 16):
-            lhs = modulus(df, 1.0 / n, m, 2, params).value
+            lhs = modulus(df, 1.0 / n, m, 2, lam).value
             head = sum((j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1))
             tail = sum(float(j) ** (r - 1.0) * table[j] for j in range(n + 1, 33))
             rhs = n ** (-r) * head + tail

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from dunklsmooth import quad, smoothness, transforms
-from dunklsmooth.weights import params_from_lambda
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -33,7 +32,7 @@ def test_tracer_wraps_and_restores():
         grid = quad.make_grid(4.0, 32)
         f = quad.RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
         # the functionals reach hankel through transforms._spectrum_of
-        smoothness.modulus(f, 0.5, 1.0, 2, params_from_lambda(0.5))
+        smoothness.modulus(f, 0.5, 1.0, 2, 0.5)
     assert quad.nu_weights is nu_weights
     assert transforms.hankel is hankel
     names = {span[0] for span in tracer.spans}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dunklsmooth import harness, smoothness
+from dunklsmooth import harness, smoothness, transforms
 from dunklsmooth.harness import (
     ConfigError,
     EXPERIMENTS,
@@ -426,16 +426,14 @@ class TestExperiments:
         # transition so the physical tail dies out inside rmax.
         from dunklsmooth.smoothness import best_approx, modulus
         from dunklsmooth.transforms import inverse_hankel
-        from dunklsmooth.weights import params_from_lambda
 
         lam = 0.25
-        params = params_from_lambda(lam)
         # type-12 content needs the fine grid to be resolved in space
         fine = make_grid(30.0, 1024)
         f = inverse_hankel(bandlimited_spectrum(fine, lam, 12.0))
         for sigma in (12.0, 16.0):
-            e_val = best_approx(f, sigma, 2, params).value
-            om = modulus(f, 1.0 / sigma, 2.0, 2, params).value
+            e_val = best_approx(f, sigma, 2, lam).value
+            om = modulus(f, 1.0 / sigma, 2.0, 2, lam).value
             assert e_val / om < 1e-2
 
     def test_equivalence_window_and_trivial_row(self, grid):
@@ -519,6 +517,25 @@ class TestExperiments:
         if name == "realization":
             assert len(realizations) == per_scale * len(rs) * len(ps)
             assert len(set(realizations)) == len(realizations) // len(lams)
+
+    def test_default_sweep_transforms_each_input_once(self, grid, monkeypatch):
+        # a modulus of a derivative takes that derivative's spectrum, made
+        # once per r, and at r = 0 the input's own: one hankel call per
+        # distinct (lambda, input) of each experiment, 7 in the default sweep
+        inputs = []
+        hankel = transforms.hankel
+
+        def counted(f, lam):
+            inputs[-1].append((lam, f.values.tobytes()))
+            return hankel(f, lam)
+
+        monkeypatch.setattr(transforms, "hankel", counted)
+        monkeypatch.setattr(harness, "hankel", counted)
+        for cfg in parse_config(default_config()).experiments:
+            inputs.append([])
+            EXPERIMENTS[cfg.name](cfg, grid)
+        assert [len(set(seen)) for seen in inputs] == [len(seen) for seen in inputs]
+        assert sum(map(len, inputs)) == 7
 
     def test_two_scale_norms_are_computed_once_per_step(self, grid, monkeypatch):
         calls = []

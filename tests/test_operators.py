@@ -34,7 +34,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def gauss_spec(grid):
-    return spectrum_from_values(grid, LAM, np.exp(-0.5 * grid.nodes**2), label="gaussian")
+    return spectrum_from_values(grid, LAM, np.exp(-0.5 * grid.nodes**2))
 
 
 class TestEta:

@@ -15,6 +15,7 @@ from dunklsmooth.quad import (
     nu_weights,
     save_radial_csv,
 )
+from dunklsmooth.smoothness import modulus
 
 
 class TestMakeGrid:
@@ -131,6 +132,15 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5, 0.0)
 
+    def test_rejects_nan_p(self):
+        # NaN fails every comparison, so the check must not read "p < 1"
+        g = make_grid(10.0, 64)
+        f = RadialFunction(grid=g, values=np.ones(64))
+        with pytest.raises(ValueError, match="p must be"):
+            lp_norm(f, math.nan, 0.25)
+        with pytest.raises(ValueError, match="p must be"):
+            modulus(f, 0.3, 1.0, math.nan, 0.25)
+
     def test_holder_sanity_on_compact_support(self):
         # ||f||_1 <= ||f||_2 * ||1_supp||_2 (Cauchy-Schwarz, exact for the
         # discrete weighted sums).
@@ -146,7 +156,7 @@ class TestLpNorm:
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         g = make_grid(12.0, 128)
-        f = RadialFunction(grid=g, values=np.exp(-g.nodes), label="exp")
+        f = RadialFunction(grid=g, values=np.exp(-g.nodes))
         path = tmp_path / "f.csv"
         save_radial_csv(f, path, lam=0.25)
         loaded, lam = load_radial_csv(path)

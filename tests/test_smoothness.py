@@ -19,10 +19,8 @@ from dunklsmooth.smoothness import (
 )
 from dunklsmooth.special import binom_tail_bound, jm_multiplier
 from dunklsmooth.transforms import hankel, inverse_hankel, spectral_tail_l2
-from dunklsmooth.weights import params_from_lambda
 
 LAM = 0.25
-PARAMS = params_from_lambda(LAM)
 
 
 @pytest.fixture(scope="module")
@@ -32,22 +30,22 @@ def grid():
 
 @pytest.fixture(scope="module")
 def gauss(grid):
-    return RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2), label="gaussian")
+    return RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
 
 
 class TestModulus:
     def test_zero_function(self, grid):
         z = RadialFunction(grid=grid, values=np.zeros(grid.n))
-        assert modulus(z, 0.5, 1.0, 2, PARAMS).value == 0.0
+        assert modulus(z, 0.5, 1.0, 2, LAM).value == 0.0
 
     def test_subadditive(self, grid, gauss):
         g = RadialFunction(grid=grid, values=grid.nodes**2 * np.exp(-0.5 * grid.nodes**2))
         fg = RadialFunction(grid=grid, values=gauss.values + g.values)
         delta, m, p = 0.4, 1.0, 2
         assert (
-            modulus(fg, delta, m, p, PARAMS).value
-            <= modulus(gauss, delta, m, p, PARAMS).value
-            + modulus(g, delta, m, p, PARAMS).value
+            modulus(fg, delta, m, p, LAM).value
+            <= modulus(gauss, delta, m, p, LAM).value
+            + modulus(g, delta, m, p, LAM).value
             + 1e-12
         )
 
@@ -63,38 +61,38 @@ class TestModulus:
             math.sqrt(float(np.sum(w * (jm_multiplier(LAM, m, t * grid.nodes) * spec) ** 2)))
             for t in t_grid
         )
-        got = modulus(gauss, delta, m, 2, PARAMS).value
+        got = modulus(gauss, delta, m, 2, LAM).value
         assert got == pytest.approx(oracle, rel=1e-6)
 
     def test_monotone_in_delta_on_nested_sweep(self, grid, gauss):
         deltas = 0.8 * 2.0 ** (-np.arange(6) / 4.0)
-        vals = [modulus(gauss, d, 1.0, 2, PARAMS).value for d in deltas]
+        vals = [modulus(gauss, d, 1.0, 2, LAM).value for d in deltas]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_bounded_by_norm_constant(self, grid, gauss):
         # omega_m(delta, f) <= (1 + c(m/2)) ||f||_p.
         for m in (0.5, 1.0, 2.0):
             cap = (1.0 + binom_tail_bound(m / 2.0, 0)) * lp_norm(gauss, 2, LAM)
-            assert modulus(gauss, 2.0, m, 2, PARAMS).value <= cap * (1 + 1e-9)
+            assert modulus(gauss, 2.0, m, 2, LAM).value <= cap * (1 + 1e-9)
 
     def test_doubling_bound(self, grid, gauss):
         # omega_m(2 delta) <= 4 * 2^(2m) * omega_m(delta) (slack window 4).
         for m in (0.5, 1.0, 2.0):
             for delta in (0.05, 0.2):
-                a = modulus(gauss, 2 * delta, m, 2, PARAMS).value
-                b = modulus(gauss, delta, m, 2, PARAMS).value
+                a = modulus(gauss, 2 * delta, m, 2, LAM).value
+                b = modulus(gauss, delta, m, 2, LAM).value
                 assert a <= 4.0 * 2.0 ** (2 * m) * b
 
     def test_higher_order_domination(self, grid, gauss):
         # omega_{m+r}(delta, f) <= (1 + c(r/2)) omega_m(delta, f).
         m, r, delta = 1.0, 0.5, 0.4
         c = 1.0 + binom_tail_bound(r / 2.0, 0)
-        hi = modulus(gauss, delta, m + r, 2, PARAMS).value
-        lo = modulus(gauss, delta, m, 2, PARAMS).value
+        hi = modulus(gauss, delta, m + r, 2, LAM).value
+        lo = modulus(gauss, delta, m, 2, LAM).value
         assert hi <= c * lo * (1 + 1e-9)
 
     def test_reports_attaining_step(self, grid, gauss):
-        res = modulus(gauss, 0.3, 1.0, 2, PARAMS)
+        res = modulus(gauss, 0.3, 1.0, 2, LAM)
         assert res.t_max == pytest.approx(0.3)
 
 
@@ -106,7 +104,7 @@ class TestBestApprox:
 
         shat = bandlimited_spectrum(grid, LAM, 12.0)
         f = inverse_hankel(shat)
-        ba = best_approx(f, 14.0, 2, PARAMS)
+        ba = best_approx(f, 14.0, 2, LAM)
         # exact-arithmetic value is 0; the desk-scale floor is the sampled
         # input's own physical tail at rmax re-entering the quadrature
         # (|f(rmax)| ~ 8e-8 against peak ~10)
@@ -117,16 +115,16 @@ class TestBestApprox:
     def test_gaussian_tail_oracle(self, grid, gauss):
         # E_sigma^2 = integral_{r>sigma} e^{-r^2} d nu, via incomplete gamma.
         for sigma in (0.7, 2.0, 3.5):
-            ba = best_approx(gauss, sigma, 2, PARAMS)
+            ba = best_approx(gauss, sigma, 2, LAM)
             oracle = gammaincc(LAM + 1.0, sigma**2) / 2.0 ** (LAM + 1.0)
             assert ba.value**2 == pytest.approx(oracle, abs=1e-8)
 
     def test_sigma_to_zero_gives_full_norm(self, grid, gauss):
-        ba = best_approx(gauss, 1e-9, 2, PARAMS)
+        ba = best_approx(gauss, 1e-9, 2, LAM)
         assert ba.value == pytest.approx(lp_norm(gauss, 2, LAM), rel=1e-7)
 
     def test_near_best_flag_and_bandlimit(self, grid, gauss):
-        ba = best_approx(gauss, 3.0, 1, PARAMS)
+        ba = best_approx(gauss, 3.0, 1, LAM)
         assert ba.near_best
         assert ba.g_star.bandlimit == 3.0
         # upper bound property: dominates the p=2 exact error at p=2 scale
@@ -143,8 +141,7 @@ class TestBestApprox:
         # at lam = 1 the smoothing projection's L1 error exceeds ||f||_1 at
         # these scales; the bounded weighted-L1 fit must not
         lam = 1.0
-        params = params_from_lambda(lam)
-        ba = best_approx(gauss, sigma, 1, params)
+        ba = best_approx(gauss, sigma, 1, lam)
         assert ba.near_best
         assert ba.value <= lp_norm(gauss, 1, lam)
         assert ba.value <= self._projection_error_p1(gauss, sigma, lam)
@@ -156,8 +153,8 @@ class TestBestApprox:
         assert ba.g_star.bandlimit == sigma
         t = 1.0 / sigma
         for r in (0.5, 1.0, 2.0):
-            res = realization(gauss, t, r, 1, params)
-            deriv_f = diff_norm(gauss, 0.0, 0.0, 1, params, r=r)
+            res = realization(gauss, t, r, 1, lam)
+            deriv_f = diff_norm(gauss, 0.0, 0.0, 1, lam, r=r)
             assert res.derivative_term <= 2.0 * t**r * deriv_f
 
     def test_l1_fit_falls_back_to_projection(self, grid, gauss, monkeypatch):
@@ -167,11 +164,11 @@ class TestBestApprox:
         monkeypatch.setattr(
             "scipy.optimize.linprog", lambda *a, **k: SimpleNamespace(status=4)
         )
-        ba = best_approx(gauss, 2.0, 1, PARAMS)
+        ba = best_approx(gauss, 2.0, 1, LAM)
         assert ba.value == self._projection_error_p1(gauss, 2.0, LAM)
 
     def test_p1_beyond_last_node_reproduces_f(self, grid, gauss):
-        ba = best_approx(gauss, 2.0 * grid.rmax, 1, PARAMS)
+        ba = best_approx(gauss, 2.0 * grid.rmax, 1, LAM)
         assert ba.value < 1e-6 * lp_norm(gauss, 1, LAM)
 
 
@@ -184,7 +181,7 @@ class TestRealization:
         t, r = 0.05, 1.0
         shat = bandlimited_spectrum(grid, LAM, 12.0)
         f = inverse_hankel(shat)
-        res = realization(f, t, r, 2, PARAMS)
+        res = realization(f, t, r, 2, LAM)
         assert res.approx_error < 5e-6
         w = nu_weights(grid, LAM)
         deriv = math.sqrt(float(np.sum(w * (grid.nodes**r * shat.values) ** 2)))
@@ -193,10 +190,10 @@ class TestRealization:
     def test_decay_as_t_to_zero(self, grid, gauss):
         # r=2: quadratic in t, comfortably below 1e-4 by j=10; r=1 decays
         # linearly (value ~ t * ||(-Lap)^(1/2) f||), needing j=13.
-        vals = [realization(gauss, 2.0**-j, 2.0, 2, PARAMS).value for j in range(1, 11)]
+        vals = [realization(gauss, 2.0**-j, 2.0, 2, LAM).value for j in range(1, 11)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-4
-        vals1 = [realization(gauss, 2.0**-j, 1.0, 2, PARAMS).value for j in range(1, 14)]
+        vals1 = [realization(gauss, 2.0**-j, 1.0, 2, LAM).value for j in range(1, 14)]
         assert all(a >= b - 1e-12 for a, b in zip(vals1, vals1[1:]))
         assert vals1[-1] < 1e-4
 
@@ -204,19 +201,19 @@ class TestRealization:
         # R_r(2t) <= 4 * 2^r R_r(t) along the sweep.
         r = 1.0
         for t in (0.05, 0.1, 0.2, 0.4):
-            a = realization(gauss, 2 * t, r, 2, PARAMS).value
-            b = realization(gauss, t, r, 2, PARAMS).value
+            a = realization(gauss, 2 * t, r, 2, LAM).value
+            b = realization(gauss, t, r, 2, LAM).value
             assert a <= 4.0 * 2.0**r * b
 
     def test_value_is_sum_of_terms(self, grid, gauss):
-        res = realization(gauss, 0.3, 1.0, 2, PARAMS)
+        res = realization(gauss, 0.3, 1.0, 2, LAM)
         assert res.value == pytest.approx(res.approx_error + res.derivative_term, rel=1e-15)
         assert res.sigma_used == pytest.approx(1.0 / 0.3)
 
     def test_candidate_min_at_most_rstar(self, grid, gauss):
         for p in (1, 2, math.inf):
-            rc = realization_candidate_min(gauss, 0.3, 1.0, p, PARAMS)
-            rstar = realization(gauss, 0.3, 1.0, p, PARAMS).value
+            rc = realization_candidate_min(gauss, 0.3, 1.0, p, LAM)
+            rstar = realization(gauss, 0.3, 1.0, p, LAM).value
             assert rc <= rstar * (1 + 1e-12)
 
     def test_shared_approximant_matches_fresh(self, grid, gauss):
@@ -225,30 +222,30 @@ class TestRealization:
         t, r = 0.3, 1.0
         fhat = hankel(gauss, LAM)
         for p in (1, 2, math.inf):
-            ba = best_approx(gauss, 1.0 / t, p, PARAMS, fhat=fhat)
-            assert realization(gauss, t, r, p, PARAMS, approx=ba) == realization(
-                gauss, t, r, p, PARAMS
+            ba = best_approx(gauss, 1.0 / t, p, LAM, fhat=fhat)
+            assert realization(gauss, t, r, p, LAM, approx=ba) == realization(
+                gauss, t, r, p, LAM
             )
             assert realization_candidate_min(
-                gauss, t, r, p, PARAMS, fhat=fhat, approx=ba
-            ) == realization_candidate_min(gauss, t, r, p, PARAMS)
-        coarse = best_approx(gauss, 2.0 / t, 1, PARAMS, fhat=fhat)
+                gauss, t, r, p, LAM, fhat=fhat, approx=ba
+            ) == realization_candidate_min(gauss, t, r, p, LAM)
+        coarse = best_approx(gauss, 2.0 / t, 1, LAM, fhat=fhat)
         with pytest.raises(ValueError):
-            realization(gauss, t, r, 1, PARAMS, approx=coarse)
+            realization(gauss, t, r, 1, LAM, approx=coarse)
 
 
 class TestKFunctionalUpper:
     def test_zero_function(self, grid):
         z = RadialFunction(grid=grid, values=np.zeros(grid.n))
-        assert k_functional_upper(z, 0.5, 1.0, 2, PARAMS) == 0.0
+        assert k_functional_upper(z, 0.5, 1.0, 2, LAM) == 0.0
 
     def test_never_exceeds_derivative_cap(self, grid, gauss):
         # K_r(t, f) <= t^r ||(-Lap)^(r/2) f|| (take g = f); the candidate
         # family approaches f, so at most 5% grid slack above the cap.
         for r in (0.5, 1.0):
             for t in (0.02, 0.1, 0.5):
-                cap = t**r * diff_norm(gauss, 0.0, 0.0, 2, PARAMS, r=r)
-                assert k_functional_upper(gauss, t, r, 2, PARAMS) <= 1.05 * cap
+                cap = t**r * diff_norm(gauss, 0.0, 0.0, 2, LAM, r=r)
+                assert k_functional_upper(gauss, t, r, 2, LAM) <= 1.05 * cap
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_never_exceeds_zero_candidate(self, grid, gauss, p):
@@ -256,13 +253,13 @@ class TestKFunctionalUpper:
         # smoothing projections alone overshoot it at p = 1, r = 2.
         norm = lp_norm(gauss, p, LAM)
         for r in (0.5, 1.0, 2.0):
-            assert k_functional_upper(gauss, 1.0, r, p, PARAMS) <= norm * (1 + 1e-12)
+            assert k_functional_upper(gauss, 1.0, r, p, LAM) <= norm * (1 + 1e-12)
 
     def test_within_equivalence_window_of_realization(self, grid, gauss):
         # Realization is the sanctioned equivalent; ratios must be modest.
         for t in (0.1, 0.3):
-            ku = k_functional_upper(gauss, t, 1.0, 2, PARAMS)
-            rstar = realization(gauss, t, 1.0, 2, PARAMS).value
+            ku = k_functional_upper(gauss, t, 1.0, 2, LAM)
+            rstar = realization(gauss, t, 1.0, 2, LAM).value
             assert rstar / 20.0 <= ku <= rstar * (1 + 1e-9)
 
     def test_lower_bound_stability(self, grid, gauss):
@@ -271,7 +268,7 @@ class TestKFunctionalUpper:
         ratios = []
         for d in np.geomspace(0.01, 1.0, 9):
             ratios.append(
-                diff_norm(gauss, d, 1.0, 2, PARAMS) / k_functional_upper(gauss, d, 1.0, 2, PARAMS)
+                diff_norm(gauss, d, 1.0, 2, LAM) / k_functional_upper(gauss, d, 1.0, 2, LAM)
             )
         ratios = np.array(ratios)
         mid = math.sqrt(ratios.max() * ratios.min())
@@ -288,13 +285,13 @@ class TestPinnedCandidateMinima:
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_k_functional_upper(self, gauss, p):
-        assert k_functional_upper(gauss, 0.3, 1.0, p, PARAMS) == pytest.approx(
+        assert k_functional_upper(gauss, 0.3, 1.0, p, LAM) == pytest.approx(
             self.K_UPPER[p], rel=1e-12
         )
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_realization_candidate_min(self, gauss, p):
-        assert realization_candidate_min(gauss, 0.3, 1.0, p, PARAMS) == pytest.approx(
+        assert realization_candidate_min(gauss, 0.3, 1.0, p, LAM) == pytest.approx(
             self.R_CAND[p], rel=1e-12
         )
 
@@ -317,34 +314,34 @@ class TestInverseBound:
 
     def test_dominates_modulus_for_gaussian(self, grid, gauss):
         m = 1.0
-        table = {j: best_approx(gauss, j, 2, PARAMS).value if j else lp_norm(gauss, 2, LAM)
+        table = {j: best_approx(gauss, j, 2, LAM).value if j else lp_norm(gauss, 2, LAM)
                  for j in range(17)}
         for n in (4, 8, 16):
             bound = inverse_bound(table, n, m)
-            om = modulus(gauss, 1.0 / n, m, 2, PARAMS).value
+            om = modulus(gauss, 1.0 / n, m, 2, LAM).value
             assert om <= bound
 
 
 class TestMarchaudBound:
     def test_zero_function(self, grid):
         z = RadialFunction(grid=grid, values=np.zeros(grid.n))
-        assert marchaud_bound(z, 0.2, 1.0, 2, PARAMS) == 0.0
+        assert marchaud_bound(z, 0.2, 1.0, 2, LAM) == 0.0
 
     def test_monotone_structure(self, grid, gauss):
         # the delta^m prefactor dominates the slowly varying integral
-        assert marchaud_bound(gauss, 0.1, 1.0, 2, PARAMS) <= marchaud_bound(
-            gauss, 0.2, 1.0, 2, PARAMS
+        assert marchaud_bound(gauss, 0.1, 1.0, 2, LAM) <= marchaud_bound(
+            gauss, 0.2, 1.0, 2, LAM
         )
 
     def test_dominates_k_upper(self, grid, gauss):
         for delta in (0.1, 0.2, 0.4):
-            bound = marchaud_bound(gauss, delta, 1.0, 2, PARAMS)
-            ku = k_functional_upper(gauss, delta, 1.0, 2, PARAMS)
+            bound = marchaud_bound(gauss, delta, 1.0, 2, LAM)
+            ku = k_functional_upper(gauss, delta, 1.0, 2, LAM)
             assert ku <= bound
 
     def test_rejects_delta_outside_unit_interval(self, grid, gauss):
         with pytest.raises(ValueError):
-            marchaud_bound(gauss, 1.5, 1.0, 2, PARAMS)
+            marchaud_bound(gauss, 1.5, 1.0, 2, LAM)
 
 
 class TestChainAtScale:
@@ -356,54 +353,54 @@ class TestChainAtScale:
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_equivalence_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, self.EQUIVALENCE,
+        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, LAM, self.EQUIVALENCE,
                                fhat=fhat)
         assert set(chain) == {(p, r) for p in self.P_VALUES for r in self.R_VALUES}
         for (p, r), values in chain.items():
             assert values == {
-                "omega": modulus(gauss, t, r, p, PARAMS, fhat=fhat).value,
-                "diff": diff_norm(gauss, t, r, p, PARAMS, fhat=fhat),
-                "K": k_functional_upper(gauss, t, r, p, PARAMS, fhat=fhat),
+                "omega": modulus(gauss, t, r, p, LAM, fhat=fhat).value,
+                "diff": diff_norm(gauss, t, r, p, LAM, fhat=fhat),
+                "K": k_functional_upper(gauss, t, r, p, LAM, fhat=fhat),
             }
 
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_realization_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, PARAMS, self.REALIZATION,
+        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, LAM, self.REALIZATION,
                                fhat=fhat)
         for (p, r), values in chain.items():
-            ba = best_approx(gauss, 1.0 / t, p, PARAMS, fhat=fhat)
+            ba = best_approx(gauss, 1.0 / t, p, LAM, fhat=fhat)
             assert values == {
-                "omega": modulus(gauss, t, r, p, PARAMS, fhat=fhat).value,
-                "K": k_functional_upper(gauss, t, r, p, PARAMS, fhat=fhat),
-                "Rstar": realization(gauss, t, r, p, PARAMS, approx=ba).value,
-                "R": realization_candidate_min(gauss, t, r, p, PARAMS, fhat=fhat, approx=ba),
+                "omega": modulus(gauss, t, r, p, LAM, fhat=fhat).value,
+                "K": k_functional_upper(gauss, t, r, p, LAM, fhat=fhat),
+                "Rstar": realization(gauss, t, r, p, LAM, approx=ba).value,
+                "R": realization_candidate_min(gauss, t, r, p, LAM, fhat=fhat, approx=ba),
             }
 
     @pytest.mark.parametrize("names", [("omega",), ("diff",), ("K",), ("Rstar",), ("R",),
                                        ("R", "omega")])
     def test_computes_only_the_named_functionals(self, gauss, names):
         fhat = hankel(gauss, LAM)
-        full = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), PARAMS,
+        full = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), LAM,
                               self.EQUIVALENCE + self.REALIZATION, fhat=fhat)
-        chain = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), PARAMS, names, fhat=fhat)
+        chain = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), LAM, names, fhat=fhat)
         # R is the least of Rstar and its candidate family, so it brings Rstar
         kept = set(names) | ({"Rstar"} if "R" in names else set())
         assert chain == {key: {name: full[key][name] for name in kept} for key in full}
 
     def test_rejects_nonpositive_scale_or_order(self, gauss):
         with pytest.raises(ValueError):
-            chain_at_scale(gauss, 0.0, (1.0,), (2.0,), PARAMS, ("K",))
+            chain_at_scale(gauss, 0.0, (1.0,), (2.0,), LAM, ("K",))
         with pytest.raises(ValueError):
-            chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), PARAMS, ("K",))
+            chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), LAM, ("K",))
 
     def test_rejects_unknown_functional(self, gauss):
         with pytest.raises(ValueError, match="'E'"):
-            chain_at_scale(gauss, 0.1, (1.0,), (2.0,), PARAMS, ("K", "E"))
+            chain_at_scale(gauss, 0.1, (1.0,), (2.0,), LAM, ("K", "E"))
 
     def test_empty_sweep_axes_give_no_values(self, gauss):
-        assert chain_at_scale(gauss, 0.1, (), (2.0,), PARAMS, ("K",)) == {}
-        assert chain_at_scale(gauss, 0.1, (1.0,), (), PARAMS, ("K",)) == {}
+        assert chain_at_scale(gauss, 0.1, (), (2.0,), LAM, ("K",)) == {}
+        assert chain_at_scale(gauss, 0.1, (1.0,), (), LAM, ("K",)) == {}
 
 
 class TestSpectrumPassThrough:
@@ -416,25 +413,40 @@ class TestSpectrumPassThrough:
 
     def test_marchaud_takes_the_spectrum(self, gauss):
         fhat = hankel(gauss, LAM)
-        assert marchaud_bound(gauss, 0.2, 1.0, 2, PARAMS, fhat=fhat) == marchaud_bound(
-            gauss, 0.2, 1.0, 2, PARAMS
+        assert marchaud_bound(gauss, 0.2, 1.0, 2, LAM, fhat=fhat) == marchaud_bound(
+            gauss, 0.2, 1.0, 2, LAM
         )
 
     def test_spectrum_at_another_lambda_is_refused(self, gauss):
         # the spectrum's own lambda with the caller's weights matched neither
         wrong = hankel(gauss, LAM)
-        params = params_from_lambda(1.0)
         with pytest.raises(ValueError, match="does not match"):
-            modulus(gauss, 0.3, 1.0, 2, params, fhat=wrong)
-        assert modulus(gauss, 0.3, 1.0, 2, params, fhat=hankel(gauss, 1.0)) == modulus(
-            gauss, 0.3, 1.0, 2, params
+            modulus(gauss, 0.3, 1.0, 2, 1.0, fhat=wrong)
+        assert modulus(gauss, 0.3, 1.0, 2, 1.0, fhat=hankel(gauss, 1.0)) == modulus(
+            gauss, 0.3, 1.0, 2, 1.0
         )
+
+    def test_approximant_at_another_lambda_is_refused(self, gauss):
+        t = 0.3
+        wrong = best_approx(gauss, 1.0 / t, 2, LAM)
+        with pytest.raises(ValueError, match="does not match"):
+            realization(gauss, t, 1.0, 2, 1.0, approx=wrong)
+        with pytest.raises(ValueError, match="does not match"):
+            realization_candidate_min(gauss, t, 1.0, 2, 1.0, approx=wrong)
 
     def test_spectrum_on_another_grid_is_refused(self):
         small, large = make_grid(20.0, 512), make_grid(30.0, 512)
         f = RadialFunction(grid=small, values=np.exp(-0.5 * small.nodes**2))
         wrong = hankel(RadialFunction(grid=large, values=np.exp(-0.5 * large.nodes**2)), LAM)
         with pytest.raises(ValueError, match="does not match"):
-            k_functional_upper(f, 0.3, 1.0, 2, PARAMS, fhat=wrong)
+            k_functional_upper(f, 0.3, 1.0, 2, LAM, fhat=wrong)
         with pytest.raises(ValueError, match="does not match"):
             spectral_tail_l2(f, LAM, 1.0, fhat=wrong)
+
+    def test_approximant_on_another_grid_is_refused(self):
+        coarse, fine = make_grid(30.0, 256), make_grid(30.0, 512)
+        f = RadialFunction(grid=coarse, values=np.exp(-0.5 * coarse.nodes**2))
+        g = RadialFunction(grid=fine, values=np.exp(-0.5 * fine.nodes**2))
+        wrong = best_approx(g, 1.0 / 0.3, 2, LAM)
+        with pytest.raises(ValueError, match="does not match"):
+            realization(f, 0.3, 1.0, 2, LAM, approx=wrong)

@@ -16,8 +16,17 @@ from dunklsmooth.special import (
     jm_multiplier,
 )
 from dunklsmooth.quad import RadialFunction, make_grid
-from dunklsmooth.transforms import hankel, spectral_tail_l2
-from dunklsmooth.weights import params_from_lambda
+from dunklsmooth.smoothness import (
+    best_approx,
+    chain_at_scale,
+    diff_norm,
+    k_functional_upper,
+    marchaud_bound,
+    modulus,
+    realization,
+    realization_candidate_min,
+)
+from dunklsmooth.transforms import hankel, spectral_tail_l2, spectrum_from_values
 
 
 def series_oracle(lam: float, t: float, terms: int = 200) -> float:
@@ -133,17 +142,30 @@ def test_bessel_contract_holds_up_to_the_largest_order_configs_accept():
         BesselEvaluator(130.0)
 
 
-@pytest.mark.parametrize("lam", [130.0, math.nextafter(BESSEL_LAMBDA_MAX, math.inf)])
+@pytest.mark.parametrize("lam", [130.0, math.nextafter(BESSEL_LAMBDA_MAX, math.inf), -0.5])
 def test_every_entry_point_refuses_orders_outside_the_bessel_range(lam):
     grid = make_grid(10.0, 64)
     f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
-    for call in (
+    calls = [
         lambda: BesselEvaluator(lam),
         lambda: jm_multiplier(lam, 1.0, 0.5),
-        lambda: params_from_lambda(lam),
         lambda: hankel(f, lam),
         lambda: spectral_tail_l2(f, lam, 1.0),
-    ):
+    ]
+    # every smoothness functional, also with a spectrum at that lambda, which
+    # spares the transform (the p = 2 K-upper path then evaluates no Bessel)
+    for fhat in (None, spectrum_from_values(grid, lam, np.exp(-0.5 * grid.nodes**2))):
+        calls += [
+            lambda fhat=fhat: modulus(f, 0.3, 1.0, 2, lam, fhat=fhat),
+            lambda fhat=fhat: diff_norm(f, 0.3, 1.0, 2, lam, fhat=fhat),
+            lambda fhat=fhat: best_approx(f, 2.0, 2, lam, fhat=fhat),
+            lambda fhat=fhat: realization(f, 0.3, 1.0, 2, lam, fhat=fhat),
+            lambda fhat=fhat: realization_candidate_min(f, 0.3, 1.0, 2, lam, fhat=fhat),
+            lambda fhat=fhat: k_functional_upper(f, 0.3, 1.0, 2, lam, fhat=fhat),
+            lambda fhat=fhat: chain_at_scale(f, 0.3, (1.0,), (2,), lam, ("K",), fhat=fhat),
+            lambda fhat=fhat: marchaud_bound(f, 0.3, 1.0, 2, lam, fhat=fhat),
+        ]
+    for call in calls:
         with pytest.raises(ValueError, match="lambda must lie in"):
             call()
 

@@ -6,12 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad as adaptive_quad
 
 from dunklsmooth.quad import make_grid, nu_weights
-from dunklsmooth.weights import (
-    make_params,
-    measure_constants,
-    params_from_lambda,
-    weight_z2d,
-)
+from dunklsmooth.weights import b_lambda, make_params, weight_z2d
 
 
 class TestMakeParams:
@@ -62,13 +57,6 @@ class TestMakeParams:
         p = make_params(d, ks)
         assert p.d_k - 2.0 * p.lambda_k == pytest.approx(2.0, abs=1e-12)
 
-    def test_lambda_override(self):
-        p = params_from_lambda(0.25)
-        assert p.lambda_k == 0.25
-        assert p.multiplicities is None
-        with pytest.raises(ValueError):
-            params_from_lambda(-0.5)
-
 
 class TestWeightZ2d:
     def test_single_axis(self):
@@ -87,29 +75,25 @@ class TestWeightZ2d:
         p = make_params(3, [0.0, 0.0, 0.0])
         assert weight_z2d([0.0, -2.0, 5.0], p) == 1.0
 
-    def test_override_params_rejected(self):
-        with pytest.raises(ValueError):
-            weight_z2d([1.0], params_from_lambda(1.0))
-
 
 class TestMeasureConstants:
     def test_lambda_zero(self):
-        assert measure_constants(0.0).b_lambda == pytest.approx(1.0, abs=1e-15)
+        assert b_lambda(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_lambda_one(self):
-        assert measure_constants(1.0).b_lambda == pytest.approx(0.5, abs=1e-15)
+        assert b_lambda(1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_quarter_against_adaptive_quadrature(self):
         # Oracle: 1/b = integral_0^inf exp(-t^2/2) t^(2*0.25+1) dt.
         oracle, err = adaptive_quad(lambda t: math.exp(-0.5 * t * t) * t**1.5, 0, np.inf)
         assert err < 1e-7
-        b = measure_constants(0.25).b_lambda
+        b = b_lambda(0.25)
         assert b == pytest.approx(1.0 / oracle, rel=1e-10)
         assert b == pytest.approx(1.0 / (2.0**0.25 * math.gamma(1.25)), rel=1e-14)
 
     def test_rejects_lambda_at_minus_one(self):
         with pytest.raises(ValueError):
-            measure_constants(-1.0)
+            b_lambda(-1.0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 2.5])
     def test_gaussian_has_unit_nu_mass(self, lam):
