@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import combinations
@@ -29,7 +30,6 @@ from .operators import eta
 from .quad import (
     DEFAULT_N,
     DEFAULT_RMAX,
-    GRID_KINDS,
     RadialFunction,
     RadialGrid,
     lp_norm,
@@ -361,14 +361,19 @@ class HarnessConfig:
         f" Bessel evaluation is accurate on [0, {BESSEL_ARG_MAX:g}] only)",
     ), key="grid.rmax")
     grid_n: int = _cfg(_integer, DEFAULT_N, (lambda n: n >= 16, ">= 16"), key="grid.n")
-    grid_kind: str = _cfg(
-        _string, GRID_KINDS[0], (lambda kind: kind in GRID_KINDS, f"one of {GRID_KINDS}"),
-        key="grid.kind",
-    )
     experiments: tuple[ExperimentConfig, ...] = _cfg(_list(_block(ExperimentConfig)), ())
 
     def __post_init__(self) -> None:
         _check_fields(self, "config.")
+        # the transform holds an n x n float64 kernel; refuse, by arithmetic
+        # alone, one the machine cannot hold
+        kernel = 8 * int(self.grid_n) ** 2
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if kernel > memory:
+            raise ConfigError(
+                f"config.grid.n = {self.grid_n} needs an n x n float64 kernel of {kernel} bytes,"
+                f" more than the {memory} bytes of physical memory"
+            )
         names = [cfg.name for cfg in self.experiments]
         for name in names:
             if names.count(name) > 1:
@@ -386,7 +391,7 @@ class HarnessConfig:
                     )
 
     def grid(self) -> RadialGrid:
-        return make_grid(self.grid_rmax, self.grid_n, self.grid_kind)
+        return make_grid(self.grid_rmax, self.grid_n)
 
 
 # --------------------------------------------------------------------------

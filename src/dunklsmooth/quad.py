@@ -1,9 +1,9 @@
 """Radial grids, nu_lam-weighted quadrature, and weighted Lp norms.
 
-Grids are composite rules on [0, rmax] with geometric panel refinement toward
-the origin so the fractional weight t^(2*lam+1) is resolved; all nodes are
-strictly positive, which is what lets frequency symbols with a singularity at
-zero be evaluated safely downstream.
+Grids are composite Gauss-Legendre rules on [0, rmax] with geometric panel
+refinement toward the origin so the fractional weight t^(2*lam+1) is
+resolved; all nodes are strictly positive, which is what lets frequency
+symbols with a singularity at zero be evaluated safely downstream.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .weights import b_lambda
 __all__ = [
     "RadialGrid",
     "RadialFunction",
-    "GRID_KINDS",
     "DEFAULT_RMAX",
     "DEFAULT_N",
     "make_grid",
@@ -32,7 +31,6 @@ __all__ = [
     "load_radial_csv",
 ]
 
-GRID_KINDS = ("gauss-legendre-composite", "clenshaw-curtis")
 DEFAULT_RMAX = 30.0
 DEFAULT_N = 2048
 
@@ -50,7 +48,6 @@ class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     rmax: float
-    kind: str = "gauss-legendre-composite"
     panel_edges: tuple[float, ...] = ()
     key: str = field(init=False, repr=False)
 
@@ -94,24 +91,10 @@ class RadialFunction:
         object.__setattr__(self, "values", values)
 
 
-def _fejer_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Open Chebyshev (Fejer-1) rule on [-1, 1]: interior nodes only, positive
-    # weights, interpolatory exactness of degree m-1.
-    k = np.arange(1, m + 1)
-    theta = (2 * k - 1) * np.pi / (2 * m)
-    x = np.cos(theta)
-    j = np.arange(1, m // 2 + 1)
-    corr = 2.0 * np.sum(
-        np.cos(2.0 * np.outer(j, theta)) / (4.0 * j[:, None] ** 2 - 1.0), axis=0
-    )
-    w = (2.0 / m) * (1.0 - corr)
-    order = np.argsort(x)
-    return x[order], w[order]
-
-
 @lru_cache(maxsize=16)
-def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> RadialGrid:
-    """Composite quadrature grid on [0, rmax] with 2^-j panel refinement at 0.
+def make_grid(rmax: float, n: int) -> RadialGrid:
+    """Composite Gauss-Legendre grid on [0, rmax] with 2^-j panel refinement
+    at 0.
 
     Node budget n is split as evenly as possible across the panels, with the
     remainder going to the outermost (longest) ones.  Repeated calls return
@@ -122,8 +105,6 @@ def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> Ra
         raise ValueError(f"rmax must be positive, got {rmax!r}")
     if int(n) != n or n < 16:
         raise ValueError(f"n must be an integer >= 16, got {n!r}")
-    if kind not in GRID_KINDS:
-        raise ValueError(f"kind must be one of {GRID_KINDS}, got {kind!r}")
     n = int(n)
     levels = min(12, max(1, n // 16))
     edges = [0.0] + [rmax * 2.0 ** (-j) for j in range(levels, -1, -1)]
@@ -131,10 +112,9 @@ def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> Ra
     counts = [n // panels] * panels
     for i in range(n - sum(counts)):
         counts[panels - 1 - (i % panels)] += 1
-    rule = np.polynomial.legendre.leggauss if kind == "gauss-legendre-composite" else _fejer_rule
     # panels take at most two node counts; a Gauss rule of ~150 nodes costs
     # tens of ms, so each count's rule is computed once
-    rules = {m: rule(m) for m in set(counts)}
+    rules = {m: np.polynomial.legendre.leggauss(m) for m in set(counts)}
     nodes_parts = []
     weights_parts = []
     for (a, b), m in zip(zip(edges[:-1], edges[1:]), counts):
@@ -145,7 +125,6 @@ def make_grid(rmax: float, n: int, kind: str = "gauss-legendre-composite") -> Ra
         nodes=np.concatenate(nodes_parts),
         weights=np.concatenate(weights_parts),
         rmax=rmax,
-        kind=kind,
         panel_edges=tuple(edges),
     )
 
@@ -186,23 +165,29 @@ def _lp_norms(values: np.ndarray, grid: RadialGrid, lam: float, p: float) -> np.
     return np.sum(w[:, None] * np.abs(values) ** p, axis=0) ** (1.0 / p)
 
 
-def save_radial_csv(f: RadialFunction, path: str | Path, lam: float) -> None:
-    """Write node,value rows with a `# lambda=... rmax=... n=...` header."""
-    lines = [f"# lambda={float(lam)!r} rmax={float(f.grid.rmax)!r} n={f.grid.n}"]
-    lines.append("node,value")
-    for t, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
+# Both CSV formats (radial profiles here, spectra in ``transforms``) share one
+# layout: a header line `# lambda=... rmax=... n=...` (spectra add
+# `bandlimit=...`), a `node,value` line, then one row per grid node.  The
+# header's (rmax, n) names the make_grid grid the nodes lie on.
+
+
+def _write_csv(path: str | Path, grid: RadialGrid, values: np.ndarray, lam: float,
+               extra: str = "") -> None:
+    """Write real samples on a grid in the CSV layout; ``extra`` ends the
+    header line."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{path}: CSV values must be real, got a complex array")
+    lines = [f"# lambda={float(lam)!r} rmax={float(grid.rmax)!r} n={grid.n}{extra}", "node,value"]
+    pairs = zip(grid.nodes.tolist(), np.asarray(values, dtype=float).tolist())
+    lines += [f"{t!r},{v!r}" for t, v in pairs]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(
-    path: str | Path, expected: tuple[str, ...], columns: tuple[int, ...]
-) -> tuple[dict[str, str], np.ndarray]:
-    """Header fields and numeric rows of a CSV written by this package.
+def _read_csv(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
+    """Header fields and (node, value) rows of a CSV in the package layout.
 
-    A file that is empty, lacks a header field, holds no data rows, or whose
-    rows do not all have the same column count from ``columns`` raises
-    ValueError naming the file.
+    A file that is empty, lacks a header field, holds no data rows, or has a
+    row of other than two columns raises ValueError naming the file.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
@@ -222,32 +207,39 @@ def _read_csv(
         table = np.fromiter(map(float, ",".join(rows).split(",")), float)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    width = rows[0].count(",") + 1
-    if width not in columns or any(ln.count(",") != width - 1 for ln in rows):
-        allowed = " or ".join(map(str, columns))
-        raise ValueError(f"{path}: every data row must have the same {allowed} columns")
-    return fields, table.reshape(len(rows), width)
+    if any(ln.count(",") != 1 for ln in rows):
+        raise ValueError(f"{path}: every data row must have 2 columns")
+    return fields, table.reshape(len(rows), 2)
 
 
-def _match_grid(path: str | Path, nodes: np.ndarray, rmaxes: tuple[float, ...]) -> RadialGrid:
-    """The make_grid grid (any kind, any of ``rmaxes``) whose nodes are ``nodes``."""
-    for kind in GRID_KINDS:
-        for rmax in rmaxes:
-            grid = make_grid(rmax, nodes.size, kind)
-            if np.allclose(grid.nodes, nodes, rtol=0, atol=1e-12 * rmax):
-                return grid
-    raise ValueError(f"{path}: node set does not match any make_grid construction")
+def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
+              ) -> tuple[RadialFunction, float, dict[str, str]]:
+    """Samples, lambda and header fields of a CSV written by ``_write_csv``.
+
+    The grid is rebuilt by make_grid from the header's (rmax, n) and checked
+    against the stored nodes, so only grids this package produces load.
+    Every error is a ValueError naming the file.
+    """
+    fields, data = _read_csv(path, ("lambda", "rmax", "n", *extra))
+    try:
+        lam, n = float(fields["lambda"]), int(fields["n"])
+        if data.shape[0] != n:
+            raise ValueError(f"expected {n} rows, found {data.shape[0]}")
+        grid = make_grid(float(fields["rmax"]), n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.allclose(grid.nodes, data[:, 0], rtol=0, atol=1e-12 * grid.rmax):
+        raise ValueError(f"{path}: nodes are not those of make_grid({grid.rmax!r}, {n})")
+    return RadialFunction(grid=grid, values=data[:, 1]), lam, fields
+
+
+def save_radial_csv(f: RadialFunction, path: str | Path, lam: float) -> None:
+    """Write node,value rows with a `# lambda=... rmax=... n=...` header."""
+    _write_csv(path, f.grid, f.values, lam)
 
 
 def load_radial_csv(path: str | Path) -> tuple[RadialFunction, float]:
-    """Read a radial CSV written by :func:`save_radial_csv`.
-
-    The grid is rebuilt from the header (rmax, n) via make_grid and checked
-    against the stored nodes, so only grids this package produces round-trip.
-    """
-    fields, data = _read_csv(path, ("lambda", "rmax", "n"), (2,))
-    n = int(fields["n"])
-    if data.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} rows, found {data.shape[0]}")
-    grid = _match_grid(path, data[:, 0], (float(fields["rmax"]),))
-    return RadialFunction(grid=grid, values=data[:, 1]), float(fields["lambda"])
+    """Read a radial CSV written by :func:`save_radial_csv`: the profile on
+    the grid its header names, and lambda."""
+    f, lam, _ = _load_csv(path)
+    return f, lam

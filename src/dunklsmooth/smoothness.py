@@ -20,8 +20,9 @@ at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
 columns.
 
 Each chain functional has one evaluator over a whole (orders, p) sweep at
-one scale: ``_moduli`` for the modulus and ``_candidate_minima`` for the
-candidate families.  ``modulus``, ``k_functional_upper`` and
+one scale: ``_moduli`` for the modulus, ``_diff_norms`` for the difference
+norm (one order at every p) and ``_candidate_minima`` for the candidate
+families.  ``modulus``, ``diff_norm``, ``k_functional_upper`` and
 ``realization_candidate_min`` are their one-(p, r) case, and
 ``chain_at_scale`` composes them, so a sweep takes two wide inverse
 products per scale instead of one product per (functional, p, r).
@@ -124,6 +125,24 @@ def _moduli(fhat: Spectrum, base: np.ndarray, steps: np.ndarray, orders: Sequenc
             idx = int(np.argmax(norms))
             moduli[p, m] = ModulusResult(value=float(norms[idx]), t_max=float(steps[idx]))
     return moduli
+
+
+def _diff_norms(fhat: Spectrum, base: np.ndarray | None, m: float, r: float,
+                p_values: Sequence[float]) -> list[float]:
+    """|| Delta_t^m (-Lap)^(r/2) f ||_p at every p, with ``base`` the
+    ``_bessel_base`` column of the step t (unused when m = 0); m = 0 (or
+    r = 0) drops that factor.
+
+    One single-column inverse product serves every p.
+    """
+    nodes = fhat.grid.nodes
+    sym = np.ones_like(nodes)
+    if r > 0:
+        sym = sym * nodes**r
+    if m > 0:
+        sym = sym * base ** (0.5 * m)
+    phys = _inverse_products(fhat, sym[:, None])
+    return [float(_lp_norms(phys, fhat.grid, fhat.lam, p)[0]) for p in p_values]
 
 
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -261,17 +280,11 @@ def diff_norm(
     One code path for every p: invert the symbol-multiplied spectrum, then
     measure the norm on the physical grid.
     """
+    if m > 0 and not (t > 0):
+        raise ValueError("difference step must be positive when m > 0")
     fhat = _spectrum_of(f, lam, fhat)
-    nodes = fhat.grid.nodes
-    sym = np.ones_like(nodes)
-    if r > 0:
-        sym = sym * nodes**r
-    if m > 0:
-        if not (t > 0):
-            raise ValueError("difference step must be positive when m > 0")
-        sym = sym * _bessel_base(lam, nodes, np.array([t]))[:, 0] ** (0.5 * m)
-    phys = _inverse_products(fhat, sym[:, None])
-    return float(_lp_norms(phys, fhat.grid, lam, p)[0])
+    base = _bessel_base(lam, fhat.grid.nodes, np.array([t]))[:, 0] if m > 0 else None
+    return _diff_norms(fhat, base, m, r, (p,))[0]
 
 
 def modulus(
@@ -530,9 +543,9 @@ def chain_at_scale(
     norms.  ``_moduli`` makes one inverse product for every r and releases
     it before ``_candidate_minima`` makes one for every candidate family off
     p = 2.  "R" and "Rstar" take each p's approximant of type 1/t, computed
-    once for every r.  The difference norms stay single-column products: a
-    one-column slice of a wide product is not bit-equal to the
-    matrix-vector product ``diff_norm`` makes.
+    once for every r.  The difference norms take ``_diff_norms``, as
+    ``diff_norm`` does, one single-column product per r: a one-column slice
+    of a wide product is not bit-equal to that matrix-vector product.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")
@@ -554,9 +567,8 @@ def chain_at_scale(
         # column 0 of the base is the step t itself
         column = np.ascontiguousarray(base[:, 0])
         for r in r_values:
-            phys = _inverse_products(fhat, (column ** (0.5 * r))[:, None])
-            for p in p_values:
-                values[p, r]["diff"] = float(_lp_norms(phys, grid, lam, p)[0])
+            for p, value in zip(p_values, _diff_norms(fhat, column, r, 0.0, p_values)):
+                values[p, r]["diff"] = value
 
     if "R" in names or "Rstar" in names:
         for p in p_values:

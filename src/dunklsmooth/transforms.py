@@ -29,14 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quad import (
-    DEFAULT_RMAX,
-    RadialFunction,
-    RadialGrid,
-    _match_grid,
-    _read_csv,
-    nu_weights,
-)
+from .quad import RadialFunction, RadialGrid, _load_csv, _write_csv, nu_weights
 from .special import BesselEvaluator, _check_lambda
 from .weights import b_lambda
 
@@ -53,7 +46,6 @@ __all__ = [
     "dunkl_kernel_1d",
     "SymmetricGrid",
     "LineFunction",
-    "gauss_normalization_1d",
     "dunkl_transform_1d",
     "dunkl_inverse_1d",
 ]
@@ -419,30 +411,23 @@ def bandlimit_project(s: Spectrum, sigma: float) -> Spectrum:
 
 
 def save_spectrum_csv(s: Spectrum, path: str | Path) -> None:
-    """Write node,value[,imag] rows under a `# lambda=... bandlimit=...` header."""
+    """Write node,value rows under a `# lambda=... rmax=... n=... bandlimit=...`
+    header.  Only a real spectrum can be written (the transform of a real
+    profile is real); a complex one raises ValueError."""
     bl = "none" if s.bandlimit is None else repr(float(s.bandlimit))
-    lines = [f"# lambda={float(s.lam)!r} bandlimit={bl}"]
-    vals = s.values
-    if np.iscomplexobj(vals):
-        lines.append("node,value,imag")
-        for t, v in zip(s.grid.nodes, vals):
-            lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
-    else:
-        lines.append("node,value")
-        for t, v in zip(s.grid.nodes, vals):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, s.grid, s.values, s.lam, extra=f" bandlimit={bl}")
 
 
-def load_spectrum_csv(path: str | Path, rmax: float | None = None) -> Spectrum:
-    """Read a spectrum CSV written by :func:`save_spectrum_csv`."""
-    fields, data = _read_csv(path, ("lambda", "bandlimit"), (2, 3))
-    bl = None if fields["bandlimit"] == "none" else float(fields["bandlimit"])
-    nodes = data[:, 0]
-    values = data[:, 1] if data.shape[1] == 2 else data[:, 1] + 1j * data[:, 2]
-    rmaxes = (float(rmax),) if rmax is not None else (DEFAULT_RMAX, float(nodes[-1]))
-    grid = _match_grid(path, nodes, rmaxes)
-    return spectrum_from_values(grid, float(fields["lambda"]), values, bandlimit=bl)
+def load_spectrum_csv(path: str | Path) -> Spectrum:
+    """Read a spectrum CSV written by :func:`save_spectrum_csv`, on the grid
+    its header names."""
+    f, lam, fields = _load_csv(path, ("bandlimit",))
+    bl = fields["bandlimit"]
+    try:
+        bandlimit = None if bl == "none" else float(bl)
+    except ValueError:
+        raise ValueError(f"{path}: bandlimit must be a number or none, got {bl!r}") from None
+    return spectrum_from_values(f.grid, lam, f.values, bandlimit=bandlimit)
 
 
 # --------------------------------------------------------------------------
@@ -545,16 +530,13 @@ class LineFunction:
         object.__setattr__(self, "values", values)
 
 
-def gauss_normalization_1d(k: float, grid: SymmetricGrid) -> float:
-    """c_k with c_k^{-1} = integral exp(-x^2/2) |x|^(2k) dx, by quadrature."""
+def _mu_weights(k: float, grid: SymmetricGrid) -> np.ndarray:
+    """Weights of c_k |x|^(2k) dx, with c_k^{-1} = integral exp(-x^2/2)
+    |x|^(2k) dx by the same quadrature."""
     mass = float(
         np.sum(grid.weights * np.exp(-0.5 * grid.nodes**2) * np.abs(grid.nodes) ** (2.0 * k))
     )
-    return 1.0 / mass
-
-
-def _mu_weights(k: float, grid: SymmetricGrid) -> np.ndarray:
-    return gauss_normalization_1d(k, grid) * grid.weights * np.abs(grid.nodes) ** (2.0 * k)
+    return 1.0 / mass * grid.weights * np.abs(grid.nodes) ** (2.0 * k)
 
 
 def _dunkl_apply(f: LineFunction, k: float, conjugate: bool) -> LineFunction:

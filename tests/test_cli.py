@@ -12,7 +12,7 @@ from dunklsmooth import cli
 from dunklsmooth.cli import _build_parser, main
 from dunklsmooth.harness import ConfigError, ExperimentConfig, HarnessConfig
 from dunklsmooth.quad import RadialFunction, make_grid, save_radial_csv
-from dunklsmooth.transforms import load_spectrum_csv
+from dunklsmooth.transforms import hankel, load_spectrum_csv
 
 
 def test_transform_command(tmp_path):
@@ -25,6 +25,18 @@ def test_transform_command(tmp_path):
     spectrum = load_spectrum_csv(dst)
     assert spectrum.lam == 0.25
     assert np.max(np.abs(spectrum.values - np.exp(-0.5 * grid.nodes**2))) < 1e-8
+
+
+def test_transform_round_trip_off_the_default_rmax(tmp_path):
+    grid = make_grid(12.0, 256)
+    f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+    src = tmp_path / "f.csv"
+    dst = tmp_path / "fhat.csv"
+    save_radial_csv(f, src, lam=0.5)
+    assert main(["transform", "--input", str(src), "--lambda", "0.5", "--output", str(dst)]) == 0
+    spectrum = load_spectrum_csv(dst)
+    assert spectrum.grid == grid and spectrum.lam == 0.5
+    assert spectrum.values.tobytes() == hankel(f, 0.5).values.tobytes()
 
 
 def test_transform_missing_input(tmp_path):
@@ -48,7 +60,7 @@ def test_transform_malformed_input_exits_2(tmp_path, capsys):
 def test_run_with_config(tmp_path, capsys):
     spec = {
         "output_dir": str(tmp_path / "reports"),
-        "grid": {"rmax": 30.0, "n": 512, "kind": "gauss-legendre-composite"},
+        "grid": {"rmax": 30.0, "n": 512},
         "experiments": [
             {
                 "name": "bernstein",
@@ -71,6 +83,13 @@ def test_run_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": [{"name": "unknown-exp"}]}))
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_run_config_naming_a_grid_kind_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"kind": "gauss-legendre-composite"}}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config.grid: unknown field 'kind'" in capsys.readouterr().err
 
 
 def test_verify_command(tmp_path, capsys):

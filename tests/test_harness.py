@@ -23,7 +23,7 @@ from dunklsmooth.harness import (
     run_all,
     write_report,
 )
-from dunklsmooth.quad import GRID_KINDS, make_grid, nu_weights
+from dunklsmooth.quad import make_grid, nu_weights
 from dunklsmooth.special import BESSEL_LAMBDA_MAX, BesselEvaluator
 
 
@@ -202,7 +202,6 @@ class TestConfig:
             (lambda: ScaleGrid(0.05, math.inf, 5), "scale.hi must be a finite number"),
             (lambda: ExperimentConfig(name="jackson", sigma=math.inf),
              "jackson: sigma must be a finite number"),
-            (lambda: HarnessConfig(grid_kind="bogus"), "config.grid.kind must be one of"),
             (lambda: HarnessConfig(grid_n=3), "config.grid.n must be >= 16, got 3"),
             (lambda: parse_config({"grid": {"n": 8}}), "config.grid.n must be >= 16, got 8"),
             (lambda: HarnessConfig(grid_n=16.5), "config.grid.n must be an integer"),
@@ -238,6 +237,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config({"experiments": [{"name": "jackson", field: value}]})
 
+    def test_kernel_beyond_physical_memory_is_refused(self):
+        # 8 * (2**20)**2 bytes = 8 TiB: refused by arithmetic, nothing allocated
+        with pytest.raises(ConfigError, match=r"config\.grid\.n = 1048576 needs an n x n"
+                                              r" float64 kernel of 8796093022208 bytes, more"
+                                              r" than the \d+ bytes of physical memory"):
+            parse_config({"grid": {"n": 2**20}})
+        assert parse_config({"grid": {"n": 2048}}).grid_n == 2048
+
     def test_lambda_is_bounded_where_the_weights_stay_doubles(self):
         # nu_weights forms t^(2 lam + 1) for nodes t < rmax: at rmax = 30 that
         # overflows past lam = 103.8, short of the Bessel limit of 120
@@ -263,7 +270,7 @@ _NUMBER = _NEAR | st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, 1e200, 1e308, -1e308]),
     st.integers(300, 400).map(lambda k: (-1) ** k * 10**k),  # beyond the float range
 )
-_STRING = st.sampled_from(["gaussian", "bandlimited", *GRID_KINDS, "inf", "Infinity", "x", ""])
+_STRING = st.sampled_from(["gaussian", "bandlimited", "inf", "Infinity", "x", ""])
 _JSON = st.recursive(
     st.one_of(_NUMBER, _STRING, st.none(), st.booleans(), st.text(max_size=4)),
     lambda inner: st.lists(inner, max_size=5)
@@ -293,8 +300,7 @@ def _config(value):
         {"name": st.sampled_from(sorted(EXPERIMENTS))},
         optional={f.name: value(f.type) for f in fields(ExperimentConfig)[1:]},
     )
-    grid = st.fixed_dictionaries({}, optional={"rmax": value("float"), "n": value("int"),
-                                               "kind": value("str")})
+    grid = st.fixed_dictionaries({}, optional={"rmax": value("float"), "n": value("int")})
     return st.fixed_dictionaries({}, optional={
         "output_dir": value("str"), "grid": grid, "experiments": st.lists(experiment, max_size=3),
     })
@@ -676,7 +682,7 @@ class TestRunAll:
     def test_small_run_writes_reports(self, tmp_path):
         spec = {
             "output_dir": str(tmp_path / "reports"),
-            "grid": {"rmax": 30.0, "n": 512, "kind": "gauss-legendre-composite"},
+            "grid": {"rmax": 30.0, "n": 512},
             "experiments": [
                 {
                     "name": "equivalence",
