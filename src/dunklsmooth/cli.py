@@ -7,7 +7,9 @@ Subcommands:
                                  iff every verdict passes (2 on bad config).
 * ``verify NAME --lambda ...``   run a single experiment from flags.
 * ``transform --input f.csv --lambda v --output fhat.csv``
-                                 Hankel-transform a sampled radial profile.
+                                 Hankel-transform a sampled radial profile
+                                 whose header holds the same lambda and an
+                                 rmax the kernel can serve (2 otherwise).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from functools import lru_cache
 
 from .harness import (
+    _GRID_RMAX,
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
@@ -118,7 +121,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    f, _ = load_radial_csv(args.input)
+    f, lam = load_radial_csv(args.input)
+    if lam != args.lam:
+        raise ValueError(f"{args.input}: header lambda={lam!r} differs from --lambda {args.lam!r}")
+    in_range, text = _GRID_RMAX
+    if not in_range(f.grid.rmax):
+        raise ValueError(f"{args.input}: header rmax must be {text}, got {f.grid.rmax!r}")
     spectrum = hankel(f, args.lam)
     save_spectrum_csv(spectrum, args.output)
     if spectrum.truncated:

@@ -37,12 +37,12 @@ from .quad import (
     nu_weights,
 )
 from .smoothness import (
+    _marchaud_bounds,
     best_approx,
     chain_at_scale,
     diff_norm,
     inverse_bound,
     k_functional_upper,
-    marchaud_bound,
     modulus,
 )
 from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX, LAMBDA_MIN
@@ -350,16 +350,20 @@ class ExperimentConfig:
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
+# kernel arguments r_i t_j reach rmax^2, which must stay inside the range
+# where the Bessel evaluation keeps its accuracy; the transform command
+# applies it to an input's header rmax
+_GRID_RMAX: _Range = (
+    lambda rmax: 0 < rmax <= math.sqrt(BESSEL_ARG_MAX),
+    f"in (0, {math.sqrt(BESSEL_ARG_MAX):.4g}] (kernel arguments reach rmax^2, and the"
+    f" Bessel evaluation is accurate on [0, {BESSEL_ARG_MAX:g}] only)",
+)
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     output_dir: str = _cfg(_string, "reports")
-    # kernel arguments r_i t_j reach rmax^2, which must stay inside the range
-    # where the Bessel evaluation keeps its accuracy
-    grid_rmax: float = _cfg(_number, DEFAULT_RMAX, (
-        lambda rmax: 0 < rmax <= math.sqrt(BESSEL_ARG_MAX),
-        f"in (0, {math.sqrt(BESSEL_ARG_MAX):.4g}] (kernel arguments reach rmax^2, and the"
-        f" Bessel evaluation is accurate on [0, {BESSEL_ARG_MAX:g}] only)",
-    ), key="grid.rmax")
+    grid_rmax: float = _cfg(_number, DEFAULT_RMAX, _GRID_RMAX, key="grid.rmax")
     grid_n: int = _cfg(_integer, DEFAULT_N, (lambda n: n >= 16, ">= 16"), key="grid.n")
     experiments: tuple[ExperimentConfig, ...] = _cfg(_list(_block(ExperimentConfig)), ())
 
@@ -686,14 +690,14 @@ def _inverse_rows(report, cfg, inp):
     derivatives = _derivatives(inp, cfg.r_values)
     for p in cfg.p_values:
         table = {j: _best_approx_error(f, fhat, j, p, lam) for j in range(n_max + 1)}
+        marchaud = _marchaud_bounds(f, fhat, cfg.delta_values, cfg.m_values, p, lam)
         for m in cfg.m_values:
             for n in cfg.n_values:
                 lhs = modulus(f, 1.0 / n, m, p, lam, fhat=fhat).value
                 report.add("inverse", lam, p, m, 0.0, float(n), lhs, inverse_bound(table, n, m))
             for delta in cfg.delta_values:
                 lhs = k_functional_upper(f, delta, m, p, lam, fhat=fhat)
-                rhs = marchaud_bound(f, delta, m, p, lam, fhat=fhat)
-                report.add("marchaud", lam, p, m, 0.0, delta, lhs, rhs)
+                report.add("marchaud", lam, p, m, 0.0, delta, lhs, marchaud[delta, m])
             for r in cfg.r_values:
                 if r <= 0:
                     continue

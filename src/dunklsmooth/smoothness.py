@@ -26,6 +26,10 @@ families.  ``modulus``, ``diff_norm``, ``k_functional_upper`` and
 ``realization_candidate_min`` are their one-(p, r) case, and
 ``chain_at_scale`` composes them, so a sweep takes two wide inverse
 products per scale instead of one product per (functional, p, r).
+``_marchaud_bounds`` evaluates the Marchaud right-hand side over a
+(delta, m) sweep at one p, with one best approximation per point of a
+quarter-octave ladder every delta shares; ``marchaud_bound`` is its
+one-(delta, m) case.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
 _MODULUS_SAMPLES = 24  # quarter-octave steps below delta in the modulus sup
 _K_UPPER_POINTS = 9  # smoothing scales of the K-upper candidate family
 _R_CANDIDATE_POINTS = 7  # smoothing scales of the restricted R candidate family
-_MARCHAUD_SCALES = 17  # log-grid points of the Marchaud integral over [delta, 1]
 
 
 def _modulus_steps(delta: float) -> np.ndarray:
@@ -601,6 +604,59 @@ def inverse_bound(
     return float(n) ** (-m) * total
 
 
+def _marchaud_nodes(delta: float) -> np.ndarray:
+    """delta, then the quarter-octave rungs 2^(-k/4) > delta, k >= 0, in
+    increasing order up to 1: the nodes of the Marchaud integral over
+    [delta, 1].  Every delta shares the rungs, as nested deltas share the
+    steps of the modulus sup.  Each rung is a Python float power, so its
+    bits do not depend on how many rungs a delta takes.
+    """
+    rungs = []
+    k = 0
+    while (t := 2.0 ** (-k / 4.0)) > delta:
+        rungs.append(t)
+        k += 1
+    return np.array([delta] + rungs[::-1])
+
+
+def _marchaud_bounds(
+    f: RadialFunction,
+    fhat: Spectrum,
+    deltas: Sequence[float],
+    orders: Sequence[float],
+    p: float,
+    lam: float,
+) -> dict[tuple[float, float], float]:
+    """Marchaud right-hand side of every (delta, m) at one p,
+    ``{(delta, m): bound}`` (see ``marchaud_bound``).
+
+    The nodes of every delta lie on one ladder (``_marchaud_nodes``), so the
+    sweep takes one ``best_approx`` per point of their union and one
+    ``realization`` per (point, m); each delta's integral reads its own
+    nodes only.
+    """
+    for delta in deltas:
+        if not (0 < delta < 1):
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    for m in orders:
+        if not (m > 0):
+            raise ValueError(f"m must be positive, got {m!r}")
+    nodes = {delta: _marchaud_nodes(delta) for delta in deltas}
+    kvals = {}
+    for t in sorted({t for ts in nodes.values() for t in ts.tolist()}):
+        approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
+        for m in orders:
+            kvals[t, m] = realization(f, t, m + 1.0, p, lam, approx=approx).value
+    norm = lp_norm(f, p, lam)
+    bounds = {}
+    for delta, ts in nodes.items():
+        for m in orders:
+            integrand = ts ** (-m) * np.array([kvals[t, m] for t in ts.tolist()])
+            integral = float(np.trapezoid(integrand, x=np.log(ts)))
+            bounds[delta, m] = delta**m * (norm + integral)
+    return bounds
+
+
 def marchaud_bound(
     f: RadialFunction,
     delta: float,
@@ -611,17 +667,11 @@ def marchaud_bound(
 ) -> float:
     """Marchaud-type right-hand side delta^m (||f||_p + int_delta^1 t^-m K dt/t).
 
-    K at order m+1 is replaced by realization values on a log grid; the
-    integral is a trapezoid rule in log t.  ``fhat`` is the precomputed
-    transform of f.
+    K at order m+1 is replaced by realization values at the nodes delta and
+    2^(-k/4) > delta (k = 0, 1, ...), a quarter-octave ladder that every
+    delta shares; the integral is a trapezoid rule in log t over them.  The
+    one-(delta, m) case of ``_marchaud_bounds``.  ``fhat`` is the
+    precomputed transform of f.
     """
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not (m > 0):
-        raise ValueError(f"m must be positive, got {m!r}")
-    t_grid = np.geomspace(delta, 1.0, _MARCHAUD_SCALES)
     fhat = _spectrum_of(f, lam, fhat)
-    kvals = np.array([realization(f, t, m + 1.0, p, lam, fhat=fhat).value for t in t_grid])
-    integrand = t_grid ** (-m) * kvals
-    integral = float(np.trapezoid(integrand, x=np.log(t_grid)))
-    return delta**m * (lp_norm(f, p, lam) + integral)
+    return _marchaud_bounds(f, fhat, (delta,), (m,), p, lam)[delta, m]

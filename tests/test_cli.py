@@ -39,6 +39,29 @@ def test_transform_round_trip_off_the_default_rmax(tmp_path):
     assert spectrum.values.tobytes() == hankel(f, 0.5).values.tobytes()
 
 
+def test_transform_refuses_a_header_lambda_other_than_the_flag(tmp_path, capsys):
+    grid = make_grid(30.0, 512)
+    src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"
+    save_radial_csv(RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2)), src, lam=0.25)
+    rc = main(["transform", "--input", str(src), "--lambda", "0.5", "--output", str(dst)])
+    assert rc == 2
+    assert "header lambda=0.25 differs from --lambda 0.5" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_transform_refuses_an_rmax_beyond_the_bessel_range(tmp_path, capsys):
+    # kernel arguments reach rmax^2 = 1e4, past the Bessel accuracy contract:
+    # a Gaussian came out 1.7e-3 off its closed form with exit 0
+    grid = make_grid(100.0, 256)
+    src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"
+    save_radial_csv(RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2)), src, lam=0.25)
+    rc = main(["transform", "--input", str(src), "--lambda", "0.25", "--output", str(dst)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "header rmax must be in (0, 31.62]" in err and "got 100.0" in err
+    assert not dst.exists()
+
+
 def test_transform_missing_input(tmp_path):
     rc = main(
         ["transform", "--input", str(tmp_path / "nope.csv"), "--lambda", "0.5",

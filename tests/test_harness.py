@@ -559,6 +559,26 @@ class TestExperiments:
         assert len(rep.rows) == 12
         assert len(calls) == len(set(calls)) == 12
 
+    def test_default_inverse_sweep_takes_one_marchaud_ladder(self, grid, monkeypatch):
+        # the three default deltas share one quarter-octave ladder: one best
+        # approximation per point, 17 in all (a fresh 17-point grid per delta
+        # took 51), and a second run takes 17 again, as no memo outlives the
+        # sweep.  The E_j table calls best_approx through the harness's own
+        # binding, so only the Marchaud calls reach the one patched here
+        sigmas = []
+        best_approx = smoothness.best_approx
+
+        def counted(f, sigma, *args, **kwargs):
+            sigmas.append(sigma)
+            return best_approx(f, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(smoothness, "best_approx", counted)
+        cfg = next(c for c in parse_config(default_config()).experiments if c.name == "inverse")
+        for _ in range(2):
+            sigmas.clear()
+            EXPERIMENTS["inverse"](cfg, grid)
+            assert len(sigmas) == len(set(sigmas)) == 17
+
     def test_bernstein_exact_constant_and_sharpness(self, grid):
         cfg = ExperimentConfig(
             name="bernstein", r_values=(1.0, 2.0), scale=ScaleGrid(1.0, 8.0, 4),

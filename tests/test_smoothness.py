@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from dunklsmooth.harness import make_profile
 from dunklsmooth.operators import vallee_poussin
-from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
+from dunklsmooth.quad import RadialFunction, default_grid, lp_norm, make_grid, nu_weights
 from dunklsmooth.smoothness import (
+    _marchaud_bounds,
+    _marchaud_nodes,
     best_approx,
     chain_at_scale,
     diff_norm,
@@ -342,6 +345,53 @@ class TestMarchaudBound:
     def test_rejects_delta_outside_unit_interval(self, grid, gauss):
         with pytest.raises(ValueError):
             marchaud_bound(gauss, 1.5, 1.0, 2, LAM)
+
+    def test_nodes_are_delta_then_the_shared_ladder(self):
+        nodes = _marchaud_nodes(0.1)
+        assert nodes[0] == 0.1 and nodes[-1] == 1.0
+        assert nodes[1:].tolist() == [2.0 ** (-k / 4.0) for k in range(13, -1, -1)]
+        # a delta on a rung is not taken twice
+        assert _marchaud_nodes(0.5).tolist() == [0.5, 2.0**-0.75, 2.0**-0.5, 2.0**-0.25, 1.0]
+        union = {t for delta in (0.1, 0.2, 0.4) for t in _marchaud_nodes(delta).tolist()}
+        assert len(union) == 17
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_single_call_is_the_sweep_entry(self, gauss, p):
+        fhat = hankel(gauss, LAM)
+        deltas, orders = (0.1, 0.2, 0.4), (1.0, 2.0)
+        sweep = _marchaud_bounds(gauss, fhat, deltas, orders, p, LAM)
+        assert set(sweep) == {(delta, m) for delta in deltas for m in orders}
+        for (delta, m), bound in sweep.items():
+            assert marchaud_bound(gauss, delta, m, p, LAM) == bound
+
+    def test_single_call_is_the_sweep_entry_at_p1(self, gauss):
+        fhat = hankel(gauss, LAM)
+        sweep = _marchaud_bounds(gauss, fhat, (0.2, 0.4), (1.0,), 1.0, LAM)
+        assert marchaud_bound(gauss, 0.4, 1.0, 1.0, LAM, fhat=fhat) == sweep[0.4, 1.0]
+
+    @pytest.mark.parametrize("name", ["gaussian", "rational"])
+    def test_quarter_octave_ladder_is_within_5e_3_of_a_fine_one(self, name):
+        # reference: the same trapezoid rule on the nodes delta and
+        # 2^(-k/32) > delta, 32 per octave; every delta's nodes are drawn
+        # from the union, which takes one best approximation per point
+        grid, deltas, orders = default_grid(), (0.1, 0.2, 0.4), (1.0, 2.0)
+        f = make_profile(name, grid, LAM)
+        fhat = hankel(f, LAM)
+        sweep = _marchaud_bounds(f, fhat, deltas, orders, 2, LAM)
+        rungs = [2.0 ** (-k / 32.0) for k in range(128, -1, -1)]
+        fine = {delta: np.array([delta] + [t for t in rungs if t > delta]) for delta in deltas}
+        values = {}
+        for t in sorted({t for ts in fine.values() for t in ts.tolist()}):
+            approx = best_approx(f, 1.0 / t, 2, LAM, fhat=fhat)
+            for m in orders:
+                values[t, m] = realization(f, t, m + 1.0, 2, LAM, approx=approx).value
+        norm = lp_norm(f, 2, LAM)
+        for delta, ts in fine.items():
+            for m in orders:
+                kvals = np.array([values[t, m] for t in ts.tolist()])
+                integral = np.trapezoid(ts ** (-m) * kvals, x=np.log(ts))
+                reference = delta**m * (norm + integral)
+                assert abs(sweep[delta, m] / reference - 1.0) < 5e-3
 
 
 class TestChainAtScale:
