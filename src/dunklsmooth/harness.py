@@ -37,7 +37,9 @@ from .quad import (
     nu_weights,
 )
 from .smoothness import (
+    _best_approxes,
     _marchaud_bounds,
+    _marchaud_sigmas,
     best_approx,
     chain_at_scale,
     diff_norm,
@@ -556,11 +558,14 @@ def _derivatives(inp: _Input, r_values) -> dict[float, tuple[RadialFunction, Spe
 
 
 def _jackson_rows(report, cfg, inp):
-    """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma."""
+    """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma.
+
+    Each p takes every E_sigma from one ``_best_approxes`` sweep."""
     derivatives = _derivatives(inp, cfg.r_values)
+    sigmas = cfg.scale.values()
     for p in cfg.p_values:
-        errors = [(sigma, best_approx(inp.f, sigma, p, inp.lam, fhat=inp.fhat).value)
-                  for sigma in cfg.scale.values()]
+        approxes = _best_approxes(inp.f, inp.fhat, sigmas, p, inp.lam)
+        errors = [(sigma, approxes[sigma].value) for sigma in sigmas]
         for m in cfg.m_values:
             for r in cfg.r_values:
                 df, dfhat = derivatives[r]
@@ -682,15 +687,22 @@ def _best_approx_error(f, fhat, j, p, lam):
 
 
 def _inverse_rows(report, cfg, inp):
-    """Inverse-direction bounds: cumulative sums, Marchaud, derivative variant."""
+    """Inverse-direction bounds: cumulative sums, Marchaud, derivative variant.
+
+    Each p takes one ``_best_approxes`` sweep over the E_j table's types
+    j = 1..max(n_values) and Marchaud's ladder types 1/t, so a type both
+    share is approximated once."""
     f, fhat, lam = inp.f, inp.fhat, inp.lam
     tail_cutoff = 1e-10
     j_cap = 64
     n_max = max(cfg.n_values)
     derivatives = _derivatives(inp, cfg.r_values)
+    sigmas = [float(j) for j in range(1, n_max + 1)] + _marchaud_sigmas(cfg.delta_values)
     for p in cfg.p_values:
-        table = {j: _best_approx_error(f, fhat, j, p, lam) for j in range(n_max + 1)}
-        marchaud = _marchaud_bounds(f, fhat, cfg.delta_values, cfg.m_values, p, lam)
+        approxes = _best_approxes(f, fhat, sigmas, p, lam)
+        table = {0: _best_approx_error(f, fhat, 0, p, lam)}
+        table.update((j, approxes[float(j)].value) for j in range(1, n_max + 1))
+        marchaud = _marchaud_bounds(f, fhat, cfg.delta_values, cfg.m_values, p, lam, approxes)
         for m in cfg.m_values:
             for n in cfg.n_values:
                 lhs = modulus(f, 1.0 / n, m, p, lam, fhat=fhat).value

@@ -26,10 +26,14 @@ families.  ``modulus``, ``diff_norm``, ``k_functional_upper`` and
 ``realization_candidate_min`` are their one-(p, r) case, and
 ``chain_at_scale`` composes them, so a sweep takes two wide inverse
 products per scale instead of one product per (functional, p, r).
-``_marchaud_bounds`` evaluates the Marchaud right-hand side over a
-(delta, m) sweep at one p, with one best approximation per point of a
-quarter-octave ladder every delta shares; ``marchaud_bound`` is its
-one-(delta, m) case.
+``_best_approxes`` evaluates best approximation over a list of types at
+one p; at p = 2 its values come from one ``transforms._spectral_tails``
+sweep, which evaluates each Bessel block the cut panels share once, and
+``best_approx`` at p = 2 is its one-sigma case.  ``_marchaud_bounds``
+evaluates the Marchaud right-hand side over a (delta, m) sweep at one p,
+reading one approximant per point of a quarter-octave ladder every delta
+shares, from a caller's ``_best_approxes`` sweep or its own;
+``marchaud_bound`` is its one-(delta, m) case.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from .special import BesselEvaluator
 from .transforms import (
     Spectrum,
     _kernel_matrix,
+    _spectral_tails,
     _spectrum_of,
     bandlimit_project,
-    spectral_tail_l2,
 )
 
 __all__ = [
@@ -380,7 +384,8 @@ def best_approx(
     """Distance from f to the bandlimited class of spherical type sigma.
 
     p = 2: exact minimizer by sharp spectral truncation (Parseval); the error
-    is the spectral tail mass beyond sigma.  Other p start from the smoothing
+    is the spectral tail mass beyond sigma, and the call is the one-sigma
+    case of ``_best_approxes``.  Other p start from the smoothing
     projection at sigma/2 (output bandlimited to sigma), a near-best
     approximant.  At p = 1 a bounded weighted-L1 fit of the spectrum on
     [0, sigma] (``_l1_fit_symbol``; once sigma reaches the last grid node,
@@ -393,9 +398,7 @@ def best_approx(
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     fhat = _spectrum_of(f, lam, fhat)
     if p == 2:
-        g = bandlimit_project(fhat, sigma)
-        value = spectral_tail_l2(f, lam, sigma, fhat=fhat)
-        return BestApprox(value=value, g_star=g, near_best=False)
+        return _best_approxes(f, fhat, (sigma,), p, lam)[sigma]
     mat = _kernel_matrix(lam, fhat.grid)
 
     def error(g: Spectrum) -> float:
@@ -415,6 +418,31 @@ def best_approx(
             if fit_value <= value:
                 g, value = fit, fit_value
     return BestApprox(value=value, g_star=g, near_best=True)
+
+
+def _best_approxes(
+    f: RadialFunction,
+    fhat: Spectrum,
+    sigmas: Sequence[float],
+    p: float,
+    lam: float,
+) -> dict[float, BestApprox]:
+    """``best_approx`` at every distinct sigma, ``{sigma: BestApprox}``.
+
+    At p = 2 every value comes from one ``_spectral_tails`` sweep, which
+    evaluates each Bessel block the cut panels share once; other p take one
+    ``best_approx`` per sigma.
+    """
+    sigmas = list(dict.fromkeys(sigmas))
+    if p != 2:
+        return {sigma: best_approx(f, sigma, p, lam, fhat=fhat) for sigma in sigmas}
+    for sigma in sigmas:
+        if not (sigma > 0):
+            raise ValueError(f"sigma must be positive, got {sigma!r}")
+    fhat = _spectrum_of(f, lam, fhat)
+    tails = _spectral_tails(f, lam, sigmas, fhat)
+    return {sigma: BestApprox(value=tails[sigma], g_star=bandlimit_project(fhat, sigma),
+                              near_best=False) for sigma in sigmas}
 
 
 class RealizationResult(NamedTuple):
@@ -611,12 +639,21 @@ def _marchaud_nodes(delta: float) -> np.ndarray:
     steps of the modulus sup.  Each rung is a Python float power, so its
     bits do not depend on how many rungs a delta takes.
     """
+    if not (0 < delta < 1):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     rungs = []
     k = 0
     while (t := 2.0 ** (-k / 4.0)) > delta:
         rungs.append(t)
         k += 1
     return np.array([delta] + rungs[::-1])
+
+
+def _marchaud_sigmas(deltas: Sequence[float]) -> list[float]:
+    """The types 1/t of the approximants ``_marchaud_bounds`` reads: one per
+    point t of the union of the deltas' ladders, in increasing t."""
+    points = {t for delta in deltas for t in _marchaud_nodes(delta).tolist()}
+    return [1.0 / t for t in sorted(points)]
 
 
 def _marchaud_bounds(
@@ -626,25 +663,28 @@ def _marchaud_bounds(
     orders: Sequence[float],
     p: float,
     lam: float,
+    approxes: dict[float, BestApprox] | None = None,
 ) -> dict[tuple[float, float], float]:
     """Marchaud right-hand side of every (delta, m) at one p,
     ``{(delta, m): bound}`` (see ``marchaud_bound``).
 
     The nodes of every delta lie on one ladder (``_marchaud_nodes``), so the
-    sweep takes one ``best_approx`` per point of their union and one
-    ``realization`` per (point, m); each delta's integral reads its own
-    nodes only.
+    sweep reads one approximant per point t of their union, of type
+    sigma = 1/t (``_marchaud_sigmas``), and takes one ``realization`` per
+    (point, m); each delta's integral reads its own nodes only.
+    ``approxes`` maps each such sigma to its ``best_approx``, as a caller's
+    ``_best_approxes`` sweep over these sigmas and others returns it; without
+    it the sweep makes its own.
     """
-    for delta in deltas:
-        if not (0 < delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     for m in orders:
         if not (m > 0):
             raise ValueError(f"m must be positive, got {m!r}")
     nodes = {delta: _marchaud_nodes(delta) for delta in deltas}
+    if approxes is None:
+        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), p, lam)
     kvals = {}
     for t in sorted({t for ts in nodes.values() for t in ts.tolist()}):
-        approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
+        approx = approxes[1.0 / t]
         for m in orders:
             kvals[t, m] = realization(f, t, m + 1.0, p, lam, approx=approx).value
     norm = lp_norm(f, p, lam)

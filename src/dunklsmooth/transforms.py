@@ -22,6 +22,7 @@ either order; a fixed canonical order removes the association ambiguity).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -372,28 +373,81 @@ def spectral_tail_l2(
     approximation of type sigma.  Node masking alone would split one
     quadrature panel at sigma and lose ~1e-4 accuracy, so the cut panel gets
     a dedicated Gauss rule with the spectrum evaluated directly there.
-    ``fhat`` is the precomputed ``hankel(f, lam)``.
+    ``fhat`` is the precomputed ``hankel(f, lam)``.  The one-sigma case of
+    ``_spectral_tails``.
+    """
+    return _spectral_tails(f, lam, (sigma,), fhat)[float(sigma)]
+
+
+def _spectral_tails(
+    f: RadialFunction, lam: float, sigmas, fhat: Spectrum | None = None
+) -> dict[float, float]:
+    """``spectral_tail_l2`` at every sigma, ``{sigma: tail}``, each distinct
+    Bessel block of the cut panels evaluated once.
+
+    Panel edges are octave edges, so the cut nodes r of 2 sigma are exactly
+    2 r of sigma.  With s the exponent of the cut edge and r~ = ldexp(r, -s),
+    the block outer(r, nodes_p) of a panel with base b and exponent e (see
+    ``_panel_slices``) is 2^(e+s) outer(r~, base_b): blocks with the same key
+    (r~ bytes, b, e + s) hold bit-equal arguments, hence bit-equal values.
+    Sigmas are grouped by r~; a group's missing blocks are evaluated in one
+    evaluator call per sigma, and each block is released once the last sigma
+    of its group that reads it is done, so nothing outlives the group.  A
+    sigma at or beyond rmax has tail 0; a negative or NaN sigma raises before
+    any work.
     """
     lam = _check_lambda(lam)
-    sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
+    sigmas = list(dict.fromkeys(float(sigma) for sigma in sigmas))
+    for sigma in sigmas:
+        if not (sigma >= 0):
+            raise ValueError(f"sigma must be a nonnegative number, got {sigma!r}")
     grid = f.grid
-    if sigma >= grid.rmax:
-        return 0.0
+    tails = {sigma: 0.0 for sigma in sigmas if sigma >= grid.rmax}
+    cut = [sigma for sigma in sigmas if sigma < grid.rmax]
+    if not cut:
+        return tails
     fhat = _spectrum_of(f, lam, fhat)
-    nuw = nu_weights(grid, lam)
+    nodes, nuw = grid.nodes, nu_weights(grid, lam)
+    weighted = nuw * f.values
     edges = grid.panel_edges if grid.panel_edges else (0.0, grid.rmax)
-    cut_edge = min(e for e in edges if e >= sigma)
-    whole = float(np.sum(nuw[grid.nodes > cut_edge] * np.abs(fhat.values[grid.nodes > cut_edge]) ** 2))
-    partial = 0.0
-    if cut_edge > sigma:
+    panels = _panel_slices(grid)
+    evaluator = BesselEvaluator(lam)
+    groups: dict[bytes, list[tuple[float, float, np.ndarray, np.ndarray, int]]] = {}
+    for sigma in cut:
+        cut_edge = min(e for e in edges if e >= sigma)
+        whole = float(np.sum(nuw[nodes > cut_edge] * np.abs(fhat.values[nodes > cut_edge]) ** 2))
+        if cut_edge == sigma:
+            tails[sigma] = math.sqrt(whole)
+            continue
         r = 0.5 * (cut_edge - sigma) * (_CUT_NODES + 1.0) + sigma
         wr = 0.5 * (cut_edge - sigma) * _CUT_WEIGHTS
-        kernel = BesselEvaluator(lam)(np.multiply.outer(r, grid.nodes))
-        fhat_r = kernel @ (nuw * f.values)
-        partial = float(np.sum(wr * b_lambda(lam) * r ** (2.0 * lam + 1.0) * np.abs(fhat_r) ** 2))
-    return math.sqrt(whole + partial)
+        s = int(np.frexp(cut_edge)[1])
+        groups.setdefault(np.ldexp(r, -s).tobytes(), []).append((sigma, whole, r, wr, s))
+    for members in groups.values():
+        readers = Counter((b, e + s) for *_, s in members for _, b, e in panels)
+        blocks: dict[tuple[int, int], np.ndarray] = {}
+        for sigma, whole, r, wr, s in members:
+            keys = [(b, e + s) for _, b, e in panels]
+            missing = {key: sl for (sl, _, _), key in zip(panels, keys) if key not in blocks}
+            if missing:
+                ends = np.cumsum([sl.stop - sl.start for sl in missing.values()])[:-1]
+                kernel = evaluator(np.multiply.outer(r, nodes[np.r_[tuple(missing.values())]]))
+                blocks.update(zip(missing, np.split(kernel, ends, axis=1)))
+            if len(missing) < len(keys):
+                # panels are contiguous and in order: the blocks side by side
+                # are the 32 x n cut-panel kernel
+                kernel = np.concatenate([blocks[key] for key in keys], axis=1)
+            fhat_r = kernel @ weighted
+            # the next sigma evaluates with only the blocks its group reads alive
+            del kernel
+            for key in keys:
+                readers[key] -= 1
+                if not readers[key]:
+                    del blocks[key]
+            partial = float(np.sum(wr * b_lambda(lam) * r ** (2.0 * lam + 1.0)
+                                   * np.abs(fhat_r) ** 2))
+            tails[sigma] = math.sqrt(whole + partial)
+    return tails
 
 
 def bandlimit_project(s: Spectrum, sigma: float) -> Spectrum:

@@ -560,24 +560,55 @@ class TestExperiments:
         assert len(calls) == len(set(calls)) == 12
 
     def test_default_inverse_sweep_takes_one_marchaud_ladder(self, grid, monkeypatch):
-        # the three default deltas share one quarter-octave ladder: one best
-        # approximation per point, 17 in all (a fresh 17-point grid per delta
-        # took 51), and a second run takes 17 again, as no memo outlives the
-        # sweep.  The E_j table calls best_approx through the harness's own
-        # binding, so only the Marchaud calls reach the one patched here
-        sigmas = []
-        best_approx = smoothness.best_approx
+        # one sweep per (input, p) over the E_j table's types 1..32 and the
+        # types 1/t of the ladder the three default deltas share (17 points,
+        # where a fresh 17-point grid per delta took 51): 43 distinct sigmas,
+        # the 6 both share taken once.  At p = 2 every tail comes from one
+        # _spectral_tails call; a second run hands over the same sigmas and
+        # evaluates the same Bessel points, as no memo outlives the sweep
+        swept, points = [], []
+        tails = smoothness._spectral_tails
+        call = BesselEvaluator.__call__
 
-        def counted(f, sigma, *args, **kwargs):
-            sigmas.append(sigma)
-            return best_approx(f, sigma, *args, **kwargs)
+        def counted_tails(f, lam, sigmas, fhat=None):
+            swept.append(list(sigmas))
+            return tails(f, lam, sigmas, fhat)
 
-        monkeypatch.setattr(smoothness, "best_approx", counted)
+        def counted_points(self, t):
+            points.append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(smoothness, "_spectral_tails", counted_tails)
+        monkeypatch.setattr(BesselEvaluator, "__call__", counted_points)
         cfg = next(c for c in parse_config(default_config()).experiments if c.name == "inverse")
+        ladder = {1.0 / t for delta in cfg.delta_values for t in smoothness._marchaud_nodes(delta)}
+        expected = set(map(float, range(1, max(cfg.n_values) + 1))) | ladder
+        assert len(ladder) == 17 and len(expected) == 43
+        runs = []
         for _ in range(2):
-            sigmas.clear()
+            swept.clear()
+            points.clear()
             EXPERIMENTS["inverse"](cfg, grid)
-            assert len(sigmas) == len(set(sigmas)) == 17
+            assert len(swept) == 1 and sorted(swept[0]) == sorted(expected)
+            runs.append(sum(points))
+        assert runs[0] == runs[1] > 0
+
+    def test_inverse_sweep_fits_each_p1_type_once(self, grid, monkeypatch):
+        # at p = 1 each type below the last node is one LP: the 43 distinct
+        # types less the three at or beyond it (30, 31, 32), so 40 LPs where
+        # a table and a ladder approximated apart took 46
+        fits = []
+        l1_fit = smoothness._l1_fit_symbol
+
+        def counted(f, fhat, sigma):
+            fits.append(sigma)
+            return l1_fit(f, fhat, sigma)
+
+        monkeypatch.setattr(smoothness, "_l1_fit_symbol", counted)
+        cfg = ExperimentConfig(name="inverse", p_values=(1.0,), m_values=(2.0,))
+        EXPERIMENTS["inverse"](cfg, grid)
+        assert len(fits) == len(set(fits)) == 40
+        assert all(sigma < grid.nodes[-1] for sigma in fits)
 
     def test_bernstein_exact_constant_and_sharpness(self, grid):
         cfg = ExperimentConfig(

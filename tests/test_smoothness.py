@@ -8,8 +8,10 @@ from dunklsmooth.harness import make_profile
 from dunklsmooth.operators import vallee_poussin
 from dunklsmooth.quad import RadialFunction, default_grid, lp_norm, make_grid, nu_weights
 from dunklsmooth.smoothness import (
+    _best_approxes,
     _marchaud_bounds,
     _marchaud_nodes,
+    _marchaud_sigmas,
     best_approx,
     chain_at_scale,
     diff_norm,
@@ -173,6 +175,27 @@ class TestBestApprox:
     def test_p1_beyond_last_node_reproduces_f(self, grid, gauss):
         ba = best_approx(gauss, 2.0 * grid.rmax, 1, LAM)
         assert ba.value < 1e-6 * lp_norm(gauss, 1, LAM)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sweep_equals_single_calls(self, p):
+        # each distinct sigma once, every entry == its own best_approx call;
+        # the p = 1 fits run on a small grid
+        grid = make_grid(30.0, 256 if p == 1 else 1024)
+        f = make_profile("rational", grid, LAM)
+        fhat = hankel(f, LAM)
+        sigmas = [1.0, 2.0, 4.0, 2.5, 2.5000000000000004, 5.0, 1.0, 0.3, 2.0 * grid.rmax]
+        sweep = _best_approxes(f, fhat, sigmas, p, LAM)
+        assert list(sweep) == list(dict.fromkeys(sigmas))
+        for sigma, ba in sweep.items():
+            single = best_approx(f, sigma, p, LAM, fhat=fhat)
+            assert ba.value == single.value and ba.near_best == single.near_best
+            assert np.array_equal(ba.g_star.values, single.g_star.values)
+            assert ba.g_star.bandlimit == single.g_star.bandlimit
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_sweep_refuses_a_nonpositive_sigma(self, gauss, p):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            _best_approxes(gauss, hankel(gauss, LAM), (1.0, 0.0), p, LAM)
 
 
 class TestRealization:
@@ -345,6 +368,9 @@ class TestMarchaudBound:
     def test_rejects_delta_outside_unit_interval(self, grid, gauss):
         with pytest.raises(ValueError):
             marchaud_bound(gauss, 1.5, 1.0, 2, LAM)
+        # the ladder itself refuses: a negative delta never ends its rungs
+        with pytest.raises(ValueError, match="delta must lie in"):
+            _marchaud_sigmas((0.2, -0.1))
 
     def test_nodes_are_delta_then_the_shared_ladder(self):
         nodes = _marchaud_nodes(0.1)
@@ -369,6 +395,19 @@ class TestMarchaudBound:
         sweep = _marchaud_bounds(gauss, fhat, (0.2, 0.4), (1.0,), 1.0, LAM)
         assert marchaud_bound(gauss, 0.4, 1.0, 1.0, LAM, fhat=fhat) == sweep[0.4, 1.0]
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_approximants_from_a_wider_sweep_give_the_same_bounds(self, gauss, p):
+        # the inverse experiment hands in one sweep over the E_j types and
+        # the ladder's; each bound reads only its own ladder's entries
+        fhat = hankel(gauss, LAM)
+        deltas, orders = (0.1, 0.2, 0.4), (1.0, 2.0)
+        sigmas = [float(j) for j in range(1, 9)] + _marchaud_sigmas(deltas)
+        approxes = _best_approxes(gauss, fhat, sigmas, p, LAM)
+        assert len(_marchaud_sigmas(deltas)) == 17
+        assert _marchaud_bounds(gauss, fhat, deltas, orders, p, LAM, approxes) == _marchaud_bounds(
+            gauss, fhat, deltas, orders, p, LAM
+        )
+
     @pytest.mark.parametrize("name", ["gaussian", "rational"])
     def test_quarter_octave_ladder_is_within_5e_3_of_a_fine_one(self, name):
         # reference: the same trapezoid rule on the nodes delta and
@@ -381,8 +420,10 @@ class TestMarchaudBound:
         rungs = [2.0 ** (-k / 32.0) for k in range(128, -1, -1)]
         fine = {delta: np.array([delta] + [t for t in rungs if t > delta]) for delta in deltas}
         values = {}
-        for t in sorted({t for ts in fine.values() for t in ts.tolist()}):
-            approx = best_approx(f, 1.0 / t, 2, LAM, fhat=fhat)
+        points = sorted({t for ts in fine.values() for t in ts.tolist()})
+        approxes = _best_approxes(f, fhat, [1.0 / t for t in points], 2, LAM)
+        for t in points:
+            approx = approxes[1.0 / t]
             for m in orders:
                 values[t, m] = realization(f, t, m + 1.0, 2, LAM, approx=approx).value
         norm = lp_norm(f, 2, LAM)

@@ -271,6 +271,66 @@ class TestBandlimitProject:
         assert measured <= oracle + 1e-10
 
 
+def _edgeless(grid):
+    """The grid's nodes and weights without panel edges: one cut panel."""
+    return RadialGrid(nodes=grid.nodes, weights=grid.weights, rmax=grid.rmax)
+
+
+def _tail_sigmas(grid):
+    """0, panel edges, doubling chains, near-doubles, off-edge values,
+    sigmas at or beyond rmax (inf included) and a repeat."""
+    edges = [e for e in grid.panel_edges if e > 0][-5:]
+    rmax = grid.rmax
+    return [0.0, *edges, 1.0, 2.0, 4.0, 8.0, 0.75, 1.5, 3.0, 6.0, 2.5, 2.5000000000000004,
+            5.0, 5.000000000000001, 0.3 * rmax, 0.6 * rmax, 0.999 * rmax, rmax, 2.0 * rmax,
+            math.inf, 4.0]
+
+
+class TestSpectralTails:
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 2.5])
+    @pytest.mark.parametrize("make", [
+        lambda: make_grid(30.0, 1024),
+        lambda: make_grid(12.0, 256),
+        lambda: _edgeless(make_grid(30.0, 512)),
+    ], ids=["octave-30", "octave-12", "edgeless"])
+    def test_sweep_equals_single_tails(self, make, lam):
+        # every sigma of one sweep equals its own one-sigma call by ==
+        grid = make()
+        sigmas = _tail_sigmas(grid)
+        for values in (np.exp(-0.5 * grid.nodes**2), (1.0 + grid.nodes**2) ** -(lam + 2.0)):
+            f = RadialFunction(grid=grid, values=values)
+            fhat = hankel(f, lam)
+            tails = transforms._spectral_tails(f, lam, sigmas, fhat)
+            assert set(tails) == set(sigmas)
+            for sigma in sigmas:
+                assert tails[sigma] == spectral_tail_l2(f, lam, sigma, fhat=fhat), sigma
+            assert tails[math.inf] == tails[grid.rmax] == 0.0
+
+    def test_doubling_chain_shares_its_blocks(self, grid, monkeypatch):
+        # sigma and 2 sigma cut octave panels whose nodes differ by exactly 2,
+        # so a doubling chain evaluates far fewer Bessel points together than
+        # one at a time; near-doubles share nothing and cost a full row each
+        points = record_bessel_calls(monkeypatch)
+        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+        fhat = hankel(f, 0.25)
+        full = transforms._CUT_NODES.size * grid.n
+        transforms._spectral_tails(f, 0.25, (1.5, 3.0, 6.0, 12.0), fhat)
+        assert len(points) == 4 and points[0] == full and sum(points) < 2 * full
+        points.clear()
+        transforms._spectral_tails(f, 0.25, (2.5, 2.5000000000000004), fhat)
+        assert points == [full, full]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_refuses_a_negative_or_nan_sigma_before_any_work(self, grid, bad, monkeypatch):
+        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+        fhat = hankel(f, 0.25)
+        monkeypatch.setattr(BesselEvaluator, "__call__", None)
+        with pytest.raises(ValueError, match=f"sigma must be a nonnegative number, got {bad!r}"):
+            spectral_tail_l2(f, 0.25, bad, fhat=fhat)
+        with pytest.raises(ValueError, match=repr(bad)):
+            transforms._spectral_tails(f, 0.25, (1.0, bad), fhat)
+
+
 class TestSpectrumMechanics:
     def test_pending_symbols_sorted_for_materialization(self, grid):
         s = spectrum_from_values(grid, 0.5, np.exp(-grid.nodes))
