@@ -38,14 +38,14 @@ from .quad import (
 )
 from .smoothness import (
     _best_approxes,
+    _chain_sweep,
     _marchaud_bounds,
     _marchaud_sigmas,
+    _moduli,
     best_approx,
-    chain_at_scale,
     diff_norm,
     inverse_bound,
     k_functional_upper,
-    modulus,
 )
 from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX, LAMBDA_MIN
 from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
@@ -560,18 +560,20 @@ def _derivatives(inp: _Input, r_values) -> dict[float, tuple[RadialFunction, Spe
 def _jackson_rows(report, cfg, inp):
     """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma.
 
-    Each p takes every E_sigma from one ``_best_approxes`` sweep."""
-    derivatives = _derivatives(inp, cfg.r_values)
+    Each p takes every E_sigma from one ``_best_approxes`` sweep, and each r
+    every modulus from one ``_moduli`` sweep over the deltas 1/sigma."""
     sigmas = cfg.scale.values()
+    deltas = [1.0 / sigma for sigma in sigmas]
+    moduli = {r: _moduli(dfhat, deltas, cfg.m_values, cfg.p_values)
+              for r, (_, dfhat) in _derivatives(inp, cfg.r_values).items()}
     for p in cfg.p_values:
         approxes = _best_approxes(inp.f, inp.fhat, sigmas, p, inp.lam)
-        errors = [(sigma, approxes[sigma].value) for sigma in sigmas]
         for m in cfg.m_values:
             for r in cfg.r_values:
-                df, dfhat = derivatives[r]
-                for sigma, lhs in errors:
-                    om = modulus(df, 1.0 / sigma, m, p, inp.lam, fhat=dfhat).value
-                    report.add("jackson", inp.lam, p, m, r, sigma, lhs, sigma ** (-r) * om)
+                for sigma, delta in zip(sigmas, deltas):
+                    om = moduli[r][delta, p, m].value
+                    report.add("jackson", inp.lam, p, m, r, sigma, approxes[sigma].value,
+                               sigma ** (-r) * om)
 
 
 def _chain_rows(pairs):
@@ -582,12 +584,12 @@ def _chain_rows(pairs):
 
     def rows(report, cfg, inp):
         scales = cfg.scale.values()
-        chains = [chain_at_scale(inp.f, t, cfg.r_values, cfg.p_values, inp.lam, names,
-                                 fhat=inp.fhat) for t in scales]
+        chains = _chain_sweep(inp.f, scales, cfg.r_values, cfg.p_values, inp.lam, names,
+                              fhat=inp.fhat)
         for p in cfg.p_values:
             for r in cfg.r_values:
-                for t, chain in zip(scales, chains):
-                    values = chain[p, r]
+                for t in scales:
+                    values = chains[t][p, r]
                     for a, b in pairs:
                         report.add(f"{cfg.name}:{a}/{b}", inp.lam, p, r, r, t, values[a],
                                    values[b], group=(inp.lam, p, r, inp.profile, f"{a}/{b}"))
@@ -691,12 +693,16 @@ def _inverse_rows(report, cfg, inp):
 
     Each p takes one ``_best_approxes`` sweep over the E_j table's types
     j = 1..max(n_values) and Marchaud's ladder types 1/t, so a type both
-    share is approximated once."""
+    share is approximated once.  f and each derivative take one ``_moduli``
+    sweep over the deltas 1/n."""
     f, fhat, lam = inp.f, inp.fhat, inp.lam
     tail_cutoff = 1e-10
     j_cap = 64
     n_max = max(cfg.n_values)
-    derivatives = _derivatives(inp, cfg.r_values)
+    deltas = {n: 1.0 / n for n in cfg.n_values}
+    # f itself is the r = 0 entry
+    moduli = {r: _moduli(dfhat, list(deltas.values()), cfg.m_values, cfg.p_values)
+              for r, (_, dfhat) in _derivatives(inp, (0.0, *cfg.r_values)).items()}
     sigmas = [float(j) for j in range(1, n_max + 1)] + _marchaud_sigmas(cfg.delta_values)
     for p in cfg.p_values:
         approxes = _best_approxes(f, fhat, sigmas, p, lam)
@@ -705,7 +711,7 @@ def _inverse_rows(report, cfg, inp):
         marchaud = _marchaud_bounds(f, fhat, cfg.delta_values, cfg.m_values, p, lam, approxes)
         for m in cfg.m_values:
             for n in cfg.n_values:
-                lhs = modulus(f, 1.0 / n, m, p, lam, fhat=fhat).value
+                lhs = moduli[0.0][deltas[n], p, m].value
                 report.add("inverse", lam, p, m, 0.0, float(n), lhs, inverse_bound(table, n, m))
             for delta in cfg.delta_values:
                 lhs = k_functional_upper(f, delta, m, p, lam, fhat=fhat)
@@ -713,7 +719,6 @@ def _inverse_rows(report, cfg, inp):
             for r in cfg.r_values:
                 if r <= 0:
                     continue
-                df, dfhat = derivatives[r]
                 # extend the table until E_j decays below the cutoff
                 j_hi = n_max
                 while j_hi < j_cap and table[j_hi] > tail_cutoff:
@@ -721,7 +726,7 @@ def _inverse_rows(report, cfg, inp):
                     if j_hi not in table:
                         table[j_hi] = _best_approx_error(f, fhat, j_hi, p, lam)
                 for n in cfg.n_values:
-                    lhs = modulus(df, 1.0 / n, m, p, lam, fhat=dfhat).value
+                    lhs = moduli[r][deltas[n], p, m].value
                     head = sum((j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1))
                     tail = sum(float(j) ** (r - 1.0) * table[j] for j in range(n + 1, j_hi + 1))
                     rhs = n ** (-r) * head + tail

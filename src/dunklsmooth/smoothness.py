@@ -19,25 +19,30 @@ projections P_sigma over a geometric sigma grid, sharp spectral truncations
 at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
 columns.
 
-Each chain functional has one evaluator over a whole (orders, p) sweep at
-one scale: ``_moduli`` for the modulus, ``_diff_norms`` for the difference
-norm (one order at every p) and ``_candidate_minima`` for the candidate
-families.  ``modulus``, ``diff_norm``, ``k_functional_upper`` and
-``realization_candidate_min`` are their one-(p, r) case, and
-``chain_at_scale`` composes them, so a sweep takes two wide inverse
-products per scale instead of one product per (functional, p, r).
+Each chain functional has one batched evaluator: ``_moduli`` for the
+modulus over a (deltas, orders, p) sweep, ``_diff_norms`` for the
+difference norm (one order at every p) and ``_candidate_minima`` for the
+candidate families at one scale.  ``modulus``, ``diff_norm``,
+``k_functional_upper`` and ``realization_candidate_min`` are their
+one-(p, r) case.  Every modulus sup samples delta and the quarter-octave
+rungs 2^(-k/4) below it, a lattice all deltas share, so ``_moduli`` makes
+one Bessel base over the union of its deltas' steps and one inverse
+product per order.  ``_chain_sweep`` composes the evaluators over every
+scale of a chain, with one ``_moduli`` sweep per input, and
+``chain_at_scale`` is its one-scale case.
 ``_best_approxes`` evaluates best approximation over a list of types at
 one p; at p = 2 its values come from one ``transforms._spectral_tails``
 sweep, which evaluates each Bessel block the cut panels share once, and
 ``best_approx`` at p = 2 is its one-sigma case.  ``_marchaud_bounds``
 evaluates the Marchaud right-hand side over a (delta, m) sweep at one p,
-reading one approximant per point of a quarter-octave ladder every delta
-shares, from a caller's ``_best_approxes`` sweep or its own;
+reading one approximant per point of the same quarter-octave lattice,
+from a caller's ``_best_approxes`` sweep or its own;
 ``marchaud_bound`` is its one-(delta, m) case.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
@@ -96,14 +101,56 @@ def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
     return float(np.sqrt(np.sum(nu_weights(grid, lam) * np.abs(values) ** 2)))
 
 
-_MODULUS_SAMPLES = 24  # quarter-octave steps below delta in the modulus sup
+_MODULUS_SAMPLES = 24  # quarter-octave rungs below delta in the modulus sup
 _K_UPPER_POINTS = 9  # smoothing scales of the K-upper candidate family
 _R_CANDIDATE_POINTS = 7  # smoothing scales of the restricted R candidate family
 
 
+def _require(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse a scale or order that is NaN, infinite, negative, or zero
+    unless ``zero_ok``, naming it; callers check before any work."""
+    if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
+def _rung(k: int) -> float:
+    """The quarter-octave rung 2^(-k/4), a Python float power: its bits do
+    not depend on which ladder takes it."""
+    return 2.0 ** (-k / 4.0)
+
+
+def _rung_index(x: float) -> int:
+    """The least k with 2^(-k/4) <= x, for finite positive x."""
+    k = math.ceil(-4.0 * math.log2(x))
+    while _rung(k) > x:
+        k += 1
+    while _rung(k - 1) <= x:
+        k -= 1
+    return k
+
+
 def _modulus_steps(delta: float) -> np.ndarray:
-    """delta * 2^(-j/4), j = 0.._MODULUS_SAMPLES: the steps of the modulus sup."""
-    return delta * 2.0 ** (-np.arange(_MODULUS_SAMPLES + 1) / 4.0)
+    """delta, then the _MODULUS_SAMPLES rungs 2^(-k/4) below it, in
+    decreasing order: the steps of the modulus sup, in [delta 2^-6, delta].
+
+    Every delta shares the rungs, as the Marchaud nodes do.  At an octave
+    point delta = 2^-k they are bit-equal to delta 2^(-j/4); at other
+    lattice points they may differ from that product by one ulp.
+    """
+    _require("delta", delta)
+    k = _rung_index(delta)
+    k += _rung(k) == delta
+    return np.array([delta] + [_rung(j) for j in range(k, k + _MODULUS_SAMPLES)])
+
+
+def _ladder(deltas: Sequence[float]) -> tuple[np.ndarray, dict[float, np.ndarray]]:
+    """The union of the deltas' ``_modulus_steps`` in decreasing order, and
+    for each delta the positions of its own steps in it, in its own order."""
+    own = {delta: _modulus_steps(delta).tolist() for delta in deltas}
+    union = sorted({t for steps in own.values() for t in steps}, reverse=True)
+    at = {t: i for i, t in enumerate(union)}
+    return np.array(union), {delta: np.array([at[t] for t in steps]) for delta, steps in own.items()}
 
 
 def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -115,22 +162,35 @@ def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray
     return np.maximum(BesselEvaluator(lam).one_minus(np.multiply.outer(nodes, steps)), 0.0)
 
 
-def _moduli(fhat: Spectrum, base: np.ndarray, steps: np.ndarray, orders: Sequence[float],
-            p_values: Sequence[float]) -> dict[tuple[float, float], ModulusResult]:
-    """Modulus of every order m at every p, ``{(p, m): ModulusResult}``: the
-    sup over ``steps`` of ||Delta_t^m f||_p, with ``base`` the
-    ``_bessel_base`` at those steps.
+def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
+            p_values: Sequence[float], base: np.ndarray | None = None,
+            ) -> dict[tuple[float, float, float], ModulusResult]:
+    """Modulus of every order m at every p and every delta,
+    ``{(delta, p, m): ModulusResult}``: the sup over delta's
+    ``_modulus_steps`` of ||Delta_t^m f||_p.
 
-    One inverse product holds the symbols base^(m/2) of every order.
+    The sweep evaluates one ``_bessel_base`` over the union U of the
+    deltas' steps (``_ladder``; ``base`` when the caller holds it) and one
+    (n, U) inverse product of base^(m/2) per order, whose norms it takes once
+    per p.  Each delta reads its own entries of that norm vector, in its own
+    decreasing order, so ties of ``t_max`` break towards the larger step.
+    A gemm column and an axis-0 norm of an (n, k >= 2) array do not depend on
+    k, so each value equals the one-delta sweep's.
     """
-    k = steps.size
-    phys = _inverse_products(fhat, np.concatenate([base ** (0.5 * m) for m in orders], axis=1))
+    union, own = _ladder(deltas)
+    if base is None:
+        base = _bessel_base(fhat.lam, fhat.grid.nodes, union)
     moduli = {}
-    for i, m in enumerate(orders):
+    for m in orders:
+        phys = _inverse_products(fhat, base ** (0.5 * m))
         for p in p_values:
-            norms = _lp_norms(phys[:, i * k : (i + 1) * k], fhat.grid, fhat.lam, p)
-            idx = int(np.argmax(norms))
-            moduli[p, m] = ModulusResult(value=float(norms[idx]), t_max=float(steps[idx]))
+            norms = _lp_norms(phys, fhat.grid, fhat.lam, p)
+            for delta, idx in own.items():
+                mine = norms[idx]
+                i = int(np.argmax(mine))
+                moduli[delta, p, m] = ModulusResult(value=float(mine[i]),
+                                                    t_max=float(union[idx[i]]))
+        del phys  # one order's product alive at a time
     return moduli
 
 
@@ -285,10 +345,12 @@ def diff_norm(
     """|| Delta_t^m (-Lap)^(r/2) f ||_{p, nu}; m = 0 (or r = 0) drops that factor.
 
     One code path for every p: invert the symbol-multiplied spectrum, then
-    measure the norm on the physical grid.
+    measure the norm on the physical grid.  t, m and r must be finite and
+    nonnegative, and t positive when m > 0.
     """
-    if m > 0 and not (t > 0):
-        raise ValueError("difference step must be positive when m > 0")
+    _require("order m", m, zero_ok=True)
+    _require("r", r, zero_ok=True)
+    _require("step t", t, zero_ok=m == 0)
     fhat = _spectrum_of(f, lam, fhat)
     base = _bessel_base(lam, fhat.grid.nodes, np.array([t]))[:, 0] if m > 0 else None
     return _diff_norms(fhat, base, m, r, (p,))[0]
@@ -304,18 +366,16 @@ def modulus(
 ) -> ModulusResult:
     """Fractional modulus of smoothness sup_{0 < t <= delta} ||Delta_t^m f||_p.
 
-    The sup is discretized on the quarter-octave grid delta * 2^(-j/4),
-    j = 0.._MODULUS_SAMPLES; nested delta values share sample points, which
-    keeps the modulus exactly nondecreasing in delta along such sweeps.  The
-    value is a lower bound of the true sup within grid slack.
+    The sup is discretized on delta and the _MODULUS_SAMPLES quarter-octave
+    rungs 2^(-k/4) below it (``_modulus_steps``), a lattice every delta
+    shares, so a sweep over many deltas evaluates each step once.  The value
+    is a lower bound of the true sup within grid slack.  The one-delta case
+    of ``_moduli``.
     """
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if not (m > 0):
-        raise ValueError(f"order m must be positive, got {m!r}")
+    _require("delta", delta)
+    _require("order m", m)
     fhat = _spectrum_of(f, lam, fhat)
-    steps = _modulus_steps(delta)
-    return _moduli(fhat, _bessel_base(lam, fhat.grid.nodes, steps), steps, (m,), (p,))[p, m]
+    return _moduli(fhat, (delta,), (m,), (p,))[delta, p, m]
 
 
 class BestApprox(NamedTuple):
@@ -474,8 +534,8 @@ def realization(
     once; its approximant must live on f's grid at index lam.  ``fhat`` is
     the precomputed transform of f, used when ``approx`` is not given.
     """
-    if not (t > 0 and r > 0):
-        raise ValueError("t and r must be positive")
+    _require("t", t)
+    _require("r", r)
     if approx is None:
         approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
     else:
@@ -514,8 +574,8 @@ def k_functional_upper(
     never exceeds ||f||_p.  The one-(p, r) case of ``_candidate_minima``.
     An upper bound on the true infimum by construction.
     """
-    if not (t > 0 and r > 0):
-        raise ValueError("t and r must be positive")
+    _require("t", t)
+    _require("r", r)
     fhat = _spectrum_of(f, lam, fhat)
     return _candidate_minima(f, fhat, t, ("K",), (r,), (p,))["K", p, r]
 
@@ -539,8 +599,8 @@ def realization_candidate_min(
     ``approx`` are passed on to ``realization``.  The family is the
     one-(p, r) case of ``_candidate_minima``.
     """
-    if not (t > 0 and r > 0):
-        raise ValueError("t and r must be positive")
+    _require("t", t)
+    _require("r", r)
     fhat = _spectrum_of(f, lam, fhat)
     best = realization(f, t, r, p, lam, fhat=fhat, approx=approx).value
     low = _candidate_minima(f, fhat, t, ("R",), (r,), (p,))["R", p, r]
@@ -568,48 +628,68 @@ def chain_at_scale(
     the least of Rstar and its candidate family (so "R" brings "Rstar").
     Each value equals the single call (``modulus``, ``diff_norm``,
     ``k_functional_upper``, ``realization``, ``realization_candidate_min``)
-    at the same (p, r, t).
+    at the same (p, r, t).  The one-scale case of ``_chain_sweep``.
+    """
+    return _chain_sweep(f, (t,), r_values, p_values, lam, names, fhat)[t]
 
-    The Bessel base is evaluated once for the moduli and the difference
-    norms.  ``_moduli`` makes one inverse product for every r and releases
-    it before ``_candidate_minima`` makes one for every candidate family off
-    p = 2.  "R" and "Rstar" take each p's approximant of type 1/t, computed
-    once for every r.  The difference norms take ``_diff_norms``, as
-    ``diff_norm`` does, one single-column product per r: a one-column slice
-    of a wide product is not bit-equal to that matrix-vector product.
+
+def _chain_sweep(
+    f: RadialFunction,
+    scales: Sequence[float],
+    r_values: Sequence[float],
+    p_values: Sequence[float],
+    lam: float,
+    names: Collection[str],
+    fhat: Spectrum | None = None,
+) -> dict[float, dict[tuple[float, float], dict[str, float]]]:
+    """``chain_at_scale`` at every scale t, ``{t: {(p, r): {name: value}}}``.
+
+    The moduli of every scale come from one ``_moduli`` sweep: one Bessel
+    base over the union of the scales' steps, and one inverse product per
+    order r.  The difference norms read column t of that base (the step t
+    itself) and take ``_diff_norms``, as ``diff_norm`` does, one
+    single-column product per (t, r): a one-column slice of a wide product
+    is not bit-equal to that matrix-vector product.  The base is released
+    before the per-scale candidate families: "R" and "Rstar" take each p's
+    approximant of type 1/t, computed once for every r, and
+    ``_candidate_minima`` makes one product for every family off p = 2.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")
-    if not (t > 0) or any(r <= 0 for r in r_values):
-        raise ValueError("t and r must be positive")
-    values = {(p, r): {} for p in p_values for r in r_values}
-    if not values:
+    for t in scales:
+        _require("t", t)
+    for r in r_values:
+        _require("r", r)
+    values = {t: {(p, r): {} for p in p_values for r in r_values} for t in scales}
+    if not (p_values and r_values):
         return values
     fhat = _spectrum_of(f, lam, fhat)
-    grid = fhat.grid
 
     if "omega" in names or "diff" in names:
-        steps = _modulus_steps(t)
-        base = _bessel_base(lam, grid.nodes, steps)
-    if "omega" in names:
-        for key, result in _moduli(fhat, base, steps, r_values, p_values).items():
-            values[key]["omega"] = result.value
-    if "diff" in names:
-        # column 0 of the base is the step t itself
-        column = np.ascontiguousarray(base[:, 0])
-        for r in r_values:
-            for p, value in zip(p_values, _diff_norms(fhat, column, r, 0.0, p_values)):
-                values[p, r]["diff"] = value
-
-    if "R" in names or "Rstar" in names:
-        for p in p_values:
-            approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
-            for r in r_values:
-                values[p, r]["Rstar"] = realization(f, t, r, p, lam, approx=approx).value
+        union, own = _ladder(scales)
+        base = _bessel_base(lam, fhat.grid.nodes, union)
+        if "omega" in names:
+            for (t, p, r), result in _moduli(fhat, scales, r_values, p_values, base).items():
+                values[t][p, r]["omega"] = result.value
+        if "diff" in names:
+            for t in scales:
+                # a scale's first step is t itself
+                column = np.ascontiguousarray(base[:, own[t][0]])
+                for r in r_values:
+                    for p, value in zip(p_values, _diff_norms(fhat, column, r, 0.0, p_values)):
+                        values[t][p, r]["diff"] = value
+        del base
 
     families = [name for name in _FAMILIES if name in names]
-    for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values, p_values).items():
-        values[p, r][name] = low if name == "K" else min(values[p, r]["Rstar"], low)
+    for t, chain in values.items():
+        if "R" in names or "Rstar" in names:
+            for p in p_values:
+                approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
+                for r in r_values:
+                    chain[p, r]["Rstar"] = realization(f, t, r, p, lam, approx=approx).value
+        for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values,
+                                                   p_values).items():
+            chain[p, r][name] = low if name == "K" else min(chain[p, r]["Rstar"], low)
     return values
 
 
@@ -620,10 +700,9 @@ def inverse_bound(
 
     Requires E_j for every j = 0..n; a missing index is an error.
     """
-    if int(n) != n or n < 1:
+    if not (1 <= n < math.inf and int(n) == n):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (m > 0):
-        raise ValueError(f"m must be positive, got {m!r}")
+    _require("m", m)
     table = dict(E_values)
     missing = [j for j in range(int(n) + 1) if j not in table]
     if missing:
@@ -635,18 +714,12 @@ def inverse_bound(
 def _marchaud_nodes(delta: float) -> np.ndarray:
     """delta, then the quarter-octave rungs 2^(-k/4) > delta, k >= 0, in
     increasing order up to 1: the nodes of the Marchaud integral over
-    [delta, 1].  Every delta shares the rungs, as nested deltas share the
-    steps of the modulus sup.  Each rung is a Python float power, so its
-    bits do not depend on how many rungs a delta takes.
+    [delta, 1].  Every delta shares the rungs (``_rung``), as every modulus
+    sup does.
     """
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    rungs = []
-    k = 0
-    while (t := 2.0 ** (-k / 4.0)) > delta:
-        rungs.append(t)
-        k += 1
-    return np.array([delta] + rungs[::-1])
+    return np.array([delta] + [_rung(k) for k in range(_rung_index(delta) - 1, -1, -1)])
 
 
 def _marchaud_sigmas(deltas: Sequence[float]) -> list[float]:
@@ -677,8 +750,7 @@ def _marchaud_bounds(
     it the sweep makes its own.
     """
     for m in orders:
-        if not (m > 0):
-            raise ValueError(f"m must be positive, got {m!r}")
+        _require("m", m)
     nodes = {delta: _marchaud_nodes(delta) for delta in deltas}
     if approxes is None:
         approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), p, lam)

@@ -480,9 +480,11 @@ class TestExperiments:
 
     @pytest.mark.parametrize("name", ["equivalence", "realization"])
     def test_chain_sweep_product_and_bessel_counts(self, grid, name, monkeypatch):
-        # per (lambda, scale): at most two wide products and one Bessel base;
-        # the difference norms add one single-column product per r, and the
-        # p = 1 approximant's LP fit one product of its hat columns
+        # per input: one Bessel base over the union of its scales' modulus
+        # steps and one modulus product per order r; per (input, scale): at
+        # most one wide candidate product, the difference norms' one
+        # single-column product per r, and the p = 1 approximant's LP fit
+        # one product of its hat columns
         widths, bases, realizations, fits = [], [], [], []
         products = smoothness._inverse_products
         one_minus = BesselEvaluator.one_minus
@@ -514,15 +516,39 @@ class TestExperiments:
                                scale=ScaleGrid(0.05, 0.8, scales))
         EXPERIMENTS[name](cfg, grid)
         per_scale = len(lams) * scales
-        wide = [w for w in widths if w > 1]
+        union = smoothness._ladder(cfg.scale.values())[0].size
+        assert union < 25 * scales
+        assert bases == [(grid.n, union)] * len(lams)
+        # each input's products open with its moduli, and no other has their width
+        per_input = len(widths) // len(lams)
+        heads = [widths[i * per_input : i * per_input + len(rs)] for i in range(len(lams))]
+        assert heads == [[union] * len(rs)] * len(lams)
+        assert widths.count(union) == len(lams) * len(rs)
+        rest = [w for w in widths if w != union]
+        wide = [w for w in rest if w > 1]
         assert len(fits) == (per_scale if name == "realization" else 0)
-        assert len(wide) <= 2 * per_scale + len(fits)
-        singles = len(widths) - len(wide)
+        assert len(wide) <= per_scale + len(fits)
+        singles = len(rest) - len(wide)
         assert singles == (per_scale * len(rs) if name == "equivalence" else 0)
-        assert len(bases) == per_scale
         if name == "realization":
             assert len(realizations) == per_scale * len(rs) * len(ps)
             assert len(set(realizations)) == len(realizations) // len(lams)
+
+    @pytest.mark.parametrize("name", ["equivalence", "realization"])
+    def test_chain_rows_do_not_depend_on_the_scales_swept_with_them(self, grid, name):
+        # a scale's rows read its own columns of the shared modulus product;
+        # they rest on the width facts of README, "Numerical design notes",
+        # "One modulus ladder per sweep"
+        shared = dict(name=name, p_values=(1.0, 2.0, math.inf), r_values=(0.5, 2.0))
+        scales = ScaleGrid(1e-2, 1.0, 9)
+        joint = EXPERIMENTS[name](ExperimentConfig(scale=scales, **shared), grid).rows
+        for t in scales.values():
+            alone = EXPERIMENTS[name](ExperimentConfig(scale=ScaleGrid(t, t, 1), **shared), grid)
+            mine = [repr(row) for row in joint if row.scale == t]
+            assert mine == [repr(row) for row in alone.rows], (
+                f"rows at t={t!r} move with the scales swept beside them: see README,"
+                " Numerical design notes, 'One modulus ladder per sweep'"
+            )
 
     def test_default_sweep_transforms_each_input_once(self, grid, monkeypatch):
         # a modulus of a derivative takes that derivative's spectrum, made

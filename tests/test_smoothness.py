@@ -1,17 +1,27 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaincc
+
+from dunklsmooth import smoothness
 
 from dunklsmooth.harness import make_profile
 from dunklsmooth.operators import vallee_poussin
 from dunklsmooth.quad import RadialFunction, default_grid, lp_norm, make_grid, nu_weights
 from dunklsmooth.smoothness import (
     _best_approxes,
+    _chain_sweep,
+    _inverse_products,
+    _ladder,
     _marchaud_bounds,
     _marchaud_nodes,
     _marchaud_sigmas,
+    _moduli,
+    _modulus_steps,
     best_approx,
     chain_at_scale,
     diff_norm,
@@ -22,8 +32,9 @@ from dunklsmooth.smoothness import (
     realization,
     realization_candidate_min,
 )
-from dunklsmooth.special import binom_tail_bound, jm_multiplier
-from dunklsmooth.transforms import hankel, inverse_hankel, spectral_tail_l2
+from dunklsmooth.quad import _lp_norms
+from dunklsmooth.special import BesselEvaluator, binom_tail_bound, jm_multiplier
+from dunklsmooth.transforms import _kernel_matrix, hankel, inverse_hankel, spectral_tail_l2
 
 LAM = 0.25
 
@@ -99,6 +110,160 @@ class TestModulus:
     def test_reports_attaining_step(self, grid, gauss):
         res = modulus(gauss, 0.3, 1.0, 2, LAM)
         assert res.t_max == pytest.approx(0.3)
+
+
+# the bit-identity of the modulus sweep rests on these; README, "Numerical
+# design notes", "One modulus ladder per sweep"
+WIDTH_NOTE = "see README, Numerical design notes, 'One modulus ladder per sweep'"
+
+
+class TestModulusSweep:
+    # on the lattice (octave points and quarter points), off it, one ulp
+    # off an octave point, and above 1
+    DELTAS = (1.0, 2.0**-0.75, 0.5, 0.3, 0.1, 0.12500000000000003, 4.0, 8.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("name", ["gaussian", "bandlimited"])
+    def test_sweep_equals_single_calls(self, grid, name, p):
+        f = make_profile(name, grid, LAM)
+        fhat = hankel(f, LAM)
+        orders = (1.0, 2.5)
+        sweep = _moduli(fhat, self.DELTAS, orders, (p,))
+        assert set(sweep) == {(delta, p, m) for delta in self.DELTAS for m in orders}
+        for (delta, _, m), result in sweep.items():
+            assert modulus(f, delta, m, p, LAM, fhat=fhat) == result
+        # some sups are interior, so the union's interior columns are read
+        assert any(result.t_max < delta for (delta, _, _), result in sweep.items())
+
+    def test_octave_steps_equal_the_scaled_ladder(self):
+        # delta 2^(-j/4) is bit-equal to the shared rung at octave points;
+        # at the other quarter points the product may be one ulp off it
+        for k in range(49):
+            delta = 2.0 ** (-k / 4.0)
+            scaled = delta * 2.0 ** (-np.arange(25) / 4.0)
+            steps = _modulus_steps(delta)
+            if k % 4 == 0:
+                assert np.array_equal(steps, scaled), k
+            else:
+                assert np.all(np.abs(steps - scaled) <= np.spacing(scaled)), k
+                assert steps[0] == delta
+
+    def test_rungs_agree_across_evaluations(self):
+        # Python's power, numpy's array power and the ldexp of the four
+        # quarter mantissas give the same rungs, so the lattice is exact
+        quarters = [2.0 ** (-i / 4.0) for i in range(4)]
+        ks = np.arange(400)
+        array = 2.0 ** (-ks / 4.0)
+        for k in ks.tolist():
+            rung = 2.0 ** (-k / 4.0)
+            assert rung == array[k] == math.ldexp(quarters[k % 4], -(k // 4)), k
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3, 2.0**-0.75, 5e-7, 37.0, 1e300, 1e-300])
+    def test_steps_are_delta_and_24_rungs_below_it(self, delta):
+        steps = _modulus_steps(delta)
+        assert steps.size == 25 and steps[0] == delta
+        assert np.all(np.diff(steps) < 0)
+        assert steps[-1] >= delta / 64.0 and steps[1] < delta
+        for t in steps[1:].tolist():
+            k = round(-4.0 * math.log2(t))
+            assert t == 2.0 ** (-k / 4.0)
+
+    def test_ladders_share_their_rungs(self):
+        # 9 scales of a decade-spaced sweep take 59 steps, not 225
+        scales = np.geomspace(1e-2, 1.0, 9)
+        union, own = _ladder(scales)
+        assert union.size == 59 and np.all(np.diff(union) < 0)
+        for t in scales:
+            assert np.array_equal(union[own[t]], _modulus_steps(t))
+
+    def test_a_second_sweep_keeps_no_memo(self, grid, gauss, monkeypatch):
+        fhat = hankel(gauss, LAM)
+        widths, points = [], []
+        one_minus = BesselEvaluator.one_minus
+
+        def counted_products(fhat, symbols):
+            widths.append(symbols.shape[1])
+            return _inverse_products(fhat, symbols)
+
+        def counted_one_minus(self, t):
+            points.append(np.size(t))
+            return one_minus(self, t)
+
+        monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
+        monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
+        union = _ladder(self.DELTAS)[0].size
+        for _ in range(2):
+            widths.clear()
+            points.clear()
+            _moduli(fhat, self.DELTAS, (1.0, 2.0), (1.0, math.inf))
+            # one base over the union, one product per order, every time
+            assert (widths, points) == ([union, union], [grid.n * union])
+
+    def test_product_columns_do_not_depend_on_width(self, grid):
+        # a gemm column's bits do not depend on the product's width once it
+        # has two columns; a lone column takes gemv, whose bits differ
+        kernel = _kernel_matrix(LAM, grid)
+        syms = np.random.default_rng(0).standard_normal((grid.n, 40))
+        full = kernel @ syms
+        for a, b in ((0, 2), (3, 28), (17, 40), (0, 39)):
+            assert np.array_equal(kernel @ syms[:, a:b], full[:, a:b]), WIDTH_NOTE
+            assert np.array_equal(kernel @ np.ascontiguousarray(syms[:, a:b]), full[:, a:b]), \
+                WIDTH_NOTE
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_norm_columns_do_not_depend_on_width(self, grid, p):
+        # an axis-0 norm of a C-order (n, k >= 2) slice equals that column's
+        # norm inside the wider array
+        phys = np.random.default_rng(1).standard_normal((grid.n, 40))
+        full = _lp_norms(phys, grid, LAM, p)
+        for a, b in ((0, 2), (3, 28), (17, 40)):
+            assert np.array_equal(_lp_norms(phys[:, a:b], grid, LAM, p), full[a:b]), WIDTH_NOTE
+
+
+def _refusals(f):
+    """(argument name, call with a bad value) for every scale and order a
+    functional takes."""
+    return [
+        ("delta", lambda v: modulus(f, v, 1.0, 2, LAM)),
+        ("order m", lambda v: modulus(f, 0.3, v, 2, LAM)),
+        ("step t", lambda v: diff_norm(f, v, 1.0, 2, LAM)),
+        ("order m", lambda v: diff_norm(f, 0.3, v, 2, LAM)),
+        ("r", lambda v: diff_norm(f, 0.3, 1.0, 2, LAM, r=v)),
+        ("t", lambda v: chain_at_scale(f, v, (1.0,), (2.0,), LAM, ("omega",))),
+        ("r", lambda v: chain_at_scale(f, 0.3, (v,), (2.0,), LAM, ("omega",))),
+        ("t", lambda v: k_functional_upper(f, v, 1.0, 2, LAM)),
+        ("r", lambda v: k_functional_upper(f, 0.3, v, 2, LAM)),
+        ("t", lambda v: realization(f, v, 1.0, 2, LAM)),
+        ("r", lambda v: realization(f, 0.3, v, 2, LAM)),
+        ("t", lambda v: realization_candidate_min(f, v, 1.0, 2, LAM)),
+        ("m", lambda v: inverse_bound({0: 1.0, 1: 0.5}, 1, v)),
+    ]
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("case", range(len(_refusals(None))))
+    @settings(max_examples=10, deadline=None)
+    @given(bad=st.sampled_from([math.inf, -math.inf, math.nan]))
+    def test_refused_by_name_before_any_work(self, gauss, case, bad):
+        name, call = _refusals(gauss)[case]
+        # no transform, no Bessel evaluation: the check comes first
+        with mock.patch.object(smoothness, "_spectrum_of", side_effect=AssertionError), \
+             mock.patch.object(BesselEvaluator, "one_minus", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")) as info:
+                call(bad)
+        assert repr(bad) in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_marchaud_refuses_a_non_finite_delta_or_order(self, gauss, bad):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            marchaud_bound(gauss, bad, 1.0, 2, LAM)
+        with pytest.raises(ValueError, match=re.escape(f"m must be finite and positive, got {bad!r}")):
+            marchaud_bound(gauss, 0.2, bad, 2, LAM)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_the_ladder_refuses_a_bad_delta(self, bad):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            _modulus_steps(bad)
 
 
 class TestBestApprox:
