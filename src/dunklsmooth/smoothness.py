@@ -650,9 +650,10 @@ def _chain_sweep(
     itself) and take ``_diff_norms``, as ``diff_norm`` does, one
     single-column product per (t, r): a one-column slice of a wide product
     is not bit-equal to that matrix-vector product.  The base is released
-    before the per-scale candidate families: "R" and "Rstar" take each p's
-    approximant of type 1/t, computed once for every r, and
-    ``_candidate_minima`` makes one product for every family off p = 2.
+    before the realizations: "R" and "Rstar" take each p's approximants of
+    the types 1/t from one ``_best_approxes`` sweep, each computed once for
+    every r, and ``_candidate_minima`` makes one product per scale for
+    every family off p = 2.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")
@@ -681,12 +682,14 @@ def _chain_sweep(
         del base
 
     families = [name for name in _FAMILIES if name in names]
-    for t, chain in values.items():
-        if "R" in names or "Rstar" in names:
-            for p in p_values:
-                approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
+    if "R" in names or "Rstar" in names:
+        for p in p_values:
+            approxes = _best_approxes(f, fhat, [1.0 / t for t in scales], p, lam)
+            for t, chain in values.items():
                 for r in r_values:
-                    chain[p, r]["Rstar"] = realization(f, t, r, p, lam, approx=approx).value
+                    chain[p, r]["Rstar"] = realization(f, t, r, p, lam,
+                                                       approx=approxes[1.0 / t]).value
+    for t, chain in values.items():
         for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values,
                                                    p_values).items():
             chain[p, r][name] = low if name == "K" else min(chain[p, r]["Rstar"], low)

@@ -3,7 +3,9 @@
 The scalar building blocks of the spectral calculus:
 
 * ``j_lam(t) = 2^lam * Gamma(lam+1) * t^(-lam) * J_lam(t)``, the normalized
-  Bessel function: j_lam(0) = 1 and |j_lam(t)| <= 1 for lam >= -1/2.
+  Bessel function: j_lam(0) = 1 and |j_lam(t)| <= 1 for lam >= -1/2.  Above
+  the series range it is read from a per-lam table of Chebyshev
+  interpolants of that library formula.
 * the fractional-difference symbol ``(1 - j_lam(t))^(m/2)``,
 * generalized binomial coefficients ``C(alpha, s)`` for real alpha > 0 with a
   rigorous bound on the absolute tail sum.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sps
@@ -54,14 +57,89 @@ _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 18
 
 
+def _library(lam: float, t: np.ndarray) -> np.ndarray:
+    """j_lam(t) = 2^lam Gamma(lam+1) t^(-lam) J_lam(t) by library Bessel-J, t > 0."""
+    norm = 2.0**lam * math.gamma(lam + 1.0) * t ** (-lam)
+    return norm * _sps.jv(lam, t)
+
+
+# Above _SERIES_CUTOFF and up to BESSEL_ARG_MAX, j_lam is read from a table of
+# width-1 panels [k + 1/2, k + 3/2]: on each, the polynomial interpolating
+# ``_library`` at _TABLE_NODES Chebyshev points, held as its coefficients in
+# u = 2 (t - k - 1), which lies in [-1, 1).  j_lam and its derivatives are
+# bounded by 1, so the interpolation error is below 1e-20; what is left is
+# the rounding of the library values.
+_TABLE_NODES = 15
+_THETA = np.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+_CHEB_NODES = np.cos(_THETA)
+_DEGREES = np.arange(_TABLE_NODES)
+# values at the nodes -> Chebyshev coefficients, by discrete orthogonality;
+# cos(k theta_j) = cos(pi m / 2N) with m = k (2j + 1) reduced mod 4N first,
+# since the angle k theta_j formed in floating point is up to k ulps off
+_TO_CHEB = 2.0 / _TABLE_NODES * np.cos(
+    np.pi * (np.multiply.outer(_DEGREES, 2 * _DEGREES + 1) % (4 * _TABLE_NODES))
+    / (2 * _TABLE_NODES))
+_TO_CHEB[0] *= 0.5
+# Chebyshev coefficients -> slope at the nodes, T_k'(cos th) = k sin(k th) / sin(th)
+_CHEB_SLOPE = _DEGREES * np.sin(np.multiply.outer(_THETA, _DEGREES)) / np.sin(_THETA)[:, None]
+
+
+def _chebyshev_to_monomial(n: int) -> np.ndarray:
+    """Column k holds the monomial coefficients of T_k, by
+    T_k = 2 u T_(k-1) - T_(k-2); all are integers, so exact."""
+    mono = np.zeros((n, n))
+    mono[0, 0] = mono[1, 1] = 1.0
+    for k in range(2, n):
+        mono[1:, k] = 2.0 * mono[:-1, k - 1]
+        mono[:, k] -= mono[:, k - 2]
+    return mono
+
+
+_CHEB_TO_MONO = _chebyshev_to_monomial(_TABLE_NODES)
+
+
+def _mix(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ rows, summed term by term in a fixed order: no BLAS, so the
+    bits do not depend on the thread count, and each column of rows (a
+    panel) is mixed on its own."""
+    out = np.zeros((matrix.shape[0],) + rows.shape[1:])
+    for j, row in enumerate(rows):
+        out += matrix[:, j, None] * row
+    return out
+
+
+@lru_cache(maxsize=12)
+def _bessel_table(lam: float, panels: int) -> np.ndarray:
+    """Monomial coefficients of j_lam on the first ``panels`` panels, one
+    column per panel, highest degree in the last row; read-only.
+
+    A panel's column depends only on lam and its index, so a value does not
+    depend on how many panels the table holds.
+    """
+    centers = np.arange(panels) + 1.0
+    nodes = centers + 0.5 * _CHEB_NODES[:, None]
+    values = _library(lam, nodes)
+    # rounding moved each node off its Chebyshev point, by shift (exactly:
+    # centers - nodes is exact, and so is the rounding error of a sum); one
+    # step along the interpolant's slope puts the value back on the point
+    shift = (centers - nodes) + 0.5 * _CHEB_NODES[:, None]
+    values += 2.0 * shift * _mix(_CHEB_SLOPE, _mix(_TO_CHEB, values))
+    table = _mix(_CHEB_TO_MONO, _mix(_TO_CHEB, values))
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class BesselEvaluator:
-    """Evaluator for j_lam with a power series up to _SERIES_CUTOFF and
-    library Bessel-J above it.
+    """Evaluator for j_lam: a power series up to _SERIES_CUTOFF, a table of
+    Chebyshev interpolants of library Bessel-J up to BESSEL_ARG_MAX, and
+    library Bessel-J above.
 
     The split keeps t = 0 exact (empty product = 1) and avoids the 0 * inf
-    indeterminacy of t^(-lam) * J_lam(t) near the origin; the large-t branch
-    meets the 1e-12 absolute-accuracy contract on [0, 1e3].
+    indeterminacy of t^(-lam) * J_lam(t) near the origin; the table and the
+    library branch meet the 1e-12 absolute-accuracy contract on [0, 1e3].
+    Every branch acts elementwise, so no value depends on the batch it is
+    evaluated in.
     """
 
     lam: float
@@ -80,6 +158,18 @@ class BesselEvaluator:
             acc = acc + term
         return acc
 
+    def _tabled(self, t: np.ndarray) -> np.ndarray:
+        # t > 1/2, so t - 1/2 is exact and truncation is its floor; t minus
+        # its panel's center is exact too
+        panel = (t - 0.5).astype(np.intp)
+        table = _bessel_table(float(self.lam), 1 << int(panel.max()).bit_length())
+        u = 2.0 * (t - (panel + 1.0))
+        acc = table[-1].take(panel)
+        for row in table[-2::-1]:
+            acc *= u
+            acc += row.take(panel)
+        return acc
+
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
@@ -90,11 +180,12 @@ class BesselEvaluator:
         small = arr <= _SERIES_CUTOFF
         if small.any():
             out[small] = self._series(arr[small])
-        big = ~small
-        if big.any():
-            tb = arr[big]
-            norm = 2.0**self.lam * math.gamma(self.lam + 1.0) * tb ** (-self.lam)
-            out[big] = norm * _sps.jv(self.lam, tb)
+        tabled = ~small & (arr <= BESSEL_ARG_MAX)
+        if tabled.any():
+            out[tabled] = self._tabled(arr[tabled])
+        rest = ~(small | tabled)  # above BESSEL_ARG_MAX, or NaN
+        if rest.any():
+            out[rest] = _library(self.lam, arr[rest])
         return float(out[0]) if scalar else out
 
     def one_minus(self, t):

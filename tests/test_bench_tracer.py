@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dunklsmooth import quad, smoothness, transforms
+from dunklsmooth import quad, smoothness, special, transforms
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -24,8 +24,10 @@ def _load_tracing():
 def test_tracer_wraps_and_restores():
     tracing = _load_tracing()
     nu_weights, hankel = quad.nu_weights, transforms.hankel
+    call = special.BesselEvaluator.__dict__["__call__"]
     tracer = tracing.Tracer()
     with tracer.installed():
+        assert special.BesselEvaluator.__call__ is not call
         assert quad.nu_weights is not nu_weights
         assert quad.nu_weights.__wrapped__ is nu_weights
         assert transforms.hankel is not hankel
@@ -35,5 +37,12 @@ def test_tracer_wraps_and_restores():
         smoothness.modulus(f, 0.5, 1.0, 2, 0.5)
     assert quad.nu_weights is nu_weights
     assert transforms.hankel is hankel
+    assert special.BesselEvaluator.__dict__["__call__"] is call
     names = {span[0] for span in tracer.spans}
     assert {"smoothness.modulus.p2", "transforms.hankel"} <= names
+    # the Bessel spans wrap BesselEvaluator.__call__ and .one_minus by name,
+    # whatever branch (series, table or library) serves the points
+    assert {"special.bessel", "special.one_minus"} <= names
+    points = [span[tracing.ATTRS]["points"] for span in tracer.spans
+              if span[tracing.NAME] == "special.bessel"]
+    assert points and all(n > 0 for n in points)

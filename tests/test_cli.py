@@ -265,11 +265,13 @@ def test_verify_refuses_flags_outside_the_field_ranges(tmp_path, capsys, flags, 
 
 def test_p1_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # p = 1 rows go through HiGHS after one kernel product; a product whose
-    # bits depend on the BLAS thread count would move them
+    # bits depend on the BLAS thread count would move them.  The p = 2
+    # Jackson rows take cut-panel spectral tails, whose Bessel blocks are
+    # read from the j_lam table that each process builds, summed without BLAS
     spec = {
         "grid": {"rmax": 30.0, "n": 512},
         "experiments": [
-            {"name": "jackson", "p_values": [1], "m_values": [2.0], "r_values": [0.0, 1.0],
+            {"name": "jackson", "p_values": [1, 2], "m_values": [2.0], "r_values": [0.0, 1.0],
              "scale": {"lo": 2.0, "hi": 16.0, "points": 4}},
             # the chain's wide products and the realization's LP fit
             {"name": "realization", "p_values": [1], "r_values": [0.5, 1.0],

@@ -550,6 +550,51 @@ class TestExperiments:
                 " Numerical design notes, 'One modulus ladder per sweep'"
             )
 
+    def test_realization_takes_its_approximants_from_one_sweep_per_p(self, grid, monkeypatch):
+        # "R" and "Rstar" read each p's approximants of the types 1/t from one
+        # _best_approxes sweep per input.  At p = 2 its tails are one
+        # _spectral_tails call, where the default scales' sigmas 20, 10, 5 and
+        # 1.25 share one r~ group and 2.5000000000000004 has its own: the
+        # first sigma of a group evaluates the whole 32 x n cut-panel block,
+        # the others only the columns their group has not made yet
+        sweeps, tails_points, inside = [], [], []
+        approxes = smoothness._best_approxes
+        tails = smoothness._spectral_tails
+        call = BesselEvaluator.__call__
+
+        def counted_approxes(f, fhat, sigmas, p, lam):
+            sweeps.append((p, list(sigmas)))
+            return approxes(f, fhat, sigmas, p, lam)
+
+        def counted_tails(f, lam, sigmas, fhat=None):
+            tails_points.append([])
+            inside.append(True)
+            try:
+                return tails(f, lam, sigmas, fhat)
+            finally:
+                inside.pop()
+
+        def counted_points(self, t):
+            if inside:
+                tails_points[-1].append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(smoothness, "_best_approxes", counted_approxes)
+        monkeypatch.setattr(smoothness, "_spectral_tails", counted_tails)
+        monkeypatch.setattr(BesselEvaluator, "__call__", counted_points)
+        cfg = next(c for c in parse_config(default_config()).experiments if c.name == "realization")
+        assert cfg.p_values == (2.0,) and len(cfg.lambda_values) == len(cfg.test_functions) == 1
+        ps = (1.0, 2.0, math.inf)
+        EXPERIMENTS["realization"](ExperimentConfig(name="realization", p_values=ps), grid)
+        sigmas = [1.0 / t for t in cfg.scale.values()]
+        assert sigmas == [20.0, 10.0, 5.0, 2.5000000000000004, 1.25]
+        assert sweeps == [(p, sigmas) for p in ps]
+        full = transforms._CUT_NODES.size * grid.n
+        (points,) = tails_points
+        # the groups in order: (20, 10, 5, 1.25), then (2.5000000000000004,)
+        assert [n == full for n in points] == [True, False, False, False, True]
+        assert sum(points) < 3 * full
+
     def test_default_sweep_transforms_each_input_once(self, grid, monkeypatch):
         # a modulus of a derivative takes that derivative's spectrum, made
         # once per r, and at r = 0 the input's own: one hankel call per

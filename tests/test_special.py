@@ -5,7 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as sps
 
+from dunklsmooth import special
 from dunklsmooth.special import (
     BESSEL_ARG_MAX,
     BESSEL_LAMBDA_MAX,
@@ -103,6 +105,73 @@ class TestBesselNorm:
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_one_property(self, lam, t):
         assert abs(bessel_norm(lam, t)) <= 1.0 + 1e-12
+
+
+def library_formula(lam: float, t: np.ndarray) -> np.ndarray:
+    """j_lam(t) = 2^lam Gamma(lam+1) t^(-lam) J_lam(t) by scipy's Bessel-J."""
+    return 2.0**lam * math.gamma(lam + 1.0) * t ** (-lam) * sps.jv(lam, t)
+
+
+class TestBesselTable:
+    """Arguments in (1/2, BESSEL_ARG_MAX] are read from a per-lambda table of
+    Chebyshev interpolants of the library formula (``special._bessel_table``)."""
+
+    @pytest.mark.parametrize("lam, tol", [(-0.45, 1e-14), (0.0, 1e-14), (0.25, 1e-14),
+                                          (1.0, 1e-14), (2.5, 1e-14), (10.0, 1e-14),
+                                          (60.0, 1e-13), (120.0, 2e-13)])
+    def test_matches_the_library_formula(self, lam, tol):
+        # the table follows the library to its rounding: 7.2e-15 at most for
+        # lambda <= 10 on three draws like this one.  At lambda = 120 the
+        # library formula is itself up to 1.1e-13 off the mpmath value on
+        # (1/2, 3] (at most 4e-15 for lambda <= 10, 300 points each), and a
+        # smooth interpolant cannot follow that noise: the table-to-library
+        # distance there reaches 1.4e-13
+        t = BESSEL_ARG_MAX - (BESSEL_ARG_MAX - 0.5) * np.random.default_rng(19).random(10_000)
+        assert t.min() > 0.5 and t.max() <= BESSEL_ARG_MAX
+        assert np.max(np.abs(BesselEvaluator(lam)(t) - library_formula(lam, t))) < tol
+
+    def test_matches_mpmath_where_the_library_does(self):
+        # j_0 on (1/2, 3]: the library is within 2.2e-16 of mpmath there, and
+        # the table within 5.6e-16; Chebyshev weights cos(k theta_j) taken
+        # from unreduced angles put it 2.9e-15 off
+        t = np.linspace(0.5, 3.0, 201)[1:]
+        exact = np.array([bessel_oracle(0.0, x) for x in t])
+        assert np.max(np.abs(BesselEvaluator(0.0)(t) - exact)) < 1e-15
+
+    @pytest.mark.parametrize("lam", [-0.45, 0.25, 1.0])
+    def test_a_value_does_not_depend_on_the_table_or_the_batch(self, lam):
+        # a panel depends only on lambda and its index: a scalar served by a
+        # table of 1 to 64 panels equals the same point inside an array that
+        # needs all 1024, bit for bit
+        t = np.array([0.5000000000000001, 0.75, 1.5, 1.5000000000000002, 2.7, 40.25,
+                      999.5, BESSEL_ARG_MAX])
+        ev = BesselEvaluator(lam)
+        batch = ev(np.concatenate([t, [BESSEL_ARG_MAX]]))[:-1]
+        single = np.array([ev(float(x)) for x in t])
+        assert single.tobytes() == batch.tobytes()
+        assert ev(t[:4]).tobytes() == batch[:4].tobytes()
+        small, large = special._bessel_table(lam, 2), special._bessel_table(lam, 1024)
+        assert small.tobytes() == np.ascontiguousarray(large[:, :2]).tobytes()
+
+    def test_only_the_table_range_is_tabled(self):
+        lam = 0.25
+        ev = BesselEvaluator(lam)
+        above = np.array([np.nextafter(BESSEL_ARG_MAX, np.inf), 1234.5, 1e4])
+        assert ev(above).tobytes() == library_formula(lam, above).tobytes()
+        assert np.isnan(ev(math.nan))
+        # the series branch keeps t <= 1/2, where j_lam(0) = 1 exactly
+        below = np.array([0.0, 0.25, 0.5])
+        assert ev(below).tobytes() == ev._series(below).tobytes()
+        assert ev(0.0) == 1.0
+
+    def test_cache_stays_within_its_bound(self):
+        # each entry holds at most 1024 panels of 15 coefficients, read-only
+        for k in range(special._bessel_table.cache_info().maxsize + 3):
+            BesselEvaluator(0.3 + k / 7.0)(np.array([0.75, BESSEL_ARG_MAX]))
+        info = special._bessel_table.cache_info()
+        assert info.maxsize == 12 and info.currsize <= 12
+        table = special._bessel_table(0.25, 1024)
+        assert table.nbytes == 1024 * 15 * 8 and not table.flags.writeable
 
 
 def one_minus_oracle(lam: float, t: float, terms: int = 400) -> float:
