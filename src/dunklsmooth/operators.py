@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quad import RadialFunction, lp_norm
-from .special import BesselEvaluator, binom_frac, binom_tail_bound, jm_multiplier
+from .special import BesselEvaluator, _require, binom_frac, binom_tail_bound, jm_multiplier
 from .transforms import Spectrum, hankel, inverse_hankel
 
 __all__ = [
@@ -71,8 +71,7 @@ def translate_T(s: Spectrum, t: float) -> Spectrum:
     |j_lam| <= 1 makes this an L^2 contraction exactly in spectral form.
     """
     t = float(t)
-    if not (t > 0):
-        raise ValueError(f"translation step must be positive, got {t!r}")
+    _require("step t", t)
     sym = BesselEvaluator(s.lam)(t * s.grid.nodes)
     return s.with_symbol(f"T:t={t!r}", sym)
 
@@ -84,8 +83,7 @@ def frac_laplacian(s: Spectrum, r: float) -> Spectrum:
     (power-law composition); the symbol vanishes at zero frequency for r > 0.
     """
     r = float(r)
-    if not (r > 0):
-        raise ValueError(f"power must be positive, got {r!r}")
+    _require("power r", r)
     return s.with_symbol(f"L:r={r!r}", s.grid.nodes**r)
 
 
@@ -97,10 +95,8 @@ def frac_difference(s: Spectrum, t: float, m: float) -> Spectrum:
     """
     t = float(t)
     m = float(m)
-    if not (t > 0):
-        raise ValueError(f"step must be positive, got {t!r}")
-    if not (m > 0):
-        raise ValueError(f"order must be positive, got {m!r}")
+    _require("step t", t)
+    _require("order m", m)
     if m == 2.0:
         return s - translate_T(s, t)
     sym = jm_multiplier(s.lam, m, t * s.grid.nodes)
@@ -123,10 +119,11 @@ def frac_difference_series(
     and returns it with the certificate binom_tail_bound(m/2, N) * ||f||_inf,
     a rigorous sup-norm bound on the discarded tail (T^t contracts every Lp).
     """
-    if int(N) != N or N < 0:
+    # the range test first: int() of NaN or inf raises its own error
+    if not (0 <= N < math.inf and int(N) == N):
         raise ValueError(f"N must be a nonnegative integer, got {N!r}")
-    if not (t > 0 and m > 0):
-        raise ValueError("t and m must be positive")
+    _require("step t", t)
+    _require("order m", m)
     fhat = hankel(f, lam)
     jarr = BesselEvaluator(lam)(t * f.grid.nodes)
     acc = np.zeros_like(f.grid.nodes)
@@ -147,8 +144,7 @@ def vallee_poussin(s: Spectrum, sigma: float) -> Spectrum:
     bandlimited approximant the smoothness layer relies on.
     """
     sigma = float(sigma)
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _require("sigma", sigma)
     sym = eta(s.grid.nodes / sigma)
     new_bl = 2.0 * sigma if s.bandlimit is None else min(s.bandlimit, 2.0 * sigma)
     return s.with_symbol(f"P:sigma={sigma!r}", sym, bandlimit=new_bl)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +170,19 @@ def _lp_norms(values: np.ndarray, grid: RadialGrid, lam: float, p: float) -> np.
 # Both CSV formats (radial profiles here, spectra in ``transforms``) share one
 # layout: a header line `# lambda=... rmax=... n=...` (spectra add
 # `bandlimit=...`), a `node,value` line, then one row per grid node.  The
-# header's (rmax, n) names the make_grid grid the nodes lie on.
+# header's (rmax, n) names the make_grid grid the nodes lie on, and the node
+# column is the grid's ``_node_text``.
+
+
+@lru_cache(maxsize=16)
+def _node_text(grid: RadialGrid) -> tuple[str, ...]:
+    """``repr`` of every node: the node column of each CSV on the grid.
+
+    Writing joins it with the values' text, and reading compares the file's
+    node column with it as text; ``float(repr(x)) == x``, so a match means
+    the nodes are exactly the grid's and only the values need parsing.
+    """
+    return tuple(map(repr, grid.nodes.tolist()))
 
 
 def _write_csv(path: str | Path, grid: RadialGrid, values: np.ndarray, lam: float,
@@ -178,16 +192,16 @@ def _write_csv(path: str | Path, grid: RadialGrid, values: np.ndarray, lam: floa
     if np.iscomplexobj(values):
         raise ValueError(f"{path}: CSV values must be real, got a complex array")
     lines = [f"# lambda={float(lam)!r} rmax={float(grid.rmax)!r} n={grid.n}{extra}", "node,value"]
-    pairs = zip(grid.nodes.tolist(), np.asarray(values, dtype=float).tolist())
-    lines += [f"{t!r},{v!r}" for t, v in pairs]
+    pairs = zip(_node_text(grid), np.asarray(values, dtype=float).tolist())
+    lines += [f"{t},{v!r}" for t, v in pairs]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
-    """Header fields and (node, value) rows of a CSV in the package layout.
+def _csv_rows(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], list[str]]:
+    """Header fields and data lines of a CSV in the package layout.
 
-    A file that is empty, lacks a header field, holds no data rows, or has a
-    row of other than two columns raises ValueError naming the file.
+    A file that is empty, lacks a header field, or holds no data rows raises
+    ValueError naming the file.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
@@ -201,6 +215,12 @@ def _read_csv(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, st
     rows = [ln for ln in lines[1:] if ln and not ln.startswith(("#", "node,"))]
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    return fields, rows
+
+
+def _table(path: str | Path, rows: list[str]) -> np.ndarray:
+    """The (node, value) table of data lines; a field float() refuses, or a
+    row of other than two columns, raises ValueError naming the file."""
     # one float() per field over a single split; the comma counts give the
     # row widths, so fields are converted (and rejected) exactly as per row
     try:
@@ -209,18 +229,58 @@ def _read_csv(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, st
         raise ValueError(f"{path}: {exc}") from None
     if any(ln.count(",") != 1 for ln in rows):
         raise ValueError(f"{path}: every data row must have 2 columns")
-    return fields, table.reshape(len(rows), 2)
+    return table.reshape(len(rows), 2)
+
+
+def _read_csv(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
+    """Header fields and (node, value) rows of a CSV in the package layout.
+
+    A file that is empty, lacks a header field, holds no data rows, or has a
+    row of other than two columns raises ValueError naming the file.
+    """
+    fields, rows = _csv_rows(path, expected)
+    return fields, _table(path, rows)
+
+
+def _value_column(fields: dict[str, str], rows: list[str]) -> tuple[RadialGrid, list[str]] | None:
+    """The grid the header names and the rows' value fields, when every row
+    is `node,value` with the node in that grid's ``_node_text``; None when
+    the header names no grid or any row differs."""
+    try:
+        # the row count first: a header n alone must not build a grid
+        if len(rows) != int(fields["n"]):
+            return None
+        grid = make_grid(float(fields["rmax"]), len(rows))
+    except ValueError:
+        return None
+    cols = ",".join(rows).split(",")
+    # n rows holding 2n fields and a comma each hold exactly one comma each
+    if len(cols) != 2 * grid.n or not all(map(operator.contains, rows, repeat(","))):
+        return None
+    return (grid, cols[1::2]) if tuple(cols[::2]) == _node_text(grid) else None
 
 
 def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
               ) -> tuple[RadialFunction, float, dict[str, str]]:
     """Samples, lambda and header fields of a CSV written by ``_write_csv``.
 
-    The grid is rebuilt by make_grid from the header's (rmax, n) and checked
-    against the stored nodes, so only grids this package produces load.
-    Every error is a ValueError naming the file.
+    The grid is rebuilt by make_grid from the header's (rmax, n).  Nodes
+    that are the grid's ``_node_text`` are taken as its nodes unparsed;
+    otherwise every field is parsed and the nodes are checked against the
+    grid to 1e-12 rmax, so only grids this package produces load.  Every
+    error is a ValueError naming the file.
     """
-    fields, data = _read_csv(path, ("lambda", "rmax", "n", *extra))
+    fields, rows = _csv_rows(path, ("lambda", "rmax", "n", *extra))
+    known = _value_column(fields, rows)
+    if known is not None:
+        grid, column = known
+        try:
+            values = np.fromiter(map(float, column), float, count=grid.n)
+            lam = float(fields["lambda"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return RadialFunction(grid=grid, values=values), lam, fields
+    data = _table(path, rows)
     try:
         lam, n = float(fields["lambda"]), int(fields["n"])
         if data.shape[0] != n:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .operators import eta, vallee_poussin
 from .quad import RadialFunction, RadialGrid, _lp_norms, lp_norm, nu_weights
-from .special import BesselEvaluator
+from .special import BesselEvaluator, _require
 from .transforms import (
     Spectrum,
     _kernel_matrix,
@@ -104,14 +104,6 @@ def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
 _MODULUS_SAMPLES = 24  # quarter-octave rungs below delta in the modulus sup
 _K_UPPER_POINTS = 9  # smoothing scales of the K-upper candidate family
 _R_CANDIDATE_POINTS = 7  # smoothing scales of the restricted R candidate family
-
-
-def _require(name: str, value: float, zero_ok: bool = False) -> None:
-    """Refuse a scale or order that is NaN, infinite, negative, or zero
-    unless ``zero_ok``, naming it; callers check before any work."""
-    if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
-        kind = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
 def _rung(k: int) -> float:
@@ -454,8 +446,7 @@ def best_approx(
     Off p = 2 the value is an upper bound, flagged ``near_best=True``.
     ``fhat`` is the precomputed transform of f.
     """
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _require("sigma", sigma)
     fhat = _spectrum_of(f, lam, fhat)
     if p == 2:
         return _best_approxes(f, fhat, (sigma,), p, lam)[sigma]
@@ -494,11 +485,10 @@ def _best_approxes(
     ``best_approx`` per sigma.
     """
     sigmas = list(dict.fromkeys(sigmas))
+    for sigma in sigmas:
+        _require("sigma", sigma)
     if p != 2:
         return {sigma: best_approx(f, sigma, p, lam, fhat=fhat) for sigma in sigmas}
-    for sigma in sigmas:
-        if not (sigma > 0):
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
     fhat = _spectrum_of(f, lam, fhat)
     tails = _spectral_tails(f, lam, sigmas, fhat)
     return {sigma: BestApprox(value=tails[sigma], g_star=bandlimit_project(fhat, sigma),

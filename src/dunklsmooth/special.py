@@ -51,6 +51,14 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _require(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse a scale or order that is NaN, infinite, negative, or zero
+    unless ``zero_ok``, naming it; callers check before any work."""
+    if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 # j_lam is summed as its power series, _SERIES_TERMS terms, at arguments up to
 # _SERIES_CUTOFF
 _SERIES_CUTOFF = 0.5
@@ -226,8 +234,7 @@ def jm_multiplier(lam: float, m: float, t):
     Nonnegative since j_lam <= 1; vanishes like t^m at the origin.
     """
     _check_lambda(lam)
-    if not (m > 0):
-        raise ValueError(f"order m must be positive, got {m!r}")
+    _require("order m", m)
     base = np.maximum(BesselEvaluator(lam).one_minus(t), 0.0)
     return base ** (0.5 * m)
 

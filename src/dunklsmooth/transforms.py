@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .quad import RadialFunction, RadialGrid, _load_csv, _write_csv, nu_weights
-from .special import BesselEvaluator, _check_lambda
+from .special import BesselEvaluator, _check_lambda, _require
 from .weights import b_lambda
 
 __all__ = [
@@ -457,8 +457,7 @@ def bandlimit_project(s: Spectrum, sigma: float) -> Spectrum:
     For L^2 this is the orthogonal (hence best) bandlimited approximation.
     """
     sigma = float(sigma)
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _require("sigma", sigma)
     indicator = (s.grid.nodes <= sigma).astype(float)
     new_bl = sigma if s.bandlimit is None else min(s.bandlimit, sigma)
     return s.with_symbol(f"proj:sigma={sigma!r}", indicator, bandlimit=new_bl)

@@ -11,8 +11,8 @@ import pytest
 from dunklsmooth import cli
 from dunklsmooth.cli import _build_parser, main
 from dunklsmooth.harness import ConfigError, ExperimentConfig, HarnessConfig
-from dunklsmooth.quad import RadialFunction, make_grid, save_radial_csv
-from dunklsmooth.transforms import hankel, load_spectrum_csv
+from dunklsmooth.quad import RadialFunction, _node_text, default_grid, make_grid, save_radial_csv
+from dunklsmooth.transforms import hankel, load_spectrum_csv, save_spectrum_csv
 
 
 def test_transform_command(tmp_path):
@@ -37,6 +37,33 @@ def test_transform_round_trip_off_the_default_rmax(tmp_path):
     spectrum = load_spectrum_csv(dst)
     assert spectrum.grid == grid and spectrum.lam == 0.5
     assert spectrum.values.tobytes() == hankel(f, 0.5).values.tobytes()
+
+
+def test_transform_bytes_do_not_depend_on_the_node_text_memo(tmp_path):
+    # a fresh process starts with no grid's node text, while in process the
+    # saved input leaves it cached: every output must be the same bytes
+    grid, lam = default_grid(), 0.75
+    rng = np.random.default_rng(2048)
+    f = RadialFunction(grid=grid, values=rng.standard_normal(grid.n) * np.exp(-grid.nodes))
+    src = tmp_path / "f.csv"
+    save_radial_csv(f, src, lam=lam)
+    argv = ["transform", "--input", str(src), "--lambda", repr(lam), "--output"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    fresh = tmp_path / "fresh.csv"
+    proc = subprocess.run([sys.executable, "-m", "dunklsmooth.cli", *argv, str(fresh)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outputs = [fresh.read_bytes()]
+    hits = _node_text.cache_info().hits
+    for j in range(2):
+        warm = tmp_path / f"warm{j}.csv"
+        assert main([*argv, str(warm)]) == 0
+        outputs.append(warm.read_bytes())
+    assert _node_text.cache_info().hits >= hits + 4  # each call's load and save
+    expected = tmp_path / "expected.csv"
+    save_spectrum_csv(hankel(f, lam), expected)
+    assert outputs == [expected.read_bytes()] * 3
 
 
 def test_transform_refuses_a_header_lambda_other_than_the_flag(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dunklsmooth import operators, smoothness
 from dunklsmooth.operators import (
     eta,
     frac_difference,
@@ -13,11 +16,14 @@ from dunklsmooth.operators import (
     vallee_poussin,
 )
 from dunklsmooth.quad import RadialFunction, lp_norm, make_grid, nu_weights
+from dunklsmooth.smoothness import _best_approxes, best_approx
 from dunklsmooth.special import (
+    BesselEvaluator,
     binom_tail_bound,
     jm_multiplier,
 )
 from dunklsmooth.transforms import (
+    Spectrum,
     bandlimit_project,
     hankel,
     inverse_hankel,
@@ -270,3 +276,47 @@ class TestCommutationBitExact:
         d = translate_T(frac_difference(s, 0.2, m), t)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(c.values, d.values)
+
+
+_NOT_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+def _operator_refusals(s, f):
+    """(argument name, call with a bad value, bad values) for every scale
+    and order an operator or a best approximation takes."""
+    return [
+        ("t", lambda v: translate_T(s, v), _NOT_POSITIVE),
+        ("r", lambda v: frac_laplacian(s, v), _NOT_POSITIVE),
+        ("t", lambda v: frac_difference(s, v, 1.5), _NOT_POSITIVE),
+        ("m", lambda v: frac_difference(s, 0.3, v), _NOT_POSITIVE),
+        ("t", lambda v: frac_difference_series(f, v, 1.5, 4, LAM), _NOT_POSITIVE),
+        ("m", lambda v: frac_difference_series(f, 0.3, v, 4, LAM), _NOT_POSITIVE),
+        ("N", lambda v: frac_difference_series(f, 0.3, 1.5, v, LAM),
+         [math.nan, math.inf, -math.inf, -1.0, 0.5]),
+        ("sigma", lambda v: vallee_poussin(s, v), _NOT_POSITIVE),
+        ("sigma", lambda v: bandlimit_project(s, v), _NOT_POSITIVE),
+        ("m", lambda v: jm_multiplier(LAM, v, np.array([0.5, 1.0])), _NOT_POSITIVE),
+        ("sigma", lambda v: best_approx(f, v, 2, LAM), _NOT_POSITIVE),
+        ("sigma", lambda v: best_approx(f, v, 1, LAM), _NOT_POSITIVE),
+        ("sigma", lambda v: _best_approxes(f, s, (1.0, v), 2, LAM), _NOT_POSITIVE),
+        ("sigma", lambda v: _best_approxes(f, s, (1.0, v), math.inf, LAM), _NOT_POSITIVE),
+    ]
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("case", range(len(_operator_refusals(None, None))))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_refused_by_name_before_any_work(self, grid, gauss_spec, case, data):
+        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+        name, call, bad_values = _operator_refusals(gauss_spec, f)[case]
+        bad = data.draw(st.sampled_from(bad_values))
+        # no transform, symbol or Bessel evaluation: the check comes first
+        with mock.patch.object(operators, "hankel", side_effect=AssertionError), \
+             mock.patch.object(smoothness, "_spectrum_of", side_effect=AssertionError), \
+             mock.patch.object(Spectrum, "with_symbol", side_effect=AssertionError), \
+             mock.patch.object(BesselEvaluator, "__call__", side_effect=AssertionError), \
+             mock.patch.object(BesselEvaluator, "one_minus", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=rf"\b{re.escape(name)} must be") as info:
+                call(bad)
+        assert repr(bad) in str(info.value)

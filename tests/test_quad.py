@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dunklsmooth.quad import (
     RadialFunction,
     RadialGrid,
+    _node_text,
     _read_csv,
+    _write_csv,
     load_radial_csv,
     lp_norm,
     make_grid,
@@ -15,6 +17,7 @@ from dunklsmooth.quad import (
     save_radial_csv,
 )
 from dunklsmooth.smoothness import modulus
+from dunklsmooth.transforms import hankel, load_spectrum_csv, save_spectrum_csv
 
 
 class TestMakeGrid:
@@ -198,6 +201,96 @@ class TestCsvRoundTrip:
         assert str(path) in str(info.value)
 
 
+# any doubles, and the extremes a shortest repr must spell exactly
+_DOUBLE = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+     math.nan, math.inf, -math.inf]
+)
+
+
+def per_row_csv(grid, values, lam, extra=""):
+    """The CSV text of one f-string row per node: the bytes the writer must
+    give, with or without the grid's node text cached."""
+    lines = [f"# lambda={float(lam)!r} rmax={float(grid.rmax)!r} n={grid.n}{extra}", "node,value"]
+    lines += [f"{t!r},{v!r}" for t, v in zip(grid.nodes.tolist(), values.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriterProperty:
+    @given(
+        rmax=st.sampled_from([30.0, 12.0, 0.1 + 0.2, 1e-3, 1e5]),
+        values=st.lists(_DOUBLE, min_size=16, max_size=16),
+        lam=_DOUBLE,
+        extra=st.sampled_from(["", " bandlimit=none", " bandlimit=2.5"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_per_row_repr(self, csv_path, rmax, values, lam, extra):
+        grid = make_grid(rmax, 16)
+        values = np.array(values)
+        for _ in range(2):  # the first write may build the node text
+            _write_csv(csv_path, grid, values, lam, extra)
+            assert csv_path.read_bytes() == per_row_csv(grid, values, lam, extra).encode()
+
+    def test_node_text_is_a_bounded_read_only_memo(self):
+        grid = make_grid(12.0, 128)
+        text = _node_text(grid)
+        assert isinstance(text, tuple) and text == tuple(repr(t) for t in grid.nodes.tolist())
+        assert _node_text(make_grid.__wrapped__(12.0, 128)) is text
+        assert _node_text.cache_info().maxsize == 16
+
+
+def _rewrite_nodes(path, node_text):
+    """Rewrite a CSV's node column row by row, keeping header and values."""
+    lines = path.read_text().splitlines()
+    rows = [ln.split(",") for ln in lines[2:]]
+    path.write_text("\n".join(lines[:2] + [f"{node_text(float(t))},{v}" for t, v in rows]) + "\n")
+
+
+class TestCsvNodeColumns:
+    """Nodes spelled other than by ``repr`` load exactly as the canonical text
+    does; nodes off the grid by more than 1e-12 rmax fail as always."""
+
+    RMAX, LAM = 12.0, 0.5
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        grid = make_grid(self.RMAX, 128)
+        return RadialFunction(grid=grid, values=np.exp(-grid.nodes) * np.cos(3 * grid.nodes))
+
+    def saved(self, tmp_path, profile, kind):
+        radial, spectrum = tmp_path / f"{kind}-f.csv", tmp_path / f"{kind}-s.csv"
+        save_radial_csv(profile, radial, lam=self.LAM)
+        save_spectrum_csv(hankel(profile, self.LAM), spectrum)
+        return radial, spectrum
+
+    @pytest.mark.parametrize("node_text", [
+        "%.17e".__mod__,
+        lambda t: repr(t + 0.4e-12 * 12.0),
+        lambda t: repr(t - 0.4e-12 * 12.0),
+    ], ids=["%.17e", "up", "down"])
+    def test_foreign_node_text_loads_bit_identical(self, tmp_path, profile, node_text):
+        canonical = [load_radial_csv(p) if i == 0 else load_spectrum_csv(p)
+                     for i, p in enumerate(self.saved(tmp_path, profile, "canonical"))]
+        radial, spectrum = self.saved(tmp_path, profile, "foreign")
+        for path in (radial, spectrum):
+            _rewrite_nodes(path, node_text)
+            assert path.read_text().splitlines()[2].split(",")[0] != repr(profile.grid.nodes[0])
+        (f, lam), s = load_radial_csv(radial), load_spectrum_csv(spectrum)
+        (f0, lam0), s0 = canonical
+        assert lam == lam0 and f.grid == f0.grid == profile.grid
+        assert f.values.tobytes() == f0.values.tobytes() == profile.values.tobytes()
+        assert s.grid == s0.grid and s.lam == s0.lam and s.bandlimit == s0.bandlimit
+        assert s.values.tobytes() == s0.values.tobytes()
+
+    def test_nodes_beyond_the_tolerance_fail(self, tmp_path, profile):
+        for path, load in zip(self.saved(tmp_path, profile, "moved"),
+                              (load_radial_csv, load_spectrum_csv)):
+            _rewrite_nodes(path, lambda t: repr(t + 2e-12 * self.RMAX))
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == f"{path}: nodes are not those of make_grid(12.0, 128)"
+
+
 # CSV fields: float spellings (subnormals, signed zeros, infinities and nan
 # included), and junk that float() may or may not accept
 _FLOAT_FIELD = st.floats().map(repr) | st.sampled_from(
@@ -254,3 +347,92 @@ class TestCsvReaderProperty:
         else:
             _, data = _read_csv(csv_path, ("lambda",))
             assert data.shape == expected.shape and data.tobytes() == expected.tobytes()
+
+
+def load_per_field(path, text):
+    """What loading ``text`` must give: (values, lambda), or the ValueError
+    message, with every field parsed by float() and the nodes checked
+    against the header's grid to 1e-12 rmax."""
+    expected = read_rows_per_field(path, text)
+    if isinstance(expected, str):
+        return expected
+    header = text.strip().splitlines()[0]
+    fields = dict(tok.split("=", 1) for tok in header[1:].split() if "=" in tok)
+    try:
+        lam, n = float(fields["lambda"]), int(fields["n"])
+        if expected.shape[0] != n:
+            raise ValueError(f"expected {n} rows, found {expected.shape[0]}")
+        grid = make_grid(float(fields["rmax"]), n)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+    if not np.allclose(grid.nodes, expected[:, 0], rtol=0, atol=1e-12 * grid.rmax):
+        return f"{path}: nodes are not those of make_grid({grid.rmax!r}, {n})"
+    return expected[:, 1], lam
+
+
+def _edit(lines, kind, i, x):
+    """Apply one edit, with drawn text x, at data line i of a CSV's lines."""
+    node, _, value = lines[i].partition(",")
+    j = 2 + (i - 1) % (len(lines) - 2)  # the next data line, cyclically
+    if kind == "value":
+        lines[i] = f"{node},{x}"
+    elif kind == "node":
+        lines[i] = f"{x},{value}"
+    elif kind == "node %.17e":
+        try:
+            lines[i] = f"{float(node):.17e},{value}"
+        except ValueError:  # an earlier edit left no number there
+            pass
+    elif kind == "extra column":
+        lines[i] += f",{x}"
+    elif kind == "move a comma":
+        lines[i], lines[j] = node, f"{lines[j]},{x}"
+    elif kind == "shift":
+        # row i loses its value, row j gains its own node in front: the
+        # node fields at even places of the comma split are still the grid's
+        lines[i], lines[j] = node, f"{lines[j].partition(',')[0]},{lines[j]}"
+    elif kind == "drop a row":
+        del lines[i]
+    elif kind == "insert a line":
+        lines.insert(i, x)
+    elif kind == "header n":
+        lines[0] = lines[0].replace("n=16", f"n={x}")
+    elif kind == "header lambda":
+        lines[0] = lines[0].replace("lambda=0.5", f"lambda={x}")
+
+
+_EDITS = ["value", "node", "node %.17e", "extra column", "move a comma", "shift",
+          "drop a row", "insert a line", "header n", "header lambda"]
+
+
+class TestCsvLoaderProperty:
+    """A file that starts as canonical text and is then edited loads, or
+    fails, exactly as a field-by-field parse with the tolerance check."""
+
+    @given(
+        values=st.lists(_DOUBLE, min_size=16, max_size=16),
+        edits=st.lists(
+            st.tuples(st.sampled_from(_EDITS), st.integers(2, 17),
+                      _FIELD | st.sampled_from(["", "# note", "node,value", "16", "15", "1e3"])),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edited_canonical_files_load_as_per_field(self, csv_path, values, edits):
+        grid = make_grid(12.0, 16)
+        save_radial_csv(RadialFunction(grid=grid, values=np.array(values)), csv_path, lam=0.5)
+        lines = csv_path.read_text().splitlines()
+        for kind, i, x in edits:
+            if i < len(lines) > 3:
+                _edit(lines, kind, i, x)
+        text = "\n".join(lines) + "\n"
+        csv_path.write_text(text)
+        expected = load_per_field(csv_path, text)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                load_radial_csv(csv_path)
+            assert str(info.value) == expected
+        else:
+            f, lam = load_radial_csv(csv_path)
+            assert lam == expected[1] and f.grid == grid
+            assert f.values.tobytes() == expected[0].tobytes()

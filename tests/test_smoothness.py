@@ -359,7 +359,7 @@ class TestBestApprox:
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_sweep_refuses_a_nonpositive_sigma(self, gauss, p):
-        with pytest.raises(ValueError, match="sigma must be positive"):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
             _best_approxes(gauss, hankel(gauss, LAM), (1.0, 0.0), p, LAM)
 
 
