@@ -8,12 +8,6 @@ approximation), and a harness that certifies the classical inequalities
 relating them as bounded-ratio experiments.
 """
 
-from .weights import (
-    WeightParams,
-    make_params,
-    weight_z2d,
-    b_lambda,
-)
 from .special import (
     BesselEvaluator,
     bessel_norm,
@@ -26,6 +20,7 @@ from .quad import (
     RadialFunction,
     DEFAULT_RMAX,
     DEFAULT_N,
+    b_lambda,
     make_grid,
     default_grid,
     lp_norm,

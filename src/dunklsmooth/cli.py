@@ -32,6 +32,7 @@ from .harness import (
     run_config,
 )
 from .quad import load_radial_csv
+from .special import _check_lambda
 from .transforms import hankel, save_spectrum_csv
 
 __all__ = ["main"]
@@ -121,6 +122,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    _check_lambda(args.lam)
     f, lam = load_radial_csv(args.input)
     if lam != args.lam:
         raise ValueError(f"{args.input}: header lambda={lam!r} differs from --lambda {args.lam!r}")

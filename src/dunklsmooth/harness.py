@@ -32,9 +32,9 @@ from .quad import (
     DEFAULT_RMAX,
     RadialFunction,
     RadialGrid,
+    _spectral_l2,
     lp_norm,
     make_grid,
-    nu_weights,
 )
 from .smoothness import (
     _best_approxes,
@@ -48,7 +48,7 @@ from .smoothness import (
     k_functional_upper,
 )
 from .special import BESSEL_ARG_MAX, BESSEL_LAMBDA_MAX, LAMBDA_MIN
-from .transforms import Spectrum, hankel, inverse_hankel, spectral_tail_l2, spectrum_from_values
+from .transforms import Spectrum, hankel, inverse_hankel, spectrum_from_values
 
 __all__ = [
     "ConfigError",
@@ -134,16 +134,14 @@ def make_profile(name: str, grid: RadialGrid, lam: float) -> RadialFunction:
 def bandlimited_spectrum(grid: RadialGrid, lam: float, sigma: float) -> Spectrum:
     """Unit-L2 spectrum supported in [0, sigma]: smooth cutoff eta(2r/sigma)."""
     vals = eta(2.0 * grid.nodes / sigma)
-    norm = math.sqrt(float(np.sum(nu_weights(grid, lam) * vals**2)))
-    return spectrum_from_values(grid, lam, vals / norm, bandlimit=sigma)
+    return spectrum_from_values(grid, lam, vals / _spectral_l2(vals, grid, lam), bandlimit=sigma)
 
 
 def concentrated_spectrum(grid: RadialGrid, lam: float, sigma: float) -> Spectrum:
     """Unit-L2 spectrum concentrated in the shell [0.9 sigma, sigma]."""
     u = (grid.nodes - 0.95 * sigma) / (0.05 * sigma)
     vals = _bump(u)
-    norm = math.sqrt(float(np.sum(nu_weights(grid, lam) * vals**2)))
-    return spectrum_from_values(grid, lam, vals / norm, bandlimit=sigma)
+    return spectrum_from_values(grid, lam, vals / _spectral_l2(vals, grid, lam), bandlimit=sigma)
 
 
 # --------------------------------------------------------------------------
@@ -597,11 +595,12 @@ def _chain_rows(pairs):
     return rows
 
 
-def _spectral_bernstein(w, nodes, shat, sigma, r):
+def _spectral_bernstein(shat, sigma, r):
     """||(-Lap)^(r/2) f||_2, sigma^r ||f||_2 and their ratio, in spectral
     closed form."""
-    num = math.sqrt(float(np.sum(w * (nodes**r * shat.values) ** 2)))
-    den = sigma**r * math.sqrt(float(np.sum(w * shat.values**2)))
+    grid, lam = shat.grid, shat.lam
+    num = _spectral_l2(grid.nodes**r * shat.values, grid, lam)
+    den = sigma**r * _spectral_l2(shat.values, grid, lam)
     return num, den, num / den
 
 
@@ -612,13 +611,12 @@ def _bernstein_rows(report, cfg, inp):
     shell-concentrated spectrum witnesses sharpness from below at r = 1.
     """
     grid, lam = inp.grid, inp.lam
-    w = nu_weights(grid, lam)
     for p in cfg.p_values:
         for r in cfg.r_values:
             for sigma in cfg.scale.values():
                 shat = bandlimited_spectrum(grid, lam, sigma)
                 if p == 2:
-                    num, den, ratio = _spectral_bernstein(w, grid.nodes, shat, sigma, r)
+                    num, den, ratio = _spectral_bernstein(shat, sigma, r)
                     report.rows.append(ReportRow("bernstein", lam, p, 0.0, r, sigma, num, den,
                                                  ratio, ratio <= 1.0 + 1e-8))
                 else:
@@ -628,7 +626,7 @@ def _bernstein_rows(report, cfg, inp):
     # sharpness witness at p = 2, r = 1
     for sigma in cfg.scale.values():
         shat = concentrated_spectrum(grid, lam, sigma)
-        num, den, ratio = _spectral_bernstein(w, grid.nodes, shat, sigma, 1.0)
+        num, den, ratio = _spectral_bernstein(shat, sigma, 1.0)
         report.rows.append(ReportRow("bernstein:sharpness", lam, 2.0, 0.0, 1.0, sigma, num, den,
                                      ratio, 0.8 <= ratio <= 1.0 + 1e-8))
 
@@ -679,15 +677,6 @@ def _two_scale_rows(check, orders):
     return rows
 
 
-def _best_approx_error(f, fhat, j, p, lam):
-    """E_j(f)_p; E_0 is the norm of f (its spectral tail from 0 at p = 2)."""
-    if j > 0:
-        return best_approx(f, float(j), p, lam, fhat=fhat).value
-    if p == 2:
-        return spectral_tail_l2(f, lam, 0.0, fhat=fhat)
-    return lp_norm(f, p, lam)
-
-
 def _inverse_rows(report, cfg, inp):
     """Inverse-direction bounds: cumulative sums, Marchaud, derivative variant.
 
@@ -706,9 +695,10 @@ def _inverse_rows(report, cfg, inp):
     sigmas = [float(j) for j in range(1, n_max + 1)] + _marchaud_sigmas(cfg.delta_values)
     for p in cfg.p_values:
         approxes = _best_approxes(f, fhat, sigmas, p, lam)
-        table = {0: _best_approx_error(f, fhat, 0, p, lam)}
+        # E_0 is the norm of f, by Plancherel at p = 2
+        table = {0: _spectral_l2(fhat.values, fhat.grid, lam) if p == 2 else lp_norm(f, p, lam)}
         table.update((j, approxes[float(j)].value) for j in range(1, n_max + 1))
-        marchaud = _marchaud_bounds(f, fhat, cfg.delta_values, cfg.m_values, p, lam, approxes)
+        marchaud = _marchaud_bounds(f, cfg.delta_values, cfg.m_values, p, lam, approxes)
         for m in cfg.m_values:
             for n in cfg.n_values:
                 lhs = moduli[0.0][deltas[n], p, m].value
@@ -724,7 +714,7 @@ def _inverse_rows(report, cfg, inp):
                 while j_hi < j_cap and table[j_hi] > tail_cutoff:
                     j_hi += 1
                     if j_hi not in table:
-                        table[j_hi] = _best_approx_error(f, fhat, j_hi, p, lam)
+                        table[j_hi] = best_approx(f, float(j_hi), p, lam, fhat=fhat).value
                 for n in cfg.n_values:
                     lhs = moduli[r][deltas[n], p, m].value
                     head = sum((j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1))

@@ -1,5 +1,9 @@
 """Radial grids, nu_lam-weighted quadrature, and weighted Lp norms.
 
+Everything radial is measured against d nu_lam(t) = b_lam t^(2*lam+1) dt on
+(0, inf), with lam = d/2 - 1 + sum_j k_j for the sign-change group Z_2^d of
+R^d with per-axis multiplicities k_j >= 0.
+
 Grids are composite Gauss-Legendre rules on [0, rmax] with geometric panel
 refinement toward the origin so the fractional weight t^(2*lam+1) is
 resolved; all nodes are strictly positive, which is what lets frequency
@@ -18,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import b_lambda
-
 __all__ = [
     "RadialGrid",
     "RadialFunction",
@@ -27,6 +29,7 @@ __all__ = [
     "DEFAULT_N",
     "make_grid",
     "default_grid",
+    "b_lambda",
     "nu_weights",
     "lp_norm",
     "save_radial_csv",
@@ -136,6 +139,15 @@ def default_grid() -> RadialGrid:
     return make_grid(DEFAULT_RMAX, DEFAULT_N)
 
 
+def b_lambda(lam: float) -> float:
+    """Normalizer b_lam = 1/(2^lam Gamma(lam+1)) of d nu_lam; requires
+    lam > -1 for integrability at 0."""
+    lam = float(lam)
+    if not math.isfinite(lam) or lam <= -1.0:
+        raise ValueError(f"lambda must exceed -1, got {lam!r}")
+    return 1.0 / (2.0**lam * math.gamma(lam + 1.0))
+
+
 @lru_cache(maxsize=32)
 def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
     """Quadrature weights of d nu_lam on the grid: b_lam * w_i * t_i^(2*lam+1)
@@ -144,6 +156,12 @@ def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
     weights = b_lambda(lam) * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
     weights.flags.writeable = False
     return weights
+
+
+def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
+    """L2(nu_lam) norm of samples on the grid, the Plancherel norm of a
+    spectrum."""
+    return float(np.sqrt(np.sum(nu_weights(grid, lam) * np.abs(values) ** 2)))
 
 
 def lp_norm(f: RadialFunction, p: float, lam: float) -> float:
@@ -232,16 +250,6 @@ def _table(path: str | Path, rows: list[str]) -> np.ndarray:
     return table.reshape(len(rows), 2)
 
 
-def _read_csv(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], np.ndarray]:
-    """Header fields and (node, value) rows of a CSV in the package layout.
-
-    A file that is empty, lacks a header field, holds no data rows, or has a
-    row of other than two columns raises ValueError naming the file.
-    """
-    fields, rows = _csv_rows(path, expected)
-    return fields, _table(path, rows)
-
-
 def _value_column(fields: dict[str, str], rows: list[str]) -> tuple[RadialGrid, list[str]] | None:
     """The grid the header names and the rows' value fields, when every row
     is `node,value` with the node in that grid's ``_node_text``; None when
@@ -267,7 +275,8 @@ def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
     The grid is rebuilt by make_grid from the header's (rmax, n).  Nodes
     that are the grid's ``_node_text`` are taken as its nodes unparsed;
     otherwise every field is parsed and the nodes are checked against the
-    grid to 1e-12 rmax, so only grids this package produces load.  Every
+    grid to 1e-12 rmax, so only grids this package produces load.  Last, on
+    either path, a NaN or infinite value is refused, naming its node.  Every
     error is a ValueError naming the file.
     """
     fields, rows = _csv_rows(path, ("lambda", "rmax", "n", *extra))
@@ -279,18 +288,25 @@ def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
             lam = float(fields["lambda"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return RadialFunction(grid=grid, values=values), lam, fields
-    data = _table(path, rows)
-    try:
-        lam, n = float(fields["lambda"]), int(fields["n"])
-        if data.shape[0] != n:
-            raise ValueError(f"expected {n} rows, found {data.shape[0]}")
-        grid = make_grid(float(fields["rmax"]), n)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not np.allclose(grid.nodes, data[:, 0], rtol=0, atol=1e-12 * grid.rmax):
-        raise ValueError(f"{path}: nodes are not those of make_grid({grid.rmax!r}, {n})")
-    return RadialFunction(grid=grid, values=data[:, 1]), lam, fields
+        nodes = grid.nodes
+    else:
+        data = _table(path, rows)
+        try:
+            lam, n = float(fields["lambda"]), int(fields["n"])
+            if data.shape[0] != n:
+                raise ValueError(f"expected {n} rows, found {data.shape[0]}")
+            grid = make_grid(float(fields["rmax"]), n)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        nodes, values = data[:, 0], data[:, 1]
+        if not np.allclose(grid.nodes, nodes, rtol=0, atol=1e-12 * grid.rmax):
+            raise ValueError(f"{path}: nodes are not those of make_grid({grid.rmax!r}, {n})")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: value {float(values[i])!r} at node {float(nodes[i])!r}"
+                         " is not finite")
+    return RadialFunction(grid=grid, values=values), lam, fields
 
 
 def save_radial_csv(f: RadialFunction, path: str | Path, lam: float) -> None:

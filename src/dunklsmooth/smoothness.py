@@ -28,16 +28,15 @@ one-(p, r) case.  Every modulus sup samples delta and the quarter-octave
 rungs 2^(-k/4) below it, a lattice all deltas share, so ``_moduli`` makes
 one Bessel base over the union of its deltas' steps and one inverse
 product per order.  ``_chain_sweep`` composes the evaluators over every
-scale of a chain, with one ``_moduli`` sweep per input, and
-``chain_at_scale`` is its one-scale case.
+scale of a chain, with one ``_moduli`` sweep per input.
 ``_best_approxes`` evaluates best approximation over a list of types at
 one p; at p = 2 its values come from one ``transforms._spectral_tails``
 sweep, which evaluates each Bessel block the cut panels share once, and
 ``best_approx`` at p = 2 is its one-sigma case.  ``_marchaud_bounds``
 evaluates the Marchaud right-hand side over a (delta, m) sweep at one p,
-reading one approximant per point of the same quarter-octave lattice,
-from a caller's ``_best_approxes`` sweep or its own;
-``marchaud_bound`` is its one-(delta, m) case.
+reading one approximant per point of the same quarter-octave lattice
+from a caller's ``_best_approxes`` sweep; ``marchaud_bound`` is its
+one-(delta, m) case, with the sweep over ``_marchaud_sigmas``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from .operators import eta, vallee_poussin
-from .quad import RadialFunction, RadialGrid, _lp_norms, lp_norm, nu_weights
+from .quad import RadialFunction, _lp_norms, _spectral_l2, lp_norm, nu_weights
 from .special import BesselEvaluator, _require
 from .transforms import (
     Spectrum,
@@ -68,7 +67,6 @@ __all__ = [
     "realization",
     "realization_candidate_min",
     "k_functional_upper",
-    "chain_at_scale",
     "inverse_bound",
     "marchaud_bound",
 ]
@@ -95,10 +93,6 @@ def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
     """
     symbols *= fhat.values[:, None]
     return _kernel_matrix(fhat.lam, fhat.grid) @ symbols
-
-
-def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
-    return float(np.sqrt(np.sum(nu_weights(grid, lam) * np.abs(values) ** 2)))
 
 
 _MODULUS_SAMPLES = 24  # quarter-octave rungs below delta in the modulus sup
@@ -600,29 +594,6 @@ def realization_candidate_min(
 _CHAIN_FUNCTIONALS = ("omega", "diff", "K", "Rstar", "R")
 
 
-def chain_at_scale(
-    f: RadialFunction,
-    t: float,
-    r_values: Sequence[float],
-    p_values: Sequence[float],
-    lam: float,
-    names: Collection[str],
-    fhat: Spectrum | None = None,
-) -> dict[tuple[float, float], dict[str, float]]:
-    """The named chain functionals at one scale t, for each (p, r) of a sweep.
-
-    Returns ``{(p, r): {name: value}}`` for the ``names`` asked, drawn from
-    ``_CHAIN_FUNCTIONALS``: the modulus ``"omega"`` at delta = t and order r,
-    the difference norm ``"diff"`` at step t and order r, the K-upper bound
-    ``"K"``, the realization ``"Rstar"`` and the candidate minimum ``"R"``,
-    the least of Rstar and its candidate family (so "R" brings "Rstar").
-    Each value equals the single call (``modulus``, ``diff_norm``,
-    ``k_functional_upper``, ``realization``, ``realization_candidate_min``)
-    at the same (p, r, t).  The one-scale case of ``_chain_sweep``.
-    """
-    return _chain_sweep(f, (t,), r_values, p_values, lam, names, fhat)[t]
-
-
 def _chain_sweep(
     f: RadialFunction,
     scales: Sequence[float],
@@ -632,7 +603,16 @@ def _chain_sweep(
     names: Collection[str],
     fhat: Spectrum | None = None,
 ) -> dict[float, dict[tuple[float, float], dict[str, float]]]:
-    """``chain_at_scale`` at every scale t, ``{t: {(p, r): {name: value}}}``.
+    """The named chain functionals at every scale t, for each (p, r) of a
+    sweep, ``{t: {(p, r): {name: value}}}``.
+
+    ``names`` are drawn from ``_CHAIN_FUNCTIONALS``: the modulus ``"omega"``
+    at delta = t and order r, the difference norm ``"diff"`` at step t and
+    order r, the K-upper bound ``"K"``, the realization ``"Rstar"`` and the
+    candidate minimum ``"R"``, the least of Rstar and its candidate family
+    (so "R" brings "Rstar").  Each value equals the single call
+    (``modulus``, ``diff_norm``, ``k_functional_upper``, ``realization``,
+    ``realization_candidate_min``) at the same (p, r, t).
 
     The moduli of every scale come from one ``_moduli`` sweep: one Bessel
     base over the union of the scales' steps, and one inverse product per
@@ -724,12 +704,11 @@ def _marchaud_sigmas(deltas: Sequence[float]) -> list[float]:
 
 def _marchaud_bounds(
     f: RadialFunction,
-    fhat: Spectrum,
     deltas: Sequence[float],
     orders: Sequence[float],
     p: float,
     lam: float,
-    approxes: dict[float, BestApprox] | None = None,
+    approxes: dict[float, BestApprox],
 ) -> dict[tuple[float, float], float]:
     """Marchaud right-hand side of every (delta, m) at one p,
     ``{(delta, m): bound}`` (see ``marchaud_bound``).
@@ -739,14 +718,12 @@ def _marchaud_bounds(
     sigma = 1/t (``_marchaud_sigmas``), and takes one ``realization`` per
     (point, m); each delta's integral reads its own nodes only.
     ``approxes`` maps each such sigma to its ``best_approx``, as a caller's
-    ``_best_approxes`` sweep over these sigmas and others returns it; without
-    it the sweep makes its own.
+    ``_best_approxes`` sweep over these sigmas, and perhaps others, returns
+    it.
     """
     for m in orders:
         _require("m", m)
     nodes = {delta: _marchaud_nodes(delta) for delta in deltas}
-    if approxes is None:
-        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), p, lam)
     kvals = {}
     for t in sorted({t for ts in nodes.values() for t in ts.tolist()}):
         approx = approxes[1.0 / t]
@@ -776,7 +753,11 @@ def marchaud_bound(
     2^(-k/4) > delta (k = 0, 1, ...), a quarter-octave ladder that every
     delta shares; the integral is a trapezoid rule in log t over them.  The
     one-(delta, m) case of ``_marchaud_bounds``.  ``fhat`` is the
-    precomputed transform of f.
+    precomputed transform of f.  delta must lie in (0, 1) and m be finite
+    and positive; both are checked before any transform.
     """
+    sigmas = _marchaud_sigmas((delta,))
+    _require("m", m)
     fhat = _spectrum_of(f, lam, fhat)
-    return _marchaud_bounds(f, fhat, (delta,), (m,), p, lam)[delta, m]
+    approxes = _best_approxes(f, fhat, sigmas, p, lam)
+    return _marchaud_bounds(f, (delta,), (m,), p, lam, approxes)[delta, m]

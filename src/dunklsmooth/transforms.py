@@ -30,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .quad import RadialFunction, RadialGrid, _load_csv, _write_csv, nu_weights
+from .quad import RadialFunction, RadialGrid, _load_csv, _write_csv, b_lambda, nu_weights
 from .special import BesselEvaluator, _check_lambda, _require
-from .weights import b_lambda
 
 __all__ = [
     "Spectrum",

@@ -31,7 +31,9 @@ from dunklsmooth.operators import (
 from dunklsmooth.transforms import bandlimit_project
 from dunklsmooth.quad import RadialFunction, default_grid, lp_norm, nu_weights
 from dunklsmooth.smoothness import (
+    _best_approxes,
     _marchaud_bounds,
+    _marchaud_sigmas,
     diff_norm,
     inverse_bound,
     k_functional_upper,
@@ -301,7 +303,8 @@ def test_criterion_8_marchaud_and_derivative_tail(grid, acceptance_log):
         fhat = hankel(f, lam)
         # one sweep per profile; each entry equals the single marchaud_bound
         deltas = (0.1, 0.2, 0.4)
-        bounds = _marchaud_bounds(f, fhat, deltas, (m,), 2, lam)
+        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), 2, lam)
+        bounds = _marchaud_bounds(f, deltas, (m,), 2, lam, approxes)
         for delta in deltas:
             lhs = k_functional_upper(f, delta, m, 2, lam)
             worst = max(worst, lhs / bounds[delta, m])

@@ -89,6 +89,37 @@ def test_transform_refuses_an_rmax_beyond_the_bessel_range(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_transform_refuses_a_non_finite_sample(tmp_path, capsys, bad):
+    # the spectrum came out NaN at every node, with exit 0
+    grid = make_grid(30.0, 64)
+    src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"
+    save_radial_csv(RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2)), src, lam=0.25)
+    lines = src.read_text().splitlines()
+    lines[7] = f"{lines[7].partition(',')[0]},{bad}"
+    src.write_text("\n".join(lines) + "\n")
+    rc = main(["transform", "--input", str(src), "--lambda", "0.25", "--output", str(dst)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{src}: value {float(bad)!r} at node {grid.nodes.tolist()[5]!r} is not finite" in err
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0.5", "121"])
+def test_transform_refuses_a_lambda_flag_outside_the_bessel_range(tmp_path, capsys, bad):
+    # the range is checked before the header: nan read "header lambda=0.25
+    # differs from --lambda nan"
+    grid = make_grid(30.0, 64)
+    src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"
+    save_radial_csv(RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2)), src, lam=0.25)
+    rc = main(["transform", "--input", str(src), "--lambda", bad, "--output", str(dst)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "lambda must lie in (-1/2, 120]" in err and f"got {float(bad)!r}" in err
+    assert "differs" not in err
+    assert not dst.exists()
+
+
 def test_transform_missing_input(tmp_path):
     rc = main(
         ["transform", "--input", str(tmp_path / "nope.csv"), "--lambda", "0.5",

@@ -12,6 +12,7 @@ from dunklsmooth.harness import (
     EXPERIMENTS,
     ExperimentConfig,
     HarnessConfig,
+    PROFILES,
     ScaleGrid,
     SmoothnessReport,
     bandlimited_spectrum,
@@ -23,7 +24,7 @@ from dunklsmooth.harness import (
     run_all,
     write_report,
 )
-from dunklsmooth.quad import make_grid, nu_weights
+from dunklsmooth.quad import _spectral_l2, default_grid, make_grid, nu_weights
 from dunklsmooth.special import BESSEL_LAMBDA_MAX, BesselEvaluator
 
 
@@ -663,6 +664,18 @@ class TestExperiments:
             assert len(swept) == 1 and sorted(swept[0]) == sorted(expected)
             runs.append(sum(points))
         assert runs[0] == runs[1] > 0
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0])
+    def test_e0_plancherel_norm_is_the_tail_from_zero(self, lam):
+        # E_0 at p = 2 is the spectrum's Plancherel norm, bit for bit the
+        # spectral tail from sigma = 0 that the table read before
+        grid = default_grid()
+        for name in PROFILES:
+            f = make_profile(name, grid, lam)
+            fhat = transforms.hankel(f, lam)
+            assert _spectral_l2(fhat.values, grid, lam) == transforms.spectral_tail_l2(
+                f, lam, 0.0, fhat=fhat
+            ), name
 
     def test_inverse_sweep_fits_each_p1_type_once(self, grid, monkeypatch):
         # at p = 1 each type below the last node is one LP: the 43 distinct

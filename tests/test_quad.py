@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad as adaptive_quad
 
 from dunklsmooth.quad import (
     RadialFunction,
     RadialGrid,
+    _csv_rows,
     _node_text,
-    _read_csv,
+    _table,
     _write_csv,
+    b_lambda,
     load_radial_csv,
     lp_norm,
     make_grid,
@@ -102,6 +105,32 @@ class TestIntegrateNu:
             g = make_grid(30.0, n)
             vals.append(np.sum(nu_weights(g, 0.25) * np.exp(-0.5 * g.nodes**2)))
         assert abs(vals[0] - vals[1]) <= 1e-12
+
+
+class TestMeasureConstants:
+    def test_lambda_zero(self):
+        assert b_lambda(0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_lambda_one(self):
+        assert b_lambda(1.0) == pytest.approx(0.5, abs=1e-15)
+
+    def test_quarter_against_adaptive_quadrature(self):
+        # Oracle: 1/b = integral_0^inf exp(-t^2/2) t^(2*0.25+1) dt.
+        oracle, err = adaptive_quad(lambda t: math.exp(-0.5 * t * t) * t**1.5, 0, np.inf)
+        assert err < 1e-7
+        b = b_lambda(0.25)
+        assert b == pytest.approx(1.0 / oracle, rel=1e-10)
+        assert b == pytest.approx(1.0 / (2.0**0.25 * math.gamma(1.25)), rel=1e-14)
+
+    def test_rejects_lambda_at_minus_one(self):
+        with pytest.raises(ValueError):
+            b_lambda(-1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 2.5])
+    def test_gaussian_has_unit_nu_mass(self, lam):
+        grid = make_grid(30.0, 1024)
+        mass = np.sum(nu_weights(grid, lam) * np.exp(-0.5 * grid.nodes**2))
+        assert mass == pytest.approx(1.0, abs=1e-11)
 
 
 class TestLpNorm:
@@ -291,6 +320,33 @@ class TestCsvNodeColumns:
             assert str(info.value) == f"{path}: nodes are not those of make_grid(12.0, 128)"
 
 
+class TestNonFiniteSamples:
+    """A NaN or infinite sample is refused on both load paths (the grid's
+    own node text, and nodes parsed field by field), naming the file and the
+    first such sample's node."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("node_text", [None, "%.17e".__mod__], ids=["known", "parsed"])
+    def test_radial_and_spectrum_loaders_refuse(self, tmp_path, bad, node_text):
+        grid = make_grid(12.0, 64)
+        f = RadialFunction(grid=grid, values=np.exp(-grid.nodes))
+        radial, spectrum = tmp_path / "f.csv", tmp_path / "s.csv"
+        save_radial_csv(f, radial, lam=0.5)
+        save_spectrum_csv(hankel(f, 0.5), spectrum)
+        for path, load in ((radial, load_radial_csv), (spectrum, load_spectrum_csv)):
+            if node_text is not None:
+                _rewrite_nodes(path, node_text)
+            lines = path.read_text().splitlines()
+            for i in (12, 30):  # data rows 10 and 28
+                lines[i] = f"{lines[i].partition(',')[0]},{bad}"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == (
+                f"{path}: value {float(bad)!r} at node {grid.nodes.tolist()[10]!r} is not finite"
+            )
+
+
 # CSV fields: float spellings (subnormals, signed zeros, infinities and nan
 # included), and junk that float() may or may not accept
 _FLOAT_FIELD = st.floats().map(repr) | st.sampled_from(
@@ -342,17 +398,17 @@ class TestCsvReaderProperty:
         expected = read_rows_per_field(csv_path, text)
         if isinstance(expected, str):
             with pytest.raises(ValueError) as info:
-                _read_csv(csv_path, ("lambda",))
+                _table(csv_path, _csv_rows(csv_path, ("lambda",))[1])
             assert str(info.value) == expected
         else:
-            _, data = _read_csv(csv_path, ("lambda",))
+            data = _table(csv_path, _csv_rows(csv_path, ("lambda",))[1])
             assert data.shape == expected.shape and data.tobytes() == expected.tobytes()
 
 
 def load_per_field(path, text):
     """What loading ``text`` must give: (values, lambda), or the ValueError
-    message, with every field parsed by float() and the nodes checked
-    against the header's grid to 1e-12 rmax."""
+    message, with every field parsed by float(), the nodes checked against
+    the header's grid to 1e-12 rmax, and then every value checked finite."""
     expected = read_rows_per_field(path, text)
     if isinstance(expected, str):
         return expected
@@ -367,6 +423,9 @@ def load_per_field(path, text):
         return f"{path}: {exc}"
     if not np.allclose(grid.nodes, expected[:, 0], rtol=0, atol=1e-12 * grid.rmax):
         return f"{path}: nodes are not those of make_grid({grid.rmax!r}, {n})"
+    for node, value in expected.tolist():
+        if not math.isfinite(value):
+            return f"{path}: value {value!r} at node {node!r} is not finite"
     return expected[:, 1], lam
 
 

@@ -23,7 +23,6 @@ from dunklsmooth.smoothness import (
     _moduli,
     _modulus_steps,
     best_approx,
-    chain_at_scale,
     diff_norm,
     inverse_bound,
     k_functional_upper,
@@ -221,22 +220,24 @@ class TestModulusSweep:
 
 
 def _refusals(f):
-    """(argument name, call with a bad value) for every scale and order a
-    functional takes."""
+    """(start of the refusal, call with a bad value) for every scale and
+    order a functional takes; each refusal names the argument."""
     return [
-        ("delta", lambda v: modulus(f, v, 1.0, 2, LAM)),
-        ("order m", lambda v: modulus(f, 0.3, v, 2, LAM)),
-        ("step t", lambda v: diff_norm(f, v, 1.0, 2, LAM)),
-        ("order m", lambda v: diff_norm(f, 0.3, v, 2, LAM)),
-        ("r", lambda v: diff_norm(f, 0.3, 1.0, 2, LAM, r=v)),
-        ("t", lambda v: chain_at_scale(f, v, (1.0,), (2.0,), LAM, ("omega",))),
-        ("r", lambda v: chain_at_scale(f, 0.3, (v,), (2.0,), LAM, ("omega",))),
-        ("t", lambda v: k_functional_upper(f, v, 1.0, 2, LAM)),
-        ("r", lambda v: k_functional_upper(f, 0.3, v, 2, LAM)),
-        ("t", lambda v: realization(f, v, 1.0, 2, LAM)),
-        ("r", lambda v: realization(f, 0.3, v, 2, LAM)),
-        ("t", lambda v: realization_candidate_min(f, v, 1.0, 2, LAM)),
-        ("m", lambda v: inverse_bound({0: 1.0, 1: 0.5}, 1, v)),
+        ("delta must be finite", lambda v: modulus(f, v, 1.0, 2, LAM)),
+        ("order m must be finite", lambda v: modulus(f, 0.3, v, 2, LAM)),
+        ("step t must be finite", lambda v: diff_norm(f, v, 1.0, 2, LAM)),
+        ("order m must be finite", lambda v: diff_norm(f, 0.3, v, 2, LAM)),
+        ("r must be finite", lambda v: diff_norm(f, 0.3, 1.0, 2, LAM, r=v)),
+        ("t must be finite", lambda v: _chain_sweep(f, (v,), (1.0,), (2.0,), LAM, ("omega",))),
+        ("r must be finite", lambda v: _chain_sweep(f, (0.3,), (v,), (2.0,), LAM, ("omega",))),
+        ("t must be finite", lambda v: k_functional_upper(f, v, 1.0, 2, LAM)),
+        ("r must be finite", lambda v: k_functional_upper(f, 0.3, v, 2, LAM)),
+        ("t must be finite", lambda v: realization(f, v, 1.0, 2, LAM)),
+        ("r must be finite", lambda v: realization(f, 0.3, v, 2, LAM)),
+        ("t must be finite", lambda v: realization_candidate_min(f, v, 1.0, 2, LAM)),
+        ("m must be finite", lambda v: inverse_bound({0: 1.0, 1: 0.5}, 1, v)),
+        ("delta must lie in (0, 1)", lambda v: marchaud_bound(f, v, 1.0, 2, LAM)),
+        ("m must be finite", lambda v: marchaud_bound(f, 0.3, v, 2, LAM)),
     ]
 
 
@@ -245,11 +246,11 @@ class TestNonFiniteArguments:
     @settings(max_examples=10, deadline=None)
     @given(bad=st.sampled_from([math.inf, -math.inf, math.nan]))
     def test_refused_by_name_before_any_work(self, gauss, case, bad):
-        name, call = _refusals(gauss)[case]
+        refusal, call = _refusals(gauss)[case]
         # no transform, no Bessel evaluation: the check comes first
         with mock.patch.object(smoothness, "_spectrum_of", side_effect=AssertionError), \
              mock.patch.object(BesselEvaluator, "one_minus", side_effect=AssertionError):
-            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")) as info:
+            with pytest.raises(ValueError, match=re.escape(refusal)) as info:
                 call(bad)
         assert repr(bad) in str(info.value)
 
@@ -550,14 +551,16 @@ class TestMarchaudBound:
     def test_single_call_is_the_sweep_entry(self, gauss, p):
         fhat = hankel(gauss, LAM)
         deltas, orders = (0.1, 0.2, 0.4), (1.0, 2.0)
-        sweep = _marchaud_bounds(gauss, fhat, deltas, orders, p, LAM)
+        approxes = _best_approxes(gauss, fhat, _marchaud_sigmas(deltas), p, LAM)
+        sweep = _marchaud_bounds(gauss, deltas, orders, p, LAM, approxes)
         assert set(sweep) == {(delta, m) for delta in deltas for m in orders}
         for (delta, m), bound in sweep.items():
             assert marchaud_bound(gauss, delta, m, p, LAM) == bound
 
     def test_single_call_is_the_sweep_entry_at_p1(self, gauss):
         fhat = hankel(gauss, LAM)
-        sweep = _marchaud_bounds(gauss, fhat, (0.2, 0.4), (1.0,), 1.0, LAM)
+        approxes = _best_approxes(gauss, fhat, _marchaud_sigmas((0.2, 0.4)), 1.0, LAM)
+        sweep = _marchaud_bounds(gauss, (0.2, 0.4), (1.0,), 1.0, LAM, approxes)
         assert marchaud_bound(gauss, 0.4, 1.0, 1.0, LAM, fhat=fhat) == sweep[0.4, 1.0]
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
@@ -569,8 +572,9 @@ class TestMarchaudBound:
         sigmas = [float(j) for j in range(1, 9)] + _marchaud_sigmas(deltas)
         approxes = _best_approxes(gauss, fhat, sigmas, p, LAM)
         assert len(_marchaud_sigmas(deltas)) == 17
-        assert _marchaud_bounds(gauss, fhat, deltas, orders, p, LAM, approxes) == _marchaud_bounds(
-            gauss, fhat, deltas, orders, p, LAM
+        own = _best_approxes(gauss, fhat, _marchaud_sigmas(deltas), p, LAM)
+        assert _marchaud_bounds(gauss, deltas, orders, p, LAM, approxes) == _marchaud_bounds(
+            gauss, deltas, orders, p, LAM, own
         )
 
     @pytest.mark.parametrize("name", ["gaussian", "rational"])
@@ -581,7 +585,8 @@ class TestMarchaudBound:
         grid, deltas, orders = default_grid(), (0.1, 0.2, 0.4), (1.0, 2.0)
         f = make_profile(name, grid, LAM)
         fhat = hankel(f, LAM)
-        sweep = _marchaud_bounds(f, fhat, deltas, orders, 2, LAM)
+        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), 2, LAM)
+        sweep = _marchaud_bounds(f, deltas, orders, 2, LAM, approxes)
         rungs = [2.0 ** (-k / 32.0) for k in range(128, -1, -1)]
         fine = {delta: np.array([delta] + [t for t in rungs if t > delta]) for delta in deltas}
         values = {}
@@ -600,7 +605,7 @@ class TestMarchaudBound:
                 assert abs(sweep[delta, m] / reference - 1.0) < 5e-3
 
 
-class TestChainAtScale:
+class TestChainSweep:
     P_VALUES = (1.0, 2.0, math.inf)
     R_VALUES = (0.5, 1.0, 2.0)
     EQUIVALENCE = ("omega", "diff", "K")
@@ -609,8 +614,8 @@ class TestChainAtScale:
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_equivalence_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, LAM, self.EQUIVALENCE,
-                               fhat=fhat)
+        chain = _chain_sweep(gauss, (t,), self.R_VALUES, self.P_VALUES, LAM, self.EQUIVALENCE,
+                             fhat=fhat)[t]
         assert set(chain) == {(p, r) for p in self.P_VALUES for r in self.R_VALUES}
         for (p, r), values in chain.items():
             assert values == {
@@ -622,8 +627,8 @@ class TestChainAtScale:
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_realization_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
-        chain = chain_at_scale(gauss, t, self.R_VALUES, self.P_VALUES, LAM, self.REALIZATION,
-                               fhat=fhat)
+        chain = _chain_sweep(gauss, (t,), self.R_VALUES, self.P_VALUES, LAM, self.REALIZATION,
+                             fhat=fhat)[t]
         for (p, r), values in chain.items():
             ba = best_approx(gauss, 1.0 / t, p, LAM, fhat=fhat)
             assert values == {
@@ -637,26 +642,27 @@ class TestChainAtScale:
                                        ("R", "omega")])
     def test_computes_only_the_named_functionals(self, gauss, names):
         fhat = hankel(gauss, LAM)
-        full = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), LAM,
-                              self.EQUIVALENCE + self.REALIZATION, fhat=fhat)
-        chain = chain_at_scale(gauss, 0.3, (1.0,), (1.0, 2.0), LAM, names, fhat=fhat)
+        full = _chain_sweep(gauss, (0.3,), (1.0,), (1.0, 2.0), LAM,
+                            self.EQUIVALENCE + self.REALIZATION, fhat=fhat)[0.3]
+        chain = _chain_sweep(gauss, (0.3,), (1.0,), (1.0, 2.0), LAM, names, fhat=fhat)[0.3]
         # R is the least of Rstar and its candidate family, so it brings Rstar
         kept = set(names) | ({"Rstar"} if "R" in names else set())
         assert chain == {key: {name: full[key][name] for name in kept} for key in full}
 
     def test_rejects_nonpositive_scale_or_order(self, gauss):
         with pytest.raises(ValueError):
-            chain_at_scale(gauss, 0.0, (1.0,), (2.0,), LAM, ("K",))
+            _chain_sweep(gauss, (0.0,), (1.0,), (2.0,), LAM, ("K",))
         with pytest.raises(ValueError):
-            chain_at_scale(gauss, 0.1, (1.0, 0.0), (2.0,), LAM, ("K",))
+            _chain_sweep(gauss, (0.1,), (1.0, 0.0), (2.0,), LAM, ("K",))
 
     def test_rejects_unknown_functional(self, gauss):
         with pytest.raises(ValueError, match="'E'"):
-            chain_at_scale(gauss, 0.1, (1.0,), (2.0,), LAM, ("K", "E"))
+            _chain_sweep(gauss, (0.1,), (1.0,), (2.0,), LAM, ("K", "E"))
 
     def test_empty_sweep_axes_give_no_values(self, gauss):
-        assert chain_at_scale(gauss, 0.1, (), (2.0,), LAM, ("K",)) == {}
-        assert chain_at_scale(gauss, 0.1, (1.0,), (), LAM, ("K",)) == {}
+        assert _chain_sweep(gauss, (0.1,), (), (2.0,), LAM, ("K",)) == {0.1: {}}
+        assert _chain_sweep(gauss, (0.1,), (1.0,), (), LAM, ("K",)) == {0.1: {}}
+        assert _chain_sweep(gauss, (), (1.0,), (2.0,), LAM, ("K",)) == {}
 
 
 class TestSpectrumPassThrough:

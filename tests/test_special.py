@@ -19,8 +19,8 @@ from dunklsmooth.special import (
 )
 from dunklsmooth.quad import RadialFunction, make_grid
 from dunklsmooth.smoothness import (
+    _chain_sweep,
     best_approx,
-    chain_at_scale,
     diff_norm,
     k_functional_upper,
     marchaud_bound,
@@ -231,7 +231,7 @@ def test_every_entry_point_refuses_orders_outside_the_bessel_range(lam):
             lambda fhat=fhat: realization(f, 0.3, 1.0, 2, lam, fhat=fhat),
             lambda fhat=fhat: realization_candidate_min(f, 0.3, 1.0, 2, lam, fhat=fhat),
             lambda fhat=fhat: k_functional_upper(f, 0.3, 1.0, 2, lam, fhat=fhat),
-            lambda fhat=fhat: chain_at_scale(f, 0.3, (1.0,), (2,), lam, ("K",), fhat=fhat),
+            lambda fhat=fhat: _chain_sweep(f, (0.3,), (1.0,), (2,), lam, ("K",), fhat=fhat),
             lambda fhat=fhat: marchaud_bound(f, 0.3, 1.0, 2, lam, fhat=fhat),
         ]
     for call in calls:
