@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import combinations
@@ -32,6 +31,7 @@ from .quad import (
     DEFAULT_RMAX,
     RadialFunction,
     RadialGrid,
+    _check_kernel_size,
     _spectral_l2,
     lp_norm,
     make_grid,
@@ -369,15 +369,10 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, "config.")
-        # the transform holds an n x n float64 kernel; refuse, by arithmetic
-        # alone, one the machine cannot hold
-        kernel = 8 * int(self.grid_n) ** 2
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if kernel > memory:
-            raise ConfigError(
-                f"config.grid.n = {self.grid_n} needs an n x n float64 kernel of {kernel} bytes,"
-                f" more than the {memory} bytes of physical memory"
-            )
+        try:
+            _check_kernel_size(int(self.grid_n), "config.grid.n")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         names = [cfg.name for cfg in self.experiments]
         for name in names:
             if names.count(name) > 1:

@@ -15,12 +15,15 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+
+from .special import _check_lambda
 
 __all__ = [
     "RadialGrid",
@@ -139,6 +142,22 @@ def default_grid() -> RadialGrid:
     return make_grid(DEFAULT_RMAX, DEFAULT_N)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_kernel_size(n: int, name: str) -> None:
+    """Refuse, by arithmetic alone, a grid of n nodes whose n x n float64
+    transform kernel exceeds physical memory, naming the field ``name``;
+    callers check before the grid is built."""
+    kernel = 8 * n * n
+    memory = _physical_memory()
+    if kernel > memory:
+        raise ValueError(f"{name} = {n} needs an n x n float64 kernel of {kernel} bytes,"
+                         f" more than the {memory} bytes of physical memory")
+
+
 def b_lambda(lam: float) -> float:
     """Normalizer b_lam = 1/(2^lam Gamma(lam+1)) of d nu_lam; requires
     lam > -1 for integrability at 0."""
@@ -250,6 +269,15 @@ def _table(path: str | Path, rows: list[str]) -> np.ndarray:
     return table.reshape(len(rows), 2)
 
 
+def _header_lambda(fields: dict[str, str]) -> float:
+    """The header's lambda, refused outside the Bessel range."""
+    lam = float(fields["lambda"])
+    try:
+        return _check_lambda(lam)
+    except ValueError as exc:
+        raise ValueError(f"header {exc}") from None
+
+
 def _value_column(fields: dict[str, str], rows: list[str]) -> tuple[RadialGrid, list[str]] | None:
     """The grid the header names and the rows' value fields, when every row
     is `node,value` with the node in that grid's ``_node_text``; None when
@@ -258,6 +286,7 @@ def _value_column(fields: dict[str, str], rows: list[str]) -> tuple[RadialGrid, 
         # the row count first: a header n alone must not build a grid
         if len(rows) != int(fields["n"]):
             return None
+        _check_kernel_size(len(rows), "header n")
         grid = make_grid(float(fields["rmax"]), len(rows))
     except ValueError:
         return None
@@ -272,12 +301,14 @@ def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
               ) -> tuple[RadialFunction, float, dict[str, str]]:
     """Samples, lambda and header fields of a CSV written by ``_write_csv``.
 
-    The grid is rebuilt by make_grid from the header's (rmax, n).  Nodes
-    that are the grid's ``_node_text`` are taken as its nodes unparsed;
-    otherwise every field is parsed and the nodes are checked against the
-    grid to 1e-12 rmax, so only grids this package produces load.  Last, on
-    either path, a NaN or infinite value is refused, naming its node.  Every
-    error is a ValueError naming the file.
+    The grid is rebuilt by make_grid from the header's (rmax, n), once n is
+    known to match the rows and to give a kernel that fits in physical
+    memory.  Nodes that are the grid's ``_node_text`` are taken as its nodes
+    unparsed; otherwise every field is parsed and the nodes are checked
+    against the grid to 1e-12 rmax, so only grids this package produces
+    load.  The header lambda must lie in the Bessel range.  Last, on either
+    path, a NaN or infinite value is refused, naming its node.  Every error
+    is a ValueError naming the file.
     """
     fields, rows = _csv_rows(path, ("lambda", "rmax", "n", *extra))
     known = _value_column(fields, rows)
@@ -285,16 +316,17 @@ def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
         grid, column = known
         try:
             values = np.fromiter(map(float, column), float, count=grid.n)
-            lam = float(fields["lambda"])
+            lam = _header_lambda(fields)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         nodes = grid.nodes
     else:
         data = _table(path, rows)
         try:
-            lam, n = float(fields["lambda"]), int(fields["n"])
+            lam, n = _header_lambda(fields), int(fields["n"])
             if data.shape[0] != n:
                 raise ValueError(f"expected {n} rows, found {data.shape[0]}")
+            _check_kernel_size(n, "header n")
             grid = make_grid(float(fields["rmax"]), n)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -59,10 +59,16 @@ def _require(name: str, value: float, zero_ok: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
-# j_lam is summed as its power series, _SERIES_TERMS terms, at arguments up to
-# _SERIES_CUTOFF
+# j_lam is summed as its power series at arguments up to _SERIES_CUTOFF, to
+# at most _SERIES_TERMS terms.  There every partial sum lies in [7/8, 1] (the
+# first term is at most (1/16) / (1/2) in size), so a term below 2^-54, half
+# an ulp there, leaves the rounded sum unchanged; terms shrink at least 48x a
+# step after the first, so the sum stops once a bound on the next term drops
+# below _SERIES_TAIL, a factor 4 short of that, with every bit of the
+# _SERIES_TERMS-term sum
 _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 18
+_SERIES_TAIL = 2.0**-56
 
 
 def _library(lam: float, t: np.ndarray) -> np.ndarray:
@@ -111,20 +117,21 @@ def _mix(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     bits do not depend on the thread count, and each column of rows (a
     panel) is mixed on its own."""
     out = np.zeros((matrix.shape[0],) + rows.shape[1:])
+    product = np.empty_like(out)
     for j, row in enumerate(rows):
-        out += matrix[:, j, None] * row
+        np.multiply(matrix[:, j, None], row, out=product)
+        out += product
     return out
 
 
-@lru_cache(maxsize=12)
-def _bessel_table(lam: float, panels: int) -> np.ndarray:
-    """Monomial coefficients of j_lam on the first ``panels`` panels, one
-    column per panel, highest degree in the last row; read-only.
+def _panel_columns(lam: float, start: int, stop: int) -> np.ndarray:
+    """Monomial coefficients of j_lam on panels start, ..., stop - 1, one
+    column per panel, highest degree in the last row.
 
-    A panel's column depends only on lam and its index, so a value does not
-    depend on how many panels the table holds.
+    Every step acts on each column on its own, so a column depends only on
+    lam and its panel index.
     """
-    centers = np.arange(panels) + 1.0
+    centers = np.arange(start, stop) + 1.0
     nodes = centers + 0.5 * _CHEB_NODES[:, None]
     values = _library(lam, nodes)
     # rounding moved each node off its Chebyshev point, by shift (exactly:
@@ -132,9 +139,35 @@ def _bessel_table(lam: float, panels: int) -> np.ndarray:
     # step along the interpolant's slope puts the value back on the point
     shift = (centers - nodes) + 0.5 * _CHEB_NODES[:, None]
     values += 2.0 * shift * _mix(_CHEB_SLOPE, _mix(_TO_CHEB, values))
-    table = _mix(_CHEB_TO_MONO, _mix(_TO_CHEB, values))
-    table.flags.writeable = False
-    return table
+    return _mix(_CHEB_TO_MONO, _mix(_TO_CHEB, values))
+
+
+class _BesselTable:
+    """The panels of j_lam built so far: ``columns`` holds ``_panel_columns``
+    of panels 0, 1, ..., read-only, and ``upto`` extends it, never rebuilding
+    a panel.  A column depends only on lam and its index, so no value depends
+    on the order in which the table grew."""
+
+    def __init__(self, lam: float) -> None:
+        self.lam = lam
+        self.columns = np.empty((_TABLE_NODES, 0))
+        self.columns.flags.writeable = False
+
+    def upto(self, panels: int) -> np.ndarray:
+        """The table holding at least the first ``panels`` panels."""
+        have = self.columns.shape[1]
+        if panels > have:
+            columns = np.concatenate([self.columns, _panel_columns(self.lam, have, panels)], axis=1)
+            columns.flags.writeable = False
+            self.columns = columns
+        return self.columns
+
+
+@lru_cache(maxsize=12)
+def _bessel_table(lam: float) -> _BesselTable:
+    """The table of j_lam, one per lam; at most the 1000 panels that
+    arguments up to BESSEL_ARG_MAX reach."""
+    return _BesselTable(lam)
 
 
 @dataclass(frozen=True)
@@ -158,19 +191,27 @@ class BesselEvaluator:
     def _series(self, t: np.ndarray) -> np.ndarray:
         # j_lam(t) = sum_k (-1)^k Gamma(lam+1) (t/2)^(2k) / (k! Gamma(k+lam+1));
         # successive-term ratio is -(t/2)^2 / (k (k+lam)).
+        # |term| <= bound, by induction, since rounding is monotone; the
+        # updates run in place, in the order of term = term * x / scale
         x = -0.25 * t * t
         term = np.ones_like(t)
         acc = np.ones_like(t)
+        x_max, bound = float(-x.min()), 1.0
         for k in range(1, _SERIES_TERMS):
-            term = term * x / (k * (k + self.lam))
-            acc = acc + term
+            scale = k * (k + self.lam)
+            bound = bound * x_max / scale
+            if bound < _SERIES_TAIL:
+                break
+            term *= x
+            term /= scale
+            acc += term
         return acc
 
     def _tabled(self, t: np.ndarray) -> np.ndarray:
         # t > 1/2, so t - 1/2 is exact and truncation is its floor; t minus
         # its panel's center is exact too
         panel = (t - 0.5).astype(np.intp)
-        table = _bessel_table(float(self.lam), 1 << int(panel.max()).bit_length())
+        table = _bessel_table(float(self.lam)).upto(int(panel.max()) + 1)
         u = 2.0 * (t - (panel + 1.0))
         acc = table[-1].take(panel)
         for row in table[-2::-1]:

@@ -591,6 +591,31 @@ def _mu_weights(k: float, grid: SymmetricGrid) -> np.ndarray:
     return 1.0 / mass * grid.weights * np.abs(grid.nodes) ** (2.0 * k)
 
 
+@lru_cache(maxsize=2)
+def _radial_bessel(order: float, grid: RadialGrid) -> np.ndarray:
+    """j_order(r_a r_b) on a radial grid, read-only.
+
+    A rank-one transform at k > 0 reads the orders k -/+ 1/2, so two entries
+    let the inverse at the same k evaluate no Bessel point.
+    """
+    mat = _bessel_outer(BesselEvaluator(order), grid)
+    mat.flags.writeable = False
+    return mat
+
+
+def _mirrored(mat: np.ndarray) -> np.ndarray:
+    """A radial matrix on the symmetric grid: node i < n is radial node
+    n-1-i and node n+i radial node i, so rows and columns run reversed,
+    then forward."""
+    n = mat.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = mat[::-1, ::-1]
+    out[:n, n:] = mat[::-1]
+    out[n:, :n] = mat[:, ::-1]
+    out[n:, n:] = mat
+    return out
+
+
 def _dunkl_apply(f: LineFunction, k: float, conjugate: bool) -> LineFunction:
     mu = _mu_weights(k, f.grid)
     x = f.grid.nodes
@@ -600,14 +625,14 @@ def _dunkl_apply(f: LineFunction, k: float, conjugate: bool) -> LineFunction:
         # |x_i x_j| is a radial product r_a r_b exactly, so both Bessel parts
         # are radial matrices mirrored by index reversal
         radial = f.grid.radial
-        order = np.concatenate([np.arange(radial.n - 1, -1, -1), np.arange(radial.n)])
-        mirror = np.ix_(order, order)
-        even = _bessel_outer(BesselEvaluator(k - 0.5), radial)[mirror]
-        odd = _bessel_outer(BesselEvaluator(k + 0.5), radial)[mirror]
+        even = _mirrored(_radial_bessel(k - 0.5, radial))
+        odd = _mirrored(_radial_bessel(k + 0.5, radial))
         kernel = DunklKernel1D(k)._assemble(x[None, :] * x[:, None], even, odd)
+    # the kernel is this call's own array, so both steps run in place
     if conjugate:
-        kernel = np.conj(kernel)
-    vals = (kernel * mu[None, :]) @ f.values
+        np.conj(kernel, out=kernel)
+    kernel *= mu
+    vals = kernel @ f.values
     truncated = f.truncated or _tail_suspect(mu, f.values, x, f.grid.rmax)
     return LineFunction(grid=f.grid, values=vals, truncated=truncated)
 

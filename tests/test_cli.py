@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dunklsmooth import cli
+from dunklsmooth import cli, quad
 from dunklsmooth.cli import _build_parser, main
 from dunklsmooth.harness import ConfigError, ExperimentConfig, HarnessConfig
 from dunklsmooth.quad import RadialFunction, _node_text, default_grid, make_grid, save_radial_csv
@@ -118,6 +118,30 @@ def test_transform_refuses_a_lambda_flag_outside_the_bessel_range(tmp_path, caps
     assert "lambda must lie in (-1/2, 120]" in err and f"got {float(bad)!r}" in err
     assert "differs" not in err
     assert not dst.exists()
+
+
+def test_transform_refuses_a_kernel_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # an n x n kernel the machine cannot hold is refused by arithmetic, before
+    # the grid is built: with the memory figure one byte short of the n = 64
+    # kernel, nothing is allocated and nothing is written
+    grid = make_grid(30.0, 64)
+    src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"
+    save_radial_csv(RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2)), src, lam=0.25)
+    monkeypatch.setattr(quad, "_physical_memory", lambda: 8 * 64 * 64 - 1)
+
+    def no_grid(rmax, n):
+        raise AssertionError(f"make_grid({rmax!r}, {n!r}) was called")
+
+    monkeypatch.setattr(quad, "make_grid", no_grid)
+    rc = main(["transform", "--input", str(src), "--lambda", "0.25", "--output", str(dst)])
+    assert rc == 2
+    assert (f"{src}: header n = 64 needs an n x n float64 kernel of 32768 bytes, more than"
+            " the 32767 bytes of physical memory") in capsys.readouterr().err
+    assert not dst.exists()
+    # a config's grid is refused by the same arithmetic
+    with pytest.raises(ConfigError, match=r"config\.grid\.n = 64 needs an n x n float64 kernel"
+                                          r" of 32768 bytes, more than the 32767 bytes"):
+        HarnessConfig(grid_n=64)
 
 
 def test_transform_missing_input(tmp_path):

@@ -347,6 +347,33 @@ class TestNonFiniteSamples:
             )
 
 
+class TestHeaderLambda:
+    """A header lambda outside the Bessel range is refused on both load paths,
+    naming the file and the header field; it used to load and fail only at
+    first use, without naming the file."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5", "500.0"])
+    @pytest.mark.parametrize("node_text", [None, "%.17e".__mod__], ids=["known", "parsed"])
+    def test_radial_and_spectrum_loaders_refuse(self, tmp_path, bad, node_text):
+        grid = make_grid(12.0, 64)
+        f = RadialFunction(grid=grid, values=np.exp(-grid.nodes))
+        radial, spectrum = tmp_path / "f.csv", tmp_path / "s.csv"
+        save_radial_csv(f, radial, lam=0.5)
+        save_spectrum_csv(hankel(f, 0.5), spectrum)
+        for path, load in ((radial, load_radial_csv), (spectrum, load_spectrum_csv)):
+            if node_text is not None:
+                _rewrite_nodes(path, node_text)
+            lines = path.read_text().splitlines()
+            lines[0] = lines[0].replace("lambda=0.5", f"lambda={bad}")
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == (
+                f"{path}: header lambda must lie in (-1/2, 120], where the Bessel evaluation"
+                f" is accurate, got {float(bad)!r}"
+            )
+
+
 # CSV fields: float spellings (subnormals, signed zeros, infinities and nan
 # included), and junk that float() may or may not accept
 _FLOAT_FIELD = st.floats().map(repr) | st.sampled_from(
@@ -407,8 +434,9 @@ class TestCsvReaderProperty:
 
 def load_per_field(path, text):
     """What loading ``text`` must give: (values, lambda), or the ValueError
-    message, with every field parsed by float(), the nodes checked against
-    the header's grid to 1e-12 rmax, and then every value checked finite."""
+    message, with every field parsed by float(), the header lambda checked
+    against the Bessel range, the nodes checked against the header's grid to
+    1e-12 rmax, and then every value checked finite."""
     expected = read_rows_per_field(path, text)
     if isinstance(expected, str):
         return expected
@@ -416,6 +444,9 @@ def load_per_field(path, text):
     fields = dict(tok.split("=", 1) for tok in header[1:].split() if "=" in tok)
     try:
         lam, n = float(fields["lambda"]), int(fields["n"])
+        if not -0.5 < lam <= 120.0:
+            raise ValueError(f"header lambda must lie in (-1/2, 120], where the Bessel"
+                             f" evaluation is accurate, got {lam!r}")
         if expected.shape[0] != n:
             raise ValueError(f"expected {n} rows, found {expected.shape[0]}")
         grid = make_grid(float(fields["rmax"]), n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sps
 
-from dunklsmooth import special
+from dunklsmooth import special, transforms
 from dunklsmooth.special import (
     BESSEL_ARG_MAX,
     BESSEL_LAMBDA_MAX,
@@ -140,17 +140,22 @@ class TestBesselTable:
 
     @pytest.mark.parametrize("lam", [-0.45, 0.25, 1.0])
     def test_a_value_does_not_depend_on_the_table_or_the_batch(self, lam):
-        # a panel depends only on lambda and its index: a scalar served by a
-        # table of 1 to 64 panels equals the same point inside an array that
-        # needs all 1024, bit for bit
+        # a panel depends only on lambda and its index: scalars served by a
+        # cold table, grown point by point to 40 panels, equal the same points
+        # inside an array that needs all 1000, bit for bit, and a table of 2
+        # panels holds the first columns of one of 1000
         t = np.array([0.5000000000000001, 0.75, 1.5, 1.5000000000000002, 2.7, 40.25,
                       999.5, BESSEL_ARG_MAX])
+        special._bessel_table.cache_clear()
         ev = BesselEvaluator(lam)
+        single = np.array([ev(float(x)) for x in t[:6]])
+        assert special._bessel_table(lam).columns.shape[1] == 40
+        single = np.concatenate([single, [ev(float(x)) for x in t[6:]]])
         batch = ev(np.concatenate([t, [BESSEL_ARG_MAX]]))[:-1]
-        single = np.array([ev(float(x)) for x in t])
         assert single.tobytes() == batch.tobytes()
         assert ev(t[:4]).tobytes() == batch[:4].tobytes()
-        small, large = special._bessel_table(lam, 2), special._bessel_table(lam, 1024)
+        small, large = special._BesselTable(lam).upto(2), special._bessel_table(lam).upto(1000)
+        assert large.shape[1] == 1000
         assert small.tobytes() == np.ascontiguousarray(large[:, :2]).tobytes()
 
     def test_only_the_table_range_is_tabled(self):
@@ -165,13 +170,82 @@ class TestBesselTable:
         assert ev(0.0) == 1.0
 
     def test_cache_stays_within_its_bound(self):
-        # each entry holds at most 1024 panels of 15 coefficients, read-only
+        # one entry per lambda, each a read-only table of at most the 1000
+        # panels of 15 coefficients that arguments up to BESSEL_ARG_MAX reach
         for k in range(special._bessel_table.cache_info().maxsize + 3):
             BesselEvaluator(0.3 + k / 7.0)(np.array([0.75, BESSEL_ARG_MAX]))
         info = special._bessel_table.cache_info()
         assert info.maxsize == 12 and info.currsize <= 12
-        table = special._bessel_table(0.25, 1024)
-        assert table.nbytes == 1024 * 15 * 8 and not table.flags.writeable
+        BesselEvaluator(0.25)(np.array([0.75, BESSEL_ARG_MAX]))
+        table = special._bessel_table(0.25).columns
+        assert table.shape == (15, 1000) and table.nbytes == 1000 * 15 * 8 == 120_000
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("lam", [-0.45, 1.0])
+    def test_growth_order_changes_no_column(self, lam):
+        # tables grown in increasing, decreasing and shuffled request orders
+        # hold the columns of one built in a single step, bit for bit
+        requests = [1, 2, 3, 17, 64, 65, 400, 899, 900, 1000]
+        orders = [requests, requests[::-1],
+                  list(np.random.default_rng(7).permutation(requests))]
+        whole = special._panel_columns(lam, 0, 1000)
+        for order in orders:
+            table = special._BesselTable(lam)
+            for panels in order:
+                columns = table.upto(int(panels))
+                assert columns.shape[1] >= panels and not columns.flags.writeable
+            assert table.columns.tobytes() == whole.tobytes(), order
+
+    @pytest.mark.parametrize("n, panels", [(512, 900), (2048, 1000)])
+    def test_a_fresh_build_computes_each_panel_once(self, monkeypatch, n, panels):
+        # the kernel's arguments stay below rmax^2 = 900, which takes 899
+        # panels at n = 512 and 900 at n = 2048 (power-of-two tables computed
+        # 1064 and 2047); each panel is computed once
+        points = []
+        library = special._library
+
+        def counting(lam, t):
+            points.append(np.size(t))
+            return library(lam, t)
+
+        monkeypatch.setattr(special, "_library", counting)
+        lam = 0.6180339887 + n / 1e6
+        transforms._kernel_matrix.__wrapped__(lam, make_grid(30.0, n))
+        assert 0 < sum(points) <= 15 * panels
+        assert special._bessel_table(lam).columns.shape[1] * 15 == sum(points)
+
+
+def series_reference(lam: float, t: np.ndarray) -> np.ndarray:
+    """The power series of j_lam summed to 18 terms, term = term * x / (k (k + lam))."""
+    x = -0.25 * t * t
+    term = np.ones_like(t)
+    acc = np.ones_like(t)
+    for k in range(1, 18):
+        term = term * x / (k * (k + lam))
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("lam", [-0.4999, -0.45, 0.0, 0.25, 1.0, 10.0, 120.0])
+def test_series_stops_without_changing_a_bit(lam):
+    # the series branch stops once the next term cannot move the rounded
+    # sum; it must equal the 18-term sum bit for bit, in any batch
+    rng = np.random.default_rng(22)
+    t = np.concatenate([
+        [0.0, 0.5, np.nextafter(0.5, 0.0), 5e-324, 1e-300, 1e-160, 1e-8, 0.25],
+        0.5 * rng.random(100_000),
+        np.geomspace(1e-300, 0.5, 100_000),
+    ])
+    ev = BesselEvaluator(lam)
+    expected = series_reference(lam, t)
+    assert ev._series(t).tobytes() == expected.tobytes()
+    assert ev(t).tobytes() == expected.tobytes()
+    # a batch of small arguments stops after fewer terms
+    for hi in (1e-3, 1e-8, 1e-100):
+        part = t[t <= hi]
+        assert ev._series(part).tobytes() == expected[t <= hi].tobytes()
 
 
 def one_minus_oracle(lam: float, t: float, terms: int = 400) -> float:

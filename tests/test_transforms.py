@@ -7,7 +7,7 @@ from scipy.integrate import quad as adaptive_quad
 from scipy.integrate import solve_ivp
 from scipy.special import gammaincc
 
-from dunklsmooth import transforms
+from dunklsmooth import special, transforms
 from dunklsmooth.quad import (
     RadialFunction,
     RadialGrid,
@@ -180,6 +180,19 @@ class TestKernelMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * mat.nbytes
+
+    @pytest.mark.parametrize("lam", [-0.45, 0.37])
+    def test_kernel_does_not_depend_on_the_table_it_grew(self, lam):
+        # a build from a cold table grows it batch by batch; one after the
+        # table was grown to all 1000 panels reads the same columns
+        g = make_grid(30.0, 512)
+        special._bessel_table.cache_clear()
+        cold = transforms._kernel_matrix.__wrapped__(lam, g)
+        special._bessel_table.cache_clear()
+        special._bessel_table(lam).upto(1000)
+        warm = transforms._kernel_matrix.__wrapped__(lam, g)
+        assert cold.tobytes() == warm.tobytes()
+        assert np.array_equal(cold, full_kernel(lam, g))
 
     def test_cached_kernel_is_read_only(self, grid):
         mat = transforms._kernel_matrix(0.25, grid)
@@ -573,10 +586,18 @@ class TestDunklTransform1D:
     def test_transform_reuses_the_radial_evaluation(self, sym_grid, monkeypatch):
         f = LineFunction(grid=sym_grid, values=np.exp(-0.5 * sym_grid.nodes**2))
         sizes = record_bessel_calls(monkeypatch)
-        dunkl_transform_1d(f, 1.1)
+        g = dunkl_transform_1d(f, 1.1)
         # each Bessel part is evaluated once per distinct radial product, where
         # the pointwise kernel would take all (2n)^2 points
         assert sum(sizes) == 2 * distinct_products(sym_grid.radial)
+        # the inverse at the same k reads both parts from the rank-one cache,
+        # which holds that pair and nothing more, read-only
+        dunkl_inverse_1d(g, 1.1)
+        assert sum(sizes) == 2 * distinct_products(sym_grid.radial)
+        info = transforms._radial_bessel.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+        mat = transforms._radial_bessel(1.1 + 0.5, sym_grid.radial)
+        assert mat.nbytes == 8 * sym_grid.radial.n ** 2 and not mat.flags.writeable
 
 
 class TestBoundaryIndex:
