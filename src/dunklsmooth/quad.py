@@ -180,7 +180,15 @@ def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
 def _spectral_l2(values: np.ndarray, grid: RadialGrid, lam: float) -> float:
     """L2(nu_lam) norm of samples on the grid, the Plancherel norm of a
     spectrum."""
-    return float(np.sqrt(np.sum(nu_weights(grid, lam) * np.abs(values) ** 2)))
+    return float(_spectral_l2s(values, grid, lam))
+
+
+def _spectral_l2s(rows: np.ndarray, grid: RadialGrid, lam: float) -> np.ndarray:
+    """``_spectral_l2`` of each row of a C-order (k, n) array of spectra (of
+    the array itself when 1-d).  Each row is summed along its contiguous
+    axis, which reproduces the 1-d sum bit for bit; an axis-0 sum of the
+    transposed (n, k) array does not."""
+    return np.sqrt(np.sum(nu_weights(grid, lam) * np.abs(rows) ** 2, axis=-1))
 
 
 def lp_norm(f: RadialFunction, p: float, lam: float) -> float:

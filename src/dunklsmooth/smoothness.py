@@ -24,11 +24,15 @@ modulus over a (deltas, orders, p) sweep, ``_diff_norms`` for the
 difference norm (one order at every p) and ``_candidate_minima`` for the
 candidate families at one scale.  ``modulus``, ``diff_norm``,
 ``k_functional_upper`` and ``realization_candidate_min`` are their
-one-(p, r) case.  Every modulus sup samples delta and the quarter-octave
-rungs 2^(-k/4) below it, a lattice all deltas share, so ``_moduli`` makes
-one Bessel base over the union of its deltas' steps and one inverse
-product per order.  ``_chain_sweep`` composes the evaluators over every
-scale of a chain, with one ``_moduli`` sweep per input.
+one-(p, r) case.  Every p = 2 norm is taken on the spectral side, where
+the transform is unitary (Plancherel), and an inverse product is made only
+for the other p: ``_image_norms`` serves the moduli and the difference
+norms, and ``_candidate_minima`` follows the same rule.  Every modulus sup
+samples delta and the quarter-octave rungs 2^(-k/4) below it, a lattice
+all deltas share, so ``_moduli`` makes one Bessel base over the union of
+its deltas' steps and, off p = 2, one inverse product per order.
+``_chain_sweep`` composes the evaluators over every scale of a chain,
+with one ``_moduli`` sweep per input.
 ``_best_approxes`` evaluates best approximation over a list of types at
 one p; at p = 2 its values come from one ``transforms._spectral_tails``
 sweep, which evaluates each Bessel block the cut panels share once, and
@@ -47,7 +51,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from .operators import eta, vallee_poussin
-from .quad import RadialFunction, _lp_norms, _spectral_l2, lp_norm, nu_weights
+from .quad import RadialFunction, _lp_norms, _spectral_l2, _spectral_l2s, lp_norm, nu_weights
 from .special import BesselEvaluator, _require
 from .transforms import (
     Spectrum,
@@ -87,7 +91,8 @@ class ModulusResult(NamedTuple):
 def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
     """Physical samples of invH(symbols[:, j] * fhat), one column per symbol.
 
-    Every modulus, difference norm and candidate family goes through it.
+    Every norm off p = 2 of a modulus, difference norm or candidate family
+    goes through it, and so does the p = 1 approximant's fit.
     ``symbols`` is scaled by the spectrum in place, so callers pass an
     array they own and do not reuse.
     """
@@ -148,6 +153,29 @@ def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray
     return np.maximum(BesselEvaluator(lam).one_minus(np.multiply.outer(nodes, steps)), 0.0)
 
 
+def _image_norms(fhat: Spectrum, symbols: np.ndarray, p_values: Sequence[float]
+                 ) -> dict[float, np.ndarray]:
+    """||invH(symbols[:, j] * fhat)||_p of every column j, ``{p: norms}``.
+
+    p = 2 is taken on the spectral side: the transform is unitary on
+    L2(nu_lam), so each norm is the Plancherel norm of symbols[:, j] * fhat,
+    summed along a contiguous row as ``_spectral_l2`` sums it.  The other p
+    share one inverse product, made only when some p != 2 is swept; it
+    scales ``symbols`` in place, so callers pass an array they own and do
+    not reuse.
+    """
+    grid, lam = fhat.grid, fhat.lam
+    norms = {}
+    if 2 in p_values:
+        norms[2.0] = _spectral_l2s(np.ascontiguousarray(symbols.T) * fhat.values, grid, lam)
+    off_2 = [p for p in p_values if p != 2]
+    if off_2:
+        phys = _inverse_products(fhat, symbols)
+        for p in off_2:
+            norms[p] = _lp_norms(phys, grid, lam, p)
+    return norms
+
+
 def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
             p_values: Sequence[float], base: np.ndarray | None = None,
             ) -> dict[tuple[float, float, float], ModulusResult]:
@@ -156,27 +184,27 @@ def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
     ``_modulus_steps`` of ||Delta_t^m f||_p.
 
     The sweep evaluates one ``_bessel_base`` over the union U of the
-    deltas' steps (``_ladder``; ``base`` when the caller holds it) and one
-    (n, U) inverse product of base^(m/2) per order, whose norms it takes once
-    per p.  Each delta reads its own entries of that norm vector, in its own
-    decreasing order, so ties of ``t_max`` break towards the larger step.
-    A gemm column and an axis-0 norm of an (n, k >= 2) array do not depend on
-    k, so each value equals the one-delta sweep's.
+    deltas' steps (``_ladder``; ``base`` when the caller holds it) and takes
+    the ``_image_norms`` of base^(m/2) once per order: Plancherel sums at
+    p = 2, and one (n, U) inverse product for the other p.  Each delta reads
+    its own entries of each p's norm vector, in its own decreasing order, so
+    ties of ``t_max`` break towards the larger step.  A gemm column, an
+    axis-0 norm of an (n, k >= 2) array and a row sum do not depend on k, so
+    each value equals the one-delta sweep's.
     """
     union, own = _ladder(deltas)
     if base is None:
         base = _bessel_base(fhat.lam, fhat.grid.nodes, union)
     moduli = {}
     for m in orders:
-        phys = _inverse_products(fhat, base ** (0.5 * m))
+        # one order's product alive at a time
+        norms = _image_norms(fhat, base ** (0.5 * m), p_values)
         for p in p_values:
-            norms = _lp_norms(phys, fhat.grid, fhat.lam, p)
             for delta, idx in own.items():
-                mine = norms[idx]
+                mine = norms[p][idx]
                 i = int(np.argmax(mine))
                 moduli[delta, p, m] = ModulusResult(value=float(mine[i]),
                                                     t_max=float(union[idx[i]]))
-        del phys  # one order's product alive at a time
     return moduli
 
 
@@ -186,7 +214,8 @@ def _diff_norms(fhat: Spectrum, base: np.ndarray | None, m: float, r: float,
     ``_bessel_base`` column of the step t (unused when m = 0); m = 0 (or
     r = 0) drops that factor.
 
-    One single-column inverse product serves every p.
+    The ``_image_norms`` of the one symbol column: its Plancherel norm at
+    p = 2, and one single-column inverse product for the other p.
     """
     nodes = fhat.grid.nodes
     sym = np.ones_like(nodes)
@@ -194,8 +223,8 @@ def _diff_norms(fhat: Spectrum, base: np.ndarray | None, m: float, r: float,
         sym = sym * nodes**r
     if m > 0:
         sym = sym * base ** (0.5 * m)
-    phys = _inverse_products(fhat, sym[:, None])
-    return [float(_lp_norms(phys, fhat.grid, fhat.lam, p)[0]) for p in p_values]
+    norms = _image_norms(fhat, sym[:, None], p_values)
+    return [float(norms[p][0]) for p in p_values]
 
 
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -257,12 +286,10 @@ def _l2_objectives(fhat: Spectrum, syms: np.ndarray, t: float, r: float) -> np.n
     """K-objective at p = 2 of each candidate column, on the spectral side
     (Parseval); no inverse product."""
     grid, lam = fhat.grid, fhat.lam
-    # (k, n) rows: each candidate is summed along a contiguous row, which
-    # reproduces a 1-D sum bit for bit (an axis-0 sum of (n, k) does not)
+    # (k, n) rows, one candidate each, as ``_spectral_l2s`` sums them
     gs = np.ascontiguousarray(syms.T) * fhat.values
-    w = nu_weights(grid, lam)
-    approx = np.sqrt(np.sum(w * np.abs(fhat.values - gs) ** 2, axis=1))
-    deriv = np.sqrt(np.sum(w * np.abs(grid.nodes**r * gs) ** 2, axis=1))
+    approx = _spectral_l2s(fhat.values - gs, grid, lam)
+    deriv = _spectral_l2s(grid.nodes**r * gs, grid, lam)
     return approx + t**r * deriv
 
 
@@ -330,9 +357,10 @@ def diff_norm(
 ) -> float:
     """|| Delta_t^m (-Lap)^(r/2) f ||_{p, nu}; m = 0 (or r = 0) drops that factor.
 
-    One code path for every p: invert the symbol-multiplied spectrum, then
-    measure the norm on the physical grid.  t, m and r must be finite and
-    nonnegative, and t positive when m > 0.
+    At p = 2 the norm is the Plancherel norm of the symbol-multiplied
+    spectrum; other p invert it and measure the norm on the physical grid
+    (``_image_norms``).  t, m and r must be finite and nonnegative, and t
+    positive when m > 0.
     """
     _require("order m", m, zero_ok=True)
     _require("r", r, zero_ok=True)
@@ -355,8 +383,10 @@ def modulus(
     The sup is discretized on delta and the _MODULUS_SAMPLES quarter-octave
     rungs 2^(-k/4) below it (``_modulus_steps``), a lattice every delta
     shares, so a sweep over many deltas evaluates each step once.  The value
-    is a lower bound of the true sup within grid slack.  The one-delta case
-    of ``_moduli``.
+    is a lower bound of the true sup within grid slack.  At p = 2 each
+    step's norm is the Plancherel norm of the symbol-multiplied spectrum,
+    at other p the physical norm of its inverse.  The one-delta case of
+    ``_moduli``.
     """
     _require("delta", delta)
     _require("order m", m)
@@ -615,15 +645,16 @@ def _chain_sweep(
     ``realization_candidate_min``) at the same (p, r, t).
 
     The moduli of every scale come from one ``_moduli`` sweep: one Bessel
-    base over the union of the scales' steps, and one inverse product per
-    order r.  The difference norms read column t of that base (the step t
-    itself) and take ``_diff_norms``, as ``diff_norm`` does, one
-    single-column product per (t, r): a one-column slice of a wide product
-    is not bit-equal to that matrix-vector product.  The base is released
-    before the realizations: "R" and "Rstar" take each p's approximants of
-    the types 1/t from one ``_best_approxes`` sweep, each computed once for
-    every r, and ``_candidate_minima`` makes one product per scale for
-    every family off p = 2.
+    base over the union of the scales' steps, and off p = 2 one inverse
+    product per order r.  The difference norms read column t of that base
+    (the step t itself) and take ``_diff_norms``, as ``diff_norm`` does:
+    Plancherel sums at p = 2, and off p = 2 one single-column product per
+    (t, r), since a one-column slice of a wide product is not bit-equal to
+    that matrix-vector product.  The base is released before the
+    realizations: "R" and "Rstar" take each p's approximants of the types
+    1/t from one ``_best_approxes`` sweep, each computed once for every r,
+    and ``_candidate_minima`` makes one product per scale for every family
+    off p = 2.  A sweep at p = 2 alone makes no inverse product.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")

@@ -219,6 +219,15 @@ class BesselEvaluator:
             acc += row.take(panel)
         return acc
 
+    def reserve(self, t_max: float) -> None:
+        """Grow the table to the panels that arguments up to ``t_max`` read,
+        in one step: a caller that evaluates its points in many batches then
+        grows it once, not once per batch that passes its extent.  No value
+        depends on the table's extent."""
+        t = min(float(t_max), BESSEL_ARG_MAX)
+        if t > _SERIES_CUTOFF:
+            _bessel_table(float(self.lam)).upto(int(t - 0.5) + 1)
+
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0

@@ -250,8 +250,10 @@ def _bessel_outer(evaluator: BesselEvaluator, grid: RadialGrid) -> np.ndarray:
     The first block of each key in the upper block triangle is evaluated,
     only its upper triangle when symmetric, in batches of at most
     _BESSEL_BATCH points; j_lam acts elementwise, so batching changes no
-    value.  Every other block is then copied from the first of its key, or
-    transposed from the first of the transposed key.
+    value.  The evaluator's table is first grown to the panels of the
+    largest argument, so it grows once per build, not once per batch that
+    reaches past its extent.  Every other block is then copied from the
+    first of its key, or transposed from the first of the transposed key.
     """
     panels = _panel_slices(grid)
     nodes = grid.nodes
@@ -260,6 +262,7 @@ def _bessel_outer(evaluator: BesselEvaluator, grid: RadialGrid) -> np.ndarray:
     for p, (rows, bp, ep) in enumerate(panels):
         for cols, bq, eq in panels[p:]:
             first.setdefault((bp, bq, ep + eq), (rows, cols, bp == bq))
+    evaluator.reserve(nodes[-1] * nodes[-1])
     for batch in _batches(first.values()):
         args = []
         for rows, cols, upper in batch:

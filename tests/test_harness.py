@@ -814,6 +814,21 @@ class TestRunAll:
         with pytest.raises(ConfigError):
             run_all(cfg_path)
 
+    def test_default_run_makes_no_inverse_product(self, tmp_path, monkeypatch):
+        # the default sweep is p = 2 only, where the moduli and difference
+        # norms are Plancherel sums of the symbol-multiplied spectrum
+        calls = []
+        products = smoothness._inverse_products
+
+        def counted(fhat, symbols):
+            calls.append(symbols.shape)
+            return products(fhat, symbols)
+
+        monkeypatch.setattr(smoothness, "_inverse_products", counted)
+        assert run_all(output_dir=tmp_path / "reports") == 0
+        assert len(list((tmp_path / "reports").iterdir())) == 16
+        assert calls == []
+
     def test_small_run_writes_reports(self, tmp_path):
         spec = {
             "output_dir": str(tmp_path / "reports"),

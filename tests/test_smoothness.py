@@ -31,9 +31,15 @@ from dunklsmooth.smoothness import (
     realization,
     realization_candidate_min,
 )
-from dunklsmooth.quad import _lp_norms
+from dunklsmooth.quad import _lp_norms, _spectral_l2
 from dunklsmooth.special import BesselEvaluator, binom_tail_bound, jm_multiplier
-from dunklsmooth.transforms import _kernel_matrix, hankel, inverse_hankel, spectral_tail_l2
+from dunklsmooth.transforms import (
+    _kernel_matrix,
+    hankel,
+    inverse_hankel,
+    spectral_tail_l2,
+    spectrum_from_values,
+)
 
 LAM = 0.25
 
@@ -217,6 +223,52 @@ class TestModulusSweep:
         full = _lp_norms(phys, grid, LAM, p)
         for a, b in ((0, 2), (3, 28), (17, 40)):
             assert np.array_equal(_lp_norms(phys[:, a:b], grid, LAM, p), full[a:b]), WIDTH_NOTE
+
+
+class TestPlancherelSide:
+    """p = 2 norms of the modulus and the difference norms are Plancherel
+    norms of the symbol-multiplied spectrum: no inverse product is made."""
+
+    @staticmethod
+    def physical_l2(fhat, image):
+        return lp_norm(inverse_hankel(spectrum_from_values(fhat.grid, LAM, image)), 2, LAM)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_modulus_is_the_plancherel_norm_at_its_step(self, grid, gauss, m):
+        fhat = hankel(gauss, LAM)
+        for delta in (0.05, 0.3, 1.0):
+            res = modulus(gauss, delta, m, 2, LAM, fhat=fhat)
+            image = jm_multiplier(LAM, m, grid.nodes * res.t_max) * fhat.values
+            assert res.value == _spectral_l2(image, grid, LAM)
+            assert res.value == pytest.approx(self.physical_l2(fhat, image), rel=1e-6)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_diff_norm_is_the_plancherel_norm(self, grid, gauss, m):
+        fhat = hankel(gauss, LAM)
+        for t, r in ((0.05, 0.0), (0.3, 0.0), (0.3, 1.5)):
+            image = grid.nodes**r * jm_multiplier(LAM, m, grid.nodes * t) * fhat.values
+            value = diff_norm(gauss, t, m, 2, LAM, r=r, fhat=fhat)
+            assert value == _spectral_l2(image, grid, LAM)
+            assert value == pytest.approx(self.physical_l2(fhat, image), rel=1e-6)
+
+    def test_p2_sweeps_make_no_inverse_product(self, gauss, monkeypatch):
+        calls = []
+        products = smoothness._inverse_products
+
+        def counted(fhat, symbols):
+            calls.append(symbols.shape)
+            return products(fhat, symbols)
+
+        monkeypatch.setattr(smoothness, "_inverse_products", counted)
+        fhat = hankel(gauss, LAM)
+        names = smoothness._CHAIN_FUNCTIONALS
+        _chain_sweep(gauss, (0.05, 0.3), (0.5, 2.0), (2.0,), LAM, names, fhat=fhat)
+        _moduli(fhat, (0.1, 0.3), (1.0,), (2.0,))
+        diff_norm(gauss, 0.3, 1.0, 2, LAM, r=1.0, fhat=fhat)
+        assert calls == []
+        # another p adds one product to the same sweep
+        _moduli(fhat, (0.1, 0.3), (1.0,), (1.0, 2.0))
+        assert len(calls) == 1
 
 
 def _refusals(f):

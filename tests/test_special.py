@@ -17,7 +17,7 @@ from dunklsmooth.special import (
     binom_tail_bound,
     jm_multiplier,
 )
-from dunklsmooth.quad import RadialFunction, make_grid
+from dunklsmooth.quad import RadialFunction, make_grid, nu_weights
 from dunklsmooth.smoothness import (
     _chain_sweep,
     best_approx,
@@ -202,19 +202,51 @@ class TestBesselTable:
     def test_a_fresh_build_computes_each_panel_once(self, monkeypatch, n, panels):
         # the kernel's arguments stay below rmax^2 = 900, which takes 899
         # panels at n = 512 and 900 at n = 2048 (power-of-two tables computed
-        # 1064 and 2047); each panel is computed once
-        points = []
-        library = special._library
+        # 1064 and 2047); each panel is computed once, and in one step: the
+        # build reserves the panels of its largest argument, the last node's
+        # square, before its first batch.  The kernel is still the
+        # point-by-point one, row block by row block
+        points, steps = [], []
+        library, columns = special._library, special._panel_columns
 
         def counting(lam, t):
             points.append(np.size(t))
             return library(lam, t)
 
+        def stepping(lam, start, stop):
+            steps.append((start, stop))
+            return columns(lam, start, stop)
+
         monkeypatch.setattr(special, "_library", counting)
-        lam = 0.6180339887 + n / 1e6
-        transforms._kernel_matrix.__wrapped__(lam, make_grid(30.0, n))
+        monkeypatch.setattr(special, "_panel_columns", stepping)
+        lam, g = 0.6180339887 + n / 1e6, make_grid(30.0, n)
+        mat = transforms._kernel_matrix.__wrapped__(lam, g)
         assert 0 < sum(points) <= 15 * panels
         assert special._bessel_table(lam).columns.shape[1] * 15 == sum(points)
+        assert steps == [(0, special._bessel_table(lam).columns.shape[1])]
+        evaluator, w = BesselEvaluator(lam), nu_weights(g, lam)
+        for lo in range(0, n, 256):
+            rows = evaluator(np.multiply.outer(g.nodes[lo:lo + 256], g.nodes)) * w[None, :]
+            assert np.array_equal(mat[lo:lo + 256], rows), lo
+        # a rank-one pair member is built the same way
+        steps.clear()
+        radial = make_grid(30.0, 256)
+        transforms._radial_bessel.__wrapped__(lam + 0.5, radial)
+        assert steps == [(0, int(radial.nodes[-1] * radial.nodes[-1] - 0.5) + 1)]
+
+    def test_reserve_grows_to_the_panels_an_argument_reads(self):
+        special._bessel_table.cache_clear()
+        evaluator = BesselEvaluator(0.3)
+        for t_max in (0.5, math.nan, 0.0):
+            evaluator.reserve(t_max)
+            assert special._bessel_table(0.3).columns.shape[1] == 0
+        # panel k is [k + 1/2, k + 3/2]: an argument just above 2.5 reads panel 2
+        evaluator.reserve(np.nextafter(2.5, 3.0))
+        assert special._bessel_table(0.3).columns.shape[1] == 3
+        evaluator.reserve(1.0)
+        assert special._bessel_table(0.3).columns.shape[1] == 3
+        evaluator.reserve(1e6)
+        assert special._bessel_table(0.3).columns.shape[1] == 1000
 
 
 def series_reference(lam: float, t: np.ndarray) -> np.ndarray:

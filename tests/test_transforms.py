@@ -183,8 +183,9 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("lam", [-0.45, 0.37])
     def test_kernel_does_not_depend_on_the_table_it_grew(self, lam):
-        # a build from a cold table grows it batch by batch; one after the
-        # table was grown to all 1000 panels reads the same columns
+        # a build from a cold table grows it to the panels its largest
+        # argument reads; one after the table was grown to all 1000 panels
+        # reads the same columns
         g = make_grid(30.0, 512)
         special._bessel_table.cache_clear()
         cold = transforms._kernel_matrix.__wrapped__(lam, g)
