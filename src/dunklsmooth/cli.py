@@ -8,8 +8,8 @@ Subcommands:
 * ``verify NAME --lambda ...``   run a single experiment from flags.
 * ``transform --input f.csv --lambda v --output fhat.csv``
                                  Hankel-transform a sampled radial profile
-                                 whose header holds the same lambda and an
-                                 rmax the kernel can serve (2 otherwise).
+                                 whose header holds the same lambda, on a
+                                 grid the kernel and weights serve (2 otherwise).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import sys
 from functools import lru_cache
 
 from .harness import (
-    _GRID_RMAX,
     ConfigError,
     EXPERIMENTS,
     ExperimentConfig,
@@ -31,7 +30,7 @@ from .harness import (
     parse_config,
     run_config,
 )
-from .quad import load_radial_csv
+from .quad import _check_rmax, _check_weights, load_radial_csv
 from .special import _check_lambda
 from .transforms import hankel, save_spectrum_csv
 
@@ -126,9 +125,8 @@ def _cmd_transform(args) -> int:
     f, lam = load_radial_csv(args.input)
     if lam != args.lam:
         raise ValueError(f"{args.input}: header lambda={lam!r} differs from --lambda {args.lam!r}")
-    in_range, text = _GRID_RMAX
-    if not in_range(f.grid.rmax):
-        raise ValueError(f"{args.input}: header rmax must be {text}, got {f.grid.rmax!r}")
+    _check_rmax(f.grid.rmax, f"{args.input}: header rmax")
+    _check_weights(f.grid.rmax, lam, f"{args.input}: header lambda")
     spectrum = hankel(f, args.lam)
     save_spectrum_csv(spectrum, args.output)
     if spectrum.truncated:

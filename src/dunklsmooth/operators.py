@@ -39,7 +39,8 @@ def eta(t):
     """Smooth cutoff: 1 on [0, 1], 0 on [2, inf), and on (1, 2) the
     exponential-bump bridge h(2-t) / (h(2-t) + h(t-1)), h(u) = exp(-1/u).
 
-    A scalar gives a float, an array an array of the same shape.
+    A scalar gives a float, an array an array of the same shape; NaN maps
+    to NaN.
     """
     arr = np.asarray(t, dtype=float)
     u = np.atleast_1d(arr)
@@ -50,7 +51,7 @@ def eta(t):
         out[pos] = np.exp(-1.0 / x[pos])
         return out
 
-    out = np.empty_like(u)
+    out = np.full_like(u, np.nan)
     out[u <= 1.0] = 1.0
     out[u >= 2.0] = 0.0
     mid = (u > 1.0) & (u < 2.0)

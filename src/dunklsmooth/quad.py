@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .special import _check_lambda
+from .special import BESSEL_ARG_MAX, _check_lambda
 
 __all__ = [
     "RadialGrid",
@@ -158,6 +158,26 @@ def _check_kernel_size(n: int, name: str) -> None:
                          f" more than the {memory} bytes of physical memory")
 
 
+def _check_rmax(rmax: float, name: str) -> None:
+    """Refuse a grid rmax whose kernel arguments r_i t_j, which reach
+    rmax^2, leave the range where the Bessel evaluation keeps its accuracy,
+    naming the field ``name``."""
+    if not 0 < rmax <= math.sqrt(BESSEL_ARG_MAX):
+        raise ValueError(f"{name} must be in (0, {math.sqrt(BESSEL_ARG_MAX):.4g}] (kernel"
+                         " arguments reach rmax^2, and the Bessel evaluation is accurate on"
+                         f" [0, {BESSEL_ARG_MAX:g}] only), got {rmax!r}")
+
+
+def _check_weights(rmax: float, lam: float, name: str) -> None:
+    """Refuse a lambda whose nu weights overflow on a grid of rmax, naming the
+    field ``name``: they reach b_lam * rmax^(2 lam + 1), and rmax^(2 lam + 1)
+    is formed first, so it must stay a double."""
+    log_rmax, log_max = math.log(rmax), math.log(np.finfo(float).max)
+    if (2.0 * lam + 1.0) * log_rmax > log_max:
+        raise ValueError(f"{name} must be <= {(log_max / log_rmax - 1.0) / 2.0:.4g} on a grid"
+                         f" of rmax {rmax!r}, whose weights hold rmax^(2*lambda+1), got {lam!r}")
+
+
 def b_lambda(lam: float) -> float:
     """Normalizer b_lam = 1/(2^lam Gamma(lam+1)) of d nu_lam; requires
     lam > -1 for integrability at 0."""
@@ -170,8 +190,9 @@ def b_lambda(lam: float) -> float:
 @lru_cache(maxsize=32)
 def nu_weights(grid: RadialGrid, lam: float) -> np.ndarray:
     """Quadrature weights of d nu_lam on the grid: b_lam * w_i * t_i^(2*lam+1)
-    (read-only)."""
+    (read-only); a lambda whose weights overflow is refused."""
     lam = float(lam)
+    _check_weights(grid.rmax, lam, "lambda")
     weights = b_lambda(lam) * grid.weights * grid.nodes ** (2.0 * lam + 1.0)
     weights.flags.writeable = False
     return weights
@@ -277,15 +298,6 @@ def _table(path: str | Path, rows: list[str]) -> np.ndarray:
     return table.reshape(len(rows), 2)
 
 
-def _header_lambda(fields: dict[str, str]) -> float:
-    """The header's lambda, refused outside the Bessel range."""
-    lam = float(fields["lambda"])
-    try:
-        return _check_lambda(lam)
-    except ValueError as exc:
-        raise ValueError(f"header {exc}") from None
-
-
 def _value_column(fields: dict[str, str], rows: list[str]) -> tuple[RadialGrid, list[str]] | None:
     """The grid the header names and the rows' value fields, when every row
     is `node,value` with the node in that grid's ``_node_text``; None when
@@ -324,14 +336,14 @@ def _load_csv(path: str | Path, extra: tuple[str, ...] = ()
         grid, column = known
         try:
             values = np.fromiter(map(float, column), float, count=grid.n)
-            lam = _header_lambda(fields)
+            lam = _check_lambda(fields["lambda"], "header lambda")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         nodes = grid.nodes
     else:
         data = _table(path, rows)
         try:
-            lam, n = _header_lambda(fields), int(fields["n"])
+            lam, n = _check_lambda(fields["lambda"], "header lambda"), int(fields["n"])
             if data.shape[0] != n:
                 raise ValueError(f"expected {n} rows, found {data.shape[0]}")
             _check_kernel_size(n, "header n")

@@ -26,8 +26,9 @@ candidate families at one scale.  ``modulus``, ``diff_norm``,
 ``k_functional_upper`` and ``realization_candidate_min`` are their
 one-(p, r) case.  Every p = 2 norm is taken on the spectral side, where
 the transform is unitary (Plancherel), and an inverse product is made only
-for the other p: ``_image_norms`` serves the moduli and the difference
-norms, and ``_candidate_minima`` follows the same rule.  Every modulus sup
+for the other p: ``_image_norms`` serves the moduli, the difference norms,
+the realization's derivative term and the harness's Bernstein rows, and
+``_candidate_minima`` follows the same rule.  Every modulus sup
 samples delta and the quarter-octave rungs 2^(-k/4) below it, a lattice
 all deltas share, so ``_moduli`` makes one Bessel base over the union of
 its deltas' steps and, off p = 2, one inverse product per order.
@@ -51,7 +52,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from .operators import eta, vallee_poussin
-from .quad import RadialFunction, _lp_norms, _spectral_l2, _spectral_l2s, lp_norm, nu_weights
+from .quad import RadialFunction, _lp_norms, _spectral_l2s, lp_norm, nu_weights
 from .special import BesselEvaluator, _require
 from .transforms import (
     Spectrum,
@@ -91,8 +92,9 @@ class ModulusResult(NamedTuple):
 def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
     """Physical samples of invH(symbols[:, j] * fhat), one column per symbol.
 
-    Every norm off p = 2 of a modulus, difference norm or candidate family
-    goes through it, and so does the p = 1 approximant's fit.
+    Every norm off p = 2 of a modulus, difference norm, realization
+    derivative term, Bernstein side or candidate family goes through it, and
+    so does the p = 1 approximant's fit.
     ``symbols`` is scaled by the spectrum in place, so callers pass an
     array they own and do not reuse.
     """
@@ -543,7 +545,8 @@ def realization(
     (near-)best approximant of spherical type 1/t (see ``best_approx``: the
     weighted-L1 fit at p = 1, the smoothing projection at other p != 2);
     bandlimited functions lie in every Sobolev class, so the derivative term
-    is always finite.  ``approx`` is a precomputed
+    is always finite.  It is the ``_image_norms`` of the one symbol column
+    nodes^r applied to g*.  ``approx`` is a precomputed
     ``best_approx(f, 1/t, p, lam)``, so that a sweep over r computes it
     once; its approximant must live on f's grid at index lam.  ``fhat`` is
     the precomputed transform of f, used when ``approx`` is not given.
@@ -556,14 +559,8 @@ def realization(
         g = _spectrum_of(f, lam, approx.g_star)
         if g.bandlimit is None or g.bandlimit > 1.0 / t:
             raise ValueError(f"approximant is not of spherical type 1/t = {1.0 / t!r}")
-    grid = approx.g_star.grid
-    dg = grid.nodes**r * approx.g_star.values
-    if p == 2:
-        deriv = _spectral_l2(dg, grid, lam)
-    else:
-        phys = _kernel_matrix(lam, grid) @ dg
-        deriv = lp_norm(RadialFunction(grid=f.grid, values=phys), p, lam)
-    term = t**r * deriv
+    g = approx.g_star
+    term = t**r * float(_image_norms(g, (g.grid.nodes**r)[:, None], (p,))[p][0])
     return RealizationResult(
         value=approx.value + term,
         approx_error=approx.value,

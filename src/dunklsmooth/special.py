@@ -40,12 +40,13 @@ BESSEL_ARG_MAX = 1e3
 BESSEL_LAMBDA_MAX = 120.0
 
 
-def _check_lambda(lam: float) -> float:
-    """``lam`` as a float; refused unless it lies in (LAMBDA_MIN, BESSEL_LAMBDA_MAX]."""
+def _check_lambda(lam: float, name: str = "lambda") -> float:
+    """``lam`` as a float; refused unless it lies in (LAMBDA_MIN,
+    BESSEL_LAMBDA_MAX], naming the field ``name``."""
     lam = float(lam)
     if not (LAMBDA_MIN < lam <= BESSEL_LAMBDA_MAX):
         raise ValueError(
-            f"lambda must lie in (-1/2, {BESSEL_LAMBDA_MAX:g}], where the Bessel evaluation"
+            f"{name} must lie in (-1/2, {BESSEL_LAMBDA_MAX:g}], where the Bessel evaluation"
             f" is accurate, got {lam!r}"
         )
     return lam

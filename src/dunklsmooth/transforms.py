@@ -128,12 +128,8 @@ def spectrum_from_values(
     lam: float,
     values: np.ndarray,
     bandlimit: float | None = None,
-    truncated: bool = False,
 ) -> Spectrum:
-    return Spectrum(
-        grid=grid, lam=float(lam), base=np.asarray(values),
-        bandlimit=bandlimit, truncated=truncated,
-    )
+    return Spectrum(grid=grid, lam=float(lam), base=np.asarray(values), bandlimit=bandlimit)
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +295,11 @@ def _kernel_matrix(lam: float, grid: RadialGrid) -> np.ndarray:
 
     Cached per (lam, grid), read-only: harness sweeps apply the same
     transform thousands of times.  The Bessel part is built from its
-    distinct panel blocks (see ``_bessel_outer``).
+    distinct panel blocks (see ``_bessel_outer``) once the weights admit lam.
     """
+    weights = nu_weights(grid, lam)
     mat = _bessel_outer(BesselEvaluator(lam), grid)
-    mat *= nu_weights(grid, lam)[None, :]
+    mat *= weights[None, :]
     mat.flags.writeable = False
     return mat
 
@@ -328,7 +325,8 @@ def hankel(f: RadialFunction, lam: float) -> Spectrum:
     """Hankel transform of a sampled radial profile, on the profile's grid.
 
     Deterministic given the grid; flags the output when the input's
-    nu-weighted mass is truncation-suspect near rmax.
+    nu-weighted mass is truncation-suspect near rmax.  A lambda outside the
+    Bessel range, or whose weights overflow on the grid, raises ValueError.
     """
     lam = _check_lambda(lam)
     grid = f.grid

@@ -89,6 +89,20 @@ def test_transform_refuses_an_rmax_beyond_the_bessel_range(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_transform_refuses_a_lambda_whose_weights_overflow(tmp_path, capsys):
+    # the weights hold rmax^(2 lambda + 1) = 30^221, past the largest double:
+    # the spectrum came out inf at every node, with exit 0
+    grid = make_grid(30.0, 64)
+    src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"
+    save_radial_csv(RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2)), src, lam=110.0)
+    rc = main(["transform", "--input", str(src), "--lambda", "110", "--output", str(dst)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{src}: header lambda must be <= 103.8 on a grid of rmax 30.0" in err
+    assert "got 110.0" in err
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_transform_refuses_a_non_finite_sample(tmp_path, capsys, bad):
     # the spectrum came out NaN at every node, with exit 0

@@ -257,6 +257,9 @@ class TestConfig:
         assert np.all(np.isfinite(nu_weights(make_grid(30.0, 2048), 103.8)))
         with pytest.raises(ConfigError, match="bernstein: lambda_values must be <= 103.8"):
             config(103.9)
+        # the library applies the same rule wherever weights are formed
+        with pytest.raises(ValueError, match=r"lambda must be <= 103\.8 on a grid of rmax 30\.0"):
+            nu_weights(make_grid(30.0, 2048), 103.9)
         # a smaller grid reaches the Bessel limit first
         assert config(BESSEL_LAMBDA_MAX, rmax=15.0).experiments[0].lambda_values[1] == 120.0
         assert np.all(np.isfinite(nu_weights(make_grid(15.0, 512), BESSEL_LAMBDA_MAX)))
@@ -484,8 +487,9 @@ class TestExperiments:
         # per input: one Bessel base over the union of its scales' modulus
         # steps and one modulus product per order r; per (input, scale): at
         # most one wide candidate product, the difference norms' one
-        # single-column product per r, and the p = 1 approximant's LP fit
-        # one product of its hat columns
+        # single-column product per r, the p = 1 approximant's LP fit one
+        # product of its hat columns, and off p = 2 the realization's
+        # derivative term one single-column product per r
         widths, bases, realizations, fits = [], [], [], []
         products = smoothness._inverse_products
         one_minus = BesselEvaluator.one_minus
@@ -530,7 +534,8 @@ class TestExperiments:
         assert len(fits) == (per_scale if name == "realization" else 0)
         assert len(wide) <= per_scale + len(fits)
         singles = len(rest) - len(wide)
-        assert singles == (per_scale * len(rs) if name == "equivalence" else 0)
+        off_2 = sum(p != 2 for p in ps)
+        assert singles == per_scale * len(rs) * (1 if name == "equivalence" else off_2)
         if name == "realization":
             assert len(realizations) == per_scale * len(rs) * len(ps)
             assert len(set(realizations)) == len(realizations) // len(lams)
@@ -705,6 +710,26 @@ class TestExperiments:
         assert all(row.ratio <= 1.0 + 1e-8 for row in p2)
         sharp = [row for row in rep.rows if row.check == "bernstein:sharpness"]
         assert sharp and all(row.ratio >= 0.8 for row in sharp)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_bernstein_norms_are_one_column_image_norms(self, grid, p, monkeypatch):
+        # both sides of a row are the _image_norms of one symbol column: two
+        # single-column inverse products per row off p = 2, Plancherel sums
+        # and no product at p = 2
+        widths = []
+        products = smoothness._inverse_products
+
+        def counted(fhat, symbols):
+            widths.append(symbols.shape[1])
+            return products(fhat, symbols)
+
+        monkeypatch.setattr(smoothness, "_inverse_products", counted)
+        cfg = ExperimentConfig(name="bernstein", p_values=(p,), r_values=(1.0, 2.0),
+                               scale=ScaleGrid(1.0, 8.0, 3))
+        rows = [row for row in EXPERIMENTS["bernstein"](cfg, grid).rows
+                if row.check == "bernstein"]
+        assert len(rows) == 6
+        assert widths == ([] if p == 2 else [1] * 2 * len(rows))
 
     def test_bernstein_sigma_doubling_scaling(self, grid):
         # same spectrum measured against a doubled type halves the ratio 2^-r

@@ -59,6 +59,13 @@ class TestEta:
         assert np.all(np.diff(vals) <= 0)
         assert np.all((vals >= 0) & (vals <= 1))
 
+    def test_nan_maps_to_nan(self):
+        # NaN lies in no branch: it read whatever memory the output held
+        assert math.isnan(eta(math.nan))
+        assert math.isnan(eta(np.array(math.nan)))
+        vals = eta(np.array([math.nan, 0.5, 1.5, math.nan, 3.0]))
+        assert np.array_equal(vals, [math.nan, 1.0, 0.5, math.nan, 0.0], equal_nan=True)
+
 
 class TestTranslateT:
     def test_small_step_near_identity(self, gauss_spec):

@@ -88,6 +88,21 @@ class TestHankel:
         with pytest.raises(ValueError):
             hankel(f, -0.5)
 
+    def test_refuses_a_lambda_whose_weights_overflow_before_any_bessel_work(
+        self, grid, monkeypatch
+    ):
+        # the weights hold rmax^(2 lambda + 1) = 30^221, past the largest
+        # double: the spectrum came out non-finite at every node
+        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+        calls = record_bessel_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"lambda must be <= 103\.8 on a grid of rmax 30\.0"):
+            hankel(f, 110.0)
+        assert calls == []
+
+    def test_lambda_at_the_weight_bound_gives_a_finite_spectrum(self, grid):
+        f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+        assert np.all(np.isfinite(hankel(f, 103.8).values))
+
     def test_truncation_flag_propagates(self, grid):
         slow = RadialFunction(grid=grid, values=(1.0 + grid.nodes**2) ** -2.0)
         assert hankel(slow, 0.0).truncated
