@@ -15,11 +15,17 @@ rows carry the exact lhs/rhs so failures are auditable.
 Experiments hold no numerical rule of their own: every norm of a multiplier
 image a row reads comes from ``smoothness`` (``_image_norms`` and the sweeps
 over it), and the grid and lambdas a config names are admitted by the
-``_check_*`` rules of ``quad``, which ``transform`` and the library share.
+``_check_*`` rules of ``quad`` and ``special``, which ``transform`` and the
+library share.
+
+The two chain experiments share their values: equivalence computes omega,
+diff and K, and a realization run after it on the same inputs takes omega
+and K from it and computes only R and Rstar (``_HandOff``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -55,7 +61,7 @@ from .smoothness import (
     inverse_bound,
     k_functional_upper,
 )
-from .special import BESSEL_LAMBDA_MAX, LAMBDA_MIN
+from .special import _check_lambda
 from .transforms import Spectrum, hankel, inverse_hankel, spectrum_from_values
 
 __all__ = [
@@ -228,10 +234,31 @@ def _block(cls):
 _NUMBERS = _list(_number)
 
 
-# a range: a test each value (each entry, for a list) must pass, and its text
-_Range = tuple[Callable[[object], bool], str]
-_POSITIVE: _Range = (lambda x: x > 0, "positive")
-_NONNEGATIVE: _Range = (lambda x: x >= 0, "nonnegative")
+# a range: a rule each value (each entry, for a list) must pass, which raises a
+# ConfigError naming the field it is given
+_Range = Callable[[object, str], None]
+
+
+def _range(ok: Callable[[object], bool], text: str) -> _Range:
+    """The range of the values that pass ``ok``, described by ``text``."""
+
+    def rule(x, name: str) -> None:
+        if not ok(x):
+            raise ConfigError(f"{name} must be {text}, got {x!r}")
+
+    return rule
+
+
+def _bessel_orders(lam, name: str) -> None:
+    """The range of lambda, by the rule and text of ``special``."""
+    try:
+        _check_lambda(lam, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+_POSITIVE = _range(lambda x: x > 0, "positive")
+_NONNEGATIVE = _range(lambda x: x >= 0, "nonnegative")
 
 
 def _cfg(kind, default=MISSING, range: _Range | None = None, key: str | None = None):
@@ -249,10 +276,10 @@ def _check_fields(block, prefix: str, ranges: dict[str, _Range] | None = None) -
         value, meta = getattr(block, f.name), f.metadata
         name = prefix + (meta["key"] or f.name)
         meta["kind"](value, name)
-        ok, text = (ranges or {}).get(f.name, meta["range"]) or (None, "")
-        for x in value if isinstance(value, tuple) else (value,):
-            if ok is not None and not ok(x):
-                raise ConfigError(f"{name} must be {text}, got {x!r}")
+        rule = (ranges or {}).get(f.name, meta["range"])
+        if rule is not None:
+            for x in value if isinstance(value, tuple) else (value,):
+                rule(x, name)
 
 
 def _check_keys(mapping, known, context: str) -> None:
@@ -313,22 +340,20 @@ class ExperimentConfig:
     an error, not a pass with no rows."""
 
     name: str = _cfg(_string)
-    lambda_values: tuple[float, ...] = _cfg(_NUMBERS, (0.25,), (
-        lambda lam: LAMBDA_MIN < lam <= BESSEL_LAMBDA_MAX,
-        f"in (-1/2, {BESSEL_LAMBDA_MAX:g}], where the Bessel evaluation is accurate",
-    ))
-    p_values: tuple[float, ...] = _cfg(_list(_p), (2.0,), (lambda p: p >= 1, ">= 1 or inf"))
+    lambda_values: tuple[float, ...] = _cfg(_NUMBERS, (0.25,), _bessel_orders)
+    p_values: tuple[float, ...] = _cfg(_list(_p), (2.0,), _range(lambda p: p >= 1, ">= 1 or inf"))
     m_values: tuple[float, ...] = _cfg(_NUMBERS, (1.0,), _POSITIVE)
     # r = 0 is the plain norm; the chain experiments take r > 0 (see _SPECS)
     r_values: tuple[float, ...] = _cfg(_NUMBERS, (1.0,), _NONNEGATIVE)
     scale: ScaleGrid = _cfg(_block(ScaleGrid), ScaleGrid(0.05, 0.8, 5))
     test_functions: tuple[str, ...] = _cfg(
-        _list(_string), ("gaussian",), (lambda fn: fn in PROFILES, f"one of {sorted(PROFILES)}")
+        _list(_string), ("gaussian",),
+        _range(lambda fn: fn in PROFILES, f"one of {sorted(PROFILES)}"),
     )
     # None (JSON null or absent): the experiment's default
     window: tuple[float, float] | None = _cfg(_optional(_list(_number, 2)), None, _NONNEGATIVE)
     # drift is a max/min ratio, so at least 1, and the verdict needs drift < drift_max
-    drift_max: float = _cfg(_number, 4.0, (lambda d: d > 1, "> 1"))
+    drift_max: float = _cfg(_number, 4.0, _range(lambda d: d > 1, "> 1"))
     sigma: float = _cfg(_number, 4.0, _POSITIVE)
     thetas: tuple[float, ...] = _cfg(_NUMBERS, (1.0, 0.5, 0.25), _POSITIVE)
     general_orders: tuple[float, float, float, float] = _cfg(
@@ -336,7 +361,7 @@ class ExperimentConfig:
     )
     n_values: tuple[int, ...] = _cfg(_list(_integer), (2, 4, 8, 16, 32), _POSITIVE)
     delta_values: tuple[float, ...] = _cfg(
-        _NUMBERS, (0.1, 0.2, 0.4), (lambda d: 0 < d < 1, "in (0, 1)")
+        _NUMBERS, (0.1, 0.2, 0.4), _range(lambda d: 0 < d < 1, "in (0, 1)")
     )
 
     def __post_init__(self) -> None:
@@ -358,7 +383,7 @@ class ExperimentConfig:
 class HarnessConfig:
     output_dir: str = _cfg(_string, "reports")
     grid_rmax: float = _cfg(_number, DEFAULT_RMAX, key="grid.rmax")
-    grid_n: int = _cfg(_integer, DEFAULT_N, (lambda n: n >= 16, ">= 16"), key="grid.n")
+    grid_n: int = _cfg(_integer, DEFAULT_N, _range(lambda n: n >= 16, ">= 16"), key="grid.n")
     experiments: tuple[ExperimentConfig, ...] = _cfg(_list(_block(ExperimentConfig)), ())
 
     def __post_init__(self) -> None:
@@ -549,23 +574,81 @@ def _jackson_rows(report, cfg, inp):
                                sigma ** (-r) * om)
 
 
+class _HandOff:
+    """The chain values one chain experiment hands to the next.
+
+    ``held`` maps each input of the previous chain experiment, keyed by
+    ``_chain_key``, to the values that experiment computed itself,
+    ``{name: {(t, p, r): value}}``: float scalars, never arrays, each of the
+    type it was computed as (Python or numpy), so a row reads the same
+    whether its value was handed on or computed.  ``made`` gathers the
+    running experiment's own values, and ``_sweep`` makes it the next
+    ``held``.  A value taken from ``held`` is not handed on again, so each
+    computed value serves at most one later experiment, and the hand-off
+    holds at most one experiment's inputs.  It is not a cache, on purpose: a
+    cache would let a repeated experiment, or a benchmark's next warm pass,
+    read its own earlier results, a gain no fresh run sees.  Here a repeated
+    equivalence-realization pair computes what the first pair computed.
+    """
+
+    def __init__(self) -> None:
+        self.held: dict[tuple, dict[str, dict[tuple, float]]] = {}
+        self.made: dict[tuple, dict[str, dict[tuple, float]]] = {}
+
+    def clear(self) -> None:
+        self.held, self.made = {}, {}
+
+
+_HANDOFF = _HandOff()
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def _chain_key(inp: _Input, scales: np.ndarray, cfg: ExperimentConfig) -> tuple:
+    """What a chain value depends on, as digests and floats: lambda, the
+    grid's content key, the bits of f and of its spectrum, and the scales, r
+    and p swept."""
+    return (inp.lam, inp.grid.key, _digest(inp.f.values), _digest(inp.fhat.values),
+            tuple(scales.tolist()), cfg.r_values, cfg.p_values)
+
+
 def _chain_rows(pairs):
     """Rows of one profile's chain sweep in p, r, scale order: one row per
-    (a, b) pair of functionals, grouped for the drift check.  The chain
-    computes only the functionals the pairs name."""
+    (a, b) pair of functionals, grouped for the drift check.
+
+    The chain takes from the hand-off (``_HandOff``) the functionals the
+    pairs name that the previous chain experiment computed for the same
+    input (``_chain_key``: equal bits of f and its spectrum, the same
+    lambda, grid, scales, r and p), and computes only the others, which it
+    leaves in the hand-off for the next one.  Each value equals the one a
+    fresh ``_chain_sweep`` gives: those of realization's candidate family
+    sit in a product of their own columns, and a gemm column does not
+    depend on the columns beside it.
+    """
     names = {name for pair in pairs for name in pair}
 
     def rows(report, cfg, inp):
         scales = cfg.scale.values()
-        chains = _chain_sweep(inp.f, scales, cfg.r_values, cfg.p_values, inp.lam, names,
-                              fhat=inp.fhat)
+        key = _chain_key(inp, scales, cfg)
+        given = {name: v for name, v in _HANDOFF.held.get(key, {}).items() if name in names}
+        chains = _chain_sweep(inp.f, scales, cfg.r_values, cfg.p_values, inp.lam,
+                              names - set(given), fhat=inp.fhat)
+        made = {}
+        for t, chain in chains.items():
+            for (p, r), computed in chain.items():
+                for name, value in computed.items():
+                    made.setdefault(name, {})[float(t), p, r] = value
+        _HANDOFF.made[key] = made
+        values = {**made, **given}
         for p in cfg.p_values:
             for r in cfg.r_values:
                 for t in scales:
-                    values = chains[t][p, r]
                     for a, b in pairs:
-                        report.add(f"{cfg.name}:{a}/{b}", inp.lam, p, r, r, t, values[a],
-                                   values[b], group=(inp.lam, p, r, inp.profile, f"{a}/{b}"))
+                        report.add(f"{cfg.name}:{a}/{b}", inp.lam, p, r, r, t,
+                                   values[a][t, p, r], values[b][t, p, r],
+                                   group=(inp.lam, p, r, inp.profile, f"{a}/{b}"))
 
     return rows
 
@@ -707,9 +790,10 @@ def _nonnegative_order_gap(cfg: ExperimentConfig) -> None:
 class _Spec:
     """One experiment: the inputs it sweeps ("profiles", "bandlimited" or
     "lambda", see ``_inputs``), the rows it adds for one input, its default
-    window, whether the window is two-sided and the drift checked, and the
-    hypotheses its config must meet beyond the field table: ``ranges`` in
-    place of a field's range, and ``checks`` across fields."""
+    window, whether the window is two-sided and the drift checked, the
+    hypotheses its config must meet beyond the field table (``ranges`` in
+    place of a field's range, and ``checks`` across fields), and whether it
+    is a chain experiment, which reads and refills the hand-off."""
 
     inputs: str
     rows: Callable[[SmoothnessReport, ExperimentConfig, _Input], None]
@@ -718,6 +802,7 @@ class _Spec:
     drift_checked: bool = False
     ranges: dict[str, _Range] = field(default_factory=dict)
     checks: tuple[Callable[[ExperimentConfig], None], ...] = ()
+    chained: bool = False
 
 
 # the chain experiments take r as a smoothness order
@@ -727,12 +812,12 @@ _SPECS: dict[str, _Spec] = {
     "jackson": _Spec("profiles", _jackson_rows, (0.0, 20.0)),
     "equivalence": _Spec(
         "profiles", _chain_rows((("K", "omega"), ("omega", "diff"), ("K", "diff"))),
-        (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS,
+        (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS, chained=True,
     ),
     "realization": _Spec(
         "profiles",
         _chain_rows(list(combinations(("R", "Rstar", "K", "omega"), 2))),
-        (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS,
+        (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS, chained=True,
     ),
     "bernstein": _Spec("lambda", _bernstein_rows, (0.0, 20.0)),
     "nikolskii_stechkin": _Spec(
@@ -752,11 +837,19 @@ _SPECS: dict[str, _Spec] = {
 
 
 def _sweep(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport:
-    """The report of one experiment: its rows for every input it sweeps."""
+    """The report of one experiment: its rows for every input it sweeps.
+
+    A chain experiment holds what the previous chain experiment computed
+    while it runs, and leaves only what it computed itself (``_HandOff``).
+    """
     spec = _SPECS[cfg.name]
     report = SmoothnessReport(experiment=cfg.name, window=cfg.window, drift_max=cfg.drift_max)
+    if spec.chained:
+        _HANDOFF.held, _HANDOFF.made = _HANDOFF.made, {}
     for inp in _inputs(spec.inputs, cfg, grid, report):
         spec.rows(report, cfg, inp)
+    if spec.chained:
+        _HANDOFF.held = {}
     return report
 
 

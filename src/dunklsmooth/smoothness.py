@@ -33,7 +33,8 @@ samples delta and the quarter-octave rungs 2^(-k/4) below it, a lattice
 all deltas share, so ``_moduli`` makes one Bessel base over the union of
 its deltas' steps and, off p = 2, one inverse product per order.
 ``_chain_sweep`` composes the evaluators over every scale of a chain,
-with one ``_moduli`` sweep per input.
+with one ``_moduli`` sweep per input, for the names its caller has not
+been handed.
 ``_best_approxes`` evaluates best approximation over a list of types at
 one p; at p = 2 its values come from one ``transforms._spectral_tails``
 sweep, which evaluates each Bessel block the cut panels share once, and
@@ -652,6 +653,13 @@ def _chain_sweep(
     1/t from one ``_best_approxes`` sweep, each computed once for every r,
     and ``_candidate_minima`` makes one product per scale for every family
     off p = 2.  A sweep at p = 2 alone makes no inverse product.
+
+    The harness calls it with only the names it must compute: a chain
+    experiment takes from the previous one's hand-off (``harness._HandOff``)
+    the values that experiment computed for the same input, and each value
+    so handed on serves one later experiment only.  That is a hand-off, not
+    a cache: nothing here remembers a call, so a repeated call computes what
+    the first one did.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")

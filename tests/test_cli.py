@@ -343,8 +343,8 @@ def test_run_names_a_wrongly_typed_or_out_of_range_field(tmp_path, capsys, spec,
 @pytest.mark.parametrize(
     "flags, field",
     [
-        (["--lambda", "150"], "bernstein: lambda_values must be in (-1/2, 120]"),
-        (["--lambda", "400"], "bernstein: lambda_values must be in (-1/2, 120]"),
+        (["--lambda", "150"], "bernstein: lambda_values must lie in (-1/2, 120]"),
+        (["--lambda", "400"], "bernstein: lambda_values must lie in (-1/2, 120]"),
         (["--lambda", "inf"], "bernstein: lambda_values[0] must be a finite number"),
         (["--lambda", "nan"], "bernstein: lambda_values[0] must be a finite number"),
         # the weights on the default grid hold 30^(2*lambda+1)

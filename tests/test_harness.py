@@ -24,7 +24,7 @@ from dunklsmooth.harness import (
     run_all,
     write_report,
 )
-from dunklsmooth.quad import _spectral_l2, default_grid, make_grid, nu_weights
+from dunklsmooth.quad import RadialFunction, _spectral_l2, default_grid, make_grid, nu_weights
 from dunklsmooth.special import BESSEL_LAMBDA_MAX, BesselEvaluator
 
 
@@ -209,7 +209,7 @@ class TestConfig:
             (lambda: ExperimentConfig(name="jackson", drift_max=1.0),
              "jackson: drift_max must be > 1, got 1.0"),
             (lambda: ExperimentConfig(name="jackson", lambda_values=(150.0,)),
-             "jackson: lambda_values must be in \\(-1/2, 120\\]"),
+             "jackson: lambda_values must lie in \\(-1/2, 120\\]"),
             (lambda: ExperimentConfig(name="inverse", delta_values=(0.5, 1.0)),
              "inverse: delta_values must be in \\(0, 1\\), got 1.0"),
             (lambda: ExperimentConfig(name="inverse", n_values=(2, 0)),
@@ -229,7 +229,7 @@ class TestConfig:
             ("drift_max", 0.5, "jackson: drift_max must be > 1, got 0.5"),
             ("drift_max", 1.0, "jackson: drift_max must be > 1, got 1.0"),
             ("drift_max", 1e400, "experiments\\[0\\].drift_max must be a finite number"),
-            ("lambda_values", [0.25, -0.5], "jackson: lambda_values must be in \\(-1/2, 120\\]"),
+            ("lambda_values", [0.25, -0.5], "jackson: lambda_values must lie in \\(-1/2, 120\\]"),
             ("test_functions", ["sinc"], "jackson: test_functions must be one of"),
             ("scale", {"lo": 0.0, "hi": 1.0, "points": 2}, "scale.lo must be positive, got 0.0"),
         ],
@@ -818,6 +818,153 @@ class TestExperiments:
         checks = {row.check for row in rep.rows}
         assert checks == {"inverse", "marchaud", "inverse-derivative"}
         assert all(row.ratio <= 1.0 for row in rep.rows)
+
+
+class TestChainHandOff:
+    """Equivalence hands omega and K to a realization run after it on the
+    same inputs, and each handed value serves one later experiment only."""
+
+    LAMS, PS, RS = (0.25, 1.0), (1.0, 2.0, math.inf), (0.5, 2.0)
+    SCALE = ScaleGrid(0.05, 0.8, 3)
+    # inputs x scales: the candidate families are built once per scale
+    PER_SCALE = len(LAMS) * 3
+
+    @pytest.fixture
+    def run(self, grid, monkeypatch):
+        """``run(name, **changes)`` runs a chain experiment on a small
+        criterion-6-shaped config and returns its rows as ``repr``s, the
+        widths of the inverse products it made and the candidate families
+        whose symbols it built."""
+        widths, families = [], []
+        products = smoothness._inverse_products
+
+        def counted_products(fhat, symbols):
+            widths.append(symbols.shape[1])
+            return products(fhat, symbols)
+
+        def counted_family(name, build):
+            def symbols(nodes, t, sharp):
+                families.append(name)
+                return build(nodes, t, sharp)
+
+            return symbols
+
+        monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
+        for name, build in smoothness._FAMILIES.items():
+            monkeypatch.setitem(smoothness._FAMILIES, name, counted_family(name, build))
+        shared = dict(lambda_values=self.LAMS, p_values=self.PS, r_values=self.RS,
+                      scale=self.SCALE, test_functions=("gaussian",),
+                      window=(1.0 / 20.0, 20.0), drift_max=4.0)
+
+        def run(name, **changes):
+            w0, f0 = len(widths), len(families)
+            cfg = ExperimentConfig(name=name, **{**shared, **changes})
+            rows = [repr(row) for row in EXPERIMENTS[name](cfg, grid).rows]
+            return rows, widths[w0:], families[f0:]
+
+        return run
+
+    def moduli_width(self, scale=SCALE):
+        width = smoothness._ladder(scale.values())[0].size
+        # no other product of these sweeps has the moduli's width: not the
+        # single columns, the p = 1 fit's hats, nor a candidate product of
+        # the K family (P_sigma and g = 0), the R family (P_sigma and four
+        # plateaus) or both, each with its derivative blocks
+        k, r = smoothness._K_UPPER_POINTS + 1, smoothness._R_CANDIDATE_POINTS + 4
+        blocks = 1 + len(self.RS)
+        assert width not in {1, smoothness._L1_HATS, k * blocks, r * blocks, (k + r) * blocks}
+        return width
+
+    def test_eq_then_re_makes_the_moduli_and_the_k_family_once(self, run):
+        union = self.moduli_width()
+        _, eq_widths, eq_families = run("equivalence")
+        _, re_widths, re_families = run("realization")
+        # one moduli product per (input, r), one K family per (input, scale)
+        # at p = 2 and one off p = 2, all made by equivalence
+        assert eq_widths.count(union) == len(self.LAMS) * len(self.RS)
+        assert eq_families.count("K") == 2 * self.PER_SCALE
+        assert union not in re_widths and "K" not in re_families
+        assert re_families.count("R") == 2 * self.PER_SCALE
+        # a realization run alone makes both itself
+        harness._HANDOFF.clear()
+        _, alone_widths, alone_families = run("realization")
+        assert alone_widths.count(union) == len(self.LAMS) * len(self.RS)
+        assert alone_families.count("K") == 2 * self.PER_SCALE
+        assert sum(re_widths) < sum(alone_widths)
+
+    def test_rows_do_not_depend_on_the_hand_off(self, run):
+        eq_alone = run("equivalence")[0]
+        harness._HANDOFF.clear()
+        re_alone = run("realization")[0]
+        # a second realization takes every value, each of its own type
+        again, again_widths, _ = run("realization")
+        assert again == re_alone and again_widths == []
+        harness._HANDOFF.clear()
+        run("realization")
+        # equivalence after realization takes omega and K from it
+        eq_after, eq_after_widths, _ = run("equivalence")
+        assert self.moduli_width() not in eq_after_widths
+        assert eq_after == eq_alone
+        harness._HANDOFF.clear()
+        assert run("equivalence")[0] == eq_alone
+        assert run("realization")[0] == re_alone
+
+    def test_a_repeated_pair_makes_the_products_of_the_first(self, run):
+        # realization hands on only R and Rstar, which equivalence does not
+        # read: a warm repeat computes what a fresh run computes
+        first = [run(name)[1:] for name in ("equivalence", "realization")]
+        second = [run(name)[1:] for name in ("equivalence", "realization")]
+        assert second == first
+
+    def test_a_third_equivalence_recomputes(self, run):
+        first, second, third = (run("equivalence") for _ in range(3))
+        # the second takes every value and computes none, so hands on none
+        assert second[1:] == ([], [])
+        assert third[1:] == first[1:]
+        assert first[0] == second[0] == third[0]
+
+    def test_an_input_one_ulp_apart_takes_nothing(self, run, monkeypatch):
+        union = self.moduli_width()
+        run("equivalence")
+        nudged_scale = ScaleGrid(math.nextafter(0.05, 1.0), 0.8, 3)
+        _, widths, families = run("realization", scale=nudged_scale)
+        assert widths.count(self.moduli_width(nudged_scale)) == len(self.LAMS) * len(self.RS)
+        assert families.count("K") == 2 * self.PER_SCALE
+        run("equivalence")
+
+        def nudged(name, grid, lam):
+            values = make_profile(name, grid, lam).values.copy()
+            values[0] = math.nextafter(values[0], 0.0)
+            return RadialFunction(grid=grid, values=values)
+
+        monkeypatch.setattr(harness, "make_profile", nudged)
+        _, widths, families = run("realization")
+        assert widths.count(union) == len(self.LAMS) * len(self.RS)
+        assert families.count("K") == 2 * self.PER_SCALE
+
+    def test_the_hand_off_holds_floats_of_one_experiment(self, run):
+        def held_names():
+            assert harness._HANDOFF.held == {}
+            names = set()
+            for key, values in harness._HANDOFF.made.items():
+                assert all(isinstance(x, (str, float, tuple)) for x in key)
+                for by_point in values.values():
+                    assert len(by_point) == 3 * len(self.PS) * len(self.RS)
+                    # float scalars as computed (Python or numpy), never arrays
+                    assert all(isinstance(v, float) and np.ndim(v) == 0 for v in by_point.values())
+                    assert all(type(x) is float for point in by_point for x in point)
+                names.add(frozenset(values))
+            return len(harness._HANDOFF.made), names
+
+        run("equivalence")
+        assert held_names() == (len(self.LAMS), {frozenset({"omega", "diff", "K"})})
+        run("realization")
+        assert held_names() == (len(self.LAMS), {frozenset({"R", "Rstar"})})
+        run("equivalence", lambda_values=(0.5,))
+        assert held_names() == (1, {frozenset({"omega", "diff", "K"})})
+        # an experiment that is not a chain leaves the hand-off as it is
+        EXPERIMENTS["jackson"](ExperimentConfig(name="jackson"), make_grid(30.0, 512))
+        assert held_names() == (1, {frozenset({"omega", "diff", "K"})})
 
 
 class TestRunAll:
