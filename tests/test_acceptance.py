@@ -13,9 +13,6 @@ import numpy as np
 import pytest
 
 from dunklsmooth.harness import (
-    ExperimentConfig,
-    EXPERIMENTS,
-    ScaleGrid,
     bandlimited_spectrum,
     concentrated_spectrum,
     make_profile,
@@ -70,10 +67,11 @@ def warm_kernels(grid):
 
 
 class _Criterion:
-    def __init__(self, label, log):
+    def __init__(self, label, log, spent=0.0):
+        """``spent``: seconds a fixture already spent on the criterion."""
         self.label = label
         self.log = log
-        self.start = time.perf_counter()
+        self.start = time.perf_counter() - spent
 
     def finish(self, passed, detail=""):
         elapsed = time.perf_counter() - self.start
@@ -221,29 +219,21 @@ def _worst_window_breach(rows, window):
     )
 
 
-def test_criterion_6_equivalence_chains(grid, acceptance_log):
+def test_criterion_6_equivalence_chains(criterion_6_reports, acceptance_log):
+    # the sweep (tests/golden/update.py: criterion_6_configs) runs in a
+    # fixture, whose rows the golden gate also compares
+    (eq, re), elapsed = criterion_6_reports
     crit = _Criterion(
-        "criterion 6: equivalence + realization windows [1/20,20], drift < 4", acceptance_log
+        "criterion 6: equivalence + realization windows [1/20,20], drift < 4", acceptance_log,
+        spent=elapsed,
     )
-    shared = dict(
-        lambda_values=(0.25, 1.0),
-        p_values=(1.0, 2.0, math.inf),
-        r_values=(0.5, 1.0, 2.0),
-        scale=ScaleGrid(1e-2, 1.0, 9),
-        test_functions=("gaussian",),
-        window=(1.0 / 20.0, 20.0),
-        drift_max=4.0,
-    )
-    eq = EXPERIMENTS["equivalence"](ExperimentConfig(name="equivalence", **shared), grid)
-    re = EXPERIMENTS["realization"](ExperimentConfig(name="realization", **shared), grid)
-    elapsed = time.perf_counter() - crit.start
     failures = [row for rep in (eq, re) for row in rep.rows if not row.passed]
     ok = eq.verdict and re.verdict and elapsed < 300.0
     detail = (
         f"equivalence {'pass' if eq.verdict else 'FAIL'} (drift {eq.drift:.2f}), "
         f"realization {'pass' if re.verdict else 'FAIL'} (drift {re.drift:.2f}, "
         f"{len(failures)} rows outside window"
-        + (f"; worst {_worst_window_breach(failures, shared['window'])}" if failures else "")
+        + (f"; worst {_worst_window_breach(failures, eq.window)}" if failures else "")
         + ")"
     )
     crit.finish(ok, detail)
