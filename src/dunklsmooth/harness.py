@@ -327,10 +327,9 @@ class ScaleGrid:
         if not self.lo <= self.hi:
             raise ConfigError(f"scale grid needs lo <= hi, got [{self.lo}, {self.hi}]")
 
-    def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.lo])
-        return np.geomspace(self.lo, self.hi, int(self.points))
+    def values(self) -> list[float]:
+        # geomspace returns lo itself as its first point, so one point is [lo]
+        return np.geomspace(self.lo, self.hi, int(self.points)).tolist()
 
 
 @dataclass(frozen=True)
@@ -558,19 +557,20 @@ def _derivatives(inp: _Input, r_values) -> dict[float, Spectrum]:
 def _jackson_rows(report, cfg, inp):
     """E_sigma(f) against sigma^-r * modulus of the r-th derivative at 1/sigma.
 
-    Each p takes every E_sigma from one ``_best_approxes`` sweep, and each r
-    every modulus from one ``_moduli`` sweep over the deltas 1/sigma."""
+    Every E_sigma comes from one ``_best_approxes`` sweep over the p values,
+    and each r takes every modulus from one ``_moduli`` sweep over the
+    deltas 1/sigma."""
     sigmas = cfg.scale.values()
     deltas = [1.0 / sigma for sigma in sigmas]
     moduli = {r: _moduli(dfhat, deltas, cfg.m_values, cfg.p_values)
               for r, dfhat in _derivatives(inp, cfg.r_values).items()}
+    approxes = _best_approxes(inp.f, inp.fhat, sigmas, cfg.p_values, inp.lam)
     for p in cfg.p_values:
-        approxes = _best_approxes(inp.f, inp.fhat, sigmas, p, inp.lam)
         for m in cfg.m_values:
             for r in cfg.r_values:
                 for sigma, delta in zip(sigmas, deltas):
                     om = moduli[r][delta, p, m].value
-                    report.add("jackson", inp.lam, p, m, r, sigma, approxes[sigma].value,
+                    report.add("jackson", inp.lam, p, m, r, sigma, approxes[p][sigma].value,
                                sigma ** (-r) * om)
 
 
@@ -578,17 +578,16 @@ class _HandOff:
     """The chain values one chain experiment hands to the next.
 
     ``held`` maps each input of the previous chain experiment, keyed by
-    ``_chain_key``, to the values that experiment computed itself,
-    ``{name: {(t, p, r): value}}``: float scalars, never arrays, each of the
-    type it was computed as (Python or numpy), so a row reads the same
-    whether its value was handed on or computed.  ``made`` gathers the
-    running experiment's own values, and ``_sweep`` makes it the next
-    ``held``.  A value taken from ``held`` is not handed on again, so each
-    computed value serves at most one later experiment, and the hand-off
-    holds at most one experiment's inputs.  It is not a cache, on purpose: a
-    cache would let a repeated experiment, or a benchmark's next warm pass,
-    read its own earlier results, a gain no fresh run sees.  Here a repeated
-    equivalence-realization pair computes what the first pair computed.
+    ``_chain_key``, to the values that experiment computed itself, in the
+    layout ``_chain_sweep`` returns, ``{name: {(t, p, r): float}}``.
+    ``made`` gathers the running experiment's own values, and ``_sweep``
+    makes it the next ``held``.  A value taken from ``held`` is not handed
+    on again, so each computed value serves at most one later experiment,
+    and the hand-off holds at most one experiment's inputs.  It is not a
+    cache, on purpose: a cache would let a repeated experiment, or a
+    benchmark's next warm pass, read its own earlier results, a gain no
+    fresh run sees.  Here a repeated equivalence-realization pair computes
+    what the first pair computed.
     """
 
     def __init__(self) -> None:
@@ -606,12 +605,12 @@ def _digest(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
-def _chain_key(inp: _Input, scales: np.ndarray, cfg: ExperimentConfig) -> tuple:
+def _chain_key(inp: _Input, scales: list[float], cfg: ExperimentConfig) -> tuple:
     """What a chain value depends on, as digests and floats: lambda, the
     grid's content key, the bits of f and of its spectrum, and the scales, r
     and p swept."""
     return (inp.lam, inp.grid.key, _digest(inp.f.values), _digest(inp.fhat.values),
-            tuple(scales.tolist()), cfg.r_values, cfg.p_values)
+            tuple(scales), cfg.r_values, cfg.p_values)
 
 
 def _chain_rows(pairs):
@@ -633,13 +632,8 @@ def _chain_rows(pairs):
         scales = cfg.scale.values()
         key = _chain_key(inp, scales, cfg)
         given = {name: v for name, v in _HANDOFF.held.get(key, {}).items() if name in names}
-        chains = _chain_sweep(inp.f, scales, cfg.r_values, cfg.p_values, inp.lam,
-                              names - set(given), fhat=inp.fhat)
-        made = {}
-        for t, chain in chains.items():
-            for (p, r), computed in chain.items():
-                for name, value in computed.items():
-                    made.setdefault(name, {})[float(t), p, r] = value
+        made = _chain_sweep(inp.f, scales, cfg.r_values, cfg.p_values, inp.lam,
+                            names - set(given), fhat=inp.fhat)
         _HANDOFF.made[key] = made
         values = {**made, **given}
         for p in cfg.p_values:
@@ -727,10 +721,10 @@ def _two_scale_rows(check, orders):
 def _inverse_rows(report, cfg, inp):
     """Inverse-direction bounds: cumulative sums, Marchaud, derivative variant.
 
-    Each p takes one ``_best_approxes`` sweep over the E_j table's types
-    j = 1..max(n_values) and Marchaud's ladder types 1/t, so a type both
-    share is approximated once.  f and each derivative take one ``_moduli``
-    sweep over the deltas 1/n."""
+    One ``_best_approxes`` sweep over the p values takes the E_j table's
+    types j = 1..max(n_values) and Marchaud's ladder types 1/t, so a type
+    both share is approximated once.  f and each derivative take one
+    ``_moduli`` sweep over the deltas 1/n."""
     f, fhat, lam = inp.f, inp.fhat, inp.lam
     tail_cutoff = 1e-10
     j_cap = 64
@@ -740,12 +734,12 @@ def _inverse_rows(report, cfg, inp):
     moduli = {r: _moduli(dfhat, list(deltas.values()), cfg.m_values, cfg.p_values)
               for r, dfhat in _derivatives(inp, (0.0, *cfg.r_values)).items()}
     sigmas = [float(j) for j in range(1, n_max + 1)] + _marchaud_sigmas(cfg.delta_values)
+    approxes = _best_approxes(f, fhat, sigmas, cfg.p_values, lam)
     for p in cfg.p_values:
-        approxes = _best_approxes(f, fhat, sigmas, p, lam)
         # E_0 is the norm of f, by Plancherel at p = 2
         table = {0: _spectral_l2(fhat.values, fhat.grid, lam) if p == 2 else lp_norm(f, p, lam)}
-        table.update((j, approxes[float(j)].value) for j in range(1, n_max + 1))
-        marchaud = _marchaud_bounds(f, cfg.delta_values, cfg.m_values, p, lam, approxes)
+        table.update((j, approxes[p][float(j)].value) for j in range(1, n_max + 1))
+        marchaud = _marchaud_bounds(f, cfg.delta_values, cfg.m_values, p, lam, approxes[p])
         for m in cfg.m_values:
             for n in cfg.n_values:
                 lhs = moduli[0.0][deltas[n], p, m].value

@@ -5,11 +5,12 @@ smoothness, computable K-functional surrogates, and the bound evaluators of
 the inverse direction (cumulative best-approximation sums, Marchaud-type
 integrals).
 
-Best approximation is exact at p = 2 (sharp spectral truncation).  At p = 1
-a small weighted-L1 linear program chooses a bounded multiplier of the
-spectrum on [0, sigma]; at other p the de la Vallee Poussin projection
-P_{sigma/2} f is used.  Off p = 2 the error is always measured on the full
-grid, so the value is an upper bound of the true distance.
+Best approximation is exact at p = 2 (sharp spectral truncation).  Off
+p = 2 it starts from the de la Vallee Poussin projection P_{sigma/2} f, and
+at p = 1 a small weighted-L1 linear program also chooses a bounded
+multiplier of the spectrum on [0, sigma].  Off p = 2 the error is always
+measured on the full grid, so the value is an upper bound of the true
+distance.
 
 The true K-functional infimum over the whole Sobolev class is not computable;
 this module provides the two computable surrogates the harness certifies
@@ -19,30 +20,19 @@ projections P_sigma over a geometric sigma grid, sharp spectral truncations
 at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
 columns.
 
-Each chain functional has one batched evaluator: ``_moduli`` for the
-modulus over a (deltas, orders, p) sweep, ``_diff_norms`` for the
-difference norm (one order at every p) and ``_candidate_minima`` for the
-candidate families at one scale.  ``modulus``, ``diff_norm``,
-``k_functional_upper`` and ``realization_candidate_min`` are their
-one-(p, r) case.  Every p = 2 norm is taken on the spectral side, where
-the transform is unitary (Plancherel), and an inverse product is made only
-for the other p: ``_image_norms`` serves the moduli, the difference norms,
-the realization's derivative term and the harness's Bernstein rows, and
-``_candidate_minima`` follows the same rule.  Every modulus sup
-samples delta and the quarter-octave rungs 2^(-k/4) below it, a lattice
-all deltas share, so ``_moduli`` makes one Bessel base over the union of
-its deltas' steps and, off p = 2, one inverse product per order.
-``_chain_sweep`` composes the evaluators over every scale of a chain,
-with one ``_moduli`` sweep per input, for the names its caller has not
-been handed.
-``_best_approxes`` evaluates best approximation over a list of types at
-one p; at p = 2 its values come from one ``transforms._spectral_tails``
-sweep, which evaluates each Bessel block the cut panels share once, and
-``best_approx`` at p = 2 is its one-sigma case.  ``_marchaud_bounds``
-evaluates the Marchaud right-hand side over a (delta, m) sweep at one p,
-reading one approximant per point of the same quarter-octave lattice
-from a caller's ``_best_approxes`` sweep; ``marchaud_bound`` is its
-one-(delta, m) case, with the sweep over ``_marchaud_sigmas``.
+Each functional has one body, a sweep whose one-point case is the single
+call: ``_moduli`` (``modulus``), ``_diff_norms`` (``diff_norm``),
+``_best_approxes`` over (sigma, p) (``best_approx``), ``_chain_sweep`` over
+(t, p, r) (``k_functional_upper``, ``realization_candidate_min``) and
+``_marchaud_bounds`` (``marchaud_bound``).  Every p = 2 norm is taken on
+the spectral side, where the transform is unitary (Plancherel), and an
+inverse product is made only for the other p (``_image_norms``,
+``_candidate_minima``).  Every modulus sup samples delta and the
+quarter-octave rungs 2^(-k/4) below it, a lattice all deltas share, so
+``_moduli`` makes one Bessel base over the union of its deltas' steps and,
+off p = 2, one inverse product per order.  ``_best_approxes`` takes its
+p = 2 values from one ``transforms._spectral_tails`` sweep and, off p = 2,
+measures one projection residual per sigma at every p.
 """
 
 from __future__ import annotations
@@ -463,63 +453,67 @@ def best_approx(
     """Distance from f to the bandlimited class of spherical type sigma.
 
     p = 2: exact minimizer by sharp spectral truncation (Parseval); the error
-    is the spectral tail mass beyond sigma, and the call is the one-sigma
-    case of ``_best_approxes``.  Other p start from the smoothing
+    is the spectral tail mass beyond sigma.  Other p start from the smoothing
     projection at sigma/2 (output bandlimited to sigma), a near-best
     approximant.  At p = 1 a bounded weighted-L1 fit of the spectrum on
     [0, sigma] (``_l1_fit_symbol``; once sigma reaches the last grid node,
     fhat itself) is the second candidate, and the one with the smaller
     full-grid error is returned, so the value is never above the projection's.
     Off p = 2 the value is an upper bound, flagged ``near_best=True``.
-    ``fhat`` is the precomputed transform of f.
+    ``fhat`` is the precomputed transform of f.  The one-(sigma, p) case of
+    ``_best_approxes``.
     """
-    _require("sigma", sigma)
-    fhat = _spectrum_of(f, lam, fhat)
-    if p == 2:
-        return _best_approxes(f, fhat, (sigma,), p, lam)[sigma]
-    mat = _kernel_matrix(lam, fhat.grid)
-
-    def error(g: Spectrum) -> float:
-        return lp_norm(RadialFunction(grid=f.grid, values=f.values - mat @ g.values), p, lam)
-
-    g = vallee_poussin(fhat, sigma / 2.0)
-    value = error(g)
-    if p == 1:
-        if sigma >= fhat.grid.nodes[-1]:
-            phi = np.ones_like(fhat.grid.nodes)
-        else:
-            phi = _l1_fit_symbol(f, fhat, sigma)
-        if phi is not None:
-            bl = sigma if fhat.bandlimit is None else min(fhat.bandlimit, sigma)
-            fit = fhat.with_symbol(f"l1fit:sigma={sigma!r}", phi, bandlimit=bl)
-            fit_value = error(fit)
-            if fit_value <= value:
-                g, value = fit, fit_value
-    return BestApprox(value=value, g_star=g, near_best=True)
+    return _best_approxes(f, fhat, (sigma,), (p,), lam)[p][sigma]
 
 
 def _best_approxes(
     f: RadialFunction,
-    fhat: Spectrum,
+    fhat: Spectrum | None,
     sigmas: Sequence[float],
-    p: float,
+    p_values: Sequence[float],
     lam: float,
-) -> dict[float, BestApprox]:
-    """``best_approx`` at every distinct sigma, ``{sigma: BestApprox}``.
+) -> dict[float, dict[float, BestApprox]]:
+    """``best_approx`` at every p and every distinct sigma,
+    ``{p: {sigma: BestApprox}}``.
 
     At p = 2 every value comes from one ``_spectral_tails`` sweep, which
-    evaluates each Bessel block the cut panels share once; other p take one
-    ``best_approx`` per sigma.
+    evaluates each Bessel block the cut panels share once.  Off p = 2 each
+    sigma takes one smoothing projection and one residual f - invH(g), whose
+    norm every such p takes; p = 1 then fits its own candidate.
     """
     sigmas = list(dict.fromkeys(sigmas))
     for sigma in sigmas:
         _require("sigma", sigma)
-    if p != 2:
-        return {sigma: best_approx(f, sigma, p, lam, fhat=fhat) for sigma in sigmas}
     fhat = _spectrum_of(f, lam, fhat)
-    tails = _spectral_tails(f, lam, sigmas, fhat)
-    return {sigma: BestApprox(value=tails[sigma], g_star=bandlimit_project(fhat, sigma),
-                              near_best=False) for sigma in sigmas}
+    approxes = {p: {} for p in p_values}
+    if 2 in p_values:
+        tails = _spectral_tails(f, lam, sigmas, fhat)
+        approxes[2] = {sigma: BestApprox(value=tails[sigma], g_star=bandlimit_project(fhat, sigma),
+                                         near_best=False) for sigma in sigmas}
+    off_2 = [p for p in p_values if p != 2]
+    if not off_2:
+        return approxes
+    mat = _kernel_matrix(lam, fhat.grid)
+
+    def residual(g: Spectrum) -> RadialFunction:
+        return RadialFunction(grid=f.grid, values=f.values - mat @ g.values)
+
+    nodes = fhat.grid.nodes
+    for sigma in sigmas:
+        g = vallee_poussin(fhat, sigma / 2.0)
+        off = residual(g)
+        for p in off_2:
+            approxes[p][sigma] = BestApprox(value=lp_norm(off, p, lam), g_star=g, near_best=True)
+        if 1 not in off_2:
+            continue
+        phi = np.ones_like(nodes) if sigma >= nodes[-1] else _l1_fit_symbol(f, fhat, sigma)
+        if phi is not None:
+            bl = sigma if fhat.bandlimit is None else min(fhat.bandlimit, sigma)
+            fit = fhat.with_symbol(f"l1fit:sigma={sigma!r}", phi, bandlimit=bl)
+            value = lp_norm(residual(fit), 1, lam)
+            if value <= approxes[1][sigma].value:
+                approxes[1][sigma] = BestApprox(value=value, g_star=fit, near_best=True)
+    return approxes
 
 
 class RealizationResult(NamedTuple):
@@ -558,7 +552,7 @@ def realization(
         approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
     else:
         g = _spectrum_of(f, lam, approx.g_star)
-        if g.bandlimit is None or g.bandlimit > 1.0 / t:
+        if g.bandlimit is None or not g.bandlimit <= 1.0 / t:
             raise ValueError(f"approximant is not of spherical type 1/t = {1.0 / t!r}")
     g = approx.g_star
     term = t**r * float(_image_norms(g, (g.grid.nodes**r)[:, None], (p,))[p][0])
@@ -583,13 +577,10 @@ def k_functional_upper(
     Minimizes the K-objective over smoothing projections P_sigma(f) with
     sigma on a geometric grid spanning [1/(4t), 4/t], sharp spectral
     truncations at the same scales (p = 2 only), and g = 0, so the value
-    never exceeds ||f||_p.  The one-(p, r) case of ``_candidate_minima``.
-    An upper bound on the true infimum by construction.
+    never exceeds ||f||_p.  An upper bound on the true infimum by
+    construction.  The one-point "K" case of ``_chain_sweep``.
     """
-    _require("t", t)
-    _require("r", r)
-    fhat = _spectrum_of(f, lam, fhat)
-    return _candidate_minima(f, fhat, t, ("K",), (r,), (p,))["K", p, r]
+    return _chain_sweep(f, (t,), (r,), (p,), lam, ("K",), fhat)["K"][t, p, r]
 
 
 def realization_candidate_min(
@@ -599,7 +590,6 @@ def realization_candidate_min(
     p: float,
     lam: float,
     fhat: Spectrum | None = None,
-    approx: BestApprox | None = None,
 ) -> float:
     """Candidate-grid approximation of the restricted K-infimum over the
     bandlimited class of type 1/t.
@@ -607,16 +597,10 @@ def realization_candidate_min(
     Candidates: P_sigma(f) for sigma in [1/(8t), 1/(2t)] (their outputs are
     bandlimited to 2*sigma <= 1/t), variable-width plateau cutoffs vanishing
     at 1/t, sharp truncations up to 1/t at p = 2, and the realization
-    approximant itself (the weighted-L1 fit at p = 1).  ``fhat`` and
-    ``approx`` are passed on to ``realization``.  The family is the
-    one-(p, r) case of ``_candidate_minima``.
+    approximant itself (the weighted-L1 fit at p = 1).  The one-point "R"
+    case of ``_chain_sweep``.
     """
-    _require("t", t)
-    _require("r", r)
-    fhat = _spectrum_of(f, lam, fhat)
-    best = realization(f, t, r, p, lam, fhat=fhat, approx=approx).value
-    low = _candidate_minima(f, fhat, t, ("R",), (r,), (p,))["R", p, r]
-    return min(best, low)
+    return _chain_sweep(f, (t,), (r,), (p,), lam, ("R",), fhat)["R"][t, p, r]
 
 
 _CHAIN_FUNCTIONALS = ("omega", "diff", "K", "Rstar", "R")
@@ -630,36 +614,31 @@ def _chain_sweep(
     lam: float,
     names: Collection[str],
     fhat: Spectrum | None = None,
-) -> dict[float, dict[tuple[float, float], dict[str, float]]]:
-    """The named chain functionals at every scale t, for each (p, r) of a
-    sweep, ``{t: {(p, r): {name: value}}}``.
+) -> dict[str, dict[tuple[float, float, float], float]]:
+    """The named chain functionals at every scale t and every (p, r) of a
+    sweep, ``{name: {(t, p, r): value}}``.
 
     ``names`` are drawn from ``_CHAIN_FUNCTIONALS``: the modulus ``"omega"``
     at delta = t and order r, the difference norm ``"diff"`` at step t and
     order r, the K-upper bound ``"K"``, the realization ``"Rstar"`` and the
     candidate minimum ``"R"``, the least of Rstar and its candidate family
     (so "R" brings "Rstar").  Each value equals the single call
-    (``modulus``, ``diff_norm``, ``k_functional_upper``, ``realization``,
-    ``realization_candidate_min``) at the same (p, r, t).
+    (``modulus``, ``diff_norm``, ``realization``); ``k_functional_upper``
+    and ``realization_candidate_min`` are this sweep at one point.
 
     The moduli of every scale come from one ``_moduli`` sweep: one Bessel
     base over the union of the scales' steps, and off p = 2 one inverse
     product per order r.  The difference norms read column t of that base
     (the step t itself) and take ``_diff_norms``, as ``diff_norm`` does:
-    Plancherel sums at p = 2, and off p = 2 one single-column product per
-    (t, r), since a one-column slice of a wide product is not bit-equal to
-    that matrix-vector product.  The base is released before the
-    realizations: "R" and "Rstar" take each p's approximants of the types
-    1/t from one ``_best_approxes`` sweep, each computed once for every r,
-    and ``_candidate_minima`` makes one product per scale for every family
-    off p = 2.  A sweep at p = 2 alone makes no inverse product.
-
-    The harness calls it with only the names it must compute: a chain
-    experiment takes from the previous one's hand-off (``harness._HandOff``)
-    the values that experiment computed for the same input, and each value
-    so handed on serves one later experiment only.  That is a hand-off, not
-    a cache: nothing here remembers a call, so a repeated call computes what
-    the first one did.
+    off p = 2 one single-column product per (t, r), since a one-column
+    slice of a wide product is not bit-equal to that matrix-vector product.
+    The base is released before the realizations: "R" and "Rstar" take the
+    approximants of the types 1/t from one ``_best_approxes`` sweep over
+    every p, each computed once for every r, and ``_candidate_minima`` makes
+    one product per scale for every family off p = 2.  A sweep at p = 2
+    alone makes no inverse product.  Nothing here remembers a call: the
+    harness hands values from one chain experiment to the next
+    (``harness._HandOff``) and asks only for the names it must compute.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")
@@ -667,38 +646,39 @@ def _chain_sweep(
         _require("t", t)
     for r in r_values:
         _require("r", r)
-    values = {t: {(p, r): {} for p in p_values for r in r_values} for t in scales}
+    values = {name: {} for name in _CHAIN_FUNCTIONALS
+              if name in names or (name == "Rstar" and "R" in names)}
     if not (p_values and r_values):
         return values
     fhat = _spectrum_of(f, lam, fhat)
 
-    if "omega" in names or "diff" in names:
+    if "omega" in values or "diff" in values:
         union, own = _ladder(scales)
         base = _bessel_base(lam, fhat.grid.nodes, union)
-        if "omega" in names:
+        if "omega" in values:
             for (t, p, r), result in _moduli(fhat, scales, r_values, p_values, base).items():
-                values[t][p, r]["omega"] = result.value
-        if "diff" in names:
+                values["omega"][t, p, r] = result.value
+        if "diff" in values:
             for t in scales:
                 # a scale's first step is t itself
                 column = np.ascontiguousarray(base[:, own[t][0]])
                 for r in r_values:
                     for p, value in zip(p_values, _diff_norms(fhat, column, r, 0.0, p_values)):
-                        values[t][p, r]["diff"] = value
+                        values["diff"][t, p, r] = value
         del base
 
-    families = [name for name in _FAMILIES if name in names]
-    if "R" in names or "Rstar" in names:
+    if "Rstar" in values:
+        approxes = _best_approxes(f, fhat, [1.0 / t for t in scales], p_values, lam)
         for p in p_values:
-            approxes = _best_approxes(f, fhat, [1.0 / t for t in scales], p, lam)
-            for t, chain in values.items():
+            for t in scales:
                 for r in r_values:
-                    chain[p, r]["Rstar"] = realization(f, t, r, p, lam,
-                                                       approx=approxes[1.0 / t]).value
-    for t, chain in values.items():
+                    values["Rstar"][t, p, r] = realization(f, t, r, p, lam,
+                                                           approx=approxes[p][1.0 / t]).value
+    families = [name for name in _FAMILIES if name in names]
+    for t in scales:
         for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values,
                                                    p_values).items():
-            chain[p, r][name] = low if name == "K" else min(chain[p, r]["Rstar"], low)
+            values[name][t, p, r] = low if name == "K" else min(values["Rstar"][t, p, r], low)
     return values
 
 
@@ -753,9 +733,9 @@ def _marchaud_bounds(
     sweep reads one approximant per point t of their union, of type
     sigma = 1/t (``_marchaud_sigmas``), and takes one ``realization`` per
     (point, m); each delta's integral reads its own nodes only.
-    ``approxes`` maps each such sigma to its ``best_approx``, as a caller's
-    ``_best_approxes`` sweep over these sigmas, and perhaps others, returns
-    it.
+    ``approxes`` maps each such sigma to its ``best_approx`` at p: the p
+    entry of a caller's ``_best_approxes`` sweep over these sigmas, and
+    perhaps others.
     """
     for m in orders:
         _require("m", m)
@@ -794,6 +774,5 @@ def marchaud_bound(
     """
     sigmas = _marchaud_sigmas((delta,))
     _require("m", m)
-    fhat = _spectrum_of(f, lam, fhat)
-    approxes = _best_approxes(f, fhat, sigmas, p, lam)
+    approxes = _best_approxes(f, fhat, sigmas, (p,), lam)[p]
     return _marchaud_bounds(f, (delta,), (m,), p, lam, approxes)[delta, m]

@@ -99,7 +99,7 @@ class Spectrum:
             bandlimit=self.bandlimit if bandlimit is None else bandlimit,
         )
 
-    def _binary(self, other: "Spectrum", op) -> "Spectrum":
+    def __sub__(self, other: "Spectrum") -> "Spectrum":
         if not isinstance(other, Spectrum):
             return NotImplemented
         if other.grid != self.grid or other.lam != self.lam:
@@ -111,16 +111,10 @@ class Spectrum:
         return Spectrum(
             grid=self.grid,
             lam=self.lam,
-            base=op(self.values, other.values),
+            base=self.values - other.values,
             bandlimit=bl,
             truncated=self.truncated or other.truncated,
         )
-
-    def __sub__(self, other: "Spectrum") -> "Spectrum":
-        return self._binary(other, lambda a, b: a - b)
-
-    def __add__(self, other: "Spectrum") -> "Spectrum":
-        return self._binary(other, lambda a, b: a + b)
 
 
 def spectrum_from_values(
@@ -473,13 +467,24 @@ def save_spectrum_csv(s: Spectrum, path: str | Path) -> None:
 
 def load_spectrum_csv(path: str | Path) -> Spectrum:
     """Read a spectrum CSV written by :func:`save_spectrum_csv`, on the grid
-    its header names."""
+    its header names.  A bandlimit other than ``none`` must be positive, and
+    every value beyond it zero; an error names the file and, for a value,
+    its node."""
     f, lam, fields = _load_csv(path, ("bandlimit",))
     bl = fields["bandlimit"]
+    if bl == "none":
+        return spectrum_from_values(f.grid, lam, f.values)
     try:
-        bandlimit = None if bl == "none" else float(bl)
+        bandlimit = float(bl)
     except ValueError:
         raise ValueError(f"{path}: bandlimit must be a number or none, got {bl!r}") from None
+    if not bandlimit > 0:
+        raise ValueError(f"{path}: bandlimit must be positive, got {bl!r}")
+    beyond = np.flatnonzero((f.grid.nodes > bandlimit) & (f.values != 0))
+    if beyond.size:
+        i = beyond[0]
+        raise ValueError(f"{path}: value {float(f.values[i])!r} at node {float(f.grid.nodes[i])!r}"
+                         f" lies beyond bandlimit {bl}")
     return spectrum_from_values(f.grid, lam, f.values, bandlimit=bandlimit)
 
 

@@ -101,18 +101,14 @@ def _field(text: str) -> float | str:
         return text
 
 
-def _moved_fields(names, old: list[str], new: list[str], exact: bool) -> list[str]:
-    """The fields of one row that moved, with their relative change."""
-    if len(old) != len(new):
-        return [f"{len(old)} fields -> {len(new)}"]
-    moved = []
-    for name, a, b in zip(names, map(_field, old), map(_field, new)):
-        if isinstance(a, float) and isinstance(b, float):
-            if not _close(a, b, exact):
-                moved.append(f"{name} {a!r} -> {b!r} (relative change {_relative(a, b):.3g})")
-        elif a != b:
-            moved.append(f"{name} {a!r} -> {b!r}")
-    return moved
+def _moved(name: str, old, new, exact: bool) -> list[str]:
+    """The message for one field that moved, with its relative change when
+    it is a float: none when it did not move."""
+    if isinstance(old, float) and isinstance(new, float):
+        if _close(old, new, exact):
+            return []
+        return [f"{name} {old!r} -> {new!r} (relative change {_relative(old, new):.3g})"]
+    return [] if old == new else [f"{name} {old!r} -> {new!r}"]
 
 
 def compare_lines(label: str, header: str, old: list[str], new: list[str],
@@ -126,11 +122,13 @@ def compare_lines(label: str, header: str, old: list[str], new: list[str],
     for i, (a, b) in enumerate(zip(old, new)):
         if a == b:
             continue
-        fa, fb = a.split(","), b.split(",")
-        moved = _moved_fields(names, fa, fb, exact)
+        fa, fb = [list(map(_field, line.split(","))) for line in (a, b)]
+        moved = [f"{len(fa)} fields -> {len(fb)}"] if len(fa) != len(fb) else [
+            m for name, x, y in zip(names, fa, fb) for m in _moved(name, x, y, exact)]
+        if exact and not moved:
+            moved = ["formatting differs"]
         if moved:
-            key = " ".join(f"{n}={_field(v)!r}"
-                           for n, v in zip(names[: names.index("scale") + 1], fb))
+            key = " ".join(f"{n}={v!r}" for n, v in zip(names[: names.index("scale") + 1], fb))
             messages.append(f"{label} row {i + 1} ({key}): " + "; ".join(moved))
     return messages
 
@@ -154,8 +152,7 @@ def compare_report_dir(fresh: Path, exact: bool = True) -> list[str]:
         else:
             ja, jb = json.loads(a), json.loads(b)
             keys = sorted(set(ja) | set(jb))
-            moved = [m for k in keys for m in _moved_fields(
-                [k], [json.dumps(ja.get(k))], [json.dumps(jb.get(k))], exact)]
+            moved = [m for k in keys for m in _moved(k, ja.get(k), jb.get(k), exact)]
             if exact and not moved:
                 moved = ["formatting differs"]
             messages += [f"{name}: {m}" for m in moved]

@@ -293,7 +293,7 @@ def test_criterion_8_marchaud_and_derivative_tail(grid, acceptance_log):
         fhat = hankel(f, lam)
         # one sweep per profile; each entry equals the single marchaud_bound
         deltas = (0.1, 0.2, 0.4)
-        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), 2, lam)
+        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), (2,), lam)[2]
         bounds = _marchaud_bounds(f, deltas, (m,), 2, lam, approxes)
         for delta in deltas:
             lhs = k_functional_upper(f, delta, m, 2, lam)

@@ -13,6 +13,7 @@ from dunklsmooth.harness import (
     ExperimentConfig,
     HarnessConfig,
     PROFILES,
+    ReportRow,
     ScaleGrid,
     SmoothnessReport,
     bandlimited_spectrum,
@@ -189,9 +190,9 @@ class TestConfig:
     def test_scale_grid_values(self):
         sg = ScaleGrid(0.1, 1.0, 3)
         np.testing.assert_allclose(sg.values(), [0.1, math.sqrt(0.1), 1.0], rtol=1e-12)
-        assert ScaleGrid(0.5, 0.5, 1).values().tolist() == [0.5]
+        assert ScaleGrid(0.5, 0.5, 1).values() == [0.5]
         # an integral float passes the integer kind, as 3.0 does in JSON
-        assert ScaleGrid(0.1, 1.0, 3.0).values().tolist() == sg.values().tolist()
+        assert ScaleGrid(0.1, 1.0, 3.0).values() == sg.values()
 
     @pytest.mark.parametrize(
         "build, match",
@@ -556,9 +557,9 @@ class TestExperiments:
                 " Numerical design notes, 'One modulus ladder per sweep'"
             )
 
-    def test_realization_takes_its_approximants_from_one_sweep_per_p(self, grid, monkeypatch):
-        # "R" and "Rstar" read each p's approximants of the types 1/t from one
-        # _best_approxes sweep per input.  At p = 2 its tails are one
+    def test_realization_takes_its_approximants_from_one_sweep(self, grid, monkeypatch):
+        # "R" and "Rstar" read every p's approximants of the types 1/t from
+        # one _best_approxes sweep per input.  At p = 2 its tails are one
         # _spectral_tails call, where the default scales' sigmas 20, 10, 5 and
         # 1.25 share one r~ group and 2.5000000000000004 has its own: the
         # first sigma of a group evaluates the whole 32 x n cut-panel block,
@@ -568,9 +569,9 @@ class TestExperiments:
         tails = smoothness._spectral_tails
         call = BesselEvaluator.__call__
 
-        def counted_approxes(f, fhat, sigmas, p, lam):
-            sweeps.append((p, list(sigmas)))
-            return approxes(f, fhat, sigmas, p, lam)
+        def counted_approxes(f, fhat, sigmas, p_values, lam):
+            sweeps.append((p_values, list(sigmas)))
+            return approxes(f, fhat, sigmas, p_values, lam)
 
         def counted_tails(f, lam, sigmas, fhat=None):
             tails_points.append([])
@@ -594,7 +595,7 @@ class TestExperiments:
         EXPERIMENTS["realization"](ExperimentConfig(name="realization", p_values=ps), grid)
         sigmas = [1.0 / t for t in cfg.scale.values()]
         assert sigmas == [20.0, 10.0, 5.0, 2.5000000000000004, 1.25]
-        assert sweeps == [(p, sigmas) for p in ps]
+        assert sweeps == [(ps, sigmas)]
         full = transforms._CUT_NODES.size * grid.n
         (points,) = tails_points
         # the groups in order: (20, 10, 5, 1.25), then (2.5000000000000004,)
@@ -950,8 +951,8 @@ class TestChainHandOff:
                 assert all(isinstance(x, (str, float, tuple)) for x in key)
                 for by_point in values.values():
                     assert len(by_point) == 3 * len(self.PS) * len(self.RS)
-                    # float scalars as computed (Python or numpy), never arrays
-                    assert all(isinstance(v, float) and np.ndim(v) == 0 for v in by_point.values())
+                    # Python floats, never numpy scalars or arrays
+                    assert all(type(v) is float for v in by_point.values())
                     assert all(type(x) is float for point in by_point for x in point)
                 names.add(frozenset(values))
             return len(harness._HANDOFF.made), names
@@ -965,6 +966,31 @@ class TestChainHandOff:
         # an experiment that is not a chain leaves the hand-off as it is
         EXPERIMENTS["jackson"](ExperimentConfig(name="jackson"), make_grid(30.0, 512))
         assert held_names() == (1, {frozenset({"omega", "diff", "K"})})
+
+    def test_a_pair_projects_each_input_and_type_once(self, run, monkeypatch):
+        # off p = 2 every p takes its norm of one smoothing projection of
+        # type 1/t and its one residual, so p = 1 and p = inf share it
+        calls = []
+        vallee_poussin = smoothness.vallee_poussin
+
+        def counted(fhat, sigma):
+            calls.append((fhat.lam, sigma))
+            return vallee_poussin(fhat, sigma)
+
+        monkeypatch.setattr(smoothness, "vallee_poussin", counted)
+        run("equivalence")
+        run("realization")
+        assert len(calls) == len(set(calls)) == self.PER_SCALE
+
+
+def test_rows_hold_python_floats_and_bools(default_run, criterion_6_reports):
+    # a numpy scalar would show in a row's repr and in the hand-off, and its
+    # type would depend on which functional made the value
+    numeric = [f.name for f in fields(ReportRow) if f.name not in ("check", "passed")]
+    for report in default_run[0] + criterion_6_reports[0]:
+        for row in report.rows:
+            assert [type(getattr(row, name)) for name in numeric] == [float] * len(numeric), row
+            assert type(row.passed) is bool, row
 
 
 class TestRunAll:

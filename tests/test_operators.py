@@ -305,8 +305,8 @@ def _operator_refusals(s, f):
         ("m", lambda v: jm_multiplier(LAM, v, np.array([0.5, 1.0])), _NOT_POSITIVE),
         ("sigma", lambda v: best_approx(f, v, 2, LAM), _NOT_POSITIVE),
         ("sigma", lambda v: best_approx(f, v, 1, LAM), _NOT_POSITIVE),
-        ("sigma", lambda v: _best_approxes(f, s, (1.0, v), 2, LAM), _NOT_POSITIVE),
-        ("sigma", lambda v: _best_approxes(f, s, (1.0, v), math.inf, LAM), _NOT_POSITIVE),
+        ("sigma", lambda v: _best_approxes(f, s, (1.0, v), (2,), LAM), _NOT_POSITIVE),
+        ("sigma", lambda v: _best_approxes(f, s, (1.0, v), (math.inf,), LAM), _NOT_POSITIVE),
     ]
 
 

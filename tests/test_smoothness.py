@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -402,7 +403,7 @@ class TestBestApprox:
         f = make_profile("rational", grid, LAM)
         fhat = hankel(f, LAM)
         sigmas = [1.0, 2.0, 4.0, 2.5, 2.5000000000000004, 5.0, 1.0, 0.3, 2.0 * grid.rmax]
-        sweep = _best_approxes(f, fhat, sigmas, p, LAM)
+        sweep = _best_approxes(f, fhat, sigmas, (p,), LAM)[p]
         assert list(sweep) == list(dict.fromkeys(sigmas))
         for sigma, ba in sweep.items():
             single = best_approx(f, sigma, p, LAM, fhat=fhat)
@@ -410,10 +411,25 @@ class TestBestApprox:
             assert np.array_equal(ba.g_star.values, single.g_star.values)
             assert ba.g_star.bandlimit == single.g_star.bandlimit
 
+    def test_joint_p_sweep_equals_single_calls(self):
+        # off p = 2 every p measures one projection residual per sigma; the
+        # values, approximants and their order equal each (sigma, p) alone
+        grid = make_grid(30.0, 256)
+        f = make_profile("rational", grid, LAM)
+        fhat = hankel(f, LAM)
+        ps, sigmas = (1.0, 2.0, math.inf), [2.0, 0.3, 2.0 * grid.rmax]
+        sweep = _best_approxes(f, fhat, sigmas, ps, LAM)
+        assert list(sweep) == list(ps) and all(list(sweep[p]) == sigmas for p in ps)
+        for p in ps:
+            for sigma, ba in sweep[p].items():
+                single = best_approx(f, sigma, p, LAM, fhat=fhat)
+                assert ba.value == single.value and ba.near_best == single.near_best
+                assert np.array_equal(ba.g_star.values, single.g_star.values)
+
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_sweep_refuses_a_nonpositive_sigma(self, gauss, p):
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
-            _best_approxes(gauss, hankel(gauss, LAM), (1.0, 0.0), p, LAM)
+            _best_approxes(gauss, hankel(gauss, LAM), (1.0, 0.0), (p,), LAM)
 
 
 class TestRealization:
@@ -471,11 +487,19 @@ class TestRealization:
                 gauss, t, r, p, LAM
             )
             assert realization_candidate_min(
-                gauss, t, r, p, LAM, fhat=fhat, approx=ba
+                gauss, t, r, p, LAM, fhat=fhat
             ) == realization_candidate_min(gauss, t, r, p, LAM)
         coarse = best_approx(gauss, 2.0 / t, 1, LAM, fhat=fhat)
         with pytest.raises(ValueError):
             realization(gauss, t, r, 1, LAM, approx=coarse)
+
+    def test_approximant_with_a_nan_bandlimit_is_refused(self, gauss):
+        # a NaN bandlimit certifies no type: the check is not bandlimit <= 1/t
+        t = 0.3
+        ba = best_approx(gauss, 1.0 / t, 2, LAM)
+        bad = ba._replace(g_star=replace(ba.g_star, bandlimit=math.nan))
+        with pytest.raises(ValueError, match="not of spherical type"):
+            realization(gauss, t, 1.0, 2, LAM, approx=bad)
 
 
 class TestKFunctionalUpper:
@@ -603,7 +627,7 @@ class TestMarchaudBound:
     def test_single_call_is_the_sweep_entry(self, gauss, p):
         fhat = hankel(gauss, LAM)
         deltas, orders = (0.1, 0.2, 0.4), (1.0, 2.0)
-        approxes = _best_approxes(gauss, fhat, _marchaud_sigmas(deltas), p, LAM)
+        approxes = _best_approxes(gauss, fhat, _marchaud_sigmas(deltas), (p,), LAM)[p]
         sweep = _marchaud_bounds(gauss, deltas, orders, p, LAM, approxes)
         assert set(sweep) == {(delta, m) for delta in deltas for m in orders}
         for (delta, m), bound in sweep.items():
@@ -611,7 +635,7 @@ class TestMarchaudBound:
 
     def test_single_call_is_the_sweep_entry_at_p1(self, gauss):
         fhat = hankel(gauss, LAM)
-        approxes = _best_approxes(gauss, fhat, _marchaud_sigmas((0.2, 0.4)), 1.0, LAM)
+        approxes = _best_approxes(gauss, fhat, _marchaud_sigmas((0.2, 0.4)), (1.0,), LAM)[1.0]
         sweep = _marchaud_bounds(gauss, (0.2, 0.4), (1.0,), 1.0, LAM, approxes)
         assert marchaud_bound(gauss, 0.4, 1.0, 1.0, LAM, fhat=fhat) == sweep[0.4, 1.0]
 
@@ -622,9 +646,9 @@ class TestMarchaudBound:
         fhat = hankel(gauss, LAM)
         deltas, orders = (0.1, 0.2, 0.4), (1.0, 2.0)
         sigmas = [float(j) for j in range(1, 9)] + _marchaud_sigmas(deltas)
-        approxes = _best_approxes(gauss, fhat, sigmas, p, LAM)
+        approxes = _best_approxes(gauss, fhat, sigmas, (p,), LAM)[p]
         assert len(_marchaud_sigmas(deltas)) == 17
-        own = _best_approxes(gauss, fhat, _marchaud_sigmas(deltas), p, LAM)
+        own = _best_approxes(gauss, fhat, _marchaud_sigmas(deltas), (p,), LAM)[p]
         assert _marchaud_bounds(gauss, deltas, orders, p, LAM, approxes) == _marchaud_bounds(
             gauss, deltas, orders, p, LAM, own
         )
@@ -637,13 +661,13 @@ class TestMarchaudBound:
         grid, deltas, orders = default_grid(), (0.1, 0.2, 0.4), (1.0, 2.0)
         f = make_profile(name, grid, LAM)
         fhat = hankel(f, LAM)
-        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), 2, LAM)
+        approxes = _best_approxes(f, fhat, _marchaud_sigmas(deltas), (2,), LAM)[2]
         sweep = _marchaud_bounds(f, deltas, orders, 2, LAM, approxes)
         rungs = [2.0 ** (-k / 32.0) for k in range(128, -1, -1)]
         fine = {delta: np.array([delta] + [t for t in rungs if t > delta]) for delta in deltas}
         values = {}
         points = sorted({t for ts in fine.values() for t in ts.tolist()})
-        approxes = _best_approxes(f, fhat, [1.0 / t for t in points], 2, LAM)
+        approxes = _best_approxes(f, fhat, [1.0 / t for t in points], (2,), LAM)[2]
         for t in points:
             approx = approxes[1.0 / t]
             for m in orders:
@@ -667,10 +691,12 @@ class TestChainSweep:
     def test_equivalence_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
         chain = _chain_sweep(gauss, (t,), self.R_VALUES, self.P_VALUES, LAM, self.EQUIVALENCE,
-                             fhat=fhat)[t]
-        assert set(chain) == {(p, r) for p in self.P_VALUES for r in self.R_VALUES}
-        for (p, r), values in chain.items():
-            assert values == {
+                             fhat=fhat)
+        points = {(t, p, r) for p in self.P_VALUES for r in self.R_VALUES}
+        assert set(chain) == set(self.EQUIVALENCE)
+        assert all(set(values) == points for values in chain.values())
+        for t, p, r in points:
+            assert {name: chain[name][t, p, r] for name in chain} == {
                 "omega": modulus(gauss, t, r, p, LAM, fhat=fhat).value,
                 "diff": diff_norm(gauss, t, r, p, LAM, fhat=fhat),
                 "K": k_functional_upper(gauss, t, r, p, LAM, fhat=fhat),
@@ -680,14 +706,15 @@ class TestChainSweep:
     def test_realization_values_equal_single_calls(self, gauss, t):
         fhat = hankel(gauss, LAM)
         chain = _chain_sweep(gauss, (t,), self.R_VALUES, self.P_VALUES, LAM, self.REALIZATION,
-                             fhat=fhat)[t]
-        for (p, r), values in chain.items():
+                             fhat=fhat)
+        assert set(chain) == set(self.REALIZATION)
+        for t, p, r in chain["R"]:
             ba = best_approx(gauss, 1.0 / t, p, LAM, fhat=fhat)
-            assert values == {
+            assert {name: chain[name][t, p, r] for name in chain} == {
                 "omega": modulus(gauss, t, r, p, LAM, fhat=fhat).value,
                 "K": k_functional_upper(gauss, t, r, p, LAM, fhat=fhat),
                 "Rstar": realization(gauss, t, r, p, LAM, approx=ba).value,
-                "R": realization_candidate_min(gauss, t, r, p, LAM, fhat=fhat, approx=ba),
+                "R": realization_candidate_min(gauss, t, r, p, LAM, fhat=fhat),
             }
 
     @pytest.mark.parametrize("names", [("omega",), ("diff",), ("K",), ("Rstar",), ("R",),
@@ -695,11 +722,11 @@ class TestChainSweep:
     def test_computes_only_the_named_functionals(self, gauss, names):
         fhat = hankel(gauss, LAM)
         full = _chain_sweep(gauss, (0.3,), (1.0,), (1.0, 2.0), LAM,
-                            self.EQUIVALENCE + self.REALIZATION, fhat=fhat)[0.3]
-        chain = _chain_sweep(gauss, (0.3,), (1.0,), (1.0, 2.0), LAM, names, fhat=fhat)[0.3]
+                            self.EQUIVALENCE + self.REALIZATION, fhat=fhat)
+        chain = _chain_sweep(gauss, (0.3,), (1.0,), (1.0, 2.0), LAM, names, fhat=fhat)
         # R is the least of Rstar and its candidate family, so it brings Rstar
         kept = set(names) | ({"Rstar"} if "R" in names else set())
-        assert chain == {key: {name: full[key][name] for name in kept} for key in full}
+        assert chain == {name: full[name] for name in kept}
 
     def test_rejects_nonpositive_scale_or_order(self, gauss):
         with pytest.raises(ValueError):
@@ -712,9 +739,9 @@ class TestChainSweep:
             _chain_sweep(gauss, (0.1,), (1.0,), (2.0,), LAM, ("K", "E"))
 
     def test_empty_sweep_axes_give_no_values(self, gauss):
-        assert _chain_sweep(gauss, (0.1,), (), (2.0,), LAM, ("K",)) == {0.1: {}}
-        assert _chain_sweep(gauss, (0.1,), (1.0,), (), LAM, ("K",)) == {0.1: {}}
-        assert _chain_sweep(gauss, (), (1.0,), (2.0,), LAM, ("K",)) == {}
+        assert _chain_sweep(gauss, (0.1,), (), (2.0,), LAM, ("K",)) == {"K": {}}
+        assert _chain_sweep(gauss, (0.1,), (1.0,), (), LAM, ("K",)) == {"K": {}}
+        assert _chain_sweep(gauss, (), (1.0,), (2.0,), LAM, ("K",)) == {"K": {}}
 
 
 class TestSpectrumPassThrough:
@@ -745,8 +772,6 @@ class TestSpectrumPassThrough:
         wrong = best_approx(gauss, 1.0 / t, 2, LAM)
         with pytest.raises(ValueError, match="does not match"):
             realization(gauss, t, 1.0, 2, 1.0, approx=wrong)
-        with pytest.raises(ValueError, match="does not match"):
-            realization_candidate_min(gauss, t, 1.0, 2, 1.0, approx=wrong)
 
     def test_spectrum_on_another_grid_is_refused(self):
         small, large = make_grid(20.0, 512), make_grid(30.0, 512)
