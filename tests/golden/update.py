@@ -3,6 +3,9 @@
 This directory holds
 
 * ``default/``: the 16 files of ``dunklsmooth run`` (the built-in sweep);
+* ``off_p2/``: the 16 files of the built-in sweep at p = inf, and at
+  p in {1, inf} for bernstein, nikolskii_stechkin, boas and general_entire
+  (``off_p2_config``), the rows the p = 2 default run never reaches;
 * ``criterion6.csv``: the 1,458 rows of acceptance criterion 6 (the
   equivalence and realization chains at p in {1, 2, inf}) as
   (check, lambda, p, r, scale, lhs, rhs), every float in ``float.hex``;
@@ -36,6 +39,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 DEFAULT = HERE / "default"
+OFF_P2 = HERE / "off_p2"
 CHAIN = HERE / "criterion6.csv"
 FINGERPRINT = HERE / "fingerprint.json"
 CHAIN_HEADER = "check,lambda,p,r,scale,lhs,rhs"
@@ -55,6 +59,21 @@ def fingerprint() -> dict:
         "machine": platform.machine(),
         "simd": sorted(config["SIMD Extensions"]["found"]),
     }
+
+
+# the experiments the off-p = 2 set also runs at p = 1
+_L1_TOO = ("bernstein", "nikolskii_stechkin", "boas", "general_entire")
+
+
+def off_p2_config() -> dict:
+    """The built-in sweep with p = inf for every experiment, and p = 1
+    besides for the experiments of ``_L1_TOO``."""
+    from dunklsmooth.harness import default_config
+
+    data = default_config()
+    for experiment in data["experiments"]:
+        experiment["p_values"] = [1.0, math.inf] if experiment["name"] in _L1_TOO else [math.inf]
+    return data
 
 
 def criterion_6_configs() -> list:
@@ -133,15 +152,16 @@ def compare_lines(label: str, header: str, old: list[str], new: list[str],
     return messages
 
 
-def compare_report_dir(fresh: Path, exact: bool = True) -> list[str]:
-    """Messages for every file of ``fresh`` that differs from ``default/``:
-    a missing or extra file, a moved CSV row or a moved summary field."""
-    old = {p.name for p in DEFAULT.iterdir()}
+def compare_report_dir(fresh: Path, exact: bool = True, golden: Path = DEFAULT) -> list[str]:
+    """Messages for every file of ``fresh`` that differs from the golden
+    directory ``golden``: a missing or extra file, a moved CSV row or a
+    moved summary field."""
+    old = {p.name for p in golden.iterdir()}
     new = {p.name for p in fresh.iterdir()}
     messages = [f"{name}: missing" for name in sorted(old - new)]
     messages += [f"{name}: not in the golden set" for name in sorted(new - old)]
     for name in sorted(old & new):
-        a, b = (DEFAULT / name).read_text(), (fresh / name).read_text()
+        a, b = (golden / name).read_text(), (fresh / name).read_text()
         if a == b:
             continue
         if name.endswith(".csv"):
@@ -166,20 +186,24 @@ def read_chain() -> list[str]:
 
 
 def main() -> int:
-    from dunklsmooth.harness import EXPERIMENTS, _HANDOFF, run_all
+    from dunklsmooth.harness import EXPERIMENTS, _HANDOFF, default_config, parse_config, run_config
     from dunklsmooth.quad import default_grid
 
     grid = default_grid()
     _HANDOFF.clear()
     lines = chain_lines([EXPERIMENTS[cfg.name](cfg, grid) for cfg in criterion_6_configs()])
+    moved = []
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = Path(tmp) / "default"
-        run_all(None, output_dir=fresh)
-        moved = compare_report_dir(fresh) if DEFAULT.is_dir() else ["default/: new"]
+        for golden, config in ((DEFAULT, default_config()), (OFF_P2, off_p2_config())):
+            fresh = Path(tmp) / golden.name
+            _HANDOFF.clear()
+            run_config(parse_config(config), output_dir=fresh)
+            moved += compare_report_dir(fresh, golden=golden) if golden.is_dir() \
+                else [f"{golden.name}/: new"]
+            shutil.rmtree(golden, ignore_errors=True)
+            shutil.copytree(fresh, golden)
         moved += compare_lines(CHAIN.name, CHAIN_HEADER, read_chain(), lines) if CHAIN.exists() \
             else [f"{CHAIN.name}: new"]
-        shutil.rmtree(DEFAULT, ignore_errors=True)
-        shutil.copytree(fresh, DEFAULT)
     CHAIN.write_text("\n".join([CHAIN_HEADER] + lines) + "\n")
     FINGERPRINT.write_text(json.dumps(fingerprint(), indent=2) + "\n")
     for message in moved:

@@ -1,6 +1,8 @@
 """The golden-report gate: a fresh run against the committed golden files.
 
-``tests/golden/update.py`` says what the files hold and rewrites them.  The
+``tests/golden/update.py`` says what the files hold and rewrites them.
+The default run and the off-p = 2 run cover every experiment at p in
+{1, 2, inf}; criterion 6 covers the chains on its wider sweep.  The
 gate is exact on the fingerprint the files record; on another it compares
 to the module's foreign tolerance and warns, naming both fingerprints.
 """
@@ -8,6 +10,8 @@ to the module's foreign tolerance and warns, naming both fingerprints.
 import json
 import math
 import warnings
+
+from dunklsmooth import harness
 
 
 def _exact(golden) -> bool:
@@ -26,6 +30,13 @@ def test_default_run_matches_golden(golden, default_run):
     _, out = default_run
     moved = golden.compare_report_dir(out, _exact(golden))
     assert not moved, "default-run reports moved:\n" + "\n".join(moved)
+
+
+def test_off_p2_run_matches_golden(golden, tmp_path):
+    reports = harness.run_config(harness.parse_config(golden.off_p2_config()), tmp_path)
+    assert sum(len(report.rows) for report in reports) == 185
+    moved = golden.compare_report_dir(tmp_path, _exact(golden), golden.OFF_P2)
+    assert not moved, "off-p=2 reports moved:\n" + "\n".join(moved)
 
 
 def test_criterion_6_rows_match_golden(golden, criterion_6_reports):
