@@ -14,9 +14,10 @@ rows carry the exact lhs/rhs so failures are auditable.
 
 Experiments hold no numerical rule of their own: every norm of a multiplier
 image a row reads comes from ``smoothness`` (``_image_norms`` and the sweeps
-over it), and the grid and lambdas a config names are admitted by the
-``_check_*`` rules of ``quad`` and ``special``, which ``transform`` and the
-library share.
+over it), one sweep per functional and input, never a one-point call, and
+the grid, lambdas and largest difference steps a config names are admitted
+by the ``_check_*`` rules of ``quad`` and ``special``, which ``transform``
+and the library share.
 
 The two chain experiments share their values: equivalence computes omega,
 diff and K, and a realization run after it on the same inputs takes omega
@@ -44,6 +45,7 @@ from .quad import (
     RadialGrid,
     _check_kernel_size,
     _check_rmax,
+    _check_step,
     _check_weights,
     _spectral_l2,
     lp_norm,
@@ -52,14 +54,12 @@ from .quad import (
 from .smoothness import (
     _best_approxes,
     _chain_sweep,
+    _diff_norms,
     _image_norms,
     _marchaud_bounds,
     _marchaud_sigmas,
     _moduli,
-    best_approx,
-    diff_norm,
     inverse_bound,
-    k_functional_upper,
 )
 from .special import _check_lambda
 from .transforms import Spectrum, hankel, inverse_hankel, spectrum_from_values
@@ -397,8 +397,13 @@ class HarnessConfig:
             for cfg in self.experiments:
                 for lam in cfg.lambda_values:
                     _check_weights(self.grid_rmax, lam, f"{cfg.name}: lambda_values")
+                if _SPECS[cfg.name].largest_step is not None:
+                    name, step = _SPECS[cfg.name].largest_step(cfg)
+                    _check_step(step, self.grid_rmax, f"{cfg.name}: {name}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.experiments:
+            raise ConfigError("config.experiments must name at least one experiment, got []")
 
     def grid(self) -> RadialGrid:
         return make_grid(self.grid_rmax, self.grid_n)
@@ -673,45 +678,43 @@ def _bernstein_rows(report, cfg, inp):
 
 
 def _nikolskii_rows(report, cfg, inp):
-    """t^m-scaled difference norms control the m-th derivative norm."""
+    """t^m-scaled difference norms control the m-th derivative norm; every
+    norm comes from one ``_diff_norms`` sweep."""
+    scales = cfg.scale.values()
+    points = [(0.0, 0.0, m) for m in cfg.m_values]
+    points += [(t, m, 0.0) for m in cfg.m_values for t in scales]
+    norms = _diff_norms(inp.fhat, points, cfg.p_values)
     for p in cfg.p_values:
         for m in cfg.m_values:
-            lhs_const = diff_norm(inp.f, 0.0, 0.0, p, inp.lam, r=m, fhat=inp.fhat)
-            for t in cfg.scale.values():
-                rhs = diff_norm(inp.f, t, m, p, inp.lam, fhat=inp.fhat)
-                report.add("nikolskii-stechkin", inp.lam, p, m, m, t, lhs_const * t**m, rhs)
+            for t in scales:
+                report.add("nikolskii-stechkin", inp.lam, p, m, m, t,
+                           norms[0.0, 0.0, m, p] * t**m, norms[t, m, 0.0, p])
 
 
 def _two_scale_rows(check, orders):
     """Rows of the general two-scale comparison of the bandlimited input, for
     each p and each (r1, m1, r2, m2) in ``orders(cfg)``.
 
-    Each distinct difference norm is computed once per step: the right-hand
-    norm does not depend on theta, and at theta = 1 with equal orders the
-    left-hand norm is the same one.
+    Every norm comes from one ``_diff_norms`` sweep over the distinct
+    points (step, m, r): the right-hand norm does not depend on theta, and
+    at theta = 1 with equal orders the left-hand norm is the same one.
     """
 
     def rows(report, cfg, inp):
-        sigma = cfg.sigma
+        sigma, scales = cfg.sigma, cfg.scale.values()
+        points = {(s, m, r) for r1, m1, r2, m2 in orders(cfg) for t in scales
+                  for s, m, r in [(theta * t, m1, r1) for theta in cfg.thetas] + [(t, m2, r2)]}
+        norms = _diff_norms(inp.fhat, points, cfg.p_values)
         for p in cfg.p_values:
             for r1, m1, r2, m2 in orders(cfg):
                 rho = r1 + m1 - r2 - m2
-                norms = {}
-
-                def norm(step, m, r):
-                    # ||Delta_step^m (-Lap)^(r/2) f||_p; m = 0 drops the step
-                    key = (step if m > 0 else 0.0, m, r)
-                    if key not in norms:
-                        norms[key] = diff_norm(inp.f, key[0], m, p, inp.lam, r=r, fhat=inp.fhat)
-                    return norms[key]
-
-                for t in cfg.scale.values():
+                for t in scales:
                     for theta in cfg.thetas:
                         delta = theta * t
-                        lhs = norm(delta, m1, r1)
+                        lhs = norms[delta, m1, r1, p]
                         if m1 > 0:
                             lhs = delta ** (-m1) * lhs
-                        rhs = sigma**rho * t ** (-m2) * norm(t, m2, r2)
+                        rhs = sigma**rho * t ** (-m2) * norms[t, m2, r2, p]
                         report.add(f"{check}:theta={theta!r}", inp.lam, p, m1 if m1 > 0 else m2,
                                    r1, t, lhs, rhs)
 
@@ -724,7 +727,8 @@ def _inverse_rows(report, cfg, inp):
     One ``_best_approxes`` sweep over the p values takes the E_j table's
     types j = 1..max(n_values) and Marchaud's ladder types 1/t, so a type
     both share is approximated once.  f and each derivative take one
-    ``_moduli`` sweep over the deltas 1/n."""
+    ``_moduli`` sweep over the deltas 1/n, and Marchaud's left-hand K one
+    ``_chain_sweep`` over the deltas."""
     f, fhat, lam = inp.f, inp.fhat, inp.lam
     tail_cutoff = 1e-10
     j_cap = 64
@@ -735,27 +739,27 @@ def _inverse_rows(report, cfg, inp):
               for r, dfhat in _derivatives(inp, (0.0, *cfg.r_values)).items()}
     sigmas = [float(j) for j in range(1, n_max + 1)] + _marchaud_sigmas(cfg.delta_values)
     approxes = _best_approxes(f, fhat, sigmas, cfg.p_values, lam)
+    k_upper = _chain_sweep(f, cfg.delta_values, cfg.m_values, cfg.p_values, lam, ("K",), fhat)["K"]
     for p in cfg.p_values:
         # E_0 is the norm of f, by Plancherel at p = 2
         table = {0: _spectral_l2(fhat.values, fhat.grid, lam) if p == 2 else lp_norm(f, p, lam)}
         table.update((j, approxes[p][float(j)].value) for j in range(1, n_max + 1))
+        # the derivative rows extend the table until E_j decays below the cutoff
+        j_hi = n_max
+        while max(cfg.r_values) > 0 and j_hi < j_cap and table[j_hi] > tail_cutoff:
+            j_hi += 1
+            table[j_hi] = _best_approxes(f, fhat, (float(j_hi),), (p,), lam)[p][float(j_hi)].value
         marchaud = _marchaud_bounds(f, cfg.delta_values, cfg.m_values, p, lam, approxes[p])
         for m in cfg.m_values:
             for n in cfg.n_values:
                 lhs = moduli[0.0][deltas[n], p, m].value
                 report.add("inverse", lam, p, m, 0.0, float(n), lhs, inverse_bound(table, n, m))
             for delta in cfg.delta_values:
-                lhs = k_functional_upper(f, delta, m, p, lam, fhat=fhat)
-                report.add("marchaud", lam, p, m, 0.0, delta, lhs, marchaud[delta, m])
+                report.add("marchaud", lam, p, m, 0.0, delta, k_upper[delta, p, m],
+                           marchaud[delta, m])
             for r in cfg.r_values:
                 if r <= 0:
                     continue
-                # extend the table until E_j decays below the cutoff
-                j_hi = n_max
-                while j_hi < j_cap and table[j_hi] > tail_cutoff:
-                    j_hi += 1
-                    if j_hi not in table:
-                        table[j_hi] = best_approx(f, float(j_hi), p, lam, fhat=fhat).value
                 for n in cfg.n_values:
                     lhs = moduli[r][deltas[n], p, m].value
                     head = sum((j + 1.0) ** (m + r - 1.0) * table[j] for j in range(n + 1))
@@ -786,8 +790,10 @@ class _Spec:
     "lambda", see ``_inputs``), the rows it adds for one input, its default
     window, whether the window is two-sided and the drift checked, the
     hypotheses its config must meet beyond the field table (``ranges`` in
-    place of a field's range, and ``checks`` across fields), and whether it
-    is a chain experiment, which reads and refills the hand-off."""
+    place of a field's range, and ``checks`` across fields), whether it is a
+    chain experiment, which reads and refills the hand-off, and the field
+    setting its largest difference step and that step, which the grid must
+    keep in the Bessel range (``quad._check_step``)."""
 
     inputs: str
     rows: Callable[[SmoothnessReport, ExperimentConfig, _Input], None]
@@ -797,34 +803,51 @@ class _Spec:
     ranges: dict[str, _Range] = field(default_factory=dict)
     checks: tuple[Callable[[ExperimentConfig], None], ...] = ()
     chained: bool = False
+    largest_step: Callable[[ExperimentConfig], tuple[str, float]] | None = None
 
 
 # the chain experiments take r as a smoothness order
 _SMOOTHNESS_ORDERS = {"r_values": _POSITIVE}
 
+
+# the field setting an experiment's largest difference step, and that step;
+# inverse steps at most 1, which every admitted grid keeps in range
+def _scale_hi(cfg):
+    return "scale.hi", cfg.scale.hi
+
+
+def _two_scale_hi(cfg):
+    return "scale.hi and thetas", max(1.0, *cfg.thetas) * cfg.scale.hi
+
+
 _SPECS: dict[str, _Spec] = {
-    "jackson": _Spec("profiles", _jackson_rows, (0.0, 20.0)),
+    "jackson": _Spec("profiles", _jackson_rows, (0.0, 20.0),
+                     largest_step=lambda cfg: ("scale.lo", 1.0 / cfg.scale.lo)),
     "equivalence": _Spec(
         "profiles", _chain_rows((("K", "omega"), ("omega", "diff"), ("K", "diff"))),
         (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS, chained=True,
+        largest_step=_scale_hi,
     ),
     "realization": _Spec(
         "profiles",
         _chain_rows(list(combinations(("R", "Rstar", "K", "omega"), 2))),
         (0.05, 20.0), two_sided=True, drift_checked=True, ranges=_SMOOTHNESS_ORDERS, chained=True,
+        largest_step=_scale_hi,
     ),
     "bernstein": _Spec("lambda", _bernstein_rows, (0.0, 20.0)),
     "nikolskii_stechkin": _Spec(
-        "bandlimited", _nikolskii_rows, (0.0, 20.0), checks=(_steps_below_half_bandwidth,)
+        "bandlimited", _nikolskii_rows, (0.0, 20.0), checks=(_steps_below_half_bandwidth,),
+        largest_step=_scale_hi,
     ),
     "boas": _Spec(
         "bandlimited",
         _two_scale_rows("boas", lambda cfg: [(0.0, m, 0.0, m) for m in cfg.m_values]),
         (0.05, 20.0), two_sided=True, checks=(_steps_below_half_bandwidth,),
+        largest_step=_two_scale_hi,
     ),
     "general_entire": _Spec(
         "bandlimited", _two_scale_rows("general", lambda cfg: [cfg.general_orders]), (0.0, 20.0),
-        checks=(_steps_below_half_bandwidth, _nonnegative_order_gap),
+        checks=(_steps_below_half_bandwidth, _nonnegative_order_gap), largest_step=_two_scale_hi,
     ),
     "inverse": _Spec("profiles", _inverse_rows, (0.0, 1.0)),
 }

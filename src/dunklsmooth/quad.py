@@ -168,6 +168,17 @@ def _check_rmax(rmax: float, name: str) -> None:
                          f" [0, {BESSEL_ARG_MAX:g}] only), got {rmax!r}")
 
 
+def _check_step(step: float, rmax: float, name: str) -> None:
+    """Refuse a difference step whose symbol's Bessel arguments nu * step,
+    which reach step * rmax on a grid of rmax, leave the range where the
+    Bessel evaluation keeps its accuracy, naming the field ``name``."""
+    if not step * rmax <= BESSEL_ARG_MAX:
+        raise ValueError(f"{name} gives difference steps up to {step!r}, beyond"
+                         f" {BESSEL_ARG_MAX / rmax:.4g}: on a grid of rmax {rmax!r} their Bessel"
+                         f" arguments reach step * rmax, and the Bessel evaluation is accurate"
+                         f" on [0, {BESSEL_ARG_MAX:g}] only")
+
+
 def _check_weights(rmax: float, lam: float, name: str) -> None:
     """Refuse a lambda whose nu weights overflow on a grid of rmax, naming the
     field ``name``: they reach b_lam * rmax^(2 lam + 1), and rmax^(2 lam + 1)

@@ -21,18 +21,20 @@ at p = 2, and g = 0).  Each candidate family is a matrix of spectral symbol
 columns.
 
 Each functional has one body, a sweep whose one-point case is the single
-call: ``_moduli`` (``modulus``), ``_diff_norms`` (``diff_norm``),
-``_best_approxes`` over (sigma, p) (``best_approx``), ``_chain_sweep`` over
+call: ``_moduli`` (``modulus``), ``_diff_norms`` over (t, m, r)
+(``diff_norm``), ``_best_approxes`` over (sigma, p) (``best_approx``),
+``_realizations`` over (t, r) (``realization``), ``_chain_sweep`` over
 (t, p, r) (``k_functional_upper``, ``realization_candidate_min``) and
-``_marchaud_bounds`` (``marchaud_bound``).  Every p = 2 norm is taken on
-the spectral side, where the transform is unitary (Plancherel), and an
-inverse product is made only for the other p (``_image_norms``,
-``_candidate_minima``).  Every modulus sup samples delta and the
-quarter-octave rungs 2^(-k/4) below it, a lattice all deltas share, so
-``_moduli`` makes one Bessel base over the union of its deltas' steps and,
-off p = 2, one inverse product per order.  ``_best_approxes`` takes its
-p = 2 values from one ``transforms._spectral_tails`` sweep and, off p = 2,
-measures one projection residual per sigma at every p.
+``_marchaud_bounds`` (``marchaud_bound``).  No sweep takes another's
+Bessel base.  Every p = 2 norm is taken on the spectral side, where the
+transform is unitary (Plancherel), and an inverse product is made only for
+the other p (``_image_norms``, ``_candidate_minima``).  Every modulus sup
+samples delta and the quarter-octave rungs 2^(-k/4) below it, a lattice
+all deltas share, so ``_moduli`` makes one Bessel base over the union of
+its deltas' steps and, off p = 2, one inverse product per order;
+``_diff_norms`` makes one over its distinct steps.  ``_best_approxes``
+takes its p = 2 values from one ``transforms._spectral_tails`` sweep and,
+off p = 2, measures one projection residual per sigma at every p.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from .operators import eta, vallee_poussin
-from .quad import RadialFunction, _lp_norms, _spectral_l2s, lp_norm, nu_weights
+from .quad import RadialFunction, _check_step, _lp_norms, _spectral_l2s, lp_norm, nu_weights
 from .special import BesselEvaluator, _require
 from .transforms import (
     Spectrum,
@@ -170,24 +172,24 @@ def _image_norms(fhat: Spectrum, symbols: np.ndarray, p_values: Sequence[float]
 
 
 def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
-            p_values: Sequence[float], base: np.ndarray | None = None,
-            ) -> dict[tuple[float, float, float], ModulusResult]:
+            p_values: Sequence[float]) -> dict[tuple[float, float, float], ModulusResult]:
     """Modulus of every order m at every p and every delta,
     ``{(delta, p, m): ModulusResult}``: the sup over delta's
     ``_modulus_steps`` of ||Delta_t^m f||_p.
 
     The sweep evaluates one ``_bessel_base`` over the union U of the
-    deltas' steps (``_ladder``; ``base`` when the caller holds it) and takes
-    the ``_image_norms`` of base^(m/2) once per order: Plancherel sums at
-    p = 2, and one (n, U) inverse product for the other p.  Each delta reads
+    deltas' steps (``_ladder``), once the largest delta passes
+    ``quad._check_step``, and takes the ``_image_norms`` of base^(m/2) once
+    per order: Plancherel sums at p = 2, and one (n, U) inverse product for
+    the other p.  Each delta reads
     its own entries of each p's norm vector, in its own decreasing order, so
     ties of ``t_max`` break towards the larger step.  A gemm column, an
     axis-0 norm of an (n, k >= 2) array and a row sum do not depend on k, so
     each value equals the one-delta sweep's.
     """
+    _check_step(max(deltas, default=0.0), fhat.grid.rmax, "delta")
     union, own = _ladder(deltas)
-    if base is None:
-        base = _bessel_base(fhat.lam, fhat.grid.nodes, union)
+    base = _bessel_base(fhat.lam, fhat.grid.nodes, union)
     moduli = {}
     for m in orders:
         # one order's product alive at a time
@@ -201,23 +203,33 @@ def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
     return moduli
 
 
-def _diff_norms(fhat: Spectrum, base: np.ndarray | None, m: float, r: float,
-                p_values: Sequence[float]) -> list[float]:
-    """|| Delta_t^m (-Lap)^(r/2) f ||_p at every p, with ``base`` the
-    ``_bessel_base`` column of the step t (unused when m = 0); m = 0 (or
-    r = 0) drops that factor.
+def _diff_norms(fhat: Spectrum, points: Collection[tuple[float, float, float]],
+                p_values: Sequence[float]) -> dict[tuple[float, float, float, float], float]:
+    """|| Delta_t^m (-Lap)^(r/2) f ||_p at every point (t, m, r) and every p,
+    ``{(t, m, r, p): value}``; m = 0 (or r = 0) drops that factor.
 
-    The ``_image_norms`` of the one symbol column: its Plancherel norm at
-    p = 2, and one single-column inverse product for the other p.
+    One ``_bessel_base`` serves the distinct steps t of the points with
+    m > 0, once the largest passes ``quad._check_step``.  Each point takes
+    the ``_image_norms`` of its own symbol column: its Plancherel norm at
+    p = 2, and off p = 2 one single-column inverse product, since a
+    one-column slice of a wide product is not bit-equal to that
+    matrix-vector product.
     """
     nodes = fhat.grid.nodes
-    sym = np.ones_like(nodes)
-    if r > 0:
-        sym = sym * nodes**r
-    if m > 0:
-        sym = sym * base ** (0.5 * m)
-    norms = _image_norms(fhat, sym[:, None], p_values)
-    return [float(norms[p][0]) for p in p_values]
+    steps = sorted({t for t, m, _ in points if m > 0})
+    _check_step(max(steps, default=0.0), fhat.grid.rmax, "step t")
+    base = _bessel_base(fhat.lam, nodes, np.array(steps))
+    column = {t: np.ascontiguousarray(base[:, i]) for i, t in enumerate(steps)}
+    norms = {}
+    for t, m, r in points:
+        sym = np.ones_like(nodes)
+        if r > 0:
+            sym = sym * nodes**r
+        if m > 0:
+            sym = sym * column[t] ** (0.5 * m)
+        for p, value in _image_norms(fhat, sym[:, None], p_values).items():
+            norms[t, m, r, p] = float(value[0])
+    return norms
 
 
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -353,14 +365,12 @@ def diff_norm(
     At p = 2 the norm is the Plancherel norm of the symbol-multiplied
     spectrum; other p invert it and measure the norm on the physical grid
     (``_image_norms``).  t, m and r must be finite and nonnegative, and t
-    positive when m > 0.
+    positive when m > 0.  The one-point case of ``_diff_norms``.
     """
     _require("order m", m, zero_ok=True)
     _require("r", r, zero_ok=True)
     _require("step t", t, zero_ok=m == 0)
-    fhat = _spectrum_of(f, lam, fhat)
-    base = _bessel_base(lam, fhat.grid.nodes, np.array([t]))[:, 0] if m > 0 else None
-    return _diff_norms(fhat, base, m, r, (p,))[0]
+    return _diff_norms(_spectrum_of(f, lam, fhat), ((t, m, r),), (p,))[t, m, r, p]
 
 
 def modulus(
@@ -532,7 +542,6 @@ def realization(
     p: float,
     lam: float,
     fhat: Spectrum | None = None,
-    approx: BestApprox | None = None,
 ) -> RealizationResult:
     """Realization of the K-functional at scale t.
 
@@ -540,28 +549,32 @@ def realization(
     (near-)best approximant of spherical type 1/t (see ``best_approx``: the
     weighted-L1 fit at p = 1, the smoothing projection at other p != 2);
     bandlimited functions lie in every Sobolev class, so the derivative term
-    is always finite.  It is the ``_image_norms`` of the one symbol column
-    nodes^r applied to g*.  ``approx`` is a precomputed
-    ``best_approx(f, 1/t, p, lam)``, so that a sweep over r computes it
-    once; its approximant must live on f's grid at index lam.  ``fhat`` is
-    the precomputed transform of f, used when ``approx`` is not given.
+    is always finite.  ``fhat`` is the precomputed transform of f.  The
+    one-(t, r) case of ``_realizations``.
     """
     _require("t", t)
     _require("r", r)
-    if approx is None:
-        approx = best_approx(f, 1.0 / t, p, lam, fhat=fhat)
-    else:
-        g = _spectrum_of(f, lam, approx.g_star)
-        if g.bandlimit is None or not g.bandlimit <= 1.0 / t:
-            raise ValueError(f"approximant is not of spherical type 1/t = {1.0 / t!r}")
-    g = approx.g_star
-    term = t**r * float(_image_norms(g, (g.grid.nodes**r)[:, None], (p,))[p][0])
-    return RealizationResult(
-        value=approx.value + term,
-        approx_error=approx.value,
-        derivative_term=term,
-        sigma_used=1.0 / t,
-    )
+    return _realizations({t: best_approx(f, 1.0 / t, p, lam, fhat=fhat)}, (r,), p)[t, r]
+
+
+def _realizations(approxes: dict[float, BestApprox], r_values: Sequence[float], p: float
+                  ) -> dict[tuple[float, float], RealizationResult]:
+    """``realization`` at one p of every scale t of ``approxes`` and every
+    r, ``{(t, r): RealizationResult}``.
+
+    ``approxes`` maps each t to its approximant of type 1/t at p, an entry
+    of a ``_best_approxes`` sweep, so every r reads it once.  The derivative
+    term is the ``_image_norms`` of the one symbol column nodes^r applied to
+    the approximant.
+    """
+    results = {}
+    for t, approx in approxes.items():
+        g = approx.g_star
+        for r in r_values:
+            term = t**r * float(_image_norms(g, (g.grid.nodes**r)[:, None], (p,))[p][0])
+            results[t, r] = RealizationResult(value=approx.value + term, approx_error=approx.value,
+                                              derivative_term=term, sigma_used=1.0 / t)
+    return results
 
 
 def k_functional_upper(
@@ -626,17 +639,13 @@ def _chain_sweep(
     (``modulus``, ``diff_norm``, ``realization``); ``k_functional_upper``
     and ``realization_candidate_min`` are this sweep at one point.
 
-    The moduli of every scale come from one ``_moduli`` sweep: one Bessel
-    base over the union of the scales' steps, and off p = 2 one inverse
-    product per order r.  The difference norms read column t of that base
-    (the step t itself) and take ``_diff_norms``, as ``diff_norm`` does:
-    off p = 2 one single-column product per (t, r), since a one-column
-    slice of a wide product is not bit-equal to that matrix-vector product.
-    The base is released before the realizations: "R" and "Rstar" take the
-    approximants of the types 1/t from one ``_best_approxes`` sweep over
-    every p, each computed once for every r, and ``_candidate_minima`` makes
-    one product per scale for every family off p = 2.  A sweep at p = 2
-    alone makes no inverse product.  Nothing here remembers a call: the
+    The moduli of every scale come from one ``_moduli`` sweep and the
+    difference norms from one ``_diff_norms`` sweep, each with its own
+    Bessel base.  "R" and "Rstar" take the approximants of the types 1/t
+    from one ``_best_approxes`` sweep over every p and their values from one
+    ``_realizations`` sweep per p, and ``_candidate_minima`` makes one
+    product per scale for every family off p = 2.  A sweep at p = 2 alone
+    makes no inverse product.  Nothing here remembers a call: the
     harness hands values from one chain experiment to the next
     (``harness._HandOff``) and asks only for the names it must compute.
     """
@@ -652,28 +661,19 @@ def _chain_sweep(
         return values
     fhat = _spectrum_of(f, lam, fhat)
 
-    if "omega" in values or "diff" in values:
-        union, own = _ladder(scales)
-        base = _bessel_base(lam, fhat.grid.nodes, union)
-        if "omega" in values:
-            for (t, p, r), result in _moduli(fhat, scales, r_values, p_values, base).items():
-                values["omega"][t, p, r] = result.value
-        if "diff" in values:
-            for t in scales:
-                # a scale's first step is t itself
-                column = np.ascontiguousarray(base[:, own[t][0]])
-                for r in r_values:
-                    for p, value in zip(p_values, _diff_norms(fhat, column, r, 0.0, p_values)):
-                        values["diff"][t, p, r] = value
-        del base
-
+    if "omega" in values:
+        for (t, p, r), result in _moduli(fhat, scales, r_values, p_values).items():
+            values["omega"][t, p, r] = result.value
+    if "diff" in values:
+        points = [(t, r, 0.0) for t in scales for r in r_values]
+        for (t, r, _, p), value in _diff_norms(fhat, points, p_values).items():
+            values["diff"][t, p, r] = value
     if "Rstar" in values:
         approxes = _best_approxes(f, fhat, [1.0 / t for t in scales], p_values, lam)
         for p in p_values:
-            for t in scales:
-                for r in r_values:
-                    values["Rstar"][t, p, r] = realization(f, t, r, p, lam,
-                                                           approx=approxes[p][1.0 / t]).value
+            realized = _realizations({t: approxes[p][1.0 / t] for t in scales}, r_values, p)
+            for (t, r), result in realized.items():
+                values["Rstar"][t, p, r] = result.value
     families = [name for name in _FAMILIES if name in names]
     for t in scales:
         for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values,
@@ -731,8 +731,9 @@ def _marchaud_bounds(
 
     The nodes of every delta lie on one ladder (``_marchaud_nodes``), so the
     sweep reads one approximant per point t of their union, of type
-    sigma = 1/t (``_marchaud_sigmas``), and takes one ``realization`` per
-    (point, m); each delta's integral reads its own nodes only.
+    sigma = 1/t (``_marchaud_sigmas``), and takes the realizations of every
+    (point, m) from one ``_realizations`` sweep; each delta's integral reads
+    its own nodes only.
     ``approxes`` maps each such sigma to its ``best_approx`` at p: the p
     entry of a caller's ``_best_approxes`` sweep over these sigmas, and
     perhaps others.
@@ -740,16 +741,13 @@ def _marchaud_bounds(
     for m in orders:
         _require("m", m)
     nodes = {delta: _marchaud_nodes(delta) for delta in deltas}
-    kvals = {}
-    for t in sorted({t for ts in nodes.values() for t in ts.tolist()}):
-        approx = approxes[1.0 / t]
-        for m in orders:
-            kvals[t, m] = realization(f, t, m + 1.0, p, lam, approx=approx).value
+    points = sorted({t for ts in nodes.values() for t in ts.tolist()})
+    kvals = _realizations({t: approxes[1.0 / t] for t in points}, [m + 1.0 for m in orders], p)
     norm = lp_norm(f, p, lam)
     bounds = {}
     for delta, ts in nodes.items():
         for m in orders:
-            integrand = ts ** (-m) * np.array([kvals[t, m] for t in ts.tolist()])
+            integrand = ts ** (-m) * np.array([kvals[t, m + 1.0].value for t in ts.tolist()])
             integral = float(np.trapezoid(integrand, x=np.log(ts)))
             bounds[delta, m] = delta**m * (norm + integral)
     return bounds

@@ -359,6 +359,36 @@ def test_verify_refuses_flags_outside_the_field_ranges(tmp_path, capsys, flags, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # Bessel arguments reach step * rmax, and rmax = 30: steps stop at 33.3
+        (["verify", "equivalence", "--scale-min", "40", "--scale-max", "1000", "--points", "2"],
+         "equivalence: scale.hi gives difference steps up to 1000.0, beyond 33.33"),
+        (["verify", "jackson", "--scale-min", "0.001", "--scale-max", "0.002"],
+         "jackson: scale.lo gives difference steps up to 1000.0, beyond 33.33"),
+        (["verify", "realization", "--scale-max", "1e308"],
+         "realization: scale.hi gives difference steps up to 1e+308"),
+        (["run", "--config", {"experiments": [{"name": "general_entire", "sigma": 0.01,
+                                               "thetas": [2.0], "scale": {"lo": 1.0, "hi": 20.0,
+                                                                         "points": 2}}]}],
+         "general_entire: scale.hi and thetas gives difference steps up to 40.0"),
+        # a config that runs nothing
+        (["run", "--config", {}], "config.experiments must name at least one experiment"),
+        (["run", "--config", {"experiments": []}], "config.experiments must name at least one"),
+    ],
+)
+def test_refusals_name_the_field_before_any_report(tmp_path, capsys, argv, field):
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(cfg)]
+    out = tmp_path / "rep"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_p1_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # p = 1 rows go through HiGHS after one kernel product; a product whose
     # bits depend on the BLAS thread count would move them.  The p = 2

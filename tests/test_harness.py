@@ -34,6 +34,14 @@ def grid():
     return make_grid(30.0, 512)
 
 
+def test_harness_reads_every_functional_from_a_sweep():
+    # the one-point functionals are the library's entries; the experiments
+    # read the sweeps they are cases of
+    one_point = ("modulus", "diff_norm", "best_approx", "realization", "k_functional_upper",
+                 "realization_candidate_min", "marchaud_bound")
+    assert [name for name in one_point if name in vars(harness)] == []
+
+
 class TestConfig:
     def test_default_config_parses_and_validates(self):
         hc = parse_config(default_config())
@@ -184,8 +192,9 @@ class TestConfig:
             parse_config({"grid": {"rmax": 50.0, "n": 2048}})
         with pytest.raises(ConfigError, match="config.grid.rmax"):
             HarnessConfig(grid_rmax=50.0)
-        assert HarnessConfig().grid_rmax == 30.0
-        assert parse_config({"grid": {"rmax": 31.6}}).grid_rmax == 31.6
+        one = {"experiments": [{"name": "bernstein"}]}
+        assert parse_config(one).grid_rmax == 30.0
+        assert parse_config({"grid": {"rmax": 31.6}, **one}).grid_rmax == 31.6
 
     def test_scale_grid_values(self):
         sg = ScaleGrid(0.1, 1.0, 3)
@@ -245,7 +254,8 @@ class TestConfig:
                                               r" float64 kernel of 8796093022208 bytes, more"
                                               r" than the \d+ bytes of physical memory"):
             parse_config({"grid": {"n": 2**20}})
-        assert parse_config({"grid": {"n": 2048}}).grid_n == 2048
+        assert parse_config({"grid": {"n": 2048},
+                             "experiments": [{"name": "bernstein"}]}).grid_n == 2048
 
     def test_lambda_is_bounded_where_the_weights_stay_doubles(self):
         # nu_weights forms t^(2 lam + 1) for nodes t < rmax: at rmax = 30 that
@@ -486,15 +496,17 @@ class TestExperiments:
     @pytest.mark.parametrize("name", ["equivalence", "realization"])
     def test_chain_sweep_product_and_bessel_counts(self, grid, name, monkeypatch):
         # per input: one Bessel base over the union of its scales' modulus
-        # steps and one modulus product per order r; per (input, scale): at
+        # steps and one modulus product per order r, and for equivalence one
+        # base over the scales for the difference norms; per (input, scale): at
         # most one wide candidate product, the difference norms' one
         # single-column product per r, the p = 1 approximant's LP fit one
         # product of its hat columns, and off p = 2 the realization's
-        # derivative term one single-column product per r
+        # derivative term one single-column product per r, from one
+        # realization sweep per (input, p)
         widths, bases, realizations, fits = [], [], [], []
         products = smoothness._inverse_products
         one_minus = BesselEvaluator.one_minus
-        realization = smoothness.realization
+        realizations_of = smoothness._realizations
         l1_fit = smoothness._l1_fit_symbol
 
         def counted_products(fhat, symbols):
@@ -505,9 +517,9 @@ class TestExperiments:
             bases.append(np.shape(t))
             return one_minus(self, t)
 
-        def counted_realization(*args, **kwargs):
-            realizations.append(args[1:4])
-            return realization(*args, **kwargs)
+        def counted_realizations(approxes, r_values, p):
+            realizations.append((len(approxes), tuple(r_values), p))
+            return realizations_of(approxes, r_values, p)
 
         def counted_l1_fit(*args):
             fits.append(args[2])
@@ -516,7 +528,7 @@ class TestExperiments:
         monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
         monkeypatch.setattr(smoothness, "_l1_fit_symbol", counted_l1_fit)
         monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
-        monkeypatch.setattr(smoothness, "realization", counted_realization)
+        monkeypatch.setattr(smoothness, "_realizations", counted_realizations)
         lams, ps, rs, scales = (0.25, 1.0), (1.0, 2.0, math.inf), (0.5, 1.0, 2.0), 3
         cfg = ExperimentConfig(name=name, lambda_values=lams, p_values=ps, r_values=rs,
                                scale=ScaleGrid(0.05, 0.8, scales))
@@ -524,7 +536,8 @@ class TestExperiments:
         per_scale = len(lams) * scales
         union = smoothness._ladder(cfg.scale.values())[0].size
         assert union < 25 * scales
-        assert bases == [(grid.n, union)] * len(lams)
+        diff_base = [(grid.n, scales)] if name == "equivalence" else []
+        assert bases == ([(grid.n, union)] + diff_base) * len(lams)
         # each input's products open with its moduli, and no other has their width
         per_input = len(widths) // len(lams)
         heads = [widths[i * per_input : i * per_input + len(rs)] for i in range(len(lams))]
@@ -538,8 +551,7 @@ class TestExperiments:
         off_2 = sum(p != 2 for p in ps)
         assert singles == per_scale * len(rs) * (1 if name == "equivalence" else off_2)
         if name == "realization":
-            assert len(realizations) == per_scale * len(rs) * len(ps)
-            assert len(set(realizations)) == len(realizations) // len(lams)
+            assert realizations == [(scales, rs, p) for p in ps] * len(lams)
 
     @pytest.mark.parametrize("name", ["equivalence", "realization"])
     def test_chain_rows_do_not_depend_on_the_scales_swept_with_them(self, grid, name):
@@ -623,19 +635,20 @@ class TestExperiments:
 
     def test_two_scale_norms_are_computed_once_per_step(self, grid, monkeypatch):
         calls = []
-        diff_norm = harness.diff_norm
+        diff_norms = harness._diff_norms
 
-        def counted(f, t, m, *args, **kwargs):
-            calls.append((t, m))
-            return diff_norm(f, t, m, *args, **kwargs)
+        def counted(fhat, points, p_values):
+            calls.append(list(points))
+            return diff_norms(fhat, points, p_values)
 
-        monkeypatch.setattr(harness, "diff_norm", counted)
+        monkeypatch.setattr(harness, "_diff_norms", counted)
         cfg = ExperimentConfig(name="boas", m_values=(1.0,), scale=ScaleGrid(0.01, 0.125, 4),
                                thetas=(1.0, 0.5, 0.25))
         rep = EXPERIMENTS["boas"](cfg, grid)
-        # theta = 1 reuses the right-hand norm: 3 distinct steps per t, not 6
+        # one sweep per input; theta = 1 reuses the right-hand norm: 3
+        # distinct steps per t, not 6
         assert len(rep.rows) == 12
-        assert len(calls) == len(set(calls)) == 12
+        assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 12
 
     def test_default_inverse_sweep_takes_one_marchaud_ladder(self, grid, monkeypatch):
         # one sweep per (input, p) over the E_j table's types 1..32 and the
@@ -1001,10 +1014,13 @@ class TestRunAll:
         assert hc == parse_config(default_config())
 
     def test_empty_experiment_list(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiments": [], "output_dir": str(tmp_path / "out")}))
-        assert run_all(cfg_path) == 0
-        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+        # a config that runs nothing is refused, not a vacuous pass
+        for data in ({"experiments": []}, {}):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({**data, "output_dir": str(tmp_path / "out")}))
+            with pytest.raises(ConfigError, match=r"config\.experiments must name at least one"):
+                run_all(cfg_path)
+            assert not (tmp_path / "out").exists()
 
     def test_unknown_experiment_raises_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

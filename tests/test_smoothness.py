@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,7 @@ from dunklsmooth.quad import RadialFunction, default_grid, lp_norm, make_grid, n
 from dunklsmooth.smoothness import (
     _best_approxes,
     _chain_sweep,
+    _diff_norms,
     _inverse_products,
     _ladder,
     _marchaud_bounds,
@@ -23,6 +23,7 @@ from dunklsmooth.smoothness import (
     _marchaud_sigmas,
     _moduli,
     _modulus_steps,
+    _realizations,
     best_approx,
     diff_norm,
     inverse_bound,
@@ -224,6 +225,62 @@ class TestModulusSweep:
         full = _lp_norms(phys, grid, LAM, p)
         for a, b in ((0, 2), (3, 28), (17, 40)):
             assert np.array_equal(_lp_norms(phys[:, a:b], grid, LAM, p), full[a:b]), WIDTH_NOTE
+
+
+class TestDiffNormSweep:
+    # steps with m > 0 repeated across orders and r, a step-free point
+    # (m = 0), and steps on and off the modulus lattice
+    POINTS = ((0.3, 1.0, 0.0), (0.3, 2.5, 0.0), (0.1, 1.0, 1.5), (0.0, 0.0, 2.0),
+              (2.0**-0.75, 0.5, 0.0), (4.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sweep_equals_single_calls(self, gauss, p):
+        fhat = hankel(gauss, LAM)
+        sweep = _diff_norms(fhat, self.POINTS, (p,))
+        assert set(sweep) == {(*point, p) for point in self.POINTS}
+        for t, m, r in self.POINTS:
+            assert diff_norm(gauss, t, m, p, LAM, r=r, fhat=fhat) == sweep[t, m, r, p]
+
+    def test_one_base_over_the_distinct_steps(self, grid, gauss, monkeypatch):
+        fhat = hankel(gauss, LAM)
+        points = []
+        one_minus = BesselEvaluator.one_minus
+
+        def counted_one_minus(self, t):
+            points.append(np.shape(t))
+            return one_minus(self, t)
+
+        monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
+        joint = _diff_norms(fhat, self.POINTS, (1.0, 2.0, math.inf))
+        assert points == [(grid.n, 4)]
+        # a joint p sweep gives each single-p sweep's values
+        for p in (1.0, 2.0, math.inf):
+            assert _diff_norms(fhat, self.POINTS, (p,)).items() <= joint.items()
+
+
+class TestBesselStepRange:
+    """A step whose Bessel arguments nu t pass BESSEL_ARG_MAX on the grid
+    (t rmax > 1e3, so t > 33.3 at rmax = 30) is refused, naming the
+    argument, before any ladder or Bessel base is built."""
+
+    @pytest.mark.parametrize("call", [
+        lambda f, t: modulus(f, t, 1.0, 2, LAM),
+        lambda f, t: diff_norm(f, t, 1.0, 2, LAM),
+        lambda f, t: _chain_sweep(f, (0.1, t), (1.0,), (2.0,), LAM, ("omega",)),
+        lambda f, t: _chain_sweep(f, (0.1, t), (1.0,), (1.0,), LAM, ("diff",)),
+    ])
+    @pytest.mark.parametrize("t", [34.0, 1e3, 1.7e308])
+    def test_refused_by_name(self, gauss, call, t):
+        with mock.patch.object(smoothness, "_ladder", side_effect=AssertionError), \
+             mock.patch.object(BesselEvaluator, "one_minus", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=r"(delta|step t) gives difference steps up"
+                                                 rf" to {re.escape(repr(t))}, beyond 33\.33"):
+                call(gauss, t)
+
+    def test_a_step_in_range_is_taken(self, gauss):
+        t = 33.0
+        assert modulus(gauss, t, 1.0, 2, LAM).value > 0
+        assert diff_norm(gauss, t, 1.0, 2, LAM) > 0
 
 
 class TestPlancherelSide:
@@ -477,29 +534,21 @@ class TestRealization:
             assert rc <= rstar * (1 + 1e-12)
 
     def test_shared_approximant_matches_fresh(self, grid, gauss):
-        # a caller's approximant and transform give the same numbers as a
-        # fresh computation; an approximant of the wrong type is refused
-        t, r = 0.3, 1.0
+        # a sweep's shared approximant and a caller's transform give the
+        # same numbers as a fresh computation
+        t, rs = 0.3, (0.5, 1.0)
         fhat = hankel(gauss, LAM)
         for p in (1, 2, math.inf):
             ba = best_approx(gauss, 1.0 / t, p, LAM, fhat=fhat)
-            assert realization(gauss, t, r, p, LAM, approx=ba) == realization(
-                gauss, t, r, p, LAM
-            )
+            sweep = _realizations({t: ba}, rs, p)
+            assert set(sweep) == {(t, r) for r in rs}
+            for r in rs:
+                assert sweep[t, r] == realization(gauss, t, r, p, LAM, fhat=fhat) == realization(
+                    gauss, t, r, p, LAM
+                )
             assert realization_candidate_min(
-                gauss, t, r, p, LAM, fhat=fhat
-            ) == realization_candidate_min(gauss, t, r, p, LAM)
-        coarse = best_approx(gauss, 2.0 / t, 1, LAM, fhat=fhat)
-        with pytest.raises(ValueError):
-            realization(gauss, t, r, 1, LAM, approx=coarse)
-
-    def test_approximant_with_a_nan_bandlimit_is_refused(self, gauss):
-        # a NaN bandlimit certifies no type: the check is not bandlimit <= 1/t
-        t = 0.3
-        ba = best_approx(gauss, 1.0 / t, 2, LAM)
-        bad = ba._replace(g_star=replace(ba.g_star, bandlimit=math.nan))
-        with pytest.raises(ValueError, match="not of spherical type"):
-            realization(gauss, t, 1.0, 2, LAM, approx=bad)
+                gauss, t, 1.0, p, LAM, fhat=fhat
+            ) == realization_candidate_min(gauss, t, 1.0, p, LAM)
 
 
 class TestKFunctionalUpper:
@@ -665,17 +714,14 @@ class TestMarchaudBound:
         sweep = _marchaud_bounds(f, deltas, orders, 2, LAM, approxes)
         rungs = [2.0 ** (-k / 32.0) for k in range(128, -1, -1)]
         fine = {delta: np.array([delta] + [t for t in rungs if t > delta]) for delta in deltas}
-        values = {}
         points = sorted({t for ts in fine.values() for t in ts.tolist()})
         approxes = _best_approxes(f, fhat, [1.0 / t for t in points], (2,), LAM)[2]
-        for t in points:
-            approx = approxes[1.0 / t]
-            for m in orders:
-                values[t, m] = realization(f, t, m + 1.0, 2, LAM, approx=approx).value
+        values = _realizations({t: approxes[1.0 / t] for t in points},
+                               [m + 1.0 for m in orders], 2)
         norm = lp_norm(f, 2, LAM)
         for delta, ts in fine.items():
             for m in orders:
-                kvals = np.array([values[t, m] for t in ts.tolist()])
+                kvals = np.array([values[t, m + 1.0].value for t in ts.tolist()])
                 integral = np.trapezoid(ts ** (-m) * kvals, x=np.log(ts))
                 reference = delta**m * (norm + integral)
                 assert abs(sweep[delta, m] / reference - 1.0) < 5e-3
@@ -709,11 +755,10 @@ class TestChainSweep:
                              fhat=fhat)
         assert set(chain) == set(self.REALIZATION)
         for t, p, r in chain["R"]:
-            ba = best_approx(gauss, 1.0 / t, p, LAM, fhat=fhat)
             assert {name: chain[name][t, p, r] for name in chain} == {
                 "omega": modulus(gauss, t, r, p, LAM, fhat=fhat).value,
                 "K": k_functional_upper(gauss, t, r, p, LAM, fhat=fhat),
-                "Rstar": realization(gauss, t, r, p, LAM, approx=ba).value,
+                "Rstar": realization(gauss, t, r, p, LAM, fhat=fhat).value,
                 "R": realization_candidate_min(gauss, t, r, p, LAM, fhat=fhat),
             }
 
@@ -768,10 +813,10 @@ class TestSpectrumPassThrough:
         )
 
     def test_approximant_at_another_lambda_is_refused(self, gauss):
-        t = 0.3
-        wrong = best_approx(gauss, 1.0 / t, 2, LAM)
+        # the approximant is built from the spectrum, which must match
+        wrong = hankel(gauss, LAM)
         with pytest.raises(ValueError, match="does not match"):
-            realization(gauss, t, 1.0, 2, 1.0, approx=wrong)
+            realization(gauss, 0.3, 1.0, 2, 1.0, fhat=wrong)
 
     def test_spectrum_on_another_grid_is_refused(self):
         small, large = make_grid(20.0, 512), make_grid(30.0, 512)
@@ -786,6 +831,6 @@ class TestSpectrumPassThrough:
         coarse, fine = make_grid(30.0, 256), make_grid(30.0, 512)
         f = RadialFunction(grid=coarse, values=np.exp(-0.5 * coarse.nodes**2))
         g = RadialFunction(grid=fine, values=np.exp(-0.5 * fine.nodes**2))
-        wrong = best_approx(g, 1.0 / 0.3, 2, LAM)
+        wrong = hankel(g, LAM)
         with pytest.raises(ValueError, match="does not match"):
-            realization(f, 0.3, 1.0, 2, LAM, approx=wrong)
+            realization(f, 0.3, 1.0, 2, LAM, fhat=wrong)
