@@ -1,8 +1,9 @@
 """The golden-report gate: a fresh run against the committed golden files.
 
 ``tests/golden/update.py`` says what the files hold and rewrites them.
-The default run and the off-p = 2 run cover every experiment at p in
-{1, 2, inf}; criterion 6 covers the chains on its wider sweep.  The
+The default run and the off-p = 2 run cover every experiment at p = 2 and
+p = inf, and four of them at p = 1; criterion 6 covers the chains at
+p in {1, 2, inf} on its wider sweep.  The
 gate is exact on the fingerprint the files record; on another it compares
 to the module's foreign tolerance and warns, naming both fingerprints.
 """
