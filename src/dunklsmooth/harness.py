@@ -655,19 +655,29 @@ def _chain_rows(pairs):
 def _bernstein_rows(report, cfg, inp):
     """Derivative norms of bandlimited inputs against sigma^r times their norm.
 
-    Both sides are the ``_image_norms`` of one symbol column, nodes^r and 1.
-    At p = 2 the ratio admits the exact constant 1 (checked to 1e-8); a
-    shell-concentrated spectrum witnesses sharpness from below at r = 1.
+    Both sides are ``_image_norms`` of one symbol column, nodes^r and 1,
+    and each spectrum takes the columns of every r and 1 at every p in one
+    call: one product per spectrum off p = 2.  At p = 2 the ratio admits
+    the exact constant 1 (checked to 1e-8); a shell-concentrated spectrum
+    witnesses sharpness from below at r = 1.
     """
     grid, lam, scales = inp.grid, inp.lam, cfg.scale.values()
-    rows = [("bernstein", p, r, sigma, bandlimited_spectrum(grid, lam, sigma), 0.0)
-            for p in cfg.p_values for r in cfg.r_values for sigma in scales]
+
+    def sides(shat, r_values, p_values):
+        """{p: ([||nodes^r shat|| for each r], ||shat||)}"""
+        syms = np.stack([grid.nodes**r for r in r_values] + [np.ones_like(grid.nodes)], axis=1)
+        return {p: (norms[:-1].tolist(), float(norms[-1]))
+                for p, norms in _image_norms(shat, syms, p_values).items()}
+
+    norms = {sigma: sides(bandlimited_spectrum(grid, lam, sigma), cfg.r_values, cfg.p_values)
+             for sigma in scales}
+    rows = [("bernstein", p, r, sigma, norms[sigma][p][0][i], norms[sigma][p][1], 0.0)
+            for p in cfg.p_values for i, r in enumerate(cfg.r_values) for sigma in scales]
     # sharpness witness at p = 2, r = 1
-    rows += [("bernstein:sharpness", 2.0, 1.0, sigma, concentrated_spectrum(grid, lam, sigma), 0.8)
-             for sigma in scales]
-    for check, p, r, sigma, shat, lo in rows:
-        lhs, norm = (float(_image_norms(shat, sym[:, None], (p,))[p][0])
-                     for sym in (grid.nodes**r, np.ones_like(grid.nodes)))
+    for sigma in scales:
+        (lhs,), norm = sides(concentrated_spectrum(grid, lam, sigma), (1.0,), (2.0,))[2.0]
+        rows.append(("bernstein:sharpness", 2.0, 1.0, sigma, lhs, norm, 0.8))
+    for check, p, r, sigma, lhs, norm, lo in rows:
         rhs = sigma**r * norm
         if p == 2:
             ratio = lhs / rhs

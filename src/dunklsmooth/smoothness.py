@@ -28,24 +28,40 @@ call: ``_moduli`` (``modulus``), ``_diff_norms`` over (t, m, r)
 ``_marchaud_bounds`` (``marchaud_bound``).  No sweep takes another's
 Bessel base.  Every p = 2 norm is taken on the spectral side, where the
 transform is unitary (Plancherel), and an inverse product is made only for
-the other p (``_image_norms``, ``_candidate_minima``).  Every modulus sup
-samples delta and the quarter-octave rungs 2^(-k/4) below it, a lattice
-all deltas share, so ``_moduli`` makes one Bessel base over the union of
-its deltas' steps and, off p = 2, one inverse product per order;
-``_diff_norms`` makes one over its distinct steps.  ``_best_approxes``
-takes its p = 2 values from one ``transforms._spectral_tails`` sweep and,
-off p = 2, measures one projection residual per sigma at every p.
+the other p.  Every such product follows one rule (``_product``): its
+columns are padded with zeros to a multiple of ``_PAD``, a width at which
+a column's bits depend neither on the product's width nor on its position,
+so no product takes the matrix-vector path and a sweep value equals its
+one-point call.  Every modulus sup samples delta and the quarter-octave
+rungs 2^(-k/4) below it, a lattice all deltas share, so ``_moduli`` makes
+one Bessel base over the union of its deltas' steps and, off p = 2, one
+product per order; ``_diff_norms`` makes one base over its distinct steps
+and one product of all its points, ``_realizations`` one product of every
+(t, r) at its p.  ``_best_approxes`` takes its p = 2 values from one
+``transforms._spectral_tails`` sweep and, off p = 2, one product of every
+projection residual and, at p = 1, one of every fit residual.  The
+candidate families of whole scales (``_candidate_minima``) and the p = 1
+fit's hat columns of whole types are packed into products of at most
+``_PRODUCT_COLUMNS`` columns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Collection, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .operators import eta, vallee_poussin
-from .quad import RadialFunction, _check_step, _lp_norms, _spectral_l2s, lp_norm, nu_weights
+from .quad import (
+    RadialFunction,
+    RadialGrid,
+    _check_step,
+    _lp_norms,
+    _spectral_l2s,
+    lp_norm,
+    nu_weights,
+)
 from .special import BesselEvaluator, _require
 from .transforms import (
     Spectrum,
@@ -82,17 +98,71 @@ class ModulusResult(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
-    """Physical samples of invH(symbols[:, j] * fhat), one column per symbol.
+_PAD = 8  # every product width off p = 2 is a multiple of this
+# column budget of a product packed from several blocks: at n = 2048 its
+# symbols and its product take 2 MB each
+_PRODUCT_COLUMNS = 128
 
-    Every norm off p = 2 of a modulus, difference norm, realization
-    derivative term, Bernstein side or candidate family goes through it, and
-    so does the p = 1 approximant's fit.
+
+def _width(k: int) -> int:
+    """The width of a product of k columns: k rounded up to a multiple of
+    ``_PAD``."""
+    return -(-k // _PAD) * _PAD
+
+
+def _block(n: int, k: int) -> np.ndarray:
+    """A zero C-order (n, ``_width(k)``) array, for a caller to fill its
+    first k columns in place and hand to ``_product`` without a copy."""
+    return np.zeros((n, _width(k)))
+
+
+def _product(mat: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """mat @ columns by the product rule: ``columns`` padded with zero
+    columns to a multiple of ``_PAD`` (copied unless it is a C-order
+    ``_block``), and the whole (n, ``_width(k)``) product returned.
+
+    Every product off p = 2 goes through here, so no column takes the
+    matrix-vector path.  At such widths a column's bits depend neither on
+    the product's width nor on its position in it (README, "Numerical
+    design notes"), and a norm taken over the whole block reduces at least
+    ``_PAD`` columns, so each value equals its one-point call.
+    """
+    k = columns.shape[1]
+    if k != _width(k) or not columns.flags.c_contiguous:
+        padded = _block(columns.shape[0], k)
+        padded[:, :k] = columns
+        columns = padded
+    return mat @ columns
+
+
+def _packs(items: Iterable, width: Callable[[object], int]) -> Iterator[tuple[list, int]]:
+    """Consecutive runs of ``items`` and their summed widths, each run as
+    long as its width stays within ``_PRODUCT_COLUMNS`` (an item wider than
+    that makes a run alone): the blocks of one packed product.  Items are
+    drawn lazily, one beyond the run at most."""
+    run, total = [], 0
+    for item in items:
+        k = width(item)
+        if run and total + k > _PRODUCT_COLUMNS:
+            yield run, total
+            run, total = [], 0
+        run.append(item)
+        total += k
+    if run:
+        yield run, total
+
+
+def _inverse_products(fhat: Spectrum, symbols: np.ndarray) -> np.ndarray:
+    """Physical samples of invH(symbols[:, j] * fhat), one column per symbol,
+    then the zero columns of the product rule (``_product``).
+
+    The candidate families and the p = 1 fit's hat columns go through it.
     ``symbols`` is scaled by the spectrum in place, so callers pass an
-    array they own and do not reuse.
+    array they own and do not reuse, ideally a filled ``_block``, which
+    spares ``_product`` its padding copy.
     """
     symbols *= fhat.values[:, None]
-    return _kernel_matrix(fhat.lam, fhat.grid) @ symbols
+    return _product(_kernel_matrix(fhat.lam, fhat.grid), symbols)
 
 
 _MODULUS_SAMPLES = 24  # quarter-octave rungs below delta in the modulus sup
@@ -150,24 +220,34 @@ def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray
 
 def _image_norms(fhat: Spectrum, symbols: np.ndarray, p_values: Sequence[float]
                  ) -> dict[float, np.ndarray]:
-    """||invH(symbols[:, j] * fhat)||_p of every column j, ``{p: norms}``.
+    """||invH(symbols[:, j] * fhat)||_p of every column j, ``{p: norms}``
+    (see ``_inverse_norms``).  ``symbols`` is scaled by the spectrum in
+    place, so callers pass an array they own and do not reuse.
+    """
+    symbols *= fhat.values[:, None]
+    return _inverse_norms(symbols, fhat.grid, fhat.lam, p_values)
+
+
+def _inverse_norms(images: np.ndarray, grid: RadialGrid, lam: float, p_values: Sequence[float]
+                  ) -> dict[float, np.ndarray]:
+    """||invH(images[:, j])||_p of every column j of a block of spectra,
+    ``{p: norms}``.
 
     p = 2 is taken on the spectral side: the transform is unitary on
-    L2(nu_lam), so each norm is the Plancherel norm of symbols[:, j] * fhat,
-    summed along a contiguous row as ``_spectral_l2`` sums it.  The other p
-    share one inverse product, made only when some p != 2 is swept; it
-    scales ``symbols`` in place, so callers pass an array they own and do
-    not reuse.
+    L2(nu_lam), so each norm is the Plancherel norm of images[:, j], summed
+    along a contiguous row as ``_spectral_l2`` sums it.  The other p share
+    one ``_product``, made only when some p != 2 is swept, and reduce its
+    whole padded block.
     """
-    grid, lam = fhat.grid, fhat.lam
+    k = images.shape[1]
     norms = {}
     if 2 in p_values:
-        norms[2.0] = _spectral_l2s(np.ascontiguousarray(symbols.T) * fhat.values, grid, lam)
+        norms[2.0] = _spectral_l2s(np.ascontiguousarray(images.T), grid, lam)
     off_2 = [p for p in p_values if p != 2]
     if off_2:
-        phys = _inverse_products(fhat, symbols)
+        phys = _product(_kernel_matrix(lam, grid), images)
         for p in off_2:
-            norms[p] = _lp_norms(phys, grid, lam, p)
+            norms[p] = _lp_norms(phys, grid, lam, p)[:k]
     return norms
 
 
@@ -180,12 +260,11 @@ def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
     The sweep evaluates one ``_bessel_base`` over the union U of the
     deltas' steps (``_ladder``), once the largest delta passes
     ``quad._check_step``, and takes the ``_image_norms`` of base^(m/2) once
-    per order: Plancherel sums at p = 2, and one (n, U) inverse product for
-    the other p.  Each delta reads
-    its own entries of each p's norm vector, in its own decreasing order, so
-    ties of ``t_max`` break towards the larger step.  A gemm column, an
-    axis-0 norm of an (n, k >= 2) array and a row sum do not depend on k, so
-    each value equals the one-delta sweep's.
+    per order: Plancherel sums at p = 2, and one product of U columns by
+    the product rule for the other p.  Each delta reads its own entries of
+    each p's norm vector, in its own decreasing order, so ties of ``t_max``
+    break towards the larger step, and each value equals the one-delta
+    sweep's.
     """
     _check_step(max(deltas, default=0.0), fhat.grid.rmax, "delta")
     union, own = _ladder(deltas)
@@ -193,7 +272,9 @@ def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
     moduli = {}
     for m in orders:
         # one order's product alive at a time
-        norms = _image_norms(fhat, base ** (0.5 * m), p_values)
+        symbols = _block(base.shape[0], union.size)
+        symbols[:, : union.size] = base ** (0.5 * m)
+        norms = _image_norms(fhat, symbols, p_values)
         for p in p_values:
             for delta, idx in own.items():
                 mine = norms[p][idx]
@@ -209,27 +290,28 @@ def _diff_norms(fhat: Spectrum, points: Collection[tuple[float, float, float]],
     ``{(t, m, r, p): value}``; m = 0 (or r = 0) drops that factor.
 
     One ``_bessel_base`` serves the distinct steps t of the points with
-    m > 0, once the largest passes ``quad._check_step``.  Each point takes
-    the ``_image_norms`` of its own symbol column: its Plancherel norm at
-    p = 2, and off p = 2 one single-column inverse product, since a
-    one-column slice of a wide product is not bit-equal to that
-    matrix-vector product.
+    m > 0, once the largest passes ``quad._check_step``.  Each distinct
+    point fills one symbol column of a single ``_image_norms`` call: its
+    Plancherel norm at p = 2, and off p = 2 one product of every point by
+    the product rule.
     """
     nodes = fhat.grid.nodes
+    points = list(dict.fromkeys(points))
     steps = sorted({t for t, m, _ in points if m > 0})
     _check_step(max(steps, default=0.0), fhat.grid.rmax, "step t")
     base = _bessel_base(fhat.lam, nodes, np.array(steps))
     column = {t: np.ascontiguousarray(base[:, i]) for i, t in enumerate(steps)}
-    norms = {}
-    for t, m, r in points:
+    symbols = _block(nodes.size, len(points))
+    for j, (t, m, r) in enumerate(points):
         sym = np.ones_like(nodes)
         if r > 0:
             sym = sym * nodes**r
         if m > 0:
             sym = sym * column[t] ** (0.5 * m)
-        for p, value in _image_norms(fhat, sym[:, None], p_values).items():
-            norms[t, m, r, p] = float(value[0])
-    return norms
+        symbols[:, j] = sym
+    values = _image_norms(fhat, symbols, p_values)
+    return {(t, m, r, p): float(norm[j])
+            for j, (t, m, r) in enumerate(points) for p, norm in values.items()}
 
 
 def _eta_symbols(nodes: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -281,12 +363,6 @@ def _r_candidate_symbols(nodes: np.ndarray, t: float, sharp: bool) -> np.ndarray
     return np.concatenate(cols, axis=1)
 
 
-def _with_derivatives(syms: np.ndarray, nodes: np.ndarray, r_values: Sequence[float]) -> np.ndarray:
-    """[S | S nu^r_1 | S nu^r_2 | ...]: a candidate family, then its order-r
-    derivative block for each r."""
-    return np.concatenate([syms] + [syms * nodes[:, None] ** r for r in r_values], axis=1)
-
-
 def _l2_objectives(fhat: Spectrum, syms: np.ndarray, t: float, r: float) -> np.ndarray:
     """K-objective at p = 2 of each candidate column, on the spectral side
     (Parseval); no inverse product."""
@@ -304,45 +380,58 @@ _FAMILIES = {"K": _k_upper_symbols, "R": _r_candidate_symbols}
 def _candidate_minima(
     f: RadialFunction,
     fhat: Spectrum,
-    t: float,
+    scales: Sequence[float],
     families: Sequence[str],
     r_values: Sequence[float],
     p_values: Sequence[float],
-) -> dict[tuple[str, float, float], float]:
+) -> dict[tuple[str, float, float, float], float]:
     """Least K-objective ||f - g||_p + t^r ||(-Lap)^(r/2) g||_p over each
-    named candidate family at scale t, ``{(name, p, r): value}``.
+    named candidate family at every scale t, ``{(name, t, p, r): value}``.
 
     ``families`` names entries of ``_FAMILIES``, whose symbol columns give
     the candidates g = invH(S_j fhat).  p = 2 measures both terms on the
     spectral side, with the sharp truncations added to each family.  The
-    other p share one inverse product holding every family with its
-    derivative blocks for every r; its layout does not depend on which p
-    are swept.
+    other p read one block per scale: each family, then its nu^r derivative
+    blocks for every r, a layout that does not depend on which p are
+    swept.  Whole scales' blocks are packed into products of at most
+    ``_PRODUCT_COLUMNS`` columns (``_packs``), each filled in place into
+    one ``_block``, so only one packed product is alive at a time.
     """
     grid, nodes, lam = fhat.grid, fhat.grid.nodes, fhat.lam
     minima = {}
     for p in p_values:
         if p == 2:
-            for name in families:
-                syms = _FAMILIES[name](nodes, t, True)
-                for r in r_values:
-                    minima[name, p, r] = float(np.min(_l2_objectives(fhat, syms, t, r)))
+            for t in scales:
+                for name in families:
+                    syms = _FAMILIES[name](nodes, t, True)
+                    for r in r_values:
+                        minima[name, t, p, r] = float(np.min(_l2_objectives(fhat, syms, t, r)))
     off_2 = [p for p in p_values if p != 2]
     if not (off_2 and families):
         return minima
-    syms = {name: _FAMILIES[name](nodes, t, False) for name in families}
-    phys = _inverse_products(fhat, np.concatenate(
-        [_with_derivatives(block, nodes, r_values) for block in syms.values()], axis=1
-    ))
-    col = 0
-    for name, block in syms.items():
-        k = block.shape[1]
-        for p in off_2:
-            approx = _lp_norms(f.values[:, None] - phys[:, col : col + k], grid, lam, p)
-            for i, r in enumerate(r_values):
-                deriv = _lp_norms(phys[:, col + (i + 1) * k : col + (i + 2) * k], grid, lam, p)
-                minima[name, p, r] = float(np.min(approx + t**r * deriv))
-        col += k * (len(r_values) + 1)
+    blocks = 1 + len(r_values)
+    powers = [nodes[:, None] ** r for r in r_values]
+    per_scale = ((t, [(name, _FAMILIES[name](nodes, t, False)) for name in families])
+                 for t in scales)
+    for run, width in _packs(per_scale, lambda item: blocks * sum(s.shape[1] for _, s in item[1])):
+        symbols, layout, col = _block(nodes.size, width), [], 0
+        for t, syms in run:
+            for name, block in syms:
+                k = block.shape[1]
+                symbols[:, col : col + k] = block
+                for i, power in enumerate(powers, start=1):
+                    np.multiply(block, power, out=symbols[:, col + i * k : col + (i + 1) * k])
+                layout.append((name, t, col, k))
+                col += blocks * k
+        phys = _inverse_products(fhat, symbols)
+        del symbols  # the product alone is alive while it is reduced
+        for name, t, col, k in layout:
+            for p in off_2:
+                approx = _lp_norms(f.values[:, None] - phys[:, col : col + k], grid, lam, p)
+                for i, r in enumerate(r_values, start=1):
+                    deriv = _lp_norms(phys[:, col + i * k : col + (i + 1) * k], grid, lam, p)
+                    minima[name, t, p, r] = float(np.min(approx + t**r * deriv))
+        del phys
     return minima
 
 
@@ -409,18 +498,34 @@ _L1_HATS = 41  # hat functions spanning [0, sigma] in the p = 1 fit
 _L1_LP_ROWS = 512  # LP rows: blocks of consecutive grid nodes, summed
 
 
-def _l1_fit_symbol(f: RadialFunction, fhat: Spectrum, sigma: float) -> np.ndarray | None:
-    """Multiplier phi = sum_j c_j hat_j on [0, sigma], 0 <= c_j <= 1, zero
-    beyond sigma, fitted so that invH(phi * fhat) is close to f in L1(nu).
+def _hats(nodes: np.ndarray, sigma: float) -> np.ndarray:
+    """The ``_L1_HATS`` hat functions spanning [0, sigma], one column each,
+    zero beyond sigma."""
+    knots = np.linspace(0.0, sigma, _L1_HATS)
+    hats = np.clip(1.0 - np.abs(nodes[:, None] - knots[None, :]) / knots[1], 0.0, None)
+    hats[nodes > sigma] = 0.0
+    return hats
 
-    The weighted-L1 objective is a linear program (HiGHS).  Its rows are the
-    nu-weighted residuals summed over blocks of consecutive nodes, about
-    ``_L1_LP_ROWS`` blocks in all (four nodes each at n = 2048).  Summing
-    lets a residual cancel inside a block, so the LP only chooses phi;
-    callers re-measure the error on the full grid.
-    The box on c keeps the derivative term of the K-objective bounded.
-    Returns None when HiGHS does not report an optimum.
+
+def _l1_fit_symbols(f: RadialFunction, fhat: Spectrum, sigmas: Sequence[float]
+                    ) -> dict[float, np.ndarray | None]:
+    """For each sigma the multiplier phi = sum_j c_j hat_j on [0, sigma],
+    0 <= c_j <= 1, zero beyond sigma, fitted so that invH(phi * fhat) is
+    close to f in L1(nu), ``{sigma: phi}``.
+
+    The weighted-L1 objective is a linear program (HiGHS), one per sigma.
+    Its rows are the nu-weighted residuals summed over blocks of
+    consecutive nodes, about ``_L1_LP_ROWS`` blocks in all (four nodes each
+    at n = 2048).  Summing lets a residual cancel inside a block, so the LP
+    only chooses phi; callers re-measure the error on the full grid.  The
+    box on c keeps the derivative term of the K-objective bounded.  Every
+    part of the program but the fit rows is built once for the sweep, and
+    the hat columns of whole sigmas are packed into products of at most
+    ``_PRODUCT_COLUMNS`` columns (``_packs``).  phi is None where HiGHS
+    does not report an optimum.
     """
+    if not sigmas:
+        return {}
     # imported here: scipy.optimize adds ~22 MB resident, paid only by runs
     # that fit at p = 1
     from scipy.optimize import linprog
@@ -428,29 +533,33 @@ def _l1_fit_symbol(f: RadialFunction, fhat: Spectrum, sigma: float) -> np.ndarra
 
     grid, lam = fhat.grid, fhat.lam
     nodes = grid.nodes
-    knots = np.linspace(0.0, sigma, _L1_HATS)
-    hats = np.clip(1.0 - np.abs(nodes[:, None] - knots[None, :]) / knots[1], 0.0, None)
-    hats[nodes > sigma] = 0.0
-    # the full-square product: a product sliced at sigma gives bits that
-    # depend on the BLAS thread count; hats is copied as it is scaled in place
-    cols = _inverse_products(fhat, hats.copy())
     w = nu_weights(grid, lam)
     starts = np.arange(0, nodes.size, max(1, nodes.size // _L1_LP_ROWS))
-    rows = np.add.reduceat(w[:, None] * cols, starts, axis=0)
     target = np.add.reduceat(w * f.values, starts)
     # min sum e  s.t.  -e <= target - rows @ c <= e,  0 <= c <= 1,  e >= 0
     k, m = _L1_HATS, target.size
-    fit, slack = csr_array(rows), identity(m, format="csr")
-    res = linprog(
-        np.concatenate([np.zeros(k), np.ones(m)]),
-        A_ub=vstack([hstack([fit, -slack]), hstack([-fit, -slack])]),
-        b_ub=np.concatenate([target, -target]),
-        bounds=[(0.0, 1.0)] * k + [(0.0, None)] * m,
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    return hats @ res.x[:k]
+    slack = -identity(m, format="csr")
+    cost = np.concatenate([np.zeros(k), np.ones(m)])
+    b_ub = np.concatenate([target, -target])
+    bounds = [(0.0, 1.0)] * k + [(0.0, None)] * m
+    phis = {}
+    for run, width in _packs(sigmas, lambda _: k):
+        symbols = _block(nodes.size, width)
+        for i, sigma in enumerate(run):
+            symbols[:, i * k : (i + 1) * k] = _hats(nodes, sigma)
+        # the full-square product: a product sliced at sigma gives bits that
+        # depend on the BLAS thread count
+        cols = _inverse_products(fhat, symbols)
+        del symbols  # the product alone is alive while it is reduced
+        fits = [np.add.reduceat(w[:, None] * cols[:, i * k : (i + 1) * k], starts, axis=0)
+                for i in range(len(run))]
+        del cols
+        for sigma, rows in zip(run, fits):
+            fit = csr_array(rows)
+            res = linprog(cost, A_ub=vstack([hstack([fit, slack]), hstack([-fit, slack])]),
+                          b_ub=b_ub, bounds=bounds, method="highs")
+            phis[sigma] = _hats(nodes, sigma) @ res.x[:k] if res.status == 0 else None
+    return phis
 
 
 def best_approx(
@@ -488,8 +597,10 @@ def _best_approxes(
 
     At p = 2 every value comes from one ``_spectral_tails`` sweep, which
     evaluates each Bessel block the cut panels share once.  Off p = 2 each
-    sigma takes one smoothing projection and one residual f - invH(g), whose
-    norm every such p takes; p = 1 then fits its own candidate.
+    sigma takes one smoothing projection, and one product of every
+    projection gives the residuals f - invH(g), whose norm every such p
+    takes (``_residual_norms``); p = 1 then fits its own candidates
+    (``_l1_fit_symbols``) and measures them from one more product.
     """
     sigmas = list(dict.fromkeys(sigmas))
     for sigma in sigmas:
@@ -501,29 +612,39 @@ def _best_approxes(
         approxes[2] = {sigma: BestApprox(value=tails[sigma], g_star=bandlimit_project(fhat, sigma),
                                          near_best=False) for sigma in sigmas}
     off_2 = [p for p in p_values if p != 2]
-    if not off_2:
+    if not (off_2 and sigmas):
         return approxes
-    mat = _kernel_matrix(lam, fhat.grid)
-
-    def residual(g: Spectrum) -> RadialFunction:
-        return RadialFunction(grid=f.grid, values=f.values - mat @ g.values)
-
+    projections = [vallee_poussin(fhat, sigma / 2.0) for sigma in sigmas]
+    for p, errors in _residual_norms(f, lam, projections, off_2).items():
+        for sigma, g, value in zip(sigmas, projections, errors.tolist()):
+            approxes[p][sigma] = BestApprox(value=value, g_star=g, near_best=True)
+    if 1 not in off_2:
+        return approxes
     nodes = fhat.grid.nodes
+    phis = _l1_fit_symbols(f, fhat, [sigma for sigma in sigmas if sigma < nodes[-1]])
+    fits = {}
     for sigma in sigmas:
-        g = vallee_poussin(fhat, sigma / 2.0)
-        off = residual(g)
-        for p in off_2:
-            approxes[p][sigma] = BestApprox(value=lp_norm(off, p, lam), g_star=g, near_best=True)
-        if 1 not in off_2:
-            continue
-        phi = np.ones_like(nodes) if sigma >= nodes[-1] else _l1_fit_symbol(f, fhat, sigma)
+        phi = phis[sigma] if sigma < nodes[-1] else np.ones_like(nodes)
         if phi is not None:
             bl = sigma if fhat.bandlimit is None else min(fhat.bandlimit, sigma)
-            fit = fhat.with_symbol(f"l1fit:sigma={sigma!r}", phi, bandlimit=bl)
-            value = lp_norm(residual(fit), 1, lam)
-            if value <= approxes[1][sigma].value:
-                approxes[1][sigma] = BestApprox(value=value, g_star=fit, near_best=True)
+            fits[sigma] = fhat.with_symbol(f"l1fit:sigma={sigma!r}", phi, bandlimit=bl)
+    values = _residual_norms(f, lam, fits.values(), (1,))[1].tolist()
+    for (sigma, fit), value in zip(fits.items(), values):
+        if value <= approxes[1][sigma].value:
+            approxes[1][sigma] = BestApprox(value=value, g_star=fit, near_best=True)
     return approxes
+
+
+def _residual_norms(f: RadialFunction, lam: float, spectra: Collection[Spectrum],
+                    p_values: Sequence[float]) -> dict[float, np.ndarray]:
+    """||f - invH(g)||_p of every spectrum g at every p, ``{p: norms}``,
+    from one ``_product`` of the spectra, reduced over its whole padded
+    block."""
+    block = _block(f.grid.n, len(spectra))
+    for j, g in enumerate(spectra):
+        block[:, j] = g.values
+    off = f.values[:, None] - _product(_kernel_matrix(lam, f.grid), block)
+    return {p: _lp_norms(off, f.grid, lam, p)[: len(spectra)] for p in p_values}
 
 
 class RealizationResult(NamedTuple):
@@ -564,16 +685,24 @@ def _realizations(approxes: dict[float, BestApprox], r_values: Sequence[float], 
 
     ``approxes`` maps each t to its approximant of type 1/t at p, an entry
     of a ``_best_approxes`` sweep, so every r reads it once.  The derivative
-    term is the ``_image_norms`` of the one symbol column nodes^r applied to
-    the approximant.
+    terms are the norms of the spectra nodes^r g of every (t, r), one
+    column each of a single ``_inverse_norms`` call: Plancherel sums at
+    p = 2, one product by the product rule at other p.
     """
+    points = [(t, r) for t in approxes for r in r_values]
+    if not points:
+        return {}
+    first = next(iter(approxes.values())).g_star
+    images = _block(first.grid.n, len(points))
+    for j, (t, r) in enumerate(points):
+        np.multiply(first.grid.nodes**r, approxes[t].g_star.values, out=images[:, j])
+    norms = _inverse_norms(images, first.grid, first.lam, (p,))[p]
     results = {}
-    for t, approx in approxes.items():
-        g = approx.g_star
-        for r in r_values:
-            term = t**r * float(_image_norms(g, (g.grid.nodes**r)[:, None], (p,))[p][0])
-            results[t, r] = RealizationResult(value=approx.value + term, approx_error=approx.value,
-                                              derivative_term=term, sigma_used=1.0 / t)
+    for j, (t, r) in enumerate(points):
+        value = approxes[t].value
+        term = t**r * float(norms[j])
+        results[t, r] = RealizationResult(value=value + term, approx_error=value,
+                                          derivative_term=term, sigma_used=1.0 / t)
     return results
 
 
@@ -643,11 +772,12 @@ def _chain_sweep(
     difference norms from one ``_diff_norms`` sweep, each with its own
     Bessel base.  "R" and "Rstar" take the approximants of the types 1/t
     from one ``_best_approxes`` sweep over every p and their values from one
-    ``_realizations`` sweep per p, and ``_candidate_minima`` makes one
-    product per scale for every family off p = 2.  A sweep at p = 2 alone
-    makes no inverse product.  Nothing here remembers a call: the
-    harness hands values from one chain experiment to the next
-    (``harness._HandOff``) and asks only for the names it must compute.
+    ``_realizations`` sweep per p, and one ``_candidate_minima`` sweep over
+    every scale packs the families of whole scales into products off
+    p = 2.  A sweep at p = 2 alone makes no inverse product.  Nothing here
+    remembers a call: the harness hands values from one chain experiment
+    to the next (``harness._HandOff``) and asks only for the names it must
+    compute.
     """
     if not set(names) <= set(_CHAIN_FUNCTIONALS):
         raise ValueError(f"chain functionals are {_CHAIN_FUNCTIONALS}, got {sorted(names)}")
@@ -675,10 +805,9 @@ def _chain_sweep(
             for (t, r), result in realized.items():
                 values["Rstar"][t, p, r] = result.value
     families = [name for name in _FAMILIES if name in names]
-    for t in scales:
-        for (name, p, r), low in _candidate_minima(f, fhat, t, families, r_values,
-                                                   p_values).items():
-            values[name][t, p, r] = low if name == "K" else min(values["Rstar"][t, p, r], low)
+    for (name, t, p, r), low in _candidate_minima(f, fhat, scales, families, r_values,
+                                                  p_values).items():
+        values[name][t, p, r] = low if name == "K" else min(values["Rstar"][t, p, r], low)
     return values
 
 

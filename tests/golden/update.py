@@ -17,16 +17,21 @@ comparison is exact; on another one a value may move by rounding alone, so
 values are compared to ``FOREIGN_RTOL`` relative (``FOREIGN_ATOL`` absolute
 near zero) and a warning names the two fingerprints.
 
-Run this file to rewrite the golden files from the current tree; it prints
-the rows that moved::
+Run this file to rewrite the golden files from the current tree::
 
-    PYTHONPATH=src python tests/golden/update.py
+    PYTHONPATH=src python tests/golden/update.py [--rows]
 
-A change that moves values updates the golden files in the same commit.
+It prints one line per golden file that moved: the rows moved, the largest
+relative and absolute change of any value but a ratio, and the verdicts that
+flipped (a report's ``pass`` column and summary ``verdict``; for criterion 6
+each row's verdict under its experiment's window).  ``--rows`` also prints
+every moved row.  A change that moves values updates the golden files in
+the same commit.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import platform
@@ -179,35 +184,117 @@ def compare_report_dir(fresh: Path, exact: bool = True, golden: Path = DEFAULT) 
     return messages
 
 
+def _chain_verdict(fields: list) -> bool:
+    """A criterion-6 row's verdict, (check, lambda, p, r, scale, lhs, rhs),
+    under the window of the experiment its check names."""
+    from dunklsmooth.harness import SmoothnessReport
+
+    check, lam, p, r, scale, lhs, rhs = fields
+    cfg = next(c for c in criterion_6_configs() if c.name == check.split(":")[0])
+    report = SmoothnessReport(cfg.name, cfg.window, cfg.drift_max)
+    return report.add(check, lam, p, 0.0, r, scale, lhs, rhs).passed
+
+
+def summarize_lines(label: str, header: str, old: list[str], new: list[str],
+                    verdict=None) -> str | None:
+    """One line for a golden file whose rows moved, none if none did: the
+    rows moved, the largest relative and absolute change over every value
+    but the ratio (lhs / rhs, which moves with them), and the verdicts that
+    flipped, read from a ``pass`` column or, given ``verdict``
+    (fields -> bool), recomputed for both sides."""
+    names = header.split(",")
+    rows = flips = 0
+    rel = absolute = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        rows += 1
+        fa, fb = [list(map(_field, line.split(","))) for line in (a, b)]
+        for name, x, y in zip(names, fa, fb):
+            if name != "ratio" and isinstance(x, float) and isinstance(y, float) and x != y:
+                rel = max(rel, _relative(x, y))
+                absolute = max(absolute, abs(y - x))
+        if "pass" in names:
+            flips += fa[names.index("pass")] != fb[names.index("pass")]
+        elif verdict is not None:
+            flips += verdict(fa) != verdict(fb)
+    if not rows and len(old) == len(new):
+        return None
+    count = f"{rows} of {len(new)} rows moved" + (
+        f" ({len(old)} rows -> {len(new)})" if len(old) != len(new) else "")
+    return (f"{label}: {count}, largest relative change {rel:.3g}, "
+            f"largest absolute change {absolute:.3g}, {flips} verdicts flipped")
+
+
+def summarize_report_dir(fresh: Path, golden: Path) -> list[str]:
+    """``summarize_lines`` for each CSV of ``fresh`` that moved against the
+    golden directory, and one line per moved summary: its fields that moved
+    and whether its verdict flipped."""
+    gone = {p.name for p in golden.iterdir()} - {p.name for p in fresh.iterdir()}
+    lines = [f"{golden.name}/{name}: missing" for name in sorted(gone)]
+    for path in sorted(fresh.iterdir()):
+        old_path = golden / path.name
+        if not old_path.exists():
+            lines.append(f"{golden.name}/{path.name}: new")
+            continue
+        a, b = old_path.read_text(), path.read_text()
+        if a == b:
+            continue
+        label = f"{golden.name}/{path.name}"
+        if path.suffix == ".csv":
+            la, lb = a.splitlines(), b.splitlines()
+            lines.append(summarize_lines(label, lb[1], la[2:], lb[2:]) or f"{label}: header moved")
+        else:
+            ja, jb = json.loads(a), json.loads(b)
+            moved = sorted(k for k in set(ja) | set(jb) if ja.get(k) != jb.get(k))
+            flip = "no " if ja.get("verdict") == jb.get("verdict") else ""
+            lines.append(f"{label}: fields {', '.join(moved)} moved, {flip}verdict flipped")
+    return lines
+
+
 def read_chain() -> list[str]:
     lines = CHAIN.read_text().splitlines()
     assert lines[0] == CHAIN_HEADER, f"{CHAIN}: unexpected header {lines[0]!r}"
     return lines[1:]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the golden files from the current tree.")
+    parser.add_argument("--rows", action="store_true", help="also print every moved row")
+    args = parser.parse_args(argv)
+
     from dunklsmooth.harness import EXPERIMENTS, _HANDOFF, default_config, parse_config, run_config
     from dunklsmooth.quad import default_grid
 
     grid = default_grid()
     _HANDOFF.clear()
     lines = chain_lines([EXPERIMENTS[cfg.name](cfg, grid) for cfg in criterion_6_configs()])
-    moved = []
+    moved, summary = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for golden, config in ((DEFAULT, default_config()), (OFF_P2, off_p2_config())):
             fresh = Path(tmp) / golden.name
             _HANDOFF.clear()
             run_config(parse_config(config), output_dir=fresh)
-            moved += compare_report_dir(fresh, golden=golden) if golden.is_dir() \
-                else [f"{golden.name}/: new"]
+            if golden.is_dir():
+                moved += compare_report_dir(fresh, golden=golden)
+                summary += summarize_report_dir(fresh, golden)
+            else:
+                summary.append(f"{golden.name}/: new")
             shutil.rmtree(golden, ignore_errors=True)
             shutil.copytree(fresh, golden)
-        moved += compare_lines(CHAIN.name, CHAIN_HEADER, read_chain(), lines) if CHAIN.exists() \
-            else [f"{CHAIN.name}: new"]
+        if CHAIN.exists():
+            old = read_chain()
+            moved += compare_lines(CHAIN.name, CHAIN_HEADER, old, lines)
+            summary.append(summarize_lines(CHAIN.name, CHAIN_HEADER, old, lines, _chain_verdict))
+        else:
+            summary.append(f"{CHAIN.name}: new")
     CHAIN.write_text("\n".join([CHAIN_HEADER] + lines) + "\n")
     FINGERPRINT.write_text(json.dumps(fingerprint(), indent=2) + "\n")
-    for message in moved:
-        print(message)
+    if args.rows:
+        for message in moved:
+            print(message)
+    for line in filter(None, summary):
+        print(line)
     print(f"{len(moved)} moved; golden files rewritten in {HERE}")
     return 0
 

@@ -62,3 +62,27 @@ def test_gate_names_a_one_ulp_move(golden):
     assert golden.compare_lines("rows", header, old, new, exact=False) == []
     new[1] = ",".join([check, *fields[:4], (lhs * (1 + 1e-6)).hex(), fields[5]])
     assert len(golden.compare_lines("rows", header, old, new, exact=False)) == 1
+
+
+def test_summary_names_rows_moved_changes_and_flips(golden):
+    header = "experiment,lambda,p,m,r,scale,lhs,rhs,ratio,pass"
+    old = ["jackson,0.25,inf,2.0,0.0,2.0,0.5,0.25,2.0,true",
+           "jackson,0.25,inf,2.0,0.0,4.0,1.0,0.5,2.0,true",
+           "jackson,0.25,inf,2.0,0.0,8.0,1.0,0.5,2.0,true"]
+    new = [old[0],
+           "jackson,0.25,inf,2.0,0.0,4.0,1.5,0.5,3.0,false",
+           "jackson,0.25,inf,2.0,0.0,8.0,1.0,0.5000000000000001,1.9999999999999996,true"]
+    line = golden.summarize_lines("jackson.csv", header, old, new)
+    # the ratio moved by 1, but it is lhs / rhs: lhs moved by 0.5
+    assert line == ("jackson.csv: 2 of 3 rows moved, largest relative change 0.5, "
+                    "largest absolute change 0.5, 1 verdicts flipped")
+    assert golden.summarize_lines("jackson.csv", header, old, old) is None
+    # criterion-6 rows carry no verdict: it is recomputed in the window
+    row = golden.read_chain()[0]
+    check, *fields = row.split(",")
+    lhs, rhs = (float.fromhex(x) for x in fields[4:])
+    far = ",".join([check, *fields[:4], (1e3 * rhs).hex(), fields[5]])
+    summary = golden.summarize_lines("c6", golden.CHAIN_HEADER, [row], [far],
+                                     golden._chain_verdict)
+    assert summary.endswith("1 verdicts flipped")
+    assert golden._chain_verdict([check, *map(float.fromhex, fields)])

@@ -497,21 +497,26 @@ class TestExperiments:
     def test_chain_sweep_product_and_bessel_counts(self, grid, name, monkeypatch):
         # per input: one Bessel base over the union of its scales' modulus
         # steps and one modulus product per order r, and for equivalence one
-        # base over the scales for the difference norms; per (input, scale): at
-        # most one wide candidate product, the difference norms' one
-        # single-column product per r, the p = 1 approximant's LP fit one
-        # product of its hat columns, and off p = 2 the realization's
-        # derivative term one single-column product per r, from one
-        # realization sweep per (input, p)
+        # base over the scales for the difference norms.  Off p = 2 every
+        # other sweep makes one product for all of its columns, except the
+        # packed ones: equivalence one product of every difference norm and
+        # one of the K family at all three scales (40 columns a scale);
+        # realization one of the projection residuals, one of the p = 1 fit's
+        # hat columns (41 a type), one of the fit residuals, one of the
+        # derivative terms per p != 2, from one realization sweep per
+        # (input, p), and one candidate product per scale (K and R take 84
+        # columns a scale, and two exceed the column budget).  No product
+        # has one column: every width is a multiple of _PAD.
         widths, bases, realizations, fits = [], [], [], []
-        products = smoothness._inverse_products
+        product = smoothness._product
         one_minus = BesselEvaluator.one_minus
         realizations_of = smoothness._realizations
-        l1_fit = smoothness._l1_fit_symbol
+        l1_fits = smoothness._l1_fit_symbols
 
-        def counted_products(fhat, symbols):
-            widths.append(symbols.shape[1])
-            return products(fhat, symbols)
+        def counted_product(mat, columns):
+            out = product(mat, columns)
+            widths.append(out.shape[1])
+            return out
 
         def counted_one_minus(self, t):
             bases.append(np.shape(t))
@@ -521,44 +526,59 @@ class TestExperiments:
             realizations.append((len(approxes), tuple(r_values), p))
             return realizations_of(approxes, r_values, p)
 
-        def counted_l1_fit(*args):
-            fits.append(args[2])
-            return l1_fit(*args)
+        def counted_l1_fits(f, fhat, sigmas):
+            fits.append(list(sigmas))
+            return l1_fits(f, fhat, sigmas)
 
-        monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
-        monkeypatch.setattr(smoothness, "_l1_fit_symbol", counted_l1_fit)
+        monkeypatch.setattr(smoothness, "_product", counted_product)
+        monkeypatch.setattr(smoothness, "_l1_fit_symbols", counted_l1_fits)
         monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
         monkeypatch.setattr(smoothness, "_realizations", counted_realizations)
         lams, ps, rs, scales = (0.25, 1.0), (1.0, 2.0, math.inf), (0.5, 1.0, 2.0), 3
         cfg = ExperimentConfig(name=name, lambda_values=lams, p_values=ps, r_values=rs,
                                scale=ScaleGrid(0.05, 0.8, scales))
         EXPERIMENTS[name](cfg, grid)
-        per_scale = len(lams) * scales
         union = smoothness._ladder(cfg.scale.values())[0].size
         assert union < 25 * scales
         diff_base = [(grid.n, scales)] if name == "equivalence" else []
         assert bases == ([(grid.n, union)] + diff_base) * len(lams)
-        # each input's products open with its moduli, and no other has their width
-        per_input = len(widths) // len(lams)
-        heads = [widths[i * per_input : i * per_input + len(rs)] for i in range(len(lams))]
-        assert heads == [[union] * len(rs)] * len(lams)
-        assert widths.count(union) == len(lams) * len(rs)
-        rest = [w for w in widths if w != union]
-        wide = [w for w in rest if w > 1]
-        assert len(fits) == (per_scale if name == "realization" else 0)
-        assert len(wide) <= per_scale + len(fits)
-        singles = len(rest) - len(wide)
+        assert all(w > 1 and w % smoothness._PAD == 0 for w in widths)
+        assert all(w <= smoothness._PRODUCT_COLUMNS for w in widths)
         off_2 = sum(p != 2 for p in ps)
-        assert singles == per_scale * len(rs) * (1 if name == "equivalence" else off_2)
-        if name == "realization":
+        per_input = len(rs) + (2 if name == "equivalence" else 3 + off_2 + scales)
+        assert len(widths) == per_input * len(lams)
+        # each input's products open with its moduli
+        for i in range(len(lams)):
+            head = widths[i * per_input : i * per_input + len(rs)]
+            assert head == [smoothness._width(union)] * len(rs)
+        if name == "equivalence":
+            assert fits == [] and realizations == []
+            assert widths[len(rs) : per_input] == [smoothness._width(scales * len(rs)), 120]
+        else:
+            sigmas = [1.0 / t for t in cfg.scale.values()]
+            assert all(sigma < grid.nodes[-1] for sigma in sigmas)
+            assert fits == [sigmas] * len(lams)
             assert realizations == [(scales, rs, p) for p in ps] * len(lams)
+            assert widths[len(rs) : per_input] == (
+                [8, 128, 8] + [smoothness._width(scales * len(rs))] * off_2 + [88] * scales)
 
     @pytest.mark.parametrize("name", ["equivalence", "realization"])
     def test_chain_rows_do_not_depend_on_the_scales_swept_with_them(self, grid, name):
-        # a scale's rows read its own columns of the shared modulus product;
-        # they rest on the width facts of README, "Numerical design notes",
+        # a scale's rows read its own columns of the shared products; they
+        # rest on the product rule of README, "Numerical design notes",
         # "One modulus ladder per sweep"
-        shared = dict(name=name, p_values=(1.0, 2.0, math.inf), r_values=(0.5, 2.0))
+        self.assert_rows_do_not_depend_on_the_scales(grid, name, (1.0, 2.0, math.inf))
+
+    @pytest.mark.parametrize("name", ["equivalence", "realization"])
+    def test_chain_rows_do_not_depend_on_the_scales_swept_with_them_on_a_small_grid(self, name):
+        # at n = 128 most narrow widths take other BLAS kernels than wide
+        # ones, so only the padding keeps the rows of a scale alone equal to
+        # its rows among nine
+        self.assert_rows_do_not_depend_on_the_scales(make_grid(30.0, 128), name, (1.0, math.inf))
+
+    @staticmethod
+    def assert_rows_do_not_depend_on_the_scales(grid, name, ps):
+        shared = dict(name=name, p_values=ps, r_values=(0.5, 2.0))
         scales = ScaleGrid(1e-2, 1.0, 9)
         joint = EXPERIMENTS[name](ExperimentConfig(scale=scales, **shared), grid).rows
         for t in scales.values():
@@ -700,17 +720,25 @@ class TestExperiments:
         # at p = 1 each type below the last node is one LP: the 43 distinct
         # types less the three at or beyond it (30, 31, 32), so 40 LPs where
         # a table and a ladder approximated apart took 46
-        fits = []
-        l1_fit = smoothness._l1_fit_symbol
+        import scipy.optimize
 
-        def counted(f, fhat, sigma):
-            fits.append(sigma)
-            return l1_fit(f, fhat, sigma)
+        fits, solves = [], []
+        l1_fits = smoothness._l1_fit_symbols
+        linprog = scipy.optimize.linprog
 
-        monkeypatch.setattr(smoothness, "_l1_fit_symbol", counted)
+        def counted(f, fhat, sigmas):
+            fits.extend(sigmas)
+            return l1_fits(f, fhat, sigmas)
+
+        def counted_linprog(*args, **kwargs):
+            solves.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(smoothness, "_l1_fit_symbols", counted)
+        monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
         cfg = ExperimentConfig(name="inverse", p_values=(1.0,), m_values=(2.0,))
         EXPERIMENTS["inverse"](cfg, grid)
-        assert len(fits) == len(set(fits)) == 40
+        assert len(fits) == len(set(fits)) == len(solves) == 40
         assert all(sigma < grid.nodes[-1] for sigma in fits)
 
     def test_bernstein_exact_constant_and_sharpness(self, grid):
@@ -727,23 +755,25 @@ class TestExperiments:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_bernstein_norms_are_one_column_image_norms(self, grid, p, monkeypatch):
-        # both sides of a row are the _image_norms of one symbol column: two
-        # single-column inverse products per row off p = 2, Plancherel sums
-        # and no product at p = 2
+        # both sides of a row are the _image_norms of one symbol column, and
+        # each spectrum takes those of every r in one call: off p = 2 one
+        # product per spectrum, padded to _PAD columns by the product rule;
+        # Plancherel sums and no product at p = 2
         widths = []
-        products = smoothness._inverse_products
+        product = smoothness._product
 
-        def counted(fhat, symbols):
-            widths.append(symbols.shape[1])
-            return products(fhat, symbols)
+        def counted(mat, columns):
+            out = product(mat, columns)
+            widths.append(out.shape[1])
+            return out
 
-        monkeypatch.setattr(smoothness, "_inverse_products", counted)
+        monkeypatch.setattr(smoothness, "_product", counted)
         cfg = ExperimentConfig(name="bernstein", p_values=(p,), r_values=(1.0, 2.0),
                                scale=ScaleGrid(1.0, 8.0, 3))
         rows = [row for row in EXPERIMENTS["bernstein"](cfg, grid).rows
                 if row.check == "bernstein"]
         assert len(rows) == 6
-        assert widths == ([] if p == 2 else [1] * 2 * len(rows))
+        assert widths == ([] if p == 2 else [smoothness._PAD] * len(cfg.scale.values()))
 
     def test_bernstein_sigma_doubling_scaling(self, grid):
         # same spectrum measured against a doubled type halves the ratio 2^-r
@@ -847,14 +877,23 @@ class TestChainHandOff:
     def run(self, grid, monkeypatch):
         """``run(name, **changes)`` runs a chain experiment on a small
         criterion-6-shaped config and returns its rows as ``repr``s, the
-        widths of the inverse products it made and the candidate families
-        whose symbols it built."""
-        widths, families = [], []
-        products = smoothness._inverse_products
+        widths of the inverse products it made, the candidate families
+        whose symbols it built and, for each modulus sweep it ran, the
+        number of products that sweep made."""
+        widths, families, moduli = [], [], []
+        product = smoothness._product
+        moduli_of = smoothness._moduli
 
-        def counted_products(fhat, symbols):
-            widths.append(symbols.shape[1])
-            return products(fhat, symbols)
+        def counted_product(mat, columns):
+            out = product(mat, columns)
+            widths.append(out.shape[1])
+            return out
+
+        def counted_moduli(*args):
+            w0 = len(widths)
+            out = moduli_of(*args)
+            moduli.append(len(widths) - w0)
+            return out
 
         def counted_family(name, build):
             def symbols(nodes, t, sharp):
@@ -863,7 +902,8 @@ class TestChainHandOff:
 
             return symbols
 
-        monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
+        monkeypatch.setattr(smoothness, "_product", counted_product)
+        monkeypatch.setattr(smoothness, "_moduli", counted_moduli)
         for name, build in smoothness._FAMILIES.items():
             monkeypatch.setitem(smoothness._FAMILIES, name, counted_family(name, build))
         shared = dict(lambda_values=self.LAMS, p_values=self.PS, r_values=self.RS,
@@ -871,38 +911,27 @@ class TestChainHandOff:
                       window=(1.0 / 20.0, 20.0), drift_max=4.0)
 
         def run(name, **changes):
-            w0, f0 = len(widths), len(families)
+            w0, f0, m0 = len(widths), len(families), len(moduli)
             cfg = ExperimentConfig(name=name, **{**shared, **changes})
             rows = [repr(row) for row in EXPERIMENTS[name](cfg, grid).rows]
-            return rows, widths[w0:], families[f0:]
+            return rows, widths[w0:], families[f0:], moduli[m0:]
 
         return run
 
-    def moduli_width(self, scale=SCALE):
-        width = smoothness._ladder(scale.values())[0].size
-        # no other product of these sweeps has the moduli's width: not the
-        # single columns, the p = 1 fit's hats, nor a candidate product of
-        # the K family (P_sigma and g = 0), the R family (P_sigma and four
-        # plateaus) or both, each with its derivative blocks
-        k, r = smoothness._K_UPPER_POINTS + 1, smoothness._R_CANDIDATE_POINTS + 4
-        blocks = 1 + len(self.RS)
-        assert width not in {1, smoothness._L1_HATS, k * blocks, r * blocks, (k + r) * blocks}
-        return width
-
     def test_eq_then_re_makes_the_moduli_and_the_k_family_once(self, run):
-        union = self.moduli_width()
-        _, eq_widths, eq_families = run("equivalence")
-        _, re_widths, re_families = run("realization")
-        # one moduli product per (input, r), one K family per (input, scale)
-        # at p = 2 and one off p = 2, all made by equivalence
-        assert eq_widths.count(union) == len(self.LAMS) * len(self.RS)
+        _, eq_widths, eq_families, eq_moduli = run("equivalence")
+        _, re_widths, re_families, re_moduli = run("realization")
+        # one modulus sweep per input with one product per r, one K family
+        # per (input, scale) at p = 2 and one off p = 2, all made by
+        # equivalence
+        assert eq_moduli == [len(self.RS)] * len(self.LAMS)
         assert eq_families.count("K") == 2 * self.PER_SCALE
-        assert union not in re_widths and "K" not in re_families
+        assert re_moduli == [] and "K" not in re_families
         assert re_families.count("R") == 2 * self.PER_SCALE
         # a realization run alone makes both itself
         harness._HANDOFF.clear()
-        _, alone_widths, alone_families = run("realization")
-        assert alone_widths.count(union) == len(self.LAMS) * len(self.RS)
+        _, alone_widths, alone_families, alone_moduli = run("realization")
+        assert alone_moduli == [len(self.RS)] * len(self.LAMS)
         assert alone_families.count("K") == 2 * self.PER_SCALE
         assert sum(re_widths) < sum(alone_widths)
 
@@ -911,13 +940,13 @@ class TestChainHandOff:
         harness._HANDOFF.clear()
         re_alone = run("realization")[0]
         # a second realization takes every value, each of its own type
-        again, again_widths, _ = run("realization")
+        again, again_widths, _, _ = run("realization")
         assert again == re_alone and again_widths == []
         harness._HANDOFF.clear()
         run("realization")
         # equivalence after realization takes omega and K from it
-        eq_after, eq_after_widths, _ = run("equivalence")
-        assert self.moduli_width() not in eq_after_widths
+        eq_after, _, _, eq_after_moduli = run("equivalence")
+        assert eq_after_moduli == []
         assert eq_after == eq_alone
         harness._HANDOFF.clear()
         assert run("equivalence")[0] == eq_alone
@@ -933,16 +962,15 @@ class TestChainHandOff:
     def test_a_third_equivalence_recomputes(self, run):
         first, second, third = (run("equivalence") for _ in range(3))
         # the second takes every value and computes none, so hands on none
-        assert second[1:] == ([], [])
+        assert second[1:] == ([], [], [])
         assert third[1:] == first[1:]
         assert first[0] == second[0] == third[0]
 
     def test_an_input_one_ulp_apart_takes_nothing(self, run, monkeypatch):
-        union = self.moduli_width()
         run("equivalence")
         nudged_scale = ScaleGrid(math.nextafter(0.05, 1.0), 0.8, 3)
-        _, widths, families = run("realization", scale=nudged_scale)
-        assert widths.count(self.moduli_width(nudged_scale)) == len(self.LAMS) * len(self.RS)
+        _, _, families, moduli = run("realization", scale=nudged_scale)
+        assert moduli == [len(self.RS)] * len(self.LAMS)
         assert families.count("K") == 2 * self.PER_SCALE
         run("equivalence")
 
@@ -952,8 +980,8 @@ class TestChainHandOff:
             return RadialFunction(grid=grid, values=values)
 
         monkeypatch.setattr(harness, "make_profile", nudged)
-        _, widths, families = run("realization")
-        assert widths.count(union) == len(self.LAMS) * len(self.RS)
+        _, _, families, moduli = run("realization")
+        assert moduli == [len(self.RS)] * len(self.LAMS)
         assert families.count("K") == 2 * self.PER_SCALE
 
     def test_the_hand_off_holds_floats_of_one_experiment(self, run):
@@ -1032,13 +1060,13 @@ class TestRunAll:
         # the default sweep is p = 2 only, where the moduli and difference
         # norms are Plancherel sums of the symbol-multiplied spectrum
         calls = []
-        products = smoothness._inverse_products
+        product = smoothness._product
 
-        def counted(fhat, symbols):
-            calls.append(symbols.shape)
-            return products(fhat, symbols)
+        def counted(mat, columns):
+            calls.append(columns.shape)
+            return product(mat, columns)
 
-        monkeypatch.setattr(smoothness, "_inverse_products", counted)
+        monkeypatch.setattr(smoothness, "_product", counted)
         assert run_all(output_dir=tmp_path / "reports") == 0
         assert len(list((tmp_path / "reports").iterdir())) == 16
         assert calls == []

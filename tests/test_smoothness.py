@@ -16,7 +16,6 @@ from dunklsmooth.smoothness import (
     _best_approxes,
     _chain_sweep,
     _diff_norms,
-    _inverse_products,
     _ladder,
     _marchaud_bounds,
     _marchaud_nodes,
@@ -119,9 +118,23 @@ class TestModulus:
         assert res.t_max == pytest.approx(0.3)
 
 
-# the bit-identity of the modulus sweep rests on these; README, "Numerical
-# design notes", "One modulus ladder per sweep"
+# the bit-identity of every sweep off p = 2 rests on these; README,
+# "Numerical design notes", "One modulus ladder per sweep"
 WIDTH_NOTE = "see README, Numerical design notes, 'One modulus ladder per sweep'"
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Widths of the products ``smoothness._product`` makes from now on."""
+    widths = []
+    product = smoothness._product
+
+    def counted(mat, columns):
+        out = product(mat, columns)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(smoothness, "_product", counted)
+    return widths
 
 
 class TestModulusSweep:
@@ -185,18 +198,14 @@ class TestModulusSweep:
 
     def test_a_second_sweep_keeps_no_memo(self, grid, gauss, monkeypatch):
         fhat = hankel(gauss, LAM)
-        widths, points = [], []
+        points = []
         one_minus = BesselEvaluator.one_minus
-
-        def counted_products(fhat, symbols):
-            widths.append(symbols.shape[1])
-            return _inverse_products(fhat, symbols)
 
         def counted_one_minus(self, t):
             points.append(np.size(t))
             return one_minus(self, t)
 
-        monkeypatch.setattr(smoothness, "_inverse_products", counted_products)
+        widths = count_products(monkeypatch)
         monkeypatch.setattr(BesselEvaluator, "one_minus", counted_one_minus)
         union = _ladder(self.DELTAS)[0].size
         for _ in range(2):
@@ -204,18 +213,24 @@ class TestModulusSweep:
             points.clear()
             _moduli(fhat, self.DELTAS, (1.0, 2.0), (1.0, math.inf))
             # one base over the union, one product per order, every time
-            assert (widths, points) == ([union, union], [grid.n * union])
+            assert (widths, points) == ([smoothness._width(union)] * 2, [grid.n * union])
 
-    def test_product_columns_do_not_depend_on_width(self, grid):
-        # a gemm column's bits do not depend on the product's width once it
-        # has two columns; a lone column takes gemv, whose bits differ
+    @pytest.mark.parametrize("n", [64, 256, 512, 1024, 2048])
+    def test_product_columns_do_not_depend_on_width(self, n):
+        # the product rule: padded to a multiple of _PAD columns, a column's
+        # bits depend neither on the product's width nor on its position
+        # in it, whatever the number k of columns asked for (a lone column
+        # would take gemv, and at n <= 512 some narrow widths differ too)
+        grid = make_grid(30.0, n)
         kernel = _kernel_matrix(LAM, grid)
-        syms = np.random.default_rng(0).standard_normal((grid.n, 40))
+        syms = np.random.default_rng(0).standard_normal((n, 200))
         full = kernel @ syms
-        for a, b in ((0, 2), (3, 28), (17, 40), (0, 39)):
-            assert np.array_equal(kernel @ syms[:, a:b], full[:, a:b]), WIDTH_NOTE
-            assert np.array_equal(kernel @ np.ascontiguousarray(syms[:, a:b]), full[:, a:b]), \
-                WIDTH_NOTE
+        for k in [*range(1, 26), 40, 64, 120, 128]:
+            for a in (0, 3, 13, 200 - k):
+                out = smoothness._product(kernel, syms[:, a : a + k])
+                assert out.shape[1] == smoothness._width(k) and out.shape[1] % smoothness._PAD == 0
+                assert np.array_equal(out[:, :k], full[:, a : a + k]), (k, a, WIDTH_NOTE)
+                assert not out[:, k:].any()
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_norm_columns_do_not_depend_on_width(self, grid, p):
@@ -256,6 +271,38 @@ class TestDiffNormSweep:
         # a joint p sweep gives each single-p sweep's values
         for p in (1.0, 2.0, math.inf):
             assert _diff_norms(fhat, self.POINTS, (p,)).items() <= joint.items()
+
+
+class TestSmallGridSweeps:
+    """Off p = 2 every sweep value equals its one-point call on a small grid
+    too, where narrow products at most widths take other BLAS kernels than
+    wide ones: the product rule pads every product (``smoothness._product``)."""
+
+    SCALES = (0.05, 0.1, 0.2, 0.4, 0.8)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        grid = make_grid(30.0, 128)
+        f = make_profile("rational", grid, LAM)
+        return f, hankel(f, LAM)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_one_point_calls_equal_their_sweeps(self, small, p):
+        f, fhat = small
+        rs = (0.5, 1.0, 2.0)
+        chain = _chain_sweep(f, self.SCALES, rs, (p,), LAM, smoothness._CHAIN_FUNCTIONALS, fhat)
+        diffs = _diff_norms(fhat, [(t, r, 0.0) for t in self.SCALES for r in rs], (p,))
+        approxes = _best_approxes(f, fhat, [1.0 / t for t in self.SCALES], (p,), LAM)[p]
+        for t in self.SCALES:
+            ba = best_approx(f, 1.0 / t, p, LAM, fhat=fhat)
+            assert ba.value == approxes[1.0 / t].value
+            for r in rs:
+                assert modulus(f, t, r, p, LAM, fhat=fhat).value == chain["omega"][t, p, r]
+                assert diff_norm(f, t, r, p, LAM, fhat=fhat) == diffs[t, r, 0.0, p] \
+                    == chain["diff"][t, p, r]
+                assert realization(f, t, r, p, LAM, fhat=fhat).value == chain["Rstar"][t, p, r]
+                assert k_functional_upper(f, t, r, p, LAM, fhat=fhat) == chain["K"][t, p, r]
+                assert realization_candidate_min(f, t, r, p, LAM, fhat=fhat) == chain["R"][t, p, r]
 
 
 class TestBesselStepRange:
@@ -310,14 +357,7 @@ class TestPlancherelSide:
             assert value == pytest.approx(self.physical_l2(fhat, image), rel=1e-6)
 
     def test_p2_sweeps_make_no_inverse_product(self, gauss, monkeypatch):
-        calls = []
-        products = smoothness._inverse_products
-
-        def counted(fhat, symbols):
-            calls.append(symbols.shape)
-            return products(fhat, symbols)
-
-        monkeypatch.setattr(smoothness, "_inverse_products", counted)
+        calls = count_products(monkeypatch)
         fhat = hankel(gauss, LAM)
         names = smoothness._CHAIN_FUNCTIONALS
         _chain_sweep(gauss, (0.05, 0.3), (0.5, 2.0), (2.0,), LAM, names, fhat=fhat)
@@ -413,9 +453,13 @@ class TestBestApprox:
 
     @staticmethod
     def _projection_error_p1(f, sigma, lam):
+        # measured as best_approx measures it: the residual's column of a
+        # product by the product rule, reduced over the padded block
         g = vallee_poussin(hankel(f, lam), sigma / 2.0)
-        resid = f.values - inverse_hankel(g).values
-        return lp_norm(RadialFunction(grid=f.grid, values=resid), 1, lam)
+        block = smoothness._block(f.grid.n, 1)
+        block[:, 0] = g.values
+        resid = f.values[:, None] - smoothness._product(_kernel_matrix(lam, f.grid), block)
+        return float(_lp_norms(resid, f.grid, lam, 1)[0])
 
     @pytest.mark.parametrize("sigma", [1.0, 1.0 / 0.562, 1.0 / 0.316])
     def test_l1_fit_p1(self, grid, gauss, sigma):
