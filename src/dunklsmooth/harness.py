@@ -13,8 +13,8 @@ scale sweep.  Window and drift policy are recorded in every report header;
 rows carry the exact lhs/rhs so failures are auditable.
 
 Experiments hold no numerical rule of their own: every norm of a multiplier
-image a row reads comes from ``smoothness`` (``_image_norms`` and the sweeps
-over it), one sweep per functional and input, never a one-point call, and
+image a row reads comes from ``smoothness`` (``_inverse_norms`` and the
+sweeps over it), one sweep per functional and input, never a one-point call, and
 the grid, lambdas and largest difference steps a config names are admitted
 by the ``_check_*`` rules of ``quad`` and ``special``, which ``transform``
 and the library share.

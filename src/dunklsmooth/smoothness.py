@@ -32,14 +32,17 @@ the other p.  Every such product follows one rule (``_product``): its
 columns are padded with zeros to a multiple of ``_PAD``, a width at which
 a column's bits depend neither on the product's width nor on its position,
 so no product takes the matrix-vector path and a sweep value equals its
-one-point call.  Every modulus sup samples delta and the quarter-octave
-rungs 2^(-k/4) below it, a lattice all deltas share, so ``_moduli`` makes
-one Bessel base over the union of its deltas' steps and, off p = 2, one
-product per order; ``_diff_norms`` makes one base over its distinct steps
-and one product of all its points, ``_realizations`` one product of every
-(t, r) at its p.  ``_best_approxes`` takes its p = 2 values from one
-``transforms._spectral_tails`` sweep and, off p = 2, one product of every
-projection residual and, at p = 1, one of every fit residual.  The
+one-point call.  No product is wider than ``_PRODUCT_COLUMNS`` columns
+(save a single candidate block wider than that), so a sweep's memory does
+not grow with its points.  Every modulus sup samples delta and the
+quarter-octave rungs 2^(-k/4) below it, a lattice all deltas share, so
+``_moduli`` makes one Bessel base over the union of its deltas' steps and,
+off p = 2, one product per order and per ``_PRODUCT_COLUMNS`` steps;
+``_diff_norms`` makes one base over its distinct steps and the products of
+all its points, ``_realizations`` those of every (t, r) at its p, all
+through ``_inverse_norms``.  ``_best_approxes`` takes its p = 2 values
+from one ``transforms._spectral_tails`` sweep and, off p = 2, the products
+of every projection residual and, at p = 1, of every fit residual.  The
 candidate families of whole scales (``_candidate_minima``) and the p = 1
 fit's hat columns of whole types are packed into products of at most
 ``_PRODUCT_COLUMNS`` columns.
@@ -99,8 +102,8 @@ class ModulusResult(NamedTuple):
 
 
 _PAD = 8  # every product width off p = 2 is a multiple of this
-# column budget of a product packed from several blocks: at n = 2048 its
-# symbols and its product take 2 MB each
+# column budget of every product (a single wider candidate block makes a
+# product alone): at n = 2048 its symbols and its product take 2 MB each
 _PRODUCT_COLUMNS = 128
 
 
@@ -221,33 +224,43 @@ def _bessel_base(lam: float, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray
 def _image_norms(fhat: Spectrum, symbols: np.ndarray, p_values: Sequence[float]
                  ) -> dict[float, np.ndarray]:
     """||invH(symbols[:, j] * fhat)||_p of every column j, ``{p: norms}``
-    (see ``_inverse_norms``).  ``symbols`` is scaled by the spectrum in
-    place, so callers pass an array they own and do not reuse.
+    (see ``_inverse_norms``)."""
+    return _inverse_norms(fhat.grid, fhat.lam, symbols.shape[1], p_values,
+                          lambda j, out: np.multiply(symbols[:, j], fhat.values, out=out))
+
+
+def _inverse_norms(grid: RadialGrid, lam: float, count: int, p_values: Sequence[float],
+                   fill: Callable[[int, np.ndarray], None], minus: np.ndarray | None = None
+                   ) -> dict[float, np.ndarray]:
+    """||invH(s_j)||_p of ``count`` spectra s_j at every p, ``{p: norms}``;
+    ``fill(j, out)`` writes s_j into ``out``.  Given the physical samples
+    ``minus``, the norms off p = 2 are of minus - invH(s_j) instead.
+
+    The spectra are drawn ``_PRODUCT_COLUMNS`` at a time into one
+    ``_block``, so one block and its product alone are alive.  p = 2 is
+    taken on the spectral side: the transform is unitary on L2(nu_lam), so
+    each norm is the Plancherel norm of s_j, summed along a contiguous row
+    as ``_spectral_l2`` sums it.  The other p share one ``_product`` per
+    block, made only when some p != 2 is swept, and reduce its whole
+    padded block, so each value equals its one-point call.
     """
-    symbols *= fhat.values[:, None]
-    return _inverse_norms(symbols, fhat.grid, fhat.lam, p_values)
-
-
-def _inverse_norms(images: np.ndarray, grid: RadialGrid, lam: float, p_values: Sequence[float]
-                  ) -> dict[float, np.ndarray]:
-    """||invH(images[:, j])||_p of every column j of a block of spectra,
-    ``{p: norms}``.
-
-    p = 2 is taken on the spectral side: the transform is unitary on
-    L2(nu_lam), so each norm is the Plancherel norm of images[:, j], summed
-    along a contiguous row as ``_spectral_l2`` sums it.  The other p share
-    one ``_product``, made only when some p != 2 is swept, and reduce its
-    whole padded block.
-    """
-    k = images.shape[1]
-    norms = {}
-    if 2 in p_values:
-        norms[2.0] = _spectral_l2s(np.ascontiguousarray(images.T), grid, lam)
+    norms = {p: np.empty(count) for p in p_values}
     off_2 = [p for p in p_values if p != 2]
-    if off_2:
-        phys = _product(_kernel_matrix(lam, grid), images)
-        for p in off_2:
-            norms[p] = _lp_norms(phys, grid, lam, p)[:k]
+    for start in range(0, count, _PRODUCT_COLUMNS):
+        k = min(_PRODUCT_COLUMNS, count - start)
+        images = _block(grid.n, k)
+        for j in range(k):
+            fill(start + j, images[:, j])
+        if 2 in p_values:
+            norms[2][start : start + k] = _spectral_l2s(np.ascontiguousarray(images[:, :k].T),
+                                                        grid, lam)
+        if off_2:
+            phys = _product(_kernel_matrix(lam, grid), images)
+            del images  # the product alone is alive while it is reduced
+            if minus is not None:
+                np.subtract(minus[:, None], phys, out=phys)
+            for p in off_2:
+                norms[p][start : start + k] = _lp_norms(phys, grid, lam, p)[:k]
     return norms
 
 
@@ -259,22 +272,22 @@ def _moduli(fhat: Spectrum, deltas: Sequence[float], orders: Sequence[float],
 
     The sweep evaluates one ``_bessel_base`` over the union U of the
     deltas' steps (``_ladder``), once the largest delta passes
-    ``quad._check_step``, and takes the ``_image_norms`` of base^(m/2) once
-    per order: Plancherel sums at p = 2, and one product of U columns by
-    the product rule for the other p.  Each delta reads its own entries of
-    each p's norm vector, in its own decreasing order, so ties of ``t_max``
-    break towards the larger step, and each value equals the one-delta
-    sweep's.
+    ``quad._check_step``, and takes the ``_inverse_norms`` of the spectra
+    base^(m/2) fhat once per order, raising one column of the base at a
+    time: Plancherel sums at p = 2, and for the other p the products of U
+    columns by the product rule, ``_PRODUCT_COLUMNS`` at a time.  Each
+    delta reads its own entries of each p's norm vector, in its own
+    decreasing order, so ties of ``t_max`` break towards the larger step,
+    and each value equals the one-delta sweep's.
     """
     _check_step(max(deltas, default=0.0), fhat.grid.rmax, "delta")
     union, own = _ladder(deltas)
     base = _bessel_base(fhat.lam, fhat.grid.nodes, union)
     moduli = {}
     for m in orders:
-        # one order's product alive at a time
-        symbols = _block(base.shape[0], union.size)
-        symbols[:, : union.size] = base ** (0.5 * m)
-        norms = _image_norms(fhat, symbols, p_values)
+        norms = _inverse_norms(
+            fhat.grid, fhat.lam, union.size, p_values,
+            lambda j, out: np.multiply(base[:, j] ** (0.5 * m), fhat.values, out=out))
         for p in p_values:
             for delta, idx in own.items():
                 mine = norms[p][idx]
@@ -291,9 +304,9 @@ def _diff_norms(fhat: Spectrum, points: Collection[tuple[float, float, float]],
 
     One ``_bessel_base`` serves the distinct steps t of the points with
     m > 0, once the largest passes ``quad._check_step``.  Each distinct
-    point fills one symbol column of a single ``_image_norms`` call: its
-    Plancherel norm at p = 2, and off p = 2 one product of every point by
-    the product rule.
+    point is one spectrum of a single ``_inverse_norms`` call: its
+    Plancherel norm at p = 2, and off p = 2 one column of a product by the
+    product rule.
     """
     nodes = fhat.grid.nodes
     points = list(dict.fromkeys(points))
@@ -301,15 +314,17 @@ def _diff_norms(fhat: Spectrum, points: Collection[tuple[float, float, float]],
     _check_step(max(steps, default=0.0), fhat.grid.rmax, "step t")
     base = _bessel_base(fhat.lam, nodes, np.array(steps))
     column = {t: np.ascontiguousarray(base[:, i]) for i, t in enumerate(steps)}
-    symbols = _block(nodes.size, len(points))
-    for j, (t, m, r) in enumerate(points):
+
+    def fill(j, out):
+        t, m, r = points[j]
         sym = np.ones_like(nodes)
         if r > 0:
             sym = sym * nodes**r
         if m > 0:
             sym = sym * column[t] ** (0.5 * m)
-        symbols[:, j] = sym
-    values = _image_norms(fhat, symbols, p_values)
+        np.multiply(sym, fhat.values, out=out)
+
+    values = _inverse_norms(fhat.grid, fhat.lam, len(points), p_values, fill)
     return {(t, m, r, p): float(norm[j])
             for j, (t, m, r) in enumerate(points) for p, norm in values.items()}
 
@@ -453,7 +468,7 @@ def diff_norm(
 
     At p = 2 the norm is the Plancherel norm of the symbol-multiplied
     spectrum; other p invert it and measure the norm on the physical grid
-    (``_image_norms``).  t, m and r must be finite and nonnegative, and t
+    (``_inverse_norms``).  t, m and r must be finite and nonnegative, and t
     positive when m > 0.  The one-point case of ``_diff_norms``.
     """
     _require("order m", m, zero_ok=True)
@@ -575,7 +590,7 @@ def best_approx(
     is the spectral tail mass beyond sigma.  Other p start from the smoothing
     projection at sigma/2 (output bandlimited to sigma), a near-best
     approximant.  At p = 1 a bounded weighted-L1 fit of the spectrum on
-    [0, sigma] (``_l1_fit_symbol``; once sigma reaches the last grid node,
+    [0, sigma] (``_l1_fit_symbols``; once sigma reaches the last grid node,
     fhat itself) is the second candidate, and the one with the smaller
     full-grid error is returned, so the value is never above the projection's.
     Off p = 2 the value is an upper bound, flagged ``near_best=True``.
@@ -597,10 +612,10 @@ def _best_approxes(
 
     At p = 2 every value comes from one ``_spectral_tails`` sweep, which
     evaluates each Bessel block the cut panels share once.  Off p = 2 each
-    sigma takes one smoothing projection, and one product of every
-    projection gives the residuals f - invH(g), whose norm every such p
+    sigma takes one smoothing projection, and the products of every
+    projection give the residuals f - invH(g), whose norm every such p
     takes (``_residual_norms``); p = 1 then fits its own candidates
-    (``_l1_fit_symbols``) and measures them from one more product.
+    (``_l1_fit_symbols``) and measures them the same way.
     """
     sigmas = list(dict.fromkeys(sigmas))
     for sigma in sigmas:
@@ -637,14 +652,11 @@ def _best_approxes(
 
 def _residual_norms(f: RadialFunction, lam: float, spectra: Collection[Spectrum],
                     p_values: Sequence[float]) -> dict[float, np.ndarray]:
-    """||f - invH(g)||_p of every spectrum g at every p, ``{p: norms}``,
-    from one ``_product`` of the spectra, reduced over its whole padded
-    block."""
-    block = _block(f.grid.n, len(spectra))
-    for j, g in enumerate(spectra):
-        block[:, j] = g.values
-    off = f.values[:, None] - _product(_kernel_matrix(lam, f.grid), block)
-    return {p: _lp_norms(off, f.grid, lam, p)[: len(spectra)] for p in p_values}
+    """||f - invH(g)||_p of every spectrum g at every p != 2,
+    ``{p: norms}``, from the products of ``_inverse_norms``."""
+    spectra = list(spectra)
+    return _inverse_norms(f.grid, lam, len(spectra), p_values,
+                          lambda j, out: np.copyto(out, spectra[j].values), minus=f.values)
 
 
 class RealizationResult(NamedTuple):
@@ -686,17 +698,19 @@ def _realizations(approxes: dict[float, BestApprox], r_values: Sequence[float], 
     ``approxes`` maps each t to its approximant of type 1/t at p, an entry
     of a ``_best_approxes`` sweep, so every r reads it once.  The derivative
     terms are the norms of the spectra nodes^r g of every (t, r), one
-    column each of a single ``_inverse_norms`` call: Plancherel sums at
-    p = 2, one product by the product rule at other p.
+    spectrum each of a single ``_inverse_norms`` call: Plancherel sums at
+    p = 2, one column of a product by the product rule at other p.
     """
     points = [(t, r) for t in approxes for r in r_values]
     if not points:
         return {}
     first = next(iter(approxes.values())).g_star
-    images = _block(first.grid.n, len(points))
-    for j, (t, r) in enumerate(points):
-        np.multiply(first.grid.nodes**r, approxes[t].g_star.values, out=images[:, j])
-    norms = _inverse_norms(images, first.grid, first.lam, (p,))[p]
+
+    def fill(j, out):
+        t, r = points[j]
+        np.multiply(first.grid.nodes**r, approxes[t].g_star.values, out=out)
+
+    norms = _inverse_norms(first.grid, first.lam, len(points), (p,), fill)[p]
     results = {}
     for j, (t, r) in enumerate(points):
         value = approxes[t].value

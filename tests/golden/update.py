@@ -19,19 +19,18 @@ near zero) and a warning names the two fingerprints.
 
 Run this file to rewrite the golden files from the current tree::
 
-    PYTHONPATH=src python tests/golden/update.py [--rows]
+    PYTHONPATH=src python tests/golden/update.py
 
-It prints one line per golden file that moved: the rows moved, the largest
-relative and absolute change of any value but a ratio, and the verdicts that
-flipped (a report's ``pass`` column and summary ``verdict``; for criterion 6
-each row's verdict under its experiment's window).  ``--rows`` also prints
-every moved row.  A change that moves values updates the golden files in
-the same commit.
+It prints every moved row, then one line per golden file that moved: the
+rows moved, the largest relative and absolute change of any value but a
+ratio, and the verdicts that flipped (a report's ``pass`` column and summary
+``verdict``; for criterion 6 each row's verdict under its experiment's
+window).  A change that moves values updates the golden files in the same
+commit.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import platform
@@ -258,11 +257,7 @@ def read_chain() -> list[str]:
     return lines[1:]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Rewrite the golden files from the current tree.")
-    parser.add_argument("--rows", action="store_true", help="also print every moved row")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     from dunklsmooth.harness import EXPERIMENTS, _HANDOFF, default_config, parse_config, run_config
     from dunklsmooth.quad import default_grid
 
@@ -290,9 +285,8 @@ def main(argv=None) -> int:
             summary.append(f"{CHAIN.name}: new")
     CHAIN.write_text("\n".join([CHAIN_HEADER] + lines) + "\n")
     FINGERPRINT.write_text(json.dumps(fingerprint(), indent=2) + "\n")
-    if args.rows:
-        for message in moved:
-            print(message)
+    for message in moved:
+        print(message)
     for line in filter(None, summary):
         print(line)
     print(f"{len(moved)} moved; golden files rewritten in {HERE}")

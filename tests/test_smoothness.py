@@ -304,6 +304,30 @@ class TestSmallGridSweeps:
                 assert k_functional_upper(f, t, r, p, LAM, fhat=fhat) == chain["K"][t, p, r]
                 assert realization_candidate_min(f, t, r, p, LAM, fhat=fhat) == chain["R"][t, p, r]
 
+    def test_sweeps_past_the_column_budget_equal_their_one_point_calls(self, small, monkeypatch):
+        # more points than one product takes: every product stays within
+        # the budget, and every value still equals its one-point call
+        f, fhat = small
+        p = math.inf
+        budget = smoothness._PRODUCT_COLUMNS
+        scales = np.geomspace(0.05, 0.8, budget + 5).tolist()
+        widths = count_products(monkeypatch)
+        diffs = _diff_norms(fhat, [(t, 1.0, 0.0) for t in scales], (p,))
+        approxes = _best_approxes(f, fhat, [1.0 / t for t in scales], (p,), LAM)[p]
+        terms = smoothness._realizations({t: approxes[1.0 / t] for t in scales}, (1.0,), p)
+        assert widths == [budget, smoothness._PAD] * 3
+        for t in scales:
+            assert diff_norm(f, t, 1.0, p, LAM, fhat=fhat) == diffs[t, 1.0, 0.0, p]
+            assert realization(f, t, 1.0, p, LAM, fhat=fhat) == terms[t, 1.0]
+
+    def test_inverse_norms_give_one_norm_per_spectrum_at_every_p(self, small):
+        f, fhat = small
+        norms = smoothness._inverse_norms(fhat.grid, LAM, 3, (1.0, 2.0, math.inf),
+                                          lambda j, out: np.multiply(fhat.values, j + 1.0, out=out))
+        assert {p: v.shape for p, v in norms.items()} == {1.0: (3,), 2.0: (3,), math.inf: (3,)}
+        for v in norms.values():
+            np.testing.assert_allclose(v, v[0] * np.array([1.0, 2.0, 3.0]), rtol=1e-12)
+
 
 class TestBesselStepRange:
     """A step whose Bessel arguments nu t pass BESSEL_ARG_MAX on the grid
@@ -461,6 +485,13 @@ class TestBestApprox:
         resid = f.values[:, None] - smoothness._product(_kernel_matrix(lam, f.grid), block)
         return float(_lp_norms(resid, f.grid, lam, 1)[0])
 
+    @staticmethod
+    def _projection_error_p1_by_inverse(f, sigma, lam):
+        # the same error measured apart from the product rule
+        g = vallee_poussin(hankel(f, lam), sigma / 2.0)
+        resid = f.values - inverse_hankel(g).values
+        return lp_norm(RadialFunction(grid=f.grid, values=resid), 1, lam)
+
     @pytest.mark.parametrize("sigma", [1.0, 1.0 / 0.562, 1.0 / 0.316])
     def test_l1_fit_p1(self, grid, gauss, sigma):
         # at lam = 1 the smoothing projection's L1 error exceeds ||f||_1 at
@@ -491,6 +522,8 @@ class TestBestApprox:
         )
         ba = best_approx(gauss, 2.0, 1, LAM)
         assert ba.value == self._projection_error_p1(gauss, 2.0, LAM)
+        assert ba.value == pytest.approx(self._projection_error_p1_by_inverse(gauss, 2.0, LAM),
+                                         rel=1e-12)
 
     def test_p1_beyond_last_node_reproduces_f(self, grid, gauss):
         ba = best_approx(gauss, 2.0 * grid.rmax, 1, LAM)
