@@ -5,7 +5,8 @@ The scalar building blocks of the spectral calculus:
 * ``j_lam(t) = 2^lam * Gamma(lam+1) * t^(-lam) * J_lam(t)``, the normalized
   Bessel function: j_lam(0) = 1 and |j_lam(t)| <= 1 for lam >= -1/2.  Above
   the series range it is read from a per-lam table of Chebyshev
-  interpolants of that library formula.
+  interpolants of j_lam, computed in this module by Hankel's asymptotic
+  expansion and Miller's backward recurrence; no Bessel library is used.
 * the fractional-difference symbol ``(1 - j_lam(t))^(m/2)``,
 * generalized binomial coefficients ``C(alpha, s)`` for real alpha > 0 with a
   rigorous bound on the absolute tail sum.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sps
 
 __all__ = [
     "BESSEL_ARG_MAX",
@@ -33,8 +33,9 @@ __all__ = [
 
 # j_lam is bounded by 1 for orders above LAMBDA_MIN, and meets its 1e-12
 # absolute-accuracy contract for arguments in [0, BESSEL_ARG_MAX] and orders
-# up to BESSEL_LAMBDA_MAX (at 130 the library branch gives 0 for j_lam(0.51),
-# near 1); a kernel on [0, rmax] evaluates up to rmax^2
+# up to BESSEL_LAMBDA_MAX, the largest order the tests compare with mpmath
+# (near 170 the factor 2^lam Gamma(lam+1) of the Hankel branch overflows);
+# a kernel on [0, rmax] evaluates up to rmax^2
 LAMBDA_MIN = -0.5
 BESSEL_ARG_MAX = 1e3
 BESSEL_LAMBDA_MAX = 120.0
@@ -72,18 +73,126 @@ _SERIES_TERMS = 18
 _SERIES_TAIL = 2.0**-56
 
 
-def _library(lam: float, t: np.ndarray) -> np.ndarray:
-    """j_lam(t) = 2^lam Gamma(lam+1) t^(-lam) J_lam(t) by library Bessel-J, t > 0."""
-    norm = 2.0**lam * math.gamma(lam + 1.0) * t ** (-lam)
-    return norm * _sps.jv(lam, t)
+# Above the series range j_lam is computed directly (``_direct``): by Hankel's
+# expansion where t >= max(_HANKEL_FROM, lam), and by Miller's backward
+# recurrence below.  Hankel's P and Q are summed to _HANKEL_TERMS terms
+# each, fewer from _HANKEL_FAR on: their first omitted terms are below 2e-18
+# there for orders in [-1/2, 3/2)
+_HANKEL_FROM = 20.0
+_HANKEL_FAR = 60.0
+_HANKEL_TERMS = 16
+_HANKEL_FAR_TERMS = 6
+# Miller's recurrence scales its values by a power of two every
+# _RESCALE_EVERY steps, so that they neither overflow nor underflow
+_RESCALE_EVERY = 16
+
+
+def _hankel_coefficients(nu: float, terms: int) -> list[float]:
+    """a_k(nu) = prod_(j <= k) (4 nu^2 - (2j - 1)^2) / (8 j), k < 2 terms
+    (DLMF 10.17.1)."""
+    mu = 4.0 * nu * nu
+    a = [1.0]
+    for k in range(1, 2 * terms):
+        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    return a
+
+
+def _hankel_pq(nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hankel's P(nu, t) = sum_k a_2k(nu) x^k and Q(nu, t) = sum_k
+    a_(2k+1)(nu) x^k / t, x = -1/t^2, at t >= _HANKEL_FROM (DLMF 10.17.3)."""
+    x = -1.0 / (t * t)
+    far = t >= _HANKEL_FAR
+    p, q = np.empty_like(t), np.empty_like(t)
+    for part, terms in ((~far, _HANKEL_TERMS), (far, _HANKEL_FAR_TERMS)):
+        if part.any():
+            a = _hankel_coefficients(nu, terms)
+            p[part] = np.polynomial.polynomial.polyval(x[part], a[0::2])
+            q[part] = np.polynomial.polynomial.polyval(x[part], a[1::2])
+    q /= t
+    return p, q
+
+
+def _hankel(lam: float, t: np.ndarray) -> np.ndarray:
+    """j_lam(t) for t >= max(_HANKEL_FROM, lam), NaN for NaN.
+
+    Hankel's expansion gives u_nu = sqrt(pi t / 2) J_nu(t) = P cos w - Q sin w,
+    w = t - (nu/2 + 1/4) pi, at nu = lam - floor(lam + 1/2), in [-1/2, 1/2),
+    and at nu + 1, where w is a quarter turn less; cos w and sin w are
+    combined from cos t and sin t, whose reduction is exact.  The recurrence
+    u_(nu+1) = 2 nu / t u_nu - u_(nu-1) (DLMF 10.6.1) then climbs to lam, and
+    is stable in this direction while the order stays below t.
+    """
+    m = math.floor(lam + 0.5)
+    nu = lam - m
+    phase = (0.5 * nu + 0.25) * math.pi
+    c, s = math.cos(phase), math.sin(phase)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    cos_w = cos_t * c + sin_t * s
+    sin_w = sin_t * c - cos_t * s
+    p, q = _hankel_pq(nu, t)
+    u = p * cos_w - q * sin_w
+    if m:
+        p, q = _hankel_pq(nu + 1.0, t)
+        above = p * sin_w + q * cos_w
+        for i in range(1, m):
+            u, above = above, (2.0 * (nu + i)) / t * above - u
+        u = above
+    norm = 2.0**lam * math.gamma(lam + 1.0) * math.sqrt(2.0 / math.pi)
+    return norm * t ** (-lam - 0.5) * u
+
+
+def _miller(lam: float, t: np.ndarray, top: float) -> np.ndarray:
+    """j_lam(t) for 1/2 < t < top by Miller's backward recurrence
+    (DLMF 10.74(iii)).
+
+    y_(n-1) = 2 (lam + n) / t y_n - y_(n+1) runs from y_(steps+1) = 0,
+    y_steps = 1 down to y_0; the start lies far enough above top that the
+    y_n are then proportional to J_(lam+n)(t) to rounding.  The Neumann sum
+    (t/2)^lam = sum_k (lam + 2k) Gamma(lam + k) / k! J_(lam+2k)(t) (DLMF
+    10.23(ii)), divided by Gamma(lam + 1), normalizes them: j_lam(t) =
+    y_0 / sum_k w_k y_2k with w_0 = 1, w_k = (lam + 2k) (lam + 1)_(k-1) / k!.
+    Where t < lam every term is positive; below _HANKEL_FROM the terms of
+    orders under t oscillate, and they stay within a few times the sum.
+    """
+    steps = 2 * math.ceil(0.5 * (top + 10.0 * top ** (1.0 / 3.0) + 16.0))
+    weights, c = {}, 1.0
+    for k in range(1, steps // 2 + 1):
+        if k > 1:
+            c = c * (lam + k - 1) / k
+        weights[2 * k] = (lam + 2 * k) * c
+    above, y, total = np.zeros_like(t), np.ones_like(t), np.zeros_like(t)
+    for n in range(steps, 0, -1):
+        above, y = y, (2.0 * (lam + n)) / t * y - above
+        if n - 1 in weights:
+            total += weights[n - 1] * y
+        if n % _RESCALE_EVERY == 0:
+            # exact: a power of two, the same for the three values of a point
+            exponent = np.frexp(np.maximum(np.abs(y), np.abs(above)))[1]
+            y, above, total = (np.ldexp(v, -exponent) for v in (y, above, total))
+    total += y
+    return y / total
+
+
+def _direct(lam: float, t: np.ndarray) -> np.ndarray:
+    """j_lam(t) = 2^lam Gamma(lam+1) t^(-lam) J_lam(t), t > 1/2, elementwise:
+    Hankel's expansion where t >= max(_HANKEL_FROM, lam), Miller's
+    recurrence below; NaN for NaN."""
+    top = max(_HANKEL_FROM, lam)
+    out = np.empty_like(t)
+    low = t < top
+    if low.any():
+        out[low] = _miller(lam, t[low], top)
+    if not low.all():
+        out[~low] = _hankel(lam, t[~low])
+    return out
 
 
 # Above _SERIES_CUTOFF and up to BESSEL_ARG_MAX, j_lam is read from a table of
 # width-1 panels [k + 1/2, k + 3/2]: on each, the polynomial interpolating
-# ``_library`` at _TABLE_NODES Chebyshev points, held as its coefficients in
+# ``_direct`` at _TABLE_NODES Chebyshev points, held as its coefficients in
 # u = 2 (t - k - 1), which lies in [-1, 1).  j_lam and its derivatives are
 # bounded by 1, so the interpolation error is below 1e-20; what is left is
-# the rounding of the library values.
+# the rounding of the direct values.
 _TABLE_NODES = 15
 _THETA = np.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
 _CHEB_NODES = np.cos(_THETA)
@@ -134,7 +243,7 @@ def _panel_columns(lam: float, start: int, stop: int) -> np.ndarray:
     """
     centers = np.arange(start, stop) + 1.0
     nodes = centers + 0.5 * _CHEB_NODES[:, None]
-    values = _library(lam, nodes)
+    values = _direct(lam, nodes)
     # rounding moved each node off its Chebyshev point, by shift (exactly:
     # centers - nodes is exact, and so is the rounding error of a sum); one
     # step along the interpolant's slope puts the value back on the point
@@ -174,12 +283,12 @@ def _bessel_table(lam: float) -> _BesselTable:
 @dataclass(frozen=True)
 class BesselEvaluator:
     """Evaluator for j_lam: a power series up to _SERIES_CUTOFF, a table of
-    Chebyshev interpolants of library Bessel-J up to BESSEL_ARG_MAX, and
-    library Bessel-J above.
+    Chebyshev interpolants of ``_direct`` up to BESSEL_ARG_MAX, and
+    ``_direct`` above.
 
     The split keeps t = 0 exact (empty product = 1) and avoids the 0 * inf
-    indeterminacy of t^(-lam) * J_lam(t) near the origin; the table and the
-    library branch meet the 1e-12 absolute-accuracy contract on [0, 1e3].
+    indeterminacy of t^(-lam) * J_lam(t) near the origin; the table meets
+    the 1e-12 absolute-accuracy contract on [0, 1e3].
     Every branch acts elementwise, so no value depends on the batch it is
     evaluated in.
     """
@@ -244,7 +353,7 @@ class BesselEvaluator:
             out[tabled] = self._tabled(arr[tabled])
         rest = ~(small | tabled)  # above BESSEL_ARG_MAX, or NaN
         if rest.any():
-            out[rest] = _library(self.lam, arr[rest])
+            out[rest] = _direct(self.lam, arr[rest])
         return float(out[0]) if scalar else out
 
     def one_minus(self, t):

@@ -531,8 +531,19 @@ class DunklKernel1D:
         return complex(out) if scalar else out
 
     def _assemble(self, prod, even, odd):
-        """e_k from x*y and j_(k-1/2), j_(k+1/2) at |x*y| (k > 0)."""
-        return even + 1j * (prod / (2.0 * self.k + 1.0) * odd)
+        """e_k from x*y and j_(k-1/2), j_(k+1/2) at |x*y| (k > 0): the bits of
+        even + 1j * (prod / (2k+1) * odd), written into one complex array
+        with no complex temporary.  With v = prod / (2k+1) * odd, 1j * v has
+        real part 0 * v, a zero of v's sign, and imaginary part v; the sum
+        adds 0 to the latter, turning -0 into +0.  Both steps are repeated
+        here, so signed zeros come out the same."""
+        v = np.divide(prod, 2.0 * self.k + 1.0)
+        v *= odd
+        out = np.empty(np.broadcast_shapes(v.shape, np.shape(even)), dtype=complex)
+        np.add(v, 0.0, out=out.imag)
+        np.multiply(v, 0.0, out=out.real)
+        out.real += even
+        return out
 
 
 def dunkl_kernel_1d(k: float, x: float, y: float) -> complex:

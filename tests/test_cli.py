@@ -420,3 +420,31 @@ def test_p1_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode in (0, 1), proc.stderr
         reports.append([(out / f"{name}.csv").read_bytes() for name in ("jackson", "realization")])
     assert reports[0] == reports[1]
+
+
+def test_a_default_run_starts_without_scipy_and_p1_fits_import_it(tmp_path):
+    # j_lam is computed in the package, so importing the CLI and running the
+    # default sweep load no scipy module; only a p = 1 fit imports
+    # scipy.optimize, inside smoothness._l1_fit_symbols
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import dunklsmooth.cli as cli",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    run = cli.main(['run', '--output-dir', {str(tmp_path / 'run')!r}])",
+        "print(run, scipy_modules())",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    verify = cli.main(['verify', 'jackson', '--lambda', '0.25', '--p', '1', '--m', '2',",
+        "                       '--r', '0', '--scale-min', '2', '--scale-max', '4', '--points', '2',",
+        f"                       '--output-dir', {str(tmp_path / 'verify')!r}])",
+        "print(verify, 'scipy.optimize' in sys.modules)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 []", "0 True"]
+    assert (tmp_path / "run" / "jackson.csv").is_file()
+    assert (tmp_path / "verify" / "jackson.csv").is_file()

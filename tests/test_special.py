@@ -114,18 +114,18 @@ def library_formula(lam: float, t: np.ndarray) -> np.ndarray:
 
 class TestBesselTable:
     """Arguments in (1/2, BESSEL_ARG_MAX] are read from a per-lambda table of
-    Chebyshev interpolants of the library formula (``special._bessel_table``)."""
+    Chebyshev interpolants of ``special._direct`` (``special._bessel_table``)."""
 
     @pytest.mark.parametrize("lam, tol", [(-0.45, 1e-14), (0.0, 1e-14), (0.25, 1e-14),
                                           (1.0, 1e-14), (2.5, 1e-14), (10.0, 1e-14),
                                           (60.0, 1e-13), (120.0, 2e-13)])
     def test_matches_the_library_formula(self, lam, tol):
-        # the table follows the library to its rounding: 7.2e-15 at most for
-        # lambda <= 10 on three draws like this one.  At lambda = 120 the
-        # library formula is itself up to 1.1e-13 off the mpmath value on
-        # (1/2, 3] (at most 4e-15 for lambda <= 10, 300 points each), and a
-        # smooth interpolant cannot follow that noise: the table-to-library
-        # distance there reaches 1.4e-13
+        # the table interpolates ``special._direct``, so the distance is
+        # mostly the library's own error: on three draws like this one it is
+        # at most 6.6e-15 for lambda <= 10, where jv is up to 5.9e-15 off
+        # mpmath (see test_direct_formula_is_as_close_to_mpmath_as_the_library),
+        # 2.4e-14 at lambda = 60 and 8.4e-14 at 120, where jv is up to
+        # 2.9e-14 and 9.3e-14 off
         t = BESSEL_ARG_MAX - (BESSEL_ARG_MAX - 0.5) * np.random.default_rng(19).random(10_000)
         assert t.min() > 0.5 and t.max() <= BESSEL_ARG_MAX
         assert np.max(np.abs(BesselEvaluator(lam)(t) - library_formula(lam, t))) < tol
@@ -162,7 +162,7 @@ class TestBesselTable:
         lam = 0.25
         ev = BesselEvaluator(lam)
         above = np.array([np.nextafter(BESSEL_ARG_MAX, np.inf), 1234.5, 1e4])
-        assert ev(above).tobytes() == library_formula(lam, above).tobytes()
+        assert ev(above).tobytes() == special._direct(lam, above).tobytes()
         assert np.isnan(ev(math.nan))
         # the series branch keeps t <= 1/2, where j_lam(0) = 1 exactly
         below = np.array([0.0, 0.25, 0.5])
@@ -207,17 +207,17 @@ class TestBesselTable:
         # square, before its first batch.  The kernel is still the
         # point-by-point one, row block by row block
         points, steps = [], []
-        library, columns = special._library, special._panel_columns
+        direct, columns = special._direct, special._panel_columns
 
         def counting(lam, t):
             points.append(np.size(t))
-            return library(lam, t)
+            return direct(lam, t)
 
         def stepping(lam, start, stop):
             steps.append((start, stop))
             return columns(lam, start, stop)
 
-        monkeypatch.setattr(special, "_library", counting)
+        monkeypatch.setattr(special, "_direct", counting)
         monkeypatch.setattr(special, "_panel_columns", stepping)
         lam, g = 0.6180339887 + n / 1e6, make_grid(30.0, n)
         mat = transforms._kernel_matrix.__wrapped__(lam, g)
@@ -315,6 +315,37 @@ def test_bessel_contract_holds_up_to_the_largest_order_configs_accept():
     assert bessel_oracle(130.0, 0.51) > 0.99
     with pytest.raises(ValueError, match="120"):
         BesselEvaluator(130.0)
+
+
+# scipy 1.17.1's jv, in the library formula 2^lam Gamma(lam+1) t^-lam J_lam(t)
+# that filled the table before ``special._direct`` did, is this far from
+# mpmath at the points of the test below: 5.88e-15 at lambda = -0.45,
+# 3.21e-16 at 0, 5.39e-15 at 0.25, 1.11e-16 (2^-53) at 1, 2.17e-15 at 2.5,
+# 3.22e-15 at 10, 2.86e-14 at 60 and 9.26e-14 at 120.  Each bound is that
+# distance rounded down; the direct formula is within 1.06e-15 at -0.45,
+# 2.22e-16 at 0 and 2^-53 at every other order
+DIRECT_FORMULA_BOUNDS = {-0.45: 5.8e-15, 0.0: 3.2e-16, 0.25: 5.3e-15, 1.0: 2.0**-53,
+                         2.5: 2.1e-15, 10.0: 3.2e-15, 60.0: 2.8e-14, 120.0: 9.2e-14}
+
+
+def oracle_points() -> np.ndarray:
+    """120 dithered geometric points on (1/2, 1e3], 40 uniform ones, and five
+    above 1e3."""
+    rng = np.random.default_rng(29)
+    t = np.concatenate([np.geomspace(0.5, 1e3, 121)[1:], 0.5 + 999.5 * rng.random(40),
+                        [1000.5, 1234.5, 5e3, 1e4, 1e5]])
+    t[:120] = np.minimum(t[:120] * (1.0 + 0.01 * rng.random(120)), 1e3)
+    return t
+
+
+@pytest.mark.parametrize("lam", sorted(DIRECT_FORMULA_BOUNDS))
+def test_direct_formula_is_as_close_to_mpmath_as_the_library(lam):
+    # both branches of the direct formula are sampled: Miller's recurrence
+    # below max(20, lambda), Hankel's expansion above
+    t = oracle_points()
+    assert t.min() > 0.5 and np.sum(t < max(20.0, lam)) >= 20 and np.sum(t > 1e3) == 5
+    exact = np.array([bessel_oracle(lam, x) for x in t])
+    assert np.max(np.abs(special._direct(lam, t) - exact)) <= DIRECT_FORMULA_BOUNDS[lam]
 
 
 @pytest.mark.parametrize("lam", [130.0, math.nextafter(BESSEL_LAMBDA_MAX, math.inf), -0.5])

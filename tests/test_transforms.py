@@ -607,6 +607,25 @@ class TestDunklTransform1D:
         back = dunkl_inverse_1d(g, k)
         assert np.array_equal(back.values, (kernel * mu[None, :]) @ g.values)
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5])
+    def test_assembly_keeps_every_bit_of_the_complex_expression(self, sym_grid, k):
+        # the kernel is written into one complex array; its bits are those of
+        # even + 1j * (prod / (2k+1) * odd), on the transform's own matrices
+        # and on signed zeros, where 1j * v and the sum set the zero's sign
+        x = sym_grid.nodes
+        prod = x[None, :] * x[:, None]
+        even = transforms._mirrored(transforms._radial_bessel(k - 0.5, sym_grid.radial))
+        odd = transforms._mirrored(transforms._radial_bessel(k + 0.5, sym_grid.radial))
+        signed = (np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 2.0, -2.0]),
+                  np.array([-0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.5, -0.0]),
+                  np.array([1.0, 1.0, -0.0, -0.0, 0.0, 0.0, 0.25, -0.0]))
+        cases = [(prod, even, odd), signed]
+        for prod, even, odd in cases:
+            expected = even + 1j * (prod / (2.0 * k + 1.0) * odd)
+            got = DunklKernel1D(k)._assemble(prod, even, odd)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     def test_transform_reuses_the_radial_evaluation(self, sym_grid, monkeypatch):
         f = LineFunction(grid=sym_grid, values=np.exp(-0.5 * sym_grid.nodes**2))
         sizes = record_bessel_calls(monkeypatch)
