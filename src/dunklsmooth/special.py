@@ -100,7 +100,10 @@ def _hankel_coefficients(nu: float, terms: int) -> list[float]:
 def _hankel_pq(nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hankel's P(nu, t) = sum_k a_2k(nu) x^k and Q(nu, t) = sum_k
     a_(2k+1)(nu) x^k / t, x = -1/t^2, at t >= _HANKEL_FROM (DLMF 10.17.3)."""
-    x = -1.0 / (t * t)
+    # above about 1.3e154, t * t overflows and x is -0, as the exact -1/t^2
+    # rounds to: a finite argument raises no floating-point warning
+    with np.errstate(over="ignore"):
+        x = -1.0 / (t * t)
     far = t >= _HANKEL_FAR
     p, q = np.empty_like(t), np.empty_like(t)
     for part, terms in ((~far, _HANKEL_TERMS), (far, _HANKEL_FAR_TERMS)):

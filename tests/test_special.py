@@ -348,6 +348,15 @@ def test_direct_formula_is_as_close_to_mpmath_as_the_library(lam):
     assert np.max(np.abs(special._direct(lam, t) - exact)) <= DIRECT_FORMULA_BOUNDS[lam]
 
 
+@pytest.mark.parametrize("lam", [-0.45, 0.0, 0.25, 2.5, 120.0])
+def test_huge_finite_arguments_raise_no_warning_and_keep_relative_accuracy(lam):
+    # t * t overflows above about 1.3e154; Hankel's x = -1/t^2 is then -0,
+    # and the value stays within 16 ulps of mpmath (warnings fail the suite)
+    t = np.array([1e154, 2e154, 1e160, 1e300, 1.7e308])
+    exact = np.array([bessel_oracle(lam, x) for x in t])
+    assert np.all(np.abs(BesselEvaluator(lam)(t) - exact) <= 16 * np.finfo(float).eps * np.abs(exact))
+
+
 @pytest.mark.parametrize("lam", [130.0, math.nextafter(BESSEL_LAMBDA_MAX, math.inf), -0.5])
 def test_every_entry_point_refuses_orders_outside_the_bessel_range(lam):
     grid = make_grid(10.0, 64)
