@@ -48,6 +48,7 @@ from .quad import (
     _check_step,
     _check_weights,
     _spectral_l2,
+    _write_text,
     lp_norm,
     make_grid,
 )
@@ -414,7 +415,7 @@ class HarnessConfig:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     check: str
     lam: float
@@ -507,9 +508,9 @@ def write_report(report: SmoothnessReport, output_dir: str | Path) -> tuple[Path
             f"{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.ratio)},{'true' if r.passed else 'false'}"
         )
     csv_path = out / f"{report.experiment}.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_text(csv_path, "\n".join(lines) + "\n")
     json_path = out / f"{report.experiment}.json"
-    json_path.write_text(json.dumps(report.summary(), sort_keys=True, indent=2) + "\n")
+    _write_text(json_path, json.dumps(report.summary(), sort_keys=True, indent=2) + "\n")
     return csv_path, json_path
 
 
@@ -641,13 +642,15 @@ def _chain_rows(pairs):
                             names - set(given), fhat=inp.fhat)
         _HANDOFF.made[key] = made
         values = {**made, **given}
+        # one label string per pair, shared by every row of the sweep
+        labels = [(a, b, f"{cfg.name}:{a}/{b}", f"{a}/{b}") for a, b in pairs]
         for p in cfg.p_values:
             for r in cfg.r_values:
                 for t in scales:
-                    for a, b in pairs:
-                        report.add(f"{cfg.name}:{a}/{b}", inp.lam, p, r, r, t,
+                    for a, b, check, pair in labels:
+                        report.add(check, inp.lam, p, r, r, t,
                                    values[a][t, p, r], values[b][t, p, r],
-                                   group=(inp.lam, p, r, inp.profile, f"{a}/{b}"))
+                                   group=(inp.lam, p, r, inp.profile, pair))
 
     return rows
 
@@ -715,18 +718,18 @@ def _two_scale_rows(check, orders):
         points = {(s, m, r) for r1, m1, r2, m2 in orders(cfg) for t in scales
                   for s, m, r in [(theta * t, m1, r1) for theta in cfg.thetas] + [(t, m2, r2)]}
         norms = _diff_norms(inp.fhat, points, cfg.p_values)
+        labels = [(theta, f"{check}:theta={theta!r}") for theta in cfg.thetas]
         for p in cfg.p_values:
             for r1, m1, r2, m2 in orders(cfg):
                 rho = r1 + m1 - r2 - m2
                 for t in scales:
-                    for theta in cfg.thetas:
+                    for theta, label in labels:
                         delta = theta * t
                         lhs = norms[delta, m1, r1, p]
                         if m1 > 0:
                             lhs = delta ** (-m1) * lhs
                         rhs = sigma**rho * t ** (-m2) * norms[t, m2, r2, p]
-                        report.add(f"{check}:theta={theta!r}", inp.lam, p, m1 if m1 > 0 else m2,
-                                   r1, t, lhs, rhs)
+                        report.add(label, inp.lam, p, m1 if m1 > 0 else m2, r1, t, lhs, rhs)
 
     return rows
 
@@ -902,10 +905,11 @@ def _general_entire(cfg: ExperimentConfig, grid: RadialGrid) -> SmoothnessReport
     else:
         general = _sweep(replace(cfg, thetas=thetas), grid).rows
     dedicated = _sweep(replace(cfg, name=tag, m_values=(m,)), grid).rows
+    check = f"general:consistency:{tag}"
     for g, d in zip(general, dedicated):
         ok = abs(g.ratio - d.ratio) <= 1e-12 * max(1.0, abs(d.ratio))
         report.rows.append(
-            ReportRow(f"general:consistency:{tag}", g.lam, g.p, g.m, g.r, g.scale,
+            ReportRow(check, g.lam, g.p, g.m, g.r, g.scale,
                       g.ratio, d.ratio, g.ratio / d.ratio if d.ratio else math.inf, ok)
         )
     return report

@@ -271,7 +271,23 @@ def _write_csv(path: str | Path, grid: RadialGrid, values: np.ndarray, lam: floa
     lines = [f"# lambda={float(lam)!r} rmax={float(grid.rmax)!r} n={grid.n}{extra}", "node,value"]
     pairs = zip(_node_text(grid), np.asarray(values, dtype=float).tolist())
     lines += [f"{t},{v!r}" for t, v in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to a new file at ``path``, removing any file there first.
+
+    The one writer of every CSV and report.  A symlink is followed, so its
+    target is replaced and the link stays.  No inode is truncated in place:
+    on ext4 (``auto_da_alloc``) the close after a truncate to zero starts
+    writeback, and the next overwrite of the path waits for it.  The old
+    file's hard links and mode are not kept, and its directory must be
+    writable.  Callers build ``text`` before the call, so a write refused
+    while building it leaves the old file as it was.
+    """
+    target = Path(path).resolve()
+    target.unlink(missing_ok=True)
+    target.write_text(text)
 
 
 def _csv_rows(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], list[str]]:

@@ -9,7 +9,7 @@ This directory holds
 * ``criterion6.csv``: the 1,458 rows of acceptance criterion 6 (the
   equivalence and realization chains at p in {1, 2, inf}) as
   (check, lambda, p, r, scale, lhs, rhs), every float in ``float.hex``;
-* ``fingerprint.json``: the numpy, BLAS and CPU they were computed with.
+* ``fingerprint.json``: the numpy, BLAS, CPU and scipy they were computed with.
 
 ``tests/test_golden.py`` compares a fresh run with them and names every row
 that moved, with its relative change.  On the recorded fingerprint the
@@ -54,11 +54,15 @@ FOREIGN_ATOL = 1e-14
 
 def fingerprint() -> dict:
     """What the bits of a report depend on beyond the source: numpy, its
-    BLAS, and the CPU features its kernels dispatch on."""
+    BLAS, the CPU features its kernels dispatch on, and scipy, whose HiGHS
+    solves the p = 1 fits."""
+    import scipy
+
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "machine": platform.machine(),
         "simd": sorted(config["SIMD Extensions"]["found"]),

@@ -5,47 +5,84 @@ The default run and the off-p = 2 run cover every experiment at p = 2 and
 p = inf, and four of them at p = 1; criterion 6 covers the chains at
 p in {1, 2, inf} on its wider sweep.  The
 gate is exact on the fingerprint the files record; on another it compares
-to the module's foreign tolerance and warns, naming both fingerprints.
+to the module's foreign tolerance and warns, naming both fingerprints, how
+many rows moved and their largest relative change, so a move that the
+tolerance lets through still shows.
 """
 
 import json
 import math
 import warnings
 
+import pytest
+import scipy
+
 from dunklsmooth import harness
 
 
-def _exact(golden) -> bool:
+def _exact(golden, movement) -> bool:
+    """True on the recorded fingerprint.  On another, warn with the
+    fingerprints and ``movement()``, the summary lines of every golden file
+    that moved (``update.summarize_lines``), and return False."""
     recorded = json.loads(golden.FINGERPRINT.read_text())
     here = golden.fingerprint()
     if recorded == here:
         return True
+    moves = "; ".join(filter(None, movement())) or "no row moved"
     warnings.warn(
         f"golden files were computed on {recorded}, this run is on {here}: values are "
-        f"compared to relative {golden.FOREIGN_RTOL:g}, not bit for bit"
+        f"compared to relative {golden.FOREIGN_RTOL:g}, not bit for bit; {moves}"
     )
     return False
 
 
+def _report_dir_gate(golden, out, golden_dir):
+    exact = _exact(golden, lambda: golden.summarize_report_dir(out, golden_dir))
+    return golden.compare_report_dir(out, exact, golden_dir)
+
+
 def test_default_run_matches_golden(golden, default_run):
     _, out = default_run
-    moved = golden.compare_report_dir(out, _exact(golden))
+    moved = _report_dir_gate(golden, out, golden.DEFAULT)
     assert not moved, "default-run reports moved:\n" + "\n".join(moved)
 
 
 def test_off_p2_run_matches_golden(golden, tmp_path):
     reports = harness.run_config(harness.parse_config(golden.off_p2_config()), tmp_path)
     assert sum(len(report.rows) for report in reports) == 185
-    moved = golden.compare_report_dir(tmp_path, _exact(golden), golden.OFF_P2)
+    moved = _report_dir_gate(golden, tmp_path, golden.OFF_P2)
     assert not moved, "off-p=2 reports moved:\n" + "\n".join(moved)
 
 
 def test_criterion_6_rows_match_golden(golden, criterion_6_reports):
     reports, _ = criterion_6_reports
-    lines = golden.chain_lines(reports)
-    moved = golden.compare_lines(golden.CHAIN.name, golden.CHAIN_HEADER, golden.read_chain(),
-                                 lines, _exact(golden))
+    old, lines = golden.read_chain(), golden.chain_lines(reports)
+    name, header = golden.CHAIN.name, golden.CHAIN_HEADER
+    exact = _exact(golden, lambda: [golden.summarize_lines(name, header, old, lines,
+                                                           golden._chain_verdict)])
+    moved = golden.compare_lines(name, header, old, lines, exact)
     assert not moved, "criterion-6 rows moved:\n" + "\n".join(moved)
+
+
+def test_fingerprint_records_scipy(golden):
+    # the p = 1 fits are scipy's HiGHS solves
+    assert golden.fingerprint()["scipy"] == scipy.__version__
+    assert "scipy" in json.loads(golden.FINGERPRINT.read_text())
+
+
+def test_foreign_warning_names_rows_moved_under_the_tolerance(golden, monkeypatch):
+    old = golden.read_chain()[:3]
+    check, *fields = old[1].split(",")
+    lhs = float.fromhex(fields[4])
+    new = list(old)
+    new[1] = ",".join([check, *fields[:4], (lhs * (1 + 1e-12)).hex(), fields[5]])
+    header = golden.CHAIN_HEADER
+    assert golden.compare_lines("rows", header, old, new, exact=False) == []
+    monkeypatch.setattr(golden, "fingerprint", lambda: {"numpy": "0"})
+    with pytest.warns(UserWarning, match="1 of 3 rows moved, largest relative change 1e-12"):
+        assert not _exact(golden, lambda: [golden.summarize_lines("rows", header, old, new)])
+    with pytest.warns(UserWarning, match="not bit for bit; no row moved$"):
+        _exact(golden, lambda: [golden.summarize_lines("rows", header, old, old)])
 
 
 def test_gate_names_a_one_ulp_move(golden):

@@ -399,6 +399,31 @@ class TestReportMechanics:
         summary = json.loads(json1.read_text())
         assert summary["verdict"] == "pass"
 
+    def test_write_report_over_old_reports(self, tmp_path):
+        reports = []
+        for lhs in (0.5, 0.125):
+            rep = SmoothnessReport(experiment="jackson", window=(0.0, 20.0), drift_max=4.0)
+            rep.add("jackson", 0.25, 2, 2, 1, 4.0, lhs=lhs, rhs=1.0)
+            reports.append(rep)
+        old, rep = reports
+        fresh = [p.read_bytes() for p in write_report(rep, tmp_path / "fresh")]
+        paths = write_report(old, tmp_path / "out")
+        before = [p.read_bytes() for p in paths]
+        handles = [open(p, "rb") for p in paths]
+        try:
+            assert write_report(rep, tmp_path / "out") == paths
+            assert [p.read_bytes() for p in paths] == fresh
+            # each file is new: a handle on the old one still reads it in full
+            assert [h.read() for h in handles] == before
+        finally:
+            for h in handles:
+                h.close()
+
+    def test_rows_have_no_dict(self):
+        rep = SmoothnessReport(experiment="jackson", window=(0.0, 20.0), drift_max=4.0)
+        row = rep.add("jackson", 0.25, 2, 2, 1, 4.0, lhs=0.125, rhs=1.0)
+        assert not hasattr(row, "__dict__")
+
 
 class TestProfiles:
     def test_known_profiles(self, grid):
@@ -1032,6 +1057,18 @@ def test_rows_hold_python_floats_and_bools(default_run, criterion_6_reports):
         for row in report.rows:
             assert [type(getattr(row, name)) for name in numeric] == [float] * len(numeric), row
             assert type(row.passed) is bool, row
+
+
+def test_rows_of_a_sweep_share_their_check_strings(default_run, criterion_6_reports):
+    # a label is built once per sweep (one input), not once per row
+    chains = criterion_6_reports[0]
+    general = [r for r in default_run[0] if r.experiment == "general_entire"]
+    assert [r.experiment for r in chains] == ["equivalence", "realization"] and general
+    for report in chains + general:
+        sweeps = {}
+        for row in report.rows:
+            sweeps.setdefault((row.check, row.lam), set()).add(id(row.check))
+        assert all(len(ids) == 1 for ids in sweeps.values()), report.experiment
 
 
 class TestRunAll:

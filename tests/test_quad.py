@@ -20,7 +20,12 @@ from dunklsmooth.quad import (
     save_radial_csv,
 )
 from dunklsmooth.smoothness import modulus
-from dunklsmooth.transforms import hankel, load_spectrum_csv, save_spectrum_csv
+from dunklsmooth.transforms import (
+    hankel,
+    load_spectrum_csv,
+    save_spectrum_csv,
+    spectrum_from_values,
+)
 
 
 class TestMakeGrid:
@@ -273,6 +278,45 @@ def _rewrite_nodes(path, node_text):
     lines = path.read_text().splitlines()
     rows = [ln.split(",") for ln in lines[2:]]
     path.write_text("\n".join(lines[:2] + [f"{node_text(float(t))},{v}" for t, v in rows]) + "\n")
+
+
+class TestCsvOverwrite:
+    """Saving over a file makes a new one: the old inode is never truncated."""
+
+    @staticmethod
+    def profile(scale):
+        g = make_grid(12.0, 64)
+        return RadialFunction(grid=g, values=np.exp(-scale * g.nodes))
+
+    def test_an_open_handle_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "f.csv"
+        save_radial_csv(self.profile(1.0), path, lam=0.5)
+        old = path.read_bytes()
+        with open(path, "rb") as handle:
+            save_radial_csv(self.profile(2.0), path, lam=0.5)
+            assert handle.read() == old
+        new = path.read_bytes()
+        assert new != old
+        assert np.array_equal(load_radial_csv(path)[0].values, self.profile(2.0).values)
+
+    def test_a_refused_spectrum_leaves_the_file(self, tmp_path):
+        g = make_grid(30.0, 128)
+        path = tmp_path / "s.csv"
+        save_spectrum_csv(spectrum_from_values(g, 0.75, np.exp(-g.nodes)), path)
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="real"):
+            save_spectrum_csv(spectrum_from_values(g, 0.75, np.exp(-g.nodes) * (1 + 2j)), path)
+        assert path.read_bytes() == old
+
+    def test_a_symlink_stays_and_its_target_is_written(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        save_radial_csv(self.profile(1.0), target, lam=0.5)
+        link.symlink_to(target)
+        save_radial_csv(self.profile(2.0), link, lam=0.5)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        expected = tmp_path / "expected.csv"
+        save_radial_csv(self.profile(2.0), expected, lam=0.5)
+        assert target.read_bytes() == expected.read_bytes()
 
 
 class TestCsvNodeColumns:
