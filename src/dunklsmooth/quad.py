@@ -275,19 +275,26 @@ def _write_csv(path: str | Path, grid: RadialGrid, values: np.ndarray, lam: floa
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to a new file at ``path``, removing any file there first.
+    """Write ``text`` to ``path``; a regular file there is replaced by a new one.
 
     The one writer of every CSV and report.  A symlink is followed, so its
-    target is replaced and the link stays.  No inode is truncated in place:
-    on ext4 (``auto_da_alloc``) the close after a truncate to zero starts
-    writeback, and the next overwrite of the path waits for it.  The old
-    file's hard links and mode are not kept, and its directory must be
-    writable.  Callers build ``text`` before the call, so a write refused
-    while building it leaves the old file as it was.
+    target is replaced and the link stays.  No regular file is truncated in
+    place: on ext4 (``auto_da_alloc``) the close after a truncate to zero
+    starts writeback, and the next overwrite of the path waits for it.  That
+    flush is also ext4's guard against a crash leaving the file empty, so an
+    output is no more durable than any new file until it is synced; callers
+    that need it on disk must fsync.  The old file's hard links and mode are
+    not kept, and its directory must be writable.  Anything else at the path
+    (a device such as ``/dev/null``, a FIFO, the pipe behind ``/dev/stdout``)
+    is opened and written in place, as are paths with nothing there yet.
+    Callers build ``text`` before the call, so a write refused while
+    building it leaves the old file as it was.
     """
-    target = Path(path).resolve()
-    target.unlink(missing_ok=True)
-    target.write_text(text)
+    path = Path(path)
+    if path.is_file():
+        path = path.resolve()
+        path.unlink()
+    path.write_text(text)
 
 
 def _csv_rows(path: str | Path, expected: tuple[str, ...]) -> tuple[dict[str, str], list[str]]:

@@ -66,6 +66,25 @@ def test_transform_bytes_do_not_depend_on_the_node_text_memo(tmp_path):
     assert outputs == [expected.read_bytes()] * 3
 
 
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+def test_transform_writes_to_a_piped_dev_stdout(tmp_path):
+    # /dev/stdout resolves to the pipe, which is no regular file: it is
+    # opened in place, so the spectrum goes down the pipe
+    grid, lam = make_grid(12.0, 64), 0.5
+    f = RadialFunction(grid=grid, values=np.exp(-0.5 * grid.nodes**2))
+    src = tmp_path / "f.csv"
+    save_radial_csv(f, src, lam=lam)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    argv = ["transform", "--input", str(src), "--lambda", repr(lam), "--output", "/dev/stdout"]
+    proc = subprocess.run([sys.executable, "-m", "dunklsmooth.cli", *argv],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = tmp_path / "expected.csv"
+    save_spectrum_csv(hankel(f, lam), expected)
+    assert proc.stdout == expected.read_bytes() + b"wrote /dev/stdout\n"
+
+
 def test_transform_refuses_a_header_lambda_other_than_the_flag(tmp_path, capsys):
     grid = make_grid(30.0, 512)
     src, dst = tmp_path / "f.csv", tmp_path / "fhat.csv"

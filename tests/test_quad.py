@@ -1,4 +1,7 @@
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -317,6 +320,26 @@ class TestCsvOverwrite:
         expected = tmp_path / "expected.csv"
         save_radial_csv(self.profile(2.0), expected, lam=0.5)
         assert target.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_a_fifo_is_written_in_place(self, tmp_path, via_link):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        path = fifo
+        if via_link:
+            path = tmp_path / "link.csv"
+            path.symlink_to(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_radial_csv(self.profile(1.0), path, lam=0.5)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert path.is_symlink() == via_link
+        expected = tmp_path / "expected.csv"
+        save_radial_csv(self.profile(1.0), expected, lam=0.5)
+        assert got == [expected.read_bytes()]
 
 
 class TestCsvNodeColumns:
